@@ -34,6 +34,9 @@ var goldenCases = []struct {
 	{"architectures", map[string]string{
 		"n": "14", "tokens": "8", "seed": "2",
 	}},
+	{"dynamic-conditions", map[string]string{
+		"n": "16", "tokens": "8", "seed": "3",
+	}},
 }
 
 func TestGoldenByteIdentity(t *testing.T) {
