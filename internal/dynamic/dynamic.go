@@ -1,20 +1,19 @@
 // Package dynamic implements the paper's §6 "Changing network conditions"
-// and "Arrivals and departures" open problems: arc capacities vary between
-// turns under pluggable models (cross traffic, link failures, periodic
-// load, node churn, and a possession-aware adversary), and the engine
+// and "Arrivals and departures" open problems as capacity models: arc
+// capacities vary between turns under pluggable models (cross traffic, link
+// failures, periodic load, node churn, and a possession-aware adversary).
+// The models run through the fault engine as fault.Plan.Capacity, which
 // enforces the per-step effective capacities.
 //
-// All models are deterministic functions of (seed, step, arc), so a
-// dynamic run can be validated after the fact by replaying the model.
+// All models are deterministic functions of (seed, step, arc), so a run
+// can be validated after the fact by replaying the model (fault.Validate).
 package dynamic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
-	"ocd/internal/sim"
 	"ocd/internal/tokenset"
 )
 
@@ -220,132 +219,4 @@ func (a *Adversary) Cap(_ int, arc graph.Arc) int {
 		return 0
 	}
 	return arc.Cap
-}
-
-// Result augments the engine result with the model used.
-type Result struct {
-	*sim.Result
-	Model string
-}
-
-// Run executes a strategy under a capacity model. Each timestep the
-// strategy plans against the step's effective graph, and the kernel
-// enforces the effective capacities. MaxSteps in opts bounds the run
-// (0 = 4× the Theorem 1 horizon — dynamic conditions legitimately slow
-// distribution down).
-func Run(inst *core.Instance, factory sim.Factory, model Model, opts sim.Options) (*Result, error) {
-	if err := inst.Check(); err != nil {
-		return nil, err
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	strat, err := factory(inst, rng)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: create strategy: %w", err)
-	}
-	done := opts.Done
-	if done == nil {
-		done = core.Done
-	}
-
-	st := &sim.State{Inst: inst, Possess: inst.InitialPossession(), Rand: rng}
-	res := &Result{
-		Result: &sim.Result{Strategy: strat.Name(), Schedule: &core.Schedule{}},
-		Model:  model.Name(),
-	}
-	eng := sim.Engine{
-		MaxSteps:     maxSteps,
-		IdlePatience: opts.IdlePatience,
-		Done:         done,
-		Capacity:     newCapacityModel(inst, model),
-		Loss:         sim.RateLossPolicy(opts.LossRate, opts.Seed),
-		Observer:     opts.Observer,
-	}
-	reason, stepAt := eng.Run(inst, strat, st, res.Result)
-	if reason == sim.StopStalled {
-		return res, fmt.Errorf("%w: step %d under %s", sim.ErrStalled, stepAt, model.Name())
-	}
-	res.Finalize(inst, st.Possess, done, opts.Prune)
-	return res, nil
-}
-
-// capacityModel adapts a Model (plus its optional PossessionAware side) to
-// the kernel's CapacityModel: each step it materializes the effective
-// capacities into the dense arc-ID slice and builds the instance view the
-// strategy plans against. Arcs are added in the base graph's sorted
-// (From, To) order so the view's adjacency and arc-ID assignment are
-// deterministic and identical to the pre-kernel engine's.
-type capacityModel struct {
-	inst  *core.Instance
-	model Model
-	aware PossessionAware
-	arcs  []graph.Arc // base arcs, sorted by (From, To), cached per run
-	ids   []int       // base arc ID per arcs[i]
-}
-
-func newCapacityModel(inst *core.Instance, model Model) *capacityModel {
-	arcs := inst.G.Arcs()
-	ids := make([]int, len(arcs))
-	for i, a := range arcs {
-		ids[i] = inst.G.ArcID(a.From, a.To)
-	}
-	aware, _ := model.(PossessionAware)
-	return &capacityModel{inst: inst, model: model, aware: aware, arcs: arcs, ids: ids}
-}
-
-// StepView implements sim.CapacityModel.
-func (c *capacityModel) StepView(step int, st *sim.State, eff []int) *core.Instance {
-	if c.aware != nil {
-		c.aware.Observe(step, st.Possess)
-	}
-	g := graph.New(c.inst.N())
-	for i, a := range c.arcs {
-		cap := c.model.Cap(step, a)
-		if cap < 0 {
-			cap = 0
-		}
-		eff[c.ids[i]] = cap
-		if cap > 0 {
-			_ = g.AddArc(a.From, a.To, cap) // arcs are valid by construction
-		}
-	}
-	return &core.Instance{G: g, NumTokens: c.inst.NumTokens, Have: c.inst.Have, Want: c.inst.Want}
-}
-
-// Validate replays a dynamic schedule against the instance and model,
-// checking possession and the per-step effective capacities, and that the
-// schedule satisfies every want.
-func Validate(inst *core.Instance, sched *core.Schedule, model Model) error {
-	possess := inst.InitialPossession()
-	aware, _ := model.(PossessionAware)
-	for i, st := range sched.Steps {
-		if aware != nil {
-			aware.Observe(i, possess)
-		}
-		used := make(map[[2]int]int)
-		for _, mv := range st {
-			base := inst.G.Cap(mv.From, mv.To)
-			if base == 0 {
-				return fmt.Errorf("dynamic: step %d move %v: arc does not exist", i, mv)
-			}
-			capacity := model.Cap(i, graph.Arc{From: mv.From, To: mv.To, Cap: base})
-			used[[2]int{mv.From, mv.To}]++
-			if used[[2]int{mv.From, mv.To}] > capacity {
-				return fmt.Errorf("dynamic: step %d move %v: effective capacity %d exceeded", i, mv, capacity)
-			}
-			if !possess[mv.From].Has(mv.Token) {
-				return fmt.Errorf("dynamic: step %d move %v: sender lacks token", i, mv)
-			}
-		}
-		for _, mv := range st {
-			possess[mv.To].Add(mv.Token)
-		}
-	}
-	if !core.Done(inst, possess) {
-		return core.ErrUnsuccessful
-	}
-	return nil
 }

@@ -2,14 +2,11 @@ package dynamic
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
-	"ocd/internal/heuristics"
-	"ocd/internal/sim"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
 )
@@ -137,103 +134,6 @@ func TestAdversaryNeverCutsWholeFrontier(t *testing.T) {
 	}
 }
 
-func TestRunUnderEachModel(t *testing.T) {
-	inst := testInstance(t, 20, 12)
-	models := []Model{
-		Static{},
-		CrossTraffic{MaxShare: 0.6, Seed: 5},
-		LinkFailure{P: 0.25, Seed: 5},
-		Periodic{Period: 6, Floor: 0.3},
-		Churn{P: 0.15, Seed: 5, AlwaysUp: []int{0}},
-	}
-	for _, m := range models {
-		t.Run(m.Name(), func(t *testing.T) {
-			res, err := Run(inst, heuristics.Local, m, sim.Options{Seed: 9, IdlePatience: 25})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Completed {
-				t.Fatal("run incomplete")
-			}
-			if err := Validate(inst, res.Schedule, m); err != nil {
-				t.Fatalf("dynamic schedule invalid: %v", err)
-			}
-		})
-	}
-}
-
-func TestRunStaticMatchesPlainEngine(t *testing.T) {
-	inst := testInstance(t, 15, 8)
-	plain, err := sim.Run(inst, heuristics.Local, sim.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := Run(inst, heuristics.Local, Static{}, sim.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Steps != dyn.Steps || plain.Moves != dyn.Moves {
-		t.Errorf("static dynamic run (%d,%d) differs from plain engine (%d,%d)",
-			dyn.Steps, dyn.Moves, plain.Steps, plain.Moves)
-	}
-}
-
-func TestRunDegradesUnderStress(t *testing.T) {
-	inst := testInstance(t, 20, 16)
-	base, err := Run(inst, heuristics.Local, Static{}, sim.Options{Seed: 6, IdlePatience: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stressed, err := Run(inst, heuristics.Local, LinkFailure{P: 0.5, Seed: 6},
-		sim.Options{Seed: 6, IdlePatience: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stressed.Completed {
-		t.Fatal("stressed run incomplete")
-	}
-	if stressed.Steps < base.Steps {
-		t.Errorf("heavy link failure sped distribution up (%d < %d)", stressed.Steps, base.Steps)
-	}
-}
-
-func TestRunAdversaryStillCompletes(t *testing.T) {
-	inst := testInstance(t, 15, 8)
-	adv := NewAdversary(inst, 2)
-	res, err := Run(inst, heuristics.Local, adv, sim.Options{Seed: 8, IdlePatience: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("adversarial run incomplete")
-	}
-	// Validation replays the adversary deterministically.
-	fresh := NewAdversary(inst, 2)
-	if err := Validate(inst, res.Schedule, fresh); err != nil {
-		t.Fatalf("adversarial schedule failed replay validation: %v", err)
-	}
-}
-
-func TestValidateCatchesViolations(t *testing.T) {
-	g, err := topology.Line(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := workload.SingleFile(g, 1)
-	// A schedule that is legal statically but illegal when the link fails
-	// every step.
-	sched := &core.Schedule{Steps: []core.Step{
-		{{From: 0, To: 1, Token: 0}},
-		{{From: 1, To: 2, Token: 0}},
-	}}
-	if err := Validate(inst, sched, Static{}); err != nil {
-		t.Fatalf("static validation failed: %v", err)
-	}
-	if err := Validate(inst, sched, LinkFailure{P: 1.0, Seed: 1}); err == nil {
-		t.Error("validation accepted moves over failed links")
-	}
-}
-
 // capTrace renders a model's effective capacities over a step window as a
 // string, so replay comparisons are byte-exact.
 func capTrace(m Model, steps int, arcs []graph.Arc) string {
@@ -249,7 +149,7 @@ func capTrace(m Model, steps int, arcs []graph.Arc) string {
 
 // TestModelsReplayByteIdentical is the determinism property every model
 // advertises: two freshly-built models with the same parameters must yield
-// byte-identical capacity traces, or post-hoc Validate replay would lie.
+// byte-identical capacity traces, or post-hoc replay validation would lie.
 func TestModelsReplayByteIdentical(t *testing.T) {
 	inst := testInstance(t, 24, 12)
 	arcs := inst.G.Arcs()
@@ -292,29 +192,5 @@ func TestAdversaryReplayByteIdentical(t *testing.T) {
 		if step < len(possess)-1 {
 			possess[step+1].UnionWith(inst.Have[0])
 		}
-	}
-}
-
-// TestLossStreamDecoupledInDynamicRun mirrors the sim regression: a
-// never-dropping loss rate must not change the dynamic engine's schedule.
-func TestLossStreamDecoupledInDynamicRun(t *testing.T) {
-	inst := testInstance(t, 20, 10)
-	model := CrossTraffic{MaxShare: 0.5, Seed: 3}
-	run := func(loss float64) *Result {
-		res, err := Run(inst, heuristics.Local, model, sim.Options{
-			Seed: 11, LossRate: loss, IdlePatience: 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(0)
-	lossy := run(1e-12)
-	if lossy.Lost != 0 {
-		t.Fatalf("wanted a drop-free lossy run, lost %d", lossy.Lost)
-	}
-	if !reflect.DeepEqual(plain.Schedule, lossy.Schedule) {
-		t.Error("enabling LossRate changed the dynamic run's schedule for the same seed")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"ocd/internal/dynamic"
 	"ocd/internal/encoding"
 	"ocd/internal/exact"
+	"ocd/internal/fault"
 	"ocd/internal/heuristics"
 	"ocd/internal/runner"
 	"ocd/internal/sim"
@@ -147,7 +148,7 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 				Key:     modelNames[mi] + "/" + heuristics.Names()[i],
 				SeedKey: "dyn-workload",
 				Run: func(cellSeed int64) (dynCell, error) {
-					res, err := dynamic.Run(inst, factory, mk(cellSeed), sim.Options{
+					res, err := fault.Run(inst, factory, fault.Plan{Capacity: mk(cellSeed)}, sim.Options{
 						Seed: cellSeed, IdlePatience: 30,
 					})
 					if err != nil {

@@ -86,10 +86,14 @@ type Result struct {
 // metrics filled in.
 //
 // MaxSteps of 0 defaults to 4× the Theorem 1 horizon plus IdlePatience —
-// faults legitimately slow distribution down.
+// faults legitimately slow distribution down. Loss comes only from
+// plan.Loss; a positive opts.LossRate is rejected rather than ignored.
 func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) (*Result, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
+	}
+	if opts.LossRate > 0 {
+		return nil, errors.New("fault: Options.LossRate is not supported; set Plan.Loss (e.g. fault.Bernoulli) instead")
 	}
 	plan = plan.normalized()
 	maxSteps := opts.MaxSteps

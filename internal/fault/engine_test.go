@@ -4,12 +4,16 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocd/internal/core"
 	"ocd/internal/dynamic"
 	"ocd/internal/graph"
+	"ocd/internal/heuristics"
 	"ocd/internal/sim"
+	"ocd/internal/topology"
+	"ocd/internal/workload"
 )
 
 // lineInstance is 0→1→…→n−1 with capacity c; vertex 0 holds m tokens, the
@@ -283,6 +287,82 @@ func TestCapacityModelComposesWithCrashes(t *testing.T) {
 	}
 	if err := core.ValidateConstraints(inst, res.Schedule); err != nil {
 		t.Errorf("static constraint check: %v", err)
+	}
+}
+
+// TestCapacityModelsRunThroughEngine runs each §6 capacity model of
+// internal/dynamic as Plan.Capacity. Every run must complete with every
+// want satisfied, and its schedule must replay valid under Validate with a
+// freshly built model, which for the possession-aware adversary checks
+// that its cuts are reproduced from possession alone.
+func TestCapacityModelsRunThroughEngine(t *testing.T) {
+	g, err := topology.Random(20, topology.DefaultCaps, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := workload.SingleFile(g, 16)
+	opts := sim.Options{Seed: 6, IdlePatience: 40}
+	static, err := Run(inst, heuristics.Local, Plan{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		model func() dynamic.Model
+		// slower marks the stress case: heavy link failure must not let
+		// distribution finish in fewer steps than static capacities do.
+		slower bool
+	}{
+		{model: func() dynamic.Model { return dynamic.Static{} }},
+		{model: func() dynamic.Model { return dynamic.CrossTraffic{MaxShare: 0.6, Seed: 5} }},
+		{model: func() dynamic.Model { return dynamic.LinkFailure{P: 0.25, Seed: 5} }},
+		{model: func() dynamic.Model { return dynamic.LinkFailure{P: 0.5, Seed: 6} }, slower: true},
+		{model: func() dynamic.Model { return dynamic.Periodic{Period: 6, Floor: 0.3} }},
+		{model: func() dynamic.Model { return dynamic.Churn{P: 0.15, Seed: 5, AlwaysUp: []int{0}} }},
+		{model: func() dynamic.Model { return dynamic.NewAdversary(inst, 2) }},
+	}
+	for _, tc := range cases {
+		m := tc.model()
+		t.Run(m.Name(), func(t *testing.T) {
+			res, err := Run(inst, heuristics.Local, Plan{Capacity: m}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := core.Simulate(inst, res.Schedule)[res.Steps]
+			if !res.Completed || !core.Done(inst, final) {
+				t.Fatal("run incomplete")
+			}
+			if err := Validate(inst, res.Schedule, Plan{Capacity: tc.model()}); err != nil {
+				t.Fatalf("fresh-model replay validation: %v", err)
+			}
+			if tc.slower && res.Steps < static.Steps {
+				t.Errorf("heavy link failure sped distribution up (%d < %d steps)", res.Steps, static.Steps)
+			}
+		})
+	}
+	// A schedule legal under static capacities must fail replay once the
+	// model has failed the links it uses.
+	t.Run("link-failure(1.00)-rejected", func(t *testing.T) {
+		line := lineInstance(t, 3, 1, 1)
+		sched := &core.Schedule{Steps: []core.Step{
+			{{From: 0, To: 1, Token: 0}},
+			{{From: 1, To: 2, Token: 0}},
+		}}
+		if err := Validate(line, sched, Plan{}); err != nil {
+			t.Fatalf("static replay validation: %v", err)
+		}
+		if err := Validate(line, sched, Plan{Capacity: dynamic.LinkFailure{P: 1, Seed: 1}}); err == nil {
+			t.Error("replay validation accepted moves over failed links")
+		}
+	})
+}
+
+// TestRunRejectsLossRate: this engine takes loss from Plan.Loss alone, so a
+// LossRate it would otherwise ignore fails closed, naming the plan field.
+func TestRunRejectsLossRate(t *testing.T) {
+	inst := lineInstance(t, 3, 2, 1)
+	_, err := Run(inst, pusherFactory, Plan{}, sim.Options{Seed: 1, LossRate: 0.2})
+	if err == nil || !strings.Contains(err.Error(), "Plan.Loss") {
+		t.Errorf("want an error naming Plan.Loss, got %v", err)
 	}
 }
 

@@ -356,10 +356,12 @@ type Plan struct {
 	Partitions PartitionModel
 	// Churn removes members, who lose all state and rejoin empty.
 	Churn ChurnModel
-	// Capacity varies arc capacities between turns (the internal/dynamic
-	// models); nil leaves capacities static. Crashed or churned-out
-	// vertices and severed arcs override whatever the capacity model
-	// says — they carry nothing.
+	// Capacity varies arc capacities between turns; nil leaves capacities
+	// static. It is how the §6 changing-conditions models of
+	// internal/dynamic run: Run enforces them and Validate replays them
+	// (rebuild a PossessionAware model fresh for the replay). Crashed or
+	// churned-out vertices and severed arcs override whatever the capacity
+	// model says — they carry nothing.
 	Capacity dynamic.Model
 	// Gossip is carried along for protocol strategies (see
 	// protocol.LocalWithGossipLoss); the engine itself does not consult it.

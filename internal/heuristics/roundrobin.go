@@ -17,8 +17,8 @@ var RoundRobin sim.Factory = newRoundRobin
 type roundRobin struct {
 	// cursor holds, per arc, the token ID after the last one sent. It is
 	// keyed by endpoints rather than arc ID because it persists across
-	// timesteps, and the fault/dynamic engines rebuild the effective graph
-	// (with fresh arc IDs) every step.
+	// timesteps, and the fault engine rebuilds the effective graph (with
+	// fresh arc IDs) every step.
 	cursor map[[2]int]int
 	moves  []core.Move
 }

@@ -1,8 +1,9 @@
 package sim_test
 
 // Golden equivalence tests for the step-kernel consolidation: each of the
-// four engines (baseline, dynamic, fault, underlay) is run on seeded
-// transit-stub instances for every heuristic, and the observable outcome —
+// three engines (baseline, fault, underlay) is run on seeded transit-stub
+// instances for every heuristic — the fault engine also under two §6
+// capacity models of internal/dynamic — and the observable outcome —
 // makespan, moves, rejected, lost, and an FNV-1a hash of the full schedule
 // — is pinned against values recorded on the pre-kernel engines. Any
 // divergence means the consolidation changed behavior, not just structure.
@@ -94,15 +95,15 @@ func goldenEngineRuns(t *testing.T) string {
 		res, err = sim.Run(inst, factory, sim.Options{Seed: 11, LossRate: 0.15, IdlePatience: 30})
 		fmt.Fprintf(&b, "base-lossy/%s: %s\n", name, summarize(res, err))
 
-		dres, err := dynamic.Run(inst, factory,
-			dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}, sim.Options{Seed: 11, IdlePatience: 30})
-		fmt.Fprintf(&b, "dynamic-cross/%s: %s\n", name, sumDyn(dres, err))
+		fres, err := fault.Run(inst, factory, fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}},
+			sim.Options{Seed: 11, IdlePatience: 30})
+		fmt.Fprintf(&b, "dynamic-cross/%s: %s\n", name, summarize(fres.Result, err))
 
-		dres, err = dynamic.Run(inst, factory,
-			dynamic.NewAdversary(inst, g.NumArcs()/8), sim.Options{Seed: 11, IdlePatience: 30})
-		fmt.Fprintf(&b, "dynamic-adversary/%s: %s\n", name, sumDyn(dres, err))
+		fres, err = fault.Run(inst, factory, fault.Plan{Capacity: dynamic.NewAdversary(inst, g.NumArcs()/8)},
+			sim.Options{Seed: 11, IdlePatience: 30})
+		fmt.Fprintf(&b, "dynamic-adversary/%s: %s\n", name, summarize(fres.Result, err))
 
-		fres, err := fault.Run(inst, factory, fault.AtIntensity(0.35, 13, 0),
+		fres, err = fault.Run(inst, factory, fault.AtIntensity(0.35, 13, 0),
 			sim.Options{Seed: 11, IdlePatience: 40})
 		fmt.Fprintf(&b, "fault-chaos/%s: %s\n", name, sumFault(fres, err))
 
@@ -118,13 +119,6 @@ func goldenEngineRuns(t *testing.T) string {
 		fmt.Fprintf(&b, "underlay/%s: %s\n", name, summarize(ures, err))
 	}
 	return b.String()
-}
-
-func sumDyn(res *dynamic.Result, err error) string {
-	if res == nil {
-		return fmt.Sprintf("err=%v", err)
-	}
-	return summarize(res.Result, err)
 }
 
 func sumFault(res *fault.Result, err error) string {

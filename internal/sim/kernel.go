@@ -1,7 +1,7 @@
 package sim
 
-// The step-kernel: the one plan→admit→loss→deliver loop shared by all four
-// engines (baseline, dynamic, fault, underlay). The kernel owns possession
+// The step-kernel: the one plan→admit→loss→deliver loop shared by all three
+// engines (baseline, fault, underlay). The kernel owns possession
 // state, dense arc-usage accounting, loss draws, idle/stall tracking, and
 // schedule assembly; everything engine-specific enters through the small
 // policy interfaces below. A correctness fix or allocation win in this loop
@@ -262,16 +262,16 @@ func (res *Result) Finalize(inst *core.Instance, possess []tokenset.Set,
 	}
 }
 
-// RateLossPolicy is the §6 independent-loss model: each accepted move is
-// dropped with probability rate, drawn from the dedicated loss stream for
-// seed (LossRand) so the strategy stream is unperturbed. A non-positive
-// rate returns nil — the kernel then makes no draws at all, exactly as when
-// loss is disabled.
-func RateLossPolicy(rate float64, seed int64) LossPolicy {
+// rateLossPolicy is the baseline engine's §6 independent-loss model: each
+// accepted move is dropped with probability rate, drawn from a loss stream
+// salted away from seed (lossStreamSalt) so the strategy stream is
+// unperturbed. A non-positive rate returns nil — the kernel then makes no
+// draws at all, exactly as when loss is disabled.
+func rateLossPolicy(rate float64, seed int64) LossPolicy {
 	if rate <= 0 {
 		return nil
 	}
-	return &rateLoss{rate: rate, rng: LossRand(seed)}
+	return &rateLoss{rate: rate, rng: rand.New(rand.NewSource(seed ^ lossStreamSalt))}
 }
 
 type rateLoss struct {

@@ -187,13 +187,6 @@ var ErrStalled = errors.New("sim: strategy stalled with unsatisfied wants")
 // every randomized strategy's decisions for the same seed.
 const lossStreamSalt int64 = 0x6c6f7373 // "loss"
 
-// LossRand returns the engine's dedicated loss-draw PRNG for a run seed.
-// Exported so alternative engines (internal/dynamic) drop losses from the
-// identical stream.
-func LossRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ lossStreamSalt))
-}
-
 // Run executes the strategy produced by factory on inst until every want is
 // satisfied or the step limit is reached. It is the baseline composition
 // over the step-kernel: static capacities, the §6 independent-loss model,
@@ -230,7 +223,7 @@ func Run(inst *core.Instance, factory Factory, opts Options) (*Result, error) {
 		MaxSteps:     maxSteps,
 		IdlePatience: opts.IdlePatience,
 		Done:         done,
-		Loss:         RateLossPolicy(opts.LossRate, opts.Seed),
+		Loss:         rateLossPolicy(opts.LossRate, opts.Seed),
 		Observer:     opts.Observer,
 	}
 	reason, stepAt := eng.Run(inst, strat, st, res)

@@ -21,8 +21,8 @@ import (
 
 // TestInvariantMonitorZeroViolationsAcrossEngines is the acceptance check:
 // the monitor, re-deriving every invariant independently, must find nothing
-// on the golden-configuration runs of all four engines — including runs
-// under partitions and churn.
+// on the golden-configuration runs of all three engines — including the
+// fault engine under a §6 capacity model, partitions and churn.
 func TestInvariantMonitorZeroViolationsAcrossEngines(t *testing.T) {
 	size, tokens := 36, 24
 	if testing.Short() {
@@ -62,22 +62,16 @@ func TestInvariantMonitorZeroViolationsAcrossEngines(t *testing.T) {
 		}
 		check(t, "base-lossy/"+name, m)
 
-		model := dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}
+		plan := fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}}
 		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{
-			Capacity: func(step int, a graph.Arc) int {
-				c := model.Cap(step, a)
-				if c < 0 {
-					c = 0
-				}
-				return c
-			},
+			Down: plan.DownAt, Capacity: plan.EffectiveCapacity,
 		})
-		if _, err := dynamic.Run(inst, factory, model, sim.Options{Seed: 11, IdlePatience: 30, Observer: m}); err != nil {
+		if _, err := fault.Run(inst, factory, plan, sim.Options{Seed: 11, IdlePatience: 30, Observer: m}); err != nil {
 			t.Fatalf("dynamic-cross/%s: %v", name, err)
 		}
 		check(t, "dynamic-cross/"+name, m)
 
-		plan := fault.AtIntensity(0.35, 13, 0)
+		plan = fault.AtIntensity(0.35, 13, 0)
 		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{
 			Down: plan.DownAt, Capacity: plan.EffectiveCapacity,
 		})

@@ -667,7 +667,7 @@ func DecodeScheduleJSON(r io.Reader) (*Schedule, error) { return trace.DecodeSch
 
 // Step tracing — the simulation kernel's Observer hooks and their standard
 // consumer. Attach an Observer through RunOptions.Observer; every engine
-// (baseline, dynamic, fault, underlay) feeds the same callbacks.
+// (baseline, fault, underlay) feeds the same callbacks.
 type (
 	// Observer receives per-step callbacks from the simulation kernel; a
 	// nil Observer costs nothing.
