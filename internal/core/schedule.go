@@ -128,22 +128,20 @@ func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) 
 		return nil, err
 	}
 	cur := inst.InitialPossession()
-	used := make(map[[2]int]int)
+	used := make([]int, inst.G.NumArcs())
 	for i, st := range sched.Steps {
-		for k := range used {
-			delete(used, k)
-		}
+		clear(used)
 		for _, mv := range st {
 			if mv.Token < 0 || mv.Token >= inst.NumTokens {
 				return nil, &ValidationError{Step: i, Move: mv, Reason: "token out of range"}
 			}
-			capacity := inst.G.Cap(mv.From, mv.To)
-			if capacity == 0 {
+			id := inst.G.ArcID(mv.From, mv.To)
+			if id < 0 {
 				return nil, &ValidationError{Step: i, Move: mv, Reason: "arc does not exist"}
 			}
-			key := [2]int{mv.From, mv.To}
-			used[key]++
-			if used[key] > capacity {
+			capacity := inst.G.CapByID(id)
+			used[id]++
+			if used[id] > capacity {
 				return nil, &ValidationError{
 					Step: i, Move: mv,
 					Reason: fmt.Sprintf("capacity %d exceeded", capacity),

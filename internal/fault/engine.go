@@ -133,7 +133,7 @@ func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) 
 			// the final step: detection normally runs only on crash
 			// events, but permanent partitions shift reachability with no
 			// vertex transition to trigger it.
-			detect(inst, st.Possess, fk.perm, fk.permSevered, fk.unsat)
+			fk.detect(st.Possess)
 			res.Liveness = classifyLiveness(inst, st.Possess, fk.unsat)
 		}
 		res.Unsatisfiable = receiverReports(inst, st.Possess, fk.unsat)
@@ -212,6 +212,13 @@ type faultKernel struct {
 
 	arcs []graph.Arc // base arcs, sorted by (From, To), cached per run
 	ids  []int       // base arc ID per arcs[i]
+	// caps holds this step's effective capacity per base arc ID; view is
+	// refreshed from it and viewInst, built once per run, carries it to
+	// the strategy.
+	caps     []int
+	view     *graph.View
+	viewInst *core.Instance
+	reach    reachability
 
 	prevDown, down, perm []bool
 	// everDelivered tracks first deliveries for the retransmission count;
@@ -239,6 +246,7 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 		ids[i] = inst.G.ArcID(a.From, a.To)
 	}
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
+	view := graph.NewView(inst.G)
 	fk := &faultKernel{
 		inst:          inst,
 		plan:          plan,
@@ -246,6 +254,10 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 		aware:         aware,
 		arcs:          arcs,
 		ids:           ids,
+		caps:          make([]int, inst.G.NumArcs()),
+		view:          view,
+		viewInst:      &core.Instance{G: view.Graph(), NumTokens: inst.NumTokens, Have: inst.Have, Want: inst.Want},
+		reach:         newReachability(inst),
 		prevDown:      make([]bool, n),
 		down:          make([]bool, n),
 		perm:          make([]bool, n),
@@ -267,6 +279,12 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 // the current step sees every cut that will never heal.
 func (f *faultKernel) permSevered(from, to int) bool {
 	return f.plan.Partitions.Permanent(f.step, from, to)
+}
+
+// detect refreshes the undeliverable-token sets against the current
+// possession and permanent faults.
+func (f *faultKernel) detect(possess []tokenset.Set) {
+	f.reach.detect(f.inst, possess, f.perm, f.permSevered, f.unsat)
 }
 
 // PreStep implements sim.StepInterceptor: fault transitions first — a
@@ -319,7 +337,7 @@ func (f *faultKernel) PreStep(step int, st *sim.State) {
 		st.InvalidateCounts()
 	}
 	if f.needDetect {
-		detect(f.inst, st.Possess, f.perm, f.permSevered, f.unsat)
+		f.detect(st.Possess)
 		f.needDetect = false
 	}
 }
@@ -342,32 +360,26 @@ func (f *faultKernel) OnDeliver(_ int, mv core.Move) {
 // declaring a stall — the strategy may be idle precisely because nothing
 // deliverable remains.
 func (f *faultKernel) OnIdleLimit(_ int, st *sim.State) bool {
-	detect(f.inst, st.Possess, f.perm, f.permSevered, f.unsat)
+	f.detect(st.Possess)
 	return settled(f.inst, st.Possess, f.unsat)
 }
 
 // StepView implements sim.CapacityModel: the capacity model's output with
-// crashed vertices' arcs removed, plus the instance view strategies plan
-// against.
-func (f *faultKernel) StepView(step int, st *sim.State, eff []int) *core.Instance {
+// crashed vertices' arcs removed, as the run's one view of the base graph,
+// refreshed in place.
+func (f *faultKernel) StepView(step int, st *sim.State) *core.Instance {
 	if f.aware != nil {
 		f.aware.Observe(step, st.Possess)
 	}
-	g := graph.New(f.inst.N())
 	for i, a := range f.arcs {
 		c := 0
 		if !f.down[a.From] && !f.down[a.To] && !f.plan.Partitions.Severed(step, a.From, a.To) {
 			c = f.plan.Capacity.Cap(step, a)
-			if c < 0 {
-				c = 0
-			}
 		}
-		eff[f.ids[i]] = c
-		if c > 0 {
-			_ = g.AddArc(a.From, a.To, c) // arcs are valid by construction
-		}
+		f.caps[f.ids[i]] = c
 	}
-	return &core.Instance{G: g, NumTokens: f.inst.NumTokens, Have: f.inst.Have, Want: f.inst.Want}
+	f.view.Refresh(f.caps)
+	return f.viewInst
 }
 
 // Lost implements sim.LossPolicy via the plan's deterministic loss model;
@@ -380,6 +392,26 @@ func (f *faultKernel) Lost(step int, mv core.Move, arcID int) bool {
 	k := f.lossK[arcID]
 	f.lossK[arcID]++
 	return f.plan.Loss.Drop(step, mv.From, mv.To, k)
+}
+
+// reachability is detect's working set, owned by one run's kernel so
+// detection allocates nothing after set-up.
+type reachability struct {
+	live    []bool         // per base arc ID: the arc survives permanent faults
+	reach   []tokenset.Set // per vertex: tokens held by a vertex that reaches it
+	missing tokenset.Set
+}
+
+func newReachability(inst *core.Instance) reachability {
+	r := reachability{
+		live:    make([]bool, inst.G.NumArcs()),
+		reach:   make([]tokenset.Set, inst.N()),
+		missing: tokenset.New(inst.NumTokens),
+	}
+	for v := range r.reach {
+		r.reach[v] = tokenset.New(inst.NumTokens)
+	}
+	return r
 }
 
 // detect grows the per-receiver undeliverable-token sets: a missing token
@@ -396,34 +428,45 @@ func (f *faultKernel) Lost(step int, mv core.Move, arcID int) bool {
 // they will return (with whatever possession the state-loss policy left
 // them), so their wants and holdings still count. Likewise transiently
 // severed arcs stay: they will heal.
-func detect(inst *core.Instance, possess []tokenset.Set, perm []bool, severed func(from, to int) bool, unsat []tokenset.Set) {
+//
+// Rather than one search per receiver, every vertex's reachable-token set
+// starts as its own possession and absorbs its live in-neighbors' sets,
+// sweep after sweep, until no set grows: the fixed point is the union of
+// the possessions of every vertex that reaches it.
+func (r *reachability) detect(inst *core.Instance, possess []tokenset.Set, perm []bool, severed func(from, to int) bool, unsat []tokenset.Set) {
+	g := inst.G
 	n := inst.N()
-	g := graph.New(n)
-	for _, a := range inst.G.Arcs() {
-		if !perm[a.From] && !perm[a.To] && !severed(a.From, a.To) {
-			_ = g.AddArc(a.From, a.To, a.Cap) // valid by construction
+	for v := 0; v < n; v++ {
+		ids := g.InArcIDs(v)
+		for i, a := range g.In(v) {
+			r.live[ids[i]] = !perm[a.From] && !perm[v] && !severed(a.From, v)
+		}
+		r.reach[v].CopyFrom(possess[v])
+	}
+	for grew := true; grew; {
+		grew = false
+		for v := 0; v < n; v++ {
+			before := r.reach[v].Count()
+			ids := g.InArcIDs(v)
+			for i, a := range g.In(v) {
+				if r.live[ids[i]] {
+					r.reach[v].UnionWith(r.reach[a.From])
+				}
+			}
+			grew = grew || r.reach[v].Count() != before
 		}
 	}
-	reachable := tokenset.New(inst.NumTokens)
 	for v := 0; v < n; v++ {
-		missing := inst.Want[v].Difference(possess[v])
-		if missing.Empty() {
+		r.missing.SetDifference(inst.Want[v], possess[v])
+		if r.missing.Empty() {
 			continue
 		}
-		if perm[v] {
-			// A permanently-dead receiver can never take delivery.
-			unsat[v].UnionWith(missing)
-			continue
+		if !perm[v] {
+			// A permanently-dead receiver can never take delivery; any
+			// other misses only what nothing that reaches it holds.
+			r.missing.DifferenceWith(r.reach[v])
 		}
-		dist := g.BFSTo(v)
-		reachable.Clear()
-		for u := 0; u < n; u++ {
-			if dist[u] >= 0 && !perm[u] {
-				reachable.UnionWith(possess[u])
-			}
-		}
-		missing.DifferenceWith(reachable)
-		unsat[v].UnionWith(missing)
+		unsat[v].UnionWith(r.missing)
 	}
 }
 
@@ -493,7 +536,7 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 	prevDown := make([]bool, n)
 	down := make([]bool, n)
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
-	used := make(map[[2]int]int)
+	used := make([]int, inst.G.NumArcs())
 
 	for i, st := range sched.Steps {
 		for v := 0; v < n; v++ {
@@ -517,24 +560,27 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 		if aware != nil {
 			aware.Observe(i, possess)
 		}
-		for k := range used {
-			delete(used, k)
-		}
+		clear(used)
 		for _, mv := range st {
+			if mv.From < 0 || mv.From >= n || mv.To < 0 || mv.To >= n {
+				return fmt.Errorf("fault: step %d move %v: vertex out of range", i, mv)
+			}
+			if mv.Token < 0 || mv.Token >= inst.NumTokens {
+				return fmt.Errorf("fault: step %d move %v: token out of range", i, mv)
+			}
 			if down[mv.From] || down[mv.To] {
 				return fmt.Errorf("fault: step %d move %v: endpoint crashed or away", i, mv)
 			}
 			if plan.Partitions.Severed(i, mv.From, mv.To) {
 				return fmt.Errorf("fault: step %d move %v: arc severed by partition", i, mv)
 			}
-			base := inst.G.Cap(mv.From, mv.To)
-			if base == 0 {
+			id := inst.G.ArcID(mv.From, mv.To)
+			if id < 0 {
 				return fmt.Errorf("fault: step %d move %v: arc does not exist", i, mv)
 			}
-			capacity := plan.Capacity.Cap(i, graph.Arc{From: mv.From, To: mv.To, Cap: base})
-			key := [2]int{mv.From, mv.To}
-			used[key]++
-			if used[key] > capacity {
+			capacity := plan.Capacity.Cap(i, graph.Arc{From: mv.From, To: mv.To, Cap: inst.G.CapByID(id)})
+			used[id]++
+			if used[id] > capacity {
 				return fmt.Errorf("fault: step %d move %v: effective capacity %d exceeded", i, mv, capacity)
 			}
 			if !possess[mv.From].Has(mv.Token) {

@@ -392,3 +392,24 @@ func TestValidateRejectsMoveFromCrashedVertex(t *testing.T) {
 		t.Error("move from a crashed vertex validated")
 	}
 }
+
+// TestValidateRejectsOutOfRangeMoves feeds Validate moves an external
+// schedule may carry; each must fail with an error, not an index panic.
+func TestValidateRejectsOutOfRangeMoves(t *testing.T) {
+	inst := lineInstance(t, 3, 2, 2)
+	for _, tc := range []struct {
+		mv     core.Move
+		reason string
+	}{
+		{core.Move{From: 0, To: 7, Token: 0}, "vertex out of range"},
+		{core.Move{From: -1, To: 1, Token: 0}, "vertex out of range"},
+		{core.Move{From: 0, To: 1, Token: 2}, "token out of range"},
+	} {
+		sched := &core.Schedule{}
+		sched.Append(core.Step{tc.mv})
+		err := Validate(inst, sched, Plan{})
+		if err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("move %v: err = %v, want %q", tc.mv, err, tc.reason)
+		}
+	}
+}

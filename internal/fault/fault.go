@@ -114,13 +114,17 @@ func newChain(seed int64, p01, p10 float64) *chain {
 }
 
 // state returns the chain state at step for identity (a, b). All chains
-// start in state false at step 0.
+// start in state false at step 0. The memo is written back only when the
+// trajectory grows: most queries hit an already-covered step.
 func (c *chain) state(step, a, b int) bool {
 	if step < 0 {
 		return false
 	}
 	key := [2]int{a, b}
 	s := c.states[key]
+	if step < len(s) {
+		return s[step]
+	}
 	if s == nil {
 		s = append(s, false)
 	}

@@ -31,16 +31,22 @@ type Arc struct {
 // (residual capacity, usage counters) in flat slices instead of maps — the
 // simulation hot path allocates nothing per arc lookup. IDs are stable for
 // the lifetime of the graph and deterministic for a deterministic
-// construction order.
+// construction order. A View's graph shares its base's IDs.
 type Graph struct {
 	n        int
 	out      [][]Arc
 	in       [][]Arc
 	outID    [][]int32
 	inID     [][]int32
-	ids      map[[2]int]int32
+	ids      map[uint64]int32 // arcKey(u, v) → arc ID
 	capsByID []int
+	// view marks the read-only graph of a View: AddArc is rejected and
+	// arcs whose capacity is 0 are masked out of every accessor.
+	view bool
 }
+
+// arcKey packs an in-range vertex pair into the ID index's key.
+func arcKey(u, v int) uint64 { return uint64(u)<<32 | uint64(v) }
 
 // ErrVertexRange indicates an arc endpoint outside [0, n).
 var ErrVertexRange = errors.New("graph: vertex out of range")
@@ -56,14 +62,18 @@ func New(n int) *Graph {
 		in:    make([][]Arc, n),
 		outID: make([][]int32, n),
 		inID:  make([][]int32, n),
-		ids:   make(map[[2]int]int32),
+		ids:   make(map[uint64]int32),
 	}
 }
 
 // AddArc inserts the directed arc u→v with the given capacity. Adding an arc
 // that already exists merges capacities by summation (multi-arc rule, §3.1).
-// Self-loops and non-positive capacities are rejected.
+// Self-loops, non-positive capacities and arcs added to a View's graph are
+// rejected.
 func (g *Graph) AddArc(u, v, capacity int) error {
+	if g.view {
+		return fmt.Errorf("graph: AddArc(%d,%d) on a read-only capacity view", u, v)
+	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrVertexRange, u, v, g.n)
 	}
@@ -73,7 +83,7 @@ func (g *Graph) AddArc(u, v, capacity int) error {
 	if capacity <= 0 {
 		return fmt.Errorf("graph: capacity %d on (%d,%d) must be positive", capacity, u, v)
 	}
-	key := [2]int{u, v}
+	key := arcKey(u, v)
 	if id, ok := g.ids[key]; ok {
 		merged := g.capsByID[id] + capacity
 		g.capsByID[id] = merged
@@ -116,40 +126,48 @@ func (g *Graph) setListCap(u, v, capacity int) {
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// NumArcs returns the number of distinct directed arcs.
+// NumArcs returns the number of distinct directed arcs — the size of the
+// arc-ID space. A View's graph counts its masked arcs too, since it shares
+// its base's IDs.
 func (g *Graph) NumArcs() int { return len(g.capsByID) }
+
+// lookup returns the ID of arc u→v, or -1 if the arc does not exist or is
+// masked. A base graph's capacities are always positive, so only a view
+// masks anything.
+func (g *Graph) lookup(u, v int) int32 {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return -1
+	}
+	id, ok := g.ids[arcKey(u, v)]
+	if !ok || g.capsByID[id] <= 0 {
+		return -1
+	}
+	return id
+}
 
 // Cap returns the capacity of arc u→v, or 0 if the arc does not exist.
 func (g *Graph) Cap(u, v int) int {
-	id, ok := g.ids[[2]int{u, v}]
-	if !ok {
+	id := g.lookup(u, v)
+	if id < 0 {
 		return 0
 	}
 	return g.capsByID[id]
 }
 
 // HasArc reports whether the arc u→v exists.
-func (g *Graph) HasArc(u, v int) bool {
-	_, ok := g.ids[[2]int{u, v}]
-	return ok
-}
+func (g *Graph) HasArc(u, v int) bool { return g.lookup(u, v) >= 0 }
 
 // ArcID returns the dense arc ID of u→v in [0, NumArcs()), or -1 if the
 // arc does not exist. IDs are assigned in insertion order and never change.
-func (g *Graph) ArcID(u, v int) int {
-	id, ok := g.ids[[2]int{u, v}]
-	if !ok {
-		return -1
-	}
-	return int(id)
-}
+func (g *Graph) ArcID(u, v int) int { return int(g.lookup(u, v)) }
 
 // CapByID returns the capacity of the arc with the given dense ID.
 func (g *Graph) CapByID(id int) int { return g.capsByID[id] }
 
-// CapsByID returns the capacities of all arcs indexed by arc ID. The
-// returned slice is the graph's own storage: callers must copy it (e.g.
-// into a per-timestep residual buffer) and must not modify it.
+// CapsByID returns the capacities of all arcs indexed by arc ID (0 for a
+// View's masked arcs). The returned slice is the graph's own storage:
+// callers must copy it (e.g. into a per-timestep residual buffer) and must
+// not modify it.
 func (g *Graph) CapsByID() []int { return g.capsByID }
 
 // OutArcIDs returns the dense arc IDs of u's outgoing arcs, parallel to

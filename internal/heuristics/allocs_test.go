@@ -3,6 +3,8 @@ package heuristics
 import (
 	"testing"
 
+	"ocd/internal/dynamic"
+	"ocd/internal/fault"
 	"ocd/internal/sim"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
@@ -99,5 +101,56 @@ func TestAllocationCeilings(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// faultAllocCeilings guard the fault engine's per-run set-up of one
+// capacity view: a step must refresh that view in place, not rebuild a
+// graph, and detection must reuse its scratch. Keyed by plan, each
+// ceiling sits ~50% above the most any heuristic allocated.
+var faultAllocCeilings = map[string]float64{
+	"none":         950,
+	"link-failure": 950,
+	"crash-keep":   1300,
+}
+
+// TestFaultEngineAllocationCeilings runs every heuristic through fault.Run
+// on the reference instance under the control plan, a capacity model and
+// random crashes, and fails if a run allocates more than its plan's
+// ceiling.
+func TestFaultEngineAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	g, err := topology.Random(60, topology.DefaultCaps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := workload.SingleFile(g, 40)
+	plans := []struct {
+		name  string
+		build func() fault.Plan
+	}{
+		{"none", func() fault.Plan { return fault.Plan{} }},
+		{"link-failure", func() fault.Plan { return fault.Plan{Capacity: dynamic.LinkFailure{P: 0.1, Seed: 1}} }},
+		{"crash-keep", func() fault.Plan {
+			return fault.Plan{Crashes: fault.NewRandomCrashes(0.01, 0.5, 1, 0), StateLoss: fault.KeepState}
+		}},
+	}
+	for _, p := range plans {
+		ceiling := faultAllocCeilings[p.name]
+		for i, factory := range All() {
+			name := Names()[i]
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := fault.Run(inst, factory, p.build(), sim.Options{Seed: 1, IdlePatience: 40}); err != nil {
+					t.Fatalf("%s under %s: %v", name, p.name, err)
+				}
+			})
+			t.Logf("%s under %s: %.0f allocs/run (ceiling %.0f)", name, p.name, allocs, ceiling)
+			if allocs > ceiling {
+				t.Errorf("%s under %s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
+					name, p.name, allocs, ceiling)
+			}
+		}
 	}
 }

@@ -59,8 +59,8 @@ func All() []sim.Factory {
 // residual tracks per-arc remaining capacity within a single timestep as a
 // dense slice indexed by the graph's arc IDs. Each strategy owns one as a
 // scratch buffer and resets it at the top of every Plan call from the
-// step's effective graph — the fault engine rebuilds the graph between
-// steps, so arc IDs are only stable within a single Plan.
+// step's effective graph: arc IDs are stable across steps (a step view
+// shares its base's IDs), but the capacities behind them change.
 type residual struct {
 	g *graph.Graph
 	//ocd:scratch

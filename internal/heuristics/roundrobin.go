@@ -15,16 +15,15 @@ import (
 var RoundRobin sim.Factory = newRoundRobin
 
 type roundRobin struct {
-	// cursor holds, per arc, the token ID after the last one sent. It is
-	// keyed by endpoints rather than arc ID because it persists across
-	// timesteps, and the fault engine rebuilds the effective graph (with
-	// fresh arc IDs) every step.
-	cursor map[[2]int]int
+	// cursor holds, per arc ID, the token ID after the last one sent. It
+	// persists across timesteps: every engine's step graph shares the base
+	// graph's arc IDs.
+	cursor []int
 	moves  []core.Move
 }
 
 func newRoundRobin(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
-	return &roundRobin{cursor: make(map[[2]int]int, inst.G.NumArcs())}, nil
+	return &roundRobin{cursor: make([]int, inst.G.NumArcs())}, nil
 }
 
 func (r *roundRobin) Name() string { return "roundrobin" }
@@ -37,9 +36,10 @@ func (r *roundRobin) Plan(st *sim.State) []core.Move {
 		if have.Empty() {
 			continue
 		}
-		for _, a := range st.Inst.G.Out(u) {
-			key := [2]int{a.From, a.To}
-			cur := r.cursor[key]
+		ids := st.Inst.G.OutArcIDs(u)
+		for i, a := range st.Inst.G.Out(u) {
+			id := ids[i]
+			cur := r.cursor[id]
 			sent := 0
 			// One full cycle at most: skip tokens u does not have.
 			for scanned := 0; scanned < m && sent < a.Cap; scanned++ {
@@ -49,7 +49,7 @@ func (r *roundRobin) Plan(st *sim.State) []core.Move {
 				}
 				moves = append(moves, core.Move{From: u, To: a.To, Token: t})
 				sent++
-				r.cursor[key] = (t + 1) % m
+				r.cursor[id] = (t + 1) % m
 			}
 		}
 	}

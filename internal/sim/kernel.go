@@ -22,13 +22,13 @@ import (
 )
 
 // CapacityModel supplies each timestep's effective arc capacities. StepView
-// fills eff — indexed by the base graph's dense arc IDs — with this step's
-// capacities (0 removes the arc) and returns the instance the strategy
-// should plan against, typically a view whose graph reflects the effective
-// capacities. A nil CapacityModel means the base graph's static capacities
-// and the base instance.
+// returns the instance the strategy plans against this step; its graph must
+// share the base graph's dense arc IDs — a graph.View of the base, or the
+// base itself — because the kernel admits moves against the returned
+// graph's CapsByID (0 removes an arc). A nil CapacityModel means the base
+// instance and its static capacities.
 type CapacityModel interface {
-	StepView(step int, st *State, eff []int) *core.Instance
+	StepView(step int, st *State) *core.Instance
 }
 
 // LossPolicy decides which accepted moves are dropped in transit. Lost is
@@ -133,18 +133,12 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 	ic := eng.Interceptor
 	obs := eng.Observer
 
-	// Per-timestep arc usage and effective capacities live in dense slices
-	// indexed by the base graph's arc IDs — no per-step map churn. With no
-	// capacity model the effective view is the static capacities, copied
-	// once (CapsByID is the graph's own storage).
-	numArcs := inst.G.NumArcs()
+	// Per-timestep arc usage and effective capacities are dense slices
+	// indexed by the base graph's arc IDs — no per-step map churn. eff is
+	// read-only: the base's static capacities, or each step view's.
+	eff := inst.G.CapsByID()
 	//ocd:scratch
-	eff := make([]int, numArcs)
-	if eng.Capacity == nil {
-		copy(eff, inst.G.CapsByID())
-	}
-	//ocd:scratch
-	used := make([]int, numArcs)
+	used := make([]int, inst.G.NumArcs())
 	// accepted/acceptedIDs/delivered are scratch buffers reused across
 	// steps; the schedule only ever retains exact-size copies.
 	//ocd:scratch
@@ -169,7 +163,8 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 
 		view := inst
 		if eng.Capacity != nil {
-			view = eng.Capacity.StepView(step, st, eff)
+			view = eng.Capacity.StepView(step, st)
+			eff = view.G.CapsByID()
 		}
 		st.Inst = view
 		st.Step = step
