@@ -36,6 +36,14 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *n < 2:
+		return fmt.Errorf("-n must be at least 2, got %d", *n)
+	case *tokens < 1:
+		return fmt.Errorf("-tokens must be at least 1, got %d", *tokens)
+	case *budget < 0:
+		return fmt.Errorf("-budget must be non-negative, got %d", *budget)
+	}
 
 	var inst *ocd.Instance
 	switch *gadget {
@@ -68,7 +76,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "min bandwidth at tau*=%d: %d moves\n", fast.Makespan(), atFast.Moves())
 
-	if *withILP {
+	if *withILP && fast.Makespan() == 0 {
+		// The time-indexed program needs a horizon of at least one step.
+		fmt.Fprintln(stdout, "ILP skipped: the instance is satisfied without moves")
+	} else if *withILP {
 		for _, tau := range []int{fast.Makespan(), cheap.Makespan()} {
 			sched, obj, err := ocd.SolveILP(inst, tau)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ocd/internal/core"
+	"ocd/internal/graph"
 	"ocd/internal/tokenset"
 )
 
@@ -36,20 +37,22 @@ func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, 
 	if horizon <= 0 {
 		horizon = inst.TheoremOneHorizon()
 	}
+	arcs := inst.G.Arcs()
 	s := &eocdSearch{
 		inst:     inst,
 		budget:   opts.nodes(),
-		best:     nil,
 		memo:     make(map[memoKey]int),
 		relSink:  relevanceSets(inst),
 		globalLB: core.BandwidthLowerBound(inst, nil),
+		possess:  inst.InitialPossession(),
+		arcs:     arcs,
+		useful:   tokenset.New(inst.NumTokens),
+		used:     make([]int, len(arcs)),
 	}
-	start := inst.InitialPossession()
-	if core.Done(inst, start) {
+	if core.Done(inst, s.possess) {
 		return &core.Schedule{}, nil
 	}
-	s.cur = &core.Schedule{}
-	if err := s.dfs(start, horizon, 0); err != nil && !errors.Is(err, errOptimal) {
+	if err := s.dfs(horizon, 0); err != nil && !errors.Is(err, errOptimal) {
 		return nil, err
 	}
 	if s.best == nil {
@@ -67,7 +70,7 @@ type eocdSearch struct {
 	inst    *core.Instance
 	budget  int
 	nodes   int
-	cur     *core.Schedule
+	cur     core.Schedule // the path to the current node; steps alias the frames
 	best    *core.Schedule
 	bestLen int
 	// memo maps (possession, stepsLeft) → best cost-so-far seen; states
@@ -80,6 +83,19 @@ type eocdSearch struct {
 	// possession — a certificate of optimality for any incumbent that
 	// reaches it.
 	globalLB int
+	// possess is the possession at the current node, mutated in place.
+	possess []tokenset.Set
+	// arcs is the arc list in (From, To) order, sorted once per solve.
+	arcs   []graph.Arc
+	frames frames
+	// Enumeration scratch, consumed before the search descends: the
+	// candidate moves with the index in arcs of each, the subset being
+	// built, and per-arc usage of that subset.
+	useful tokenset.Set
+	moves  []core.Move
+	arcOf  []int
+	pick   []core.Move
+	used   []int
 }
 
 // relevanceSets computes, per token, the set of vertices that can still be
@@ -107,8 +123,8 @@ func relevanceSets(inst *core.Instance) []tokenset.Set {
 	return out
 }
 
-func (s *eocdSearch) dfs(possess []tokenset.Set, left, cost int) error {
-	if core.Done(s.inst, possess) {
+func (s *eocdSearch) dfs(left, cost int) error {
+	if core.Done(s.inst, s.possess) {
 		if s.best == nil || cost < s.bestLen {
 			s.best = s.cur.Clone()
 			s.bestLen = cost
@@ -125,30 +141,37 @@ func (s *eocdSearch) dfs(possess []tokenset.Set, left, cost int) error {
 	if s.nodes > s.budget {
 		return ErrBudget
 	}
-	lb := core.BandwidthLowerBound(s.inst, possess)
+	lb := core.BandwidthLowerBound(s.inst, s.possess)
 	if s.best != nil && cost+lb >= s.bestLen {
 		return nil
 	}
-	key := memoKey{hash: possessionHash(possess), left: left}
+	key := memoKey{hash: possessionHash(s.possess), left: left}
 	if seen, ok := s.memo[key]; ok && seen <= cost {
 		return nil
 	}
 	s.memo[key] = cost
 
-	moves := s.usefulMoves(possess)
-	if len(moves) == 0 {
+	s.usefulMoves()
+	if len(s.moves) == 0 {
 		return nil
 	}
 	// Enumerate subsets of candidate moves respecting arc capacities,
 	// largest subsets first so a good incumbent is found early. Empty
 	// subsets are excluded: an idle step is never cheaper than skipping it.
-	subsets := capacitySubsets(s.inst, moves)
-	sort.Slice(subsets, func(i, j int) bool { return len(subsets[i]) > len(subsets[j]) })
-	for _, st := range subsets {
-		next := applyStep(possess, st)
+	f := s.frames.at(len(s.cur.Steps))
+	s.enumerateSubsets(f, 0)
+	// sort.Sort over the spans runs the same pdqsort as sort.Slice over
+	// one slice per subset, so equal-size subsets come out in the order
+	// the allocate-per-node search gave them.
+	sort.Sort(f)
+	for _, sp := range f.spans {
+		st := f.arena[sp.lo:sp.hi:sp.hi]
+		f.undo = apply(s.possess, st, f.undo[:0])
+		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
 		s.cur.Append(st)
-		err := s.dfs(next, left-1, cost+len(st))
+		err := s.dfs(left-1, cost+len(st))
 		s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
+		revert(s.possess, f.undo)
 		if err != nil {
 			return err
 		}
@@ -156,47 +179,39 @@ func (s *eocdSearch) dfs(possess []tokenset.Set, left, cost int) error {
 	return nil
 }
 
-// usefulMoves lists moves (u,v,t) where u has t, v lacks it, and v can
-// still forward t toward (or is itself) a wanter.
-func (s *eocdSearch) usefulMoves(possess []tokenset.Set) []core.Move {
-	var out []core.Move
-	for _, a := range s.inst.G.Arcs() {
-		useful := possess[a.From].Difference(possess[a.To])
-		useful.ForEach(func(t int) bool {
+// usefulMoves lists in s.moves the moves (u,v,t) where u has t, v lacks
+// it, and v can still forward t toward (or is itself) a wanter.
+func (s *eocdSearch) usefulMoves() {
+	s.moves, s.arcOf = s.moves[:0], s.arcOf[:0]
+	for i, a := range s.arcs {
+		s.useful.SetDifference(s.possess[a.From], s.possess[a.To])
+		for t := s.useful.First(); t >= 0; t = s.useful.NextAfter(t) {
 			if s.relSink[t].Has(a.To) {
-				out = append(out, core.Move{From: a.From, To: a.To, Token: t})
+				s.moves = append(s.moves, core.Move{From: a.From, To: a.To, Token: t})
+				s.arcOf = append(s.arcOf, i)
 			}
-			return true
-		})
+		}
 	}
-	return out
 }
 
-// capacitySubsets enumerates every non-empty subset of moves that respects
-// per-arc capacities.
-func capacitySubsets(inst *core.Instance, moves []core.Move) []core.Step {
-	var out []core.Step
-	used := make(map[[2]int]int)
-	cur := make(core.Step, 0, len(moves))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(moves) {
-			if len(cur) > 0 {
-				out = append(out, append(core.Step(nil), cur...))
-			}
-			return
+// enumerateSubsets appends to f every non-empty subset of s.moves that
+// extends the picked prefix with moves from index i on and respects
+// per-arc capacities, taking each move before leaving it out.
+func (s *eocdSearch) enumerateSubsets(f *frame, i int) {
+	if i == len(s.moves) {
+		if len(s.pick) > 0 {
+			lo := len(f.arena)
+			f.arena = append(f.arena, s.pick...)
+			f.spans = append(f.spans, span{lo, len(f.arena)})
 		}
-		mv := moves[i]
-		key := [2]int{mv.From, mv.To}
-		if used[key] < inst.G.Cap(mv.From, mv.To) {
-			used[key]++
-			cur = append(cur, mv)
-			rec(i + 1)
-			cur = cur[:len(cur)-1]
-			used[key]--
-		}
-		rec(i + 1)
+		return
 	}
-	rec(0)
-	return out
+	if a := s.arcOf[i]; s.used[a] < s.arcs[a].Cap {
+		s.used[a]++
+		s.pick = append(s.pick, s.moves[i])
+		s.enumerateSubsets(f, i+1)
+		s.pick = s.pick[:len(s.pick)-1]
+		s.used[a]--
+	}
+	s.enumerateSubsets(f, i+1)
 }

@@ -9,6 +9,12 @@
 // over per-step move subsets. Both are exponential — FOCD is NP-complete
 // (Theorem 3) — so both take a search-node budget and fail cleanly when it
 // is exhausted.
+//
+// Both searches mutate one possession array in place: a candidate step is
+// applied with an undo log of the (vertex, token) bits it newly set and
+// reverted after its subtree, and candidates are enumerated into per-depth
+// frames that are refilled, not reallocated, at every node. A returned
+// schedule is copied out of the frames.
 package exact
 
 import (
@@ -16,6 +22,7 @@ import (
 	"fmt"
 
 	"ocd/internal/core"
+	"ocd/internal/graph"
 	"ocd/internal/tokenset"
 )
 
@@ -29,7 +36,8 @@ var ErrUnsatisfiable = errors.New("exact: instance is unsatisfiable")
 type Options struct {
 	// MaxNodes caps the number of search nodes expanded (0 = 5e6).
 	MaxNodes int
-	// MaxSteps caps the makespan considered (0 = the Theorem 1 horizon).
+	// MaxSteps caps the makespan SolveFOCD deepens to (0 = the Theorem 1
+	// horizon). SolveEOCD does not read it: its horizon is an argument.
 	MaxSteps int
 }
 
@@ -38,6 +46,63 @@ func (o Options) nodes() int {
 		return 5_000_000
 	}
 	return o.MaxNodes
+}
+
+// bit is one (vertex, token) possession bit.
+type bit struct{ v, t int }
+
+// apply adds the moves of st to possess in place and appends to undo the
+// bits it newly set. Two moves of one step can deliver the same token to
+// the same vertex, and only the first sets the bit, so reverting exactly
+// the logged bits restores the possession the step started from.
+func apply(possess []tokenset.Set, st core.Step, undo []bit) []bit {
+	for _, mv := range st {
+		if !possess[mv.To].Has(mv.Token) {
+			possess[mv.To].Add(mv.Token)
+			undo = append(undo, bit{mv.To, mv.Token})
+		}
+	}
+	return undo
+}
+
+// revert clears the bits apply logged.
+func revert(possess []tokenset.Set, undo []bit) {
+	for _, b := range undo {
+		possess[b.v].Remove(b.t)
+	}
+}
+
+// frame holds one search depth's candidate steps back to back in one
+// arena, as [lo, hi) spans, and the undo log of the step being tried. A
+// node refills its depth's frame instead of allocating; the schedule on
+// the search path aliases the arenas until it is cloned out.
+type frame struct {
+	//ocd:scratch
+	arena []core.Move
+	spans []span
+	undo  []bit
+}
+
+type span struct{ lo, hi int }
+
+// A frame sorts its spans by size, largest first (SolveEOCD's order).
+func (f *frame) Len() int { return len(f.spans) }
+func (f *frame) Less(i, j int) bool {
+	return f.spans[i].hi-f.spans[i].lo > f.spans[j].hi-f.spans[j].lo
+}
+func (f *frame) Swap(i, j int) { f.spans[i], f.spans[j] = f.spans[j], f.spans[i] }
+
+// frames holds one frame per depth, grown on first use.
+type frames []*frame
+
+// at returns depth's frame, emptied for the node about to refill it.
+func (fs *frames) at(depth int) *frame {
+	for len(*fs) <= depth {
+		*fs = append(*fs, &frame{})
+	}
+	f := (*fs)[depth]
+	f.arena, f.spans = f.arena[:0], f.spans[:0]
+	return f
 }
 
 // ----------------------------------------------------------------------
@@ -60,26 +125,28 @@ func SolveFOCD(inst *core.Instance, opts Options) (*core.Schedule, error) {
 		maxSteps = inst.TheoremOneHorizon()
 	}
 	s := &focdSearch{
-		inst:   inst,
-		budget: opts.nodes(),
-		memo:   make(map[uint64]int),
+		inst:    inst,
+		budget:  opts.nodes(),
+		memo:    make(map[uint64]int),
+		possess: inst.InitialPossession(),
+		arcs:    inst.G.Arcs(),
+		useful:  tokenset.New(inst.NumTokens),
 	}
-	start := inst.InitialPossession()
-	if core.Done(inst, start) {
+	if core.Done(inst, s.possess) {
 		return &core.Schedule{}, nil
 	}
-	lb := core.MakespanLowerBound(inst, start)
+	lb := core.MakespanLowerBound(inst, s.possess)
 	if lb < 1 {
 		lb = 1
 	}
 	for tau := lb; tau <= maxSteps; tau++ {
-		s.sched = &core.Schedule{}
-		ok, err := s.dfs(start, tau)
+		s.sched.Steps = s.sched.Steps[:0]
+		ok, err := s.dfs(tau)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			return s.sched, nil
+			return s.sched.Clone(), nil
 		}
 		// Memo entries record failure at a given remaining depth; they stay
 		// valid across deepenings because we store the depth that failed.
@@ -93,9 +160,28 @@ type focdSearch struct {
 	nodes  int
 	// memo maps possession-hash → largest remaining-step count proven
 	// insufficient from that possession.
-	memo  map[uint64]int
-	sched *core.Schedule
+	memo map[uint64]int
+	// possess is the possession at the current node, mutated in place.
+	possess []tokenset.Set
+	// sched is the path to the current node; its steps alias the frames.
+	sched core.Schedule
+	// arcs is the arc list in (From, To) order, sorted once per solve.
+	arcs   []graph.Arc
+	frames frames
+	// Enumeration scratch, consumed before the search descends: the
+	// forced moves, every option of every choice arc (one with more
+	// useful tokens than capacity) and an odometer over those options.
+	useful  tokenset.Set
+	tokens  []int
+	idx     []int
+	forced  []core.Move
+	opts    []core.Move
+	choices []choice
+	digit   []int
 }
+
+// choice is one choice arc's options: opts[lo:hi] in runs of k moves.
+type choice struct{ lo, hi, k int }
 
 func possessionHash(p []tokenset.Set) uint64 {
 	h := uint64(14695981039346656037)
@@ -107,8 +193,8 @@ func possessionHash(p []tokenset.Set) uint64 {
 }
 
 // dfs reports whether the instance completes within `left` further steps.
-func (s *focdSearch) dfs(possess []tokenset.Set, left int) (bool, error) {
-	if core.Done(s.inst, possess) {
+func (s *focdSearch) dfs(left int) (bool, error) {
+	if core.Done(s.inst, s.possess) {
 		return true, nil
 	}
 	if left == 0 {
@@ -118,19 +204,22 @@ func (s *focdSearch) dfs(possess []tokenset.Set, left int) (bool, error) {
 	if s.nodes > s.budget {
 		return false, ErrBudget
 	}
-	if core.MakespanLowerBound(s.inst, possess) > left {
+	if core.MakespanLowerBound(s.inst, s.possess) > left {
 		return false, nil
 	}
-	key := possessionHash(possess)
+	key := possessionHash(s.possess)
 	if failed, ok := s.memo[key]; ok && failed >= left {
 		return false, nil
 	}
 
-	steps := enumerateMaximalSteps(s.inst, possess)
-	for _, st := range steps {
-		next := applyStep(possess, st)
+	f := s.frames.at(len(s.sched.Steps))
+	s.enumerateMaximalSteps(f)
+	for _, sp := range f.spans {
+		st := f.arena[sp.lo:sp.hi:sp.hi]
+		f.undo = apply(s.possess, st, f.undo[:0])
+		//ocd:scratchok the step leaves the schedule before this frame is refilled; a returned schedule is cloned
 		s.sched.Append(st)
-		ok, err := s.dfs(next, left-1)
+		ok, err := s.dfs(left - 1)
 		if err != nil {
 			return false, err
 		}
@@ -138,6 +227,7 @@ func (s *focdSearch) dfs(possess []tokenset.Set, left int) (bool, error) {
 			return true, nil
 		}
 		s.sched.Steps = s.sched.Steps[:len(s.sched.Steps)-1]
+		revert(s.possess, f.undo)
 	}
 	if prev, ok := s.memo[key]; !ok || left > prev {
 		s.memo[key] = left
@@ -145,83 +235,83 @@ func (s *focdSearch) dfs(possess []tokenset.Set, left int) (bool, error) {
 	return false, nil
 }
 
-func applyStep(possess []tokenset.Set, st core.Step) []tokenset.Set {
-	next := make([]tokenset.Set, len(possess))
-	for v := range possess {
-		next[v] = possess[v].Clone()
-	}
-	for _, mv := range st {
-		next[mv.To].Add(mv.Token)
-	}
-	return next
-}
-
-// enumerateMaximalSteps lists the candidate move sets for one timestep: for
-// every arc, all ways to pick min(cap, |useful|) tokens from the useful set
-// (useful = tokens the sender has and the receiver lacks), crossed over
-// arcs. Arcs with |useful| ≤ cap contribute exactly one (forced) choice.
-func enumerateMaximalSteps(inst *core.Instance, possess []tokenset.Set) []core.Step {
-	type arcChoice struct {
-		from, to int
-		options  [][]int
-	}
-	var choices []arcChoice
-	var forced core.Step
-	for _, a := range inst.G.Arcs() {
-		useful := possess[a.From].Difference(possess[a.To]).Slice()
-		if len(useful) == 0 {
+// enumerateMaximalSteps fills f with the candidate move sets for one
+// timestep: for every arc, all ways to pick min(cap, |useful|) tokens from
+// the useful set (useful = tokens the sender has and the receiver lacks),
+// crossed over arcs. Arcs with |useful| ≤ cap contribute exactly one
+// (forced) choice. Each step is the forced moves followed by one option
+// per choice arc, the last choice arc varying fastest. No step is written
+// when no useful move exists: the search node is a dead end.
+func (s *focdSearch) enumerateMaximalSteps(f *frame) {
+	s.forced, s.opts, s.choices = s.forced[:0], s.opts[:0], s.choices[:0]
+	for _, a := range s.arcs {
+		s.useful.SetDifference(s.possess[a.From], s.possess[a.To])
+		s.tokens = s.useful.AppendTo(s.tokens[:0])
+		if len(s.tokens) == 0 {
 			continue
 		}
-		if len(useful) <= a.Cap {
-			for _, t := range useful {
-				forced = append(forced, core.Move{From: a.From, To: a.To, Token: t})
+		if len(s.tokens) <= a.Cap {
+			for _, t := range s.tokens {
+				s.forced = append(s.forced, core.Move{From: a.From, To: a.To, Token: t})
 			}
 			continue
 		}
-		choices = append(choices, arcChoice{
-			from:    a.From,
-			to:      a.To,
-			options: combinations(useful, a.Cap),
-		})
+		lo := len(s.opts)
+		s.opts, s.idx = combinations(s.opts, a, s.tokens, s.idx)
+		s.choices = append(s.choices, choice{lo: lo, hi: len(s.opts), k: a.Cap})
 	}
-
-	if len(forced) == 0 && len(choices) == 0 {
-		return nil // no useful move exists; the search node is a dead end
+	if len(s.forced) == 0 && len(s.choices) == 0 {
+		return
 	}
-	steps := []core.Step{forced}
-	for _, c := range choices {
-		var grown []core.Step
-		for _, base := range steps {
-			for _, opt := range c.options {
-				st := make(core.Step, len(base), len(base)+len(opt))
-				copy(st, base)
-				for _, t := range opt {
-					st = append(st, core.Move{From: c.from, To: c.to, Token: t})
-				}
-				grown = append(grown, st)
-			}
+	s.digit = s.digit[:0]
+	for range s.choices {
+		s.digit = append(s.digit, 0)
+	}
+	for {
+		lo := len(f.arena)
+		f.arena = append(f.arena, s.forced...)
+		for i, c := range s.choices {
+			o := c.lo + s.digit[i]*c.k
+			f.arena = append(f.arena, s.opts[o:o+c.k]...)
 		}
-		steps = grown
-	}
-	return steps
-}
-
-// combinations returns all k-subsets of items.
-func combinations(items []int, k int) [][]int {
-	var out [][]int
-	cur := make([]int, 0, k)
-	var rec func(start int)
-	rec = func(start int) {
-		if len(cur) == k {
-			out = append(out, append([]int(nil), cur...))
+		f.spans = append(f.spans, span{lo, len(f.arena)})
+		i := len(s.choices) - 1
+		for ; i >= 0; i-- {
+			c := s.choices[i]
+			if s.digit[i]++; c.lo+s.digit[i]*c.k < c.hi {
+				break
+			}
+			s.digit[i] = 0
+		}
+		if i < 0 {
 			return
 		}
-		for i := start; i <= len(items)-(k-len(cur)); i++ {
-			cur = append(cur, items[i])
-			rec(i + 1)
-			cur = cur[:len(cur)-1]
+	}
+}
+
+// combinations appends every a.Cap-subset of tokens to dst as a run of
+// a.Cap moves along a, in lexicographic order of token positions. idx is
+// reusable scratch, returned grown.
+func combinations(dst []core.Move, a graph.Arc, tokens, idx []int) ([]core.Move, []int) {
+	k, n := a.Cap, len(tokens)
+	idx = idx[:0]
+	for i := 0; i < k; i++ {
+		idx = append(idx, i)
+	}
+	for {
+		for _, i := range idx {
+			dst = append(dst, core.Move{From: a.From, To: a.To, Token: tokens[i]})
+		}
+		j := k - 1
+		for j >= 0 && idx[j] == n-k+j {
+			j--
+		}
+		if j < 0 {
+			return dst, idx
+		}
+		idx[j]++
+		for l := j + 1; l < k; l++ {
+			idx[l] = idx[l-1] + 1
 		}
 	}
-	rec(0)
-	return out
 }

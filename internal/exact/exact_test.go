@@ -233,14 +233,25 @@ func TestTheoremOneHorizonSufficient(t *testing.T) {
 }
 
 func TestCombinations(t *testing.T) {
-	got := combinations([]int{1, 2, 3, 4}, 2)
-	if len(got) != 6 {
-		t.Errorf("C(4,2) = %d subsets, want 6", len(got))
-	}
-	if len(combinations([]int{1, 2}, 2)) != 1 {
-		t.Error("C(2,2) != 1")
-	}
-	if len(combinations([]int{1, 2, 3}, 1)) != 3 {
-		t.Error("C(3,1) != 3")
+	// Every k-subset, in the order of the reference recursion, k moves
+	// per subset along the arc.
+	for _, tc := range []struct{ n, k int }{{4, 2}, {2, 2}, {3, 1}, {5, 3}, {6, 2}} {
+		items := make([]int, tc.n)
+		for i := range items {
+			items[i] = 10 + 3*i
+		}
+		a := graph.Arc{From: 1, To: 2, Cap: tc.k}
+		got, _ := combinations(nil, a, items, nil)
+		want := refCombinations(items, tc.k)
+		if len(got) != len(want)*tc.k {
+			t.Fatalf("C(%d,%d) = %d moves, want %d subsets of %d", tc.n, tc.k, len(got), len(want), tc.k)
+		}
+		for i, sub := range want {
+			for j, tok := range sub {
+				if mv := got[i*tc.k+j]; mv != (core.Move{From: 1, To: 2, Token: tok}) {
+					t.Errorf("C(%d,%d) subset %d move %d = %v, want token %d", tc.n, tc.k, i, j, mv, tok)
+				}
+			}
+		}
 	}
 }

@@ -220,6 +220,9 @@ func (p *Program) SolveStats(opts Options) (*core.Schedule, int, Stats, error) {
 	if err != nil {
 		return nil, 0, Stats{}, fmt.Errorf("ilp: lp relaxation: %w", err)
 	}
+	// Every return below has copied the solution out (bestX is a copy)
+	// and read the counters before the deferred release runs.
+	defer sv.Release()
 	s := &solver{
 		p:       p,
 		sv:      sv,

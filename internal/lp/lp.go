@@ -16,7 +16,8 @@
 // and Resolve re-establishes optimality by dual simplex from the current
 // basis instead of a phase-1 from scratch — the branch-and-bound loop in
 // internal/ilp leans on exactly this. Basis snapshots (Snapshot /
-// Restore) let callers return to an earlier basis cheaply.
+// Restore) let callers return to an earlier basis cheaply. Release hands
+// a finished solver's tableau to a pool that the next NewSolver draws on.
 //
 // Pricing is Dantzig's rule (most violating reduced cost) with an
 // automatic switch to Bland's rule after a run of degenerate pivots,
@@ -110,5 +111,6 @@ func Solve(p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return s.Solve()
 }

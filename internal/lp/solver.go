@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Solver holds a dense simplex tableau that persists across solves. The
@@ -23,7 +24,9 @@ type Solver struct {
 	// The tableau and basis bookkeeping are reused across every solve,
 	// resolve, and restore on this Solver — pivots mutate them in place.
 	//ocd:scratch
-	rows [][]float64 // m × (ncols+1)
+	rows [][]float64 // m × (ncols+1), carved from tableau
+	//ocd:scratch
+	tableau *[]float64 // pooled backing of rows; nil once released
 	//ocd:scratch
 	cost []float64 // ncols reduced costs
 	//ocd:scratch
@@ -50,8 +53,14 @@ type Solver struct {
 // switches back.
 const stallLimit = 24
 
+// tableaus recycles tableau backings between solvers: a branch-and-bound
+// run builds one solver per program, and on the §3.4 programs the dense
+// tableau is most of the memory a solve allocates.
+var tableaus sync.Pool
+
 // NewSolver validates the problem and builds a solver positioned at the
 // all-slack basis. The problem data is copied; the caller may reuse p.
+// The tableau comes from a pool; Release returns it.
 func NewSolver(p *Problem) (*Solver, error) {
 	n := len(p.C)
 	m := len(p.A)
@@ -96,15 +105,41 @@ func NewSolver(p *Problem) (*Solver, error) {
 			return nil, fmt.Errorf("%w: variable %d has [%v, %v]", ErrBounds, j, s.lo[j], s.up[j])
 		}
 	}
+	w := s.ncols + 1
+	s.tableau = getTableau(m * w)
 	for i := 0; i < m; i++ {
 		s.up[n+i] = math.Inf(1) // slack bounds [0, ∞)
-		row := make([]float64, s.ncols+1)
+		row := (*s.tableau)[i*w : (i+1)*w : (i+1)*w]
 		copy(row, p.A[i])
 		row[n+i] = 1
 		s.rows[i] = row
 	}
 	s.reset()
 	return s, nil
+}
+
+// getTableau returns a zeroed backing of the given size, reusing a
+// released one when it is large enough.
+func getTableau(size int) *[]float64 {
+	t, _ := tableaus.Get().(*[]float64)
+	if t == nil || cap(*t) < size {
+		buf := make([]float64, size)
+		return &buf
+	}
+	*t = (*t)[:size]
+	clear(*t)
+	return t
+}
+
+// Release returns the solver's tableau to the pool for the next
+// NewSolver. Solutions already returned stay valid, but the solver must
+// not be used afterwards. Releasing twice is a no-op.
+func (s *Solver) Release() {
+	if s.tableau == nil {
+		return
+	}
+	tableaus.Put(s.tableau)
+	s.tableau, s.rows = nil, nil
 }
 
 // reset positions the solver at the all-slack basis with every
