@@ -4,7 +4,8 @@
 //
 //	go test -bench=. -benchmem .
 //
-// The full paper-scale figures are produced by cmd/ocdbench instead; these
+// The full paper-scale figures come from specs/paper-full.json (run it with
+// `go run ./cmd/ocdsim -spec specs/paper-full.json -seed 1`); these
 // benchmarks exercise the same code paths with smaller parameters so the
 // whole suite stays within laptop minutes.
 package ocd_test

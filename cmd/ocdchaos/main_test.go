@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,6 +80,46 @@ func TestJournalResumeMatchesCleanRun(t *testing.T) {
 	}
 	if resumed := runOK(t, withJournal...); resumed != clean {
 		t.Error("resumed run diverged from the plain run")
+	}
+}
+
+// TestJournalRejectsOtherInvocation: a journal resumes only the invocation
+// that recorded it. Partition cell keys name only the heal axis, so a
+// journal that pinned just the base seed used to hand an n=12 run's rows
+// to an n=30 run and exit 0.
+func TestJournalRejectsOtherInvocation(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	small := []string{"-scenario", "partition", "-n", "12", "-tokens", "6",
+		"-heal", "0,4", "-heuristics", "local", "-journal", journal}
+	first := runOK(t, small...)
+	large := []string{"-scenario", "partition", "-n", "30", "-tokens", "24",
+		"-heal", "0,4", "-heuristics", "local", "-journal", journal}
+	var out bytes.Buffer
+	if err := run(large, &out); err == nil || !strings.Contains(err.Error(), "recorded for run") {
+		t.Fatalf("n=30 run resumed the n=12 journal: err=%v\n%s", err, out.String())
+	}
+	if resumed := runOK(t, small...); resumed != first {
+		t.Errorf("recording invocation no longer resumes byte-identically:\n%s\nvs\n%s", resumed, first)
+	}
+}
+
+// TestSpecFileJournalRejectsSecondInvocation: the harness merges one
+// -journal path into every invocation of a spec file that declares it, so
+// the second partition invocation must fail instead of replaying the
+// first one's rows.
+func TestSpecFileJournalRejectsSecondInvocation(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "two.json")
+	if err := os.WriteFile(spec, []byte(`[
+  {"experiment": "partition", "params": {"n": "12", "tokens": "6", "heal": "0,4", "heuristics": "local"}},
+  {"experiment": "partition", "params": {"n": "30", "tokens": "24", "heal": "0,4", "heuristics": "local"}}
+]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-spec", spec, "-journal", filepath.Join(dir, "sweep.jsonl")}, &out)
+	if err == nil || !strings.Contains(err.Error(), "recorded for run") {
+		t.Fatalf("second invocation resumed the first one's journal: err=%v\n%s", err, out.String())
 	}
 }
 

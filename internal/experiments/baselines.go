@@ -31,15 +31,6 @@ func init() {
 	})
 }
 
-// ArchitectureComparison reproduces the §2 narrative as an experiment; see
-// architectureComparisonImpl. Kept for direct callers — the facade routes
-// through the registry.
-func ArchitectureComparison(n, tokens int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return architectureComparisonImpl(n, tokens, seed, em)
-	})
-}
-
 // architectureComparisonImpl reproduces the §2 narrative as an experiment:
 // the tree and striped-forest architectures the paper surveys (Overcast,
 // SplitStream/CoopNet) versus its mesh heuristics, on the single-file

@@ -32,15 +32,6 @@ func init() {
 	})
 }
 
-// BoundsQuality delivers the paper's §1 bound-quality promise; see
-// boundsQualityImpl. Kept for direct callers — the facade routes through
-// the registry.
-func BoundsQuality(instances, n, m int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return boundsQualityImpl(instances, n, m, seed, em)
-	})
-}
-
 // boundsQualityImpl delivers the paper's §1 promise to "calculate bounds
 // (not necessarily tight) to provide a rough notion of the quality of our
 // local and global heuristics": on random small instances where the exact

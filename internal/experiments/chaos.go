@@ -121,14 +121,6 @@ func init() {
 	})
 }
 
-// Chaos sweeps fault intensity × heuristic on one workload; see chaosImpl.
-// Kept for direct callers — the facade routes through the registry.
-func Chaos(n, tokens int, intensities []float64, heuristicNames []string, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return chaosImpl(n, tokens, intensities, heuristicNames, seed, em)
-	})
-}
-
 // chaosImpl sweeps fault intensity × heuristic on one workload: each cell
 // runs the heuristic under the canonical composite plan fault.AtIntensity
 // (bursty Gilbert–Elliott loss, random crash/recovery churn with download
@@ -232,15 +224,6 @@ func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, se
 	em.Note("inflation is faulted makespan over the same heuristic's fault-free makespan; '-' when the faulted run did not complete")
 	em.Note("retry-<name> wraps a heuristic in the retry-with-backoff sender")
 	return nil
-}
-
-// CrashedSource demonstrates graceful degradation on the harshest fault;
-// see crashedSourceImpl. Kept for direct callers — the facade routes
-// through the registry.
-func CrashedSource(n, tokens, crashAt int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return crashedSourceImpl(n, tokens, crashAt, seed, em)
-	})
 }
 
 // crashedSourceImpl demonstrates graceful degradation on the harshest

@@ -15,10 +15,9 @@ func TestChaosSweepSmall(t *testing.T) {
 		intensities = []float64{0, 0.5}
 		names = []string{"local", "retry-local"}
 	}
-	tab, err := Chaos(n, tokens, intensities, names, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "chaos", Values{
+		"n": n, "tokens": tokens, "intensities": intensities, "heuristics": names, "seed": 3,
+	})
 	if want := len(intensities) * len(names); len(tab.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
 	}
@@ -37,7 +36,7 @@ func TestChaosSweepSmall(t *testing.T) {
 }
 
 func TestChaosRejectsUnknownHeuristic(t *testing.T) {
-	if _, err := Chaos(10, 4, []float64{0}, []string{"nope"}, 1); err == nil {
+	if _, err := Run("chaos", Values{"n": 10, "tokens": 4, "intensities": []float64{0}, "heuristics": []string{"nope"}}); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
 	if _, err := chaosFactory("retry-nope", fault.Plan{}); err == nil {
@@ -48,10 +47,7 @@ func TestChaosRejectsUnknownHeuristic(t *testing.T) {
 func TestCrashedSourceTerminatesGracefully(t *testing.T) {
 	// 48 tokens and a crash after one step: the source cannot have pushed
 	// every token out, so some must be provably undeliverable.
-	tab, err := CrashedSource(14, 48, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "crashed-source", Values{"n": 14, "tokens": 48, "crash-at": 1, "seed": 5})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}

@@ -104,17 +104,6 @@ func (e *Emitter) finish() (*Table, error) {
 	return e.t, nil
 }
 
-// run1 executes one driver body with a sink-less emitter — the adapter the
-// legacy exported experiment functions use to keep their (*Table, error)
-// signatures.
-func run1(f func(em *Emitter) error) (*Table, error) {
-	em := newEmitter(nil)
-	if err := f(em); err != nil {
-		return nil, err
-	}
-	return em.finish()
-}
-
 // flusher is the optional interface a sink's underlying writer may
 // implement (e.g. *bufio.Writer); sinks flush it from their own Flush so
 // buffered tail rows are never silently dropped.

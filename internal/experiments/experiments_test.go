@@ -3,18 +3,24 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ocd/internal/topology"
 )
 
-func smallSweep(kind GraphKind) SweepConfig {
-	return SweepConfig{
-		Kind:       kind,
-		Tokens:     16,
-		Caps:       topology.DefaultCaps,
-		GraphSeeds: 1,
-		Repeats:    1,
+// mustRun runs a registered experiment with typed overrides and fails the
+// test on error.
+func mustRun(t *testing.T, name string, vals Values) *Table {
+	t.Helper()
+	tab, err := Run(name, vals)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
+	return tab
+}
+
+// smallSweep is the one-graph, one-repeat, 16-token configuration of the
+// §5.2/§5.3 sweep tests.
+func smallSweep(vals Values) Values {
+	vals["tokens"], vals["graph-seeds"], vals["repeats"] = 16, 1, 1
+	return vals
 }
 
 func TestTableRendering(t *testing.T) {
@@ -38,11 +44,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestGraphSizeSmall(t *testing.T) {
-	for _, kind := range []GraphKind{RandomGraph, TransitStubGraph} {
-		tab, err := GraphSize(smallSweep(kind), []int{12, 20})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+	for _, kind := range []string{"random", "transit-stub"} {
+		tab := mustRun(t, "graph-size", smallSweep(Values{"topology": kind, "sizes": []int{12, 20}}))
 		// 2 sizes × 5 heuristics.
 		if len(tab.Rows) != 10 {
 			t.Errorf("%v: %d rows, want 10", kind, len(tab.Rows))
@@ -56,33 +59,25 @@ func TestGraphSizeSmall(t *testing.T) {
 }
 
 func TestGraphSizeUnknownHeuristic(t *testing.T) {
-	cfg := smallSweep(RandomGraph)
-	cfg.Heuristics = []string{"nope"}
-	if _, err := GraphSize(cfg, []int{10}); err == nil {
+	if _, err := Run("graph-size", smallSweep(Values{"sizes": []int{10}, "heuristics": []string{"nope"}})); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 }
 
 func TestReceiverDensitySmall(t *testing.T) {
-	cfg := smallSweep(RandomGraph)
-	cfg.Heuristics = []string{"random", "bandwidth"}
-	tab, err := ReceiverDensity(cfg, 15, []float64{0.2, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "receiver-density", smallSweep(Values{
+		"n": 15, "thresholds": []float64{0.2, 1.0}, "heuristics": []string{"random", "bandwidth"},
+	}))
 	if len(tab.Rows) != 4 {
 		t.Errorf("%d rows, want 4", len(tab.Rows))
 	}
 }
 
 func TestNumFilesSmall(t *testing.T) {
-	cfg := smallSweep(RandomGraph)
-	cfg.Heuristics = []string{"local", "bandwidth"}
 	for _, multi := range []bool{false, true} {
-		tab, err := NumFiles(cfg, 17, []int{1, 4}, multi)
-		if err != nil {
-			t.Fatalf("multi=%v: %v", multi, err)
-		}
+		tab := mustRun(t, "num-files", smallSweep(Values{
+			"n": 17, "files": []int{1, 4}, "multi-sender": multi, "heuristics": []string{"local", "bandwidth"},
+		}))
 		if len(tab.Rows) != 4 {
 			t.Errorf("multi=%v: %d rows, want 4", multi, len(tab.Rows))
 		}
@@ -90,10 +85,7 @@ func TestNumFilesSmall(t *testing.T) {
 }
 
 func TestFigure1ExactNumbers(t *testing.T) {
-	tab, err := Figure1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "figure1", nil)
 	var gotFast, gotCheap bool
 	for _, row := range tab.Rows {
 		if row[0] == "min time" && row[2] == "2" && row[3] == "6" {
@@ -109,10 +101,7 @@ func TestFigure1ExactNumbers(t *testing.T) {
 }
 
 func TestFigure7AllAgree(t *testing.T) {
-	tab, err := Figure7(2, 5, 0.4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "figure7", Values{"graphs": 2, "n": 5, "edge-p": 0.4, "seed": 3})
 	if len(tab.Rows) != 2*6 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -124,10 +113,7 @@ func TestFigure7AllAgree(t *testing.T) {
 }
 
 func TestTheorem4Monotone(t *testing.T) {
-	tab, err := Theorem4(1, []int{1, 4, 16}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "theorem4", Values{"path": 1, "decoys": []int{1, 4, 16}, "capacity": 1})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -145,10 +131,7 @@ func TestTheorem4Monotone(t *testing.T) {
 }
 
 func TestOracleAdditiveSmall(t *testing.T) {
-	tab, err := OracleAdditive([]int{15}, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "oracle-additive", Values{"sizes": []int{15}, "tokens": 10, "seed": 2})
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("oracle exceeded additive diameter: %v", row)
@@ -157,10 +140,7 @@ func TestOracleAdditiveSmall(t *testing.T) {
 }
 
 func TestILPvsBnBAgree(t *testing.T) {
-	tab, err := ILPvsBnB(3, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "ilp-vs-bnb", Values{"instances": 3, "n": 4, "m": 2, "seed": 5})
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("solver disagreement: %v", row)

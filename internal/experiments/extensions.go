@@ -93,17 +93,8 @@ func init() {
 				Doc: "problem instance: \"figure1\" or a path to an instance JSON file"},
 		},
 		Run: func(a Args, em *Emitter) error {
-			return tradeoffCurveImpl(a.Instance("instance"), exact.Options{}, em)
+			return tradeoffCurveImpl(a.Instance("instance"), em)
 		},
-	})
-}
-
-// DynamicConditions reproduces the §6 "Changing network conditions"
-// scenario; see dynamicConditionsImpl. Kept for direct callers — the
-// facade routes through the registry.
-func DynamicConditions(n, tokens int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return dynamicConditionsImpl(n, tokens, seed, em)
 	})
 }
 
@@ -178,14 +169,6 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 	em.Note("§6: capacities varying between turns model cross traffic, channel dynamics, mobility, and DoS")
 	em.Note("churn keeps the source up; the adversary cuts the most useful tenth of the arcs each turn")
 	return nil
-}
-
-// LossCoding reproduces the §6 "Encoding" scenario; see lossCodingImpl.
-// Kept for direct callers — the facade routes through the registry.
-func LossCoding(n, tokens int, lossRate float64, redundancies []float64, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return lossCodingImpl(n, tokens, lossRate, redundancies, seed, em)
-	})
 }
 
 // lossCodingImpl reproduces the §6 "Encoding" scenario: under per-move
@@ -263,15 +246,6 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 	return nil
 }
 
-// UnderlayComparison reproduces the §6 "Realistic topologies" scenario;
-// see underlayComparisonImpl. Kept for direct callers — the facade routes
-// through the registry.
-func UnderlayComparison(physN, hosts, tokens int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return underlayComparisonImpl(physN, hosts, tokens, seed, em)
-	})
-}
-
 // underlayComparisonImpl reproduces the §6 "Realistic topologies"
 // scenario: the same overlay workload run with independent logical
 // capacities (the paper's model) versus shared physical capacities.
@@ -330,14 +304,6 @@ func underlayComparisonImpl(physN, hosts, tokens int, seed int64, em *Emitter) e
 	return nil
 }
 
-// KnowledgeDelay is the §5.1 relaxation ablation; see knowledgeDelayImpl.
-// Kept for direct callers — the facade routes through the registry.
-func KnowledgeDelay(n, tokens, maxDelay int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return knowledgeDelayImpl(n, tokens, maxDelay, seed, em)
-	})
-}
-
 // knowledgeDelayImpl is the §5.1 relaxation ablation: the Local heuristic
 // with peer state views 0..maxDelay turns stale.
 func knowledgeDelayImpl(n, tokens, maxDelay int, seed int64, em *Emitter) error {
@@ -379,25 +345,16 @@ func knowledgeDelayImpl(n, tokens, maxDelay int, seed int64, em *Emitter) error 
 	return nil
 }
 
-// TradeoffCurve realizes the §3.4 hybrid objective; see tradeoffCurveImpl.
-// Kept for direct callers (custom exact.Options) — the facade routes
-// through the registry.
-func TradeoffCurve(inst *core.Instance, opts exact.Options) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return tradeoffCurveImpl(inst, opts, em)
-	})
-}
-
 // tradeoffCurveImpl realizes the §3.4 hybrid objective: the minimum
 // bandwidth achievable at every makespan from the FOCD optimum up to the
 // EOCD optimum's natural length, certified by the exact solver. The
 // endpoints are the two poles of Figure 1.
-func tradeoffCurveImpl(inst *core.Instance, opts exact.Options, em *Emitter) error {
-	fast, err := exact.SolveFOCD(inst, opts)
+func tradeoffCurveImpl(inst *core.Instance, em *Emitter) error {
+	fast, err := exact.SolveFOCD(inst, exact.Options{})
 	if err != nil {
 		return fmt.Errorf("tradeoff focd: %w", err)
 	}
-	cheap, err := exact.SolveEOCD(inst, 0, opts)
+	cheap, err := exact.SolveEOCD(inst, 0, exact.Options{})
 	if err != nil {
 		return fmt.Errorf("tradeoff eocd: %w", err)
 	}
@@ -415,7 +372,7 @@ func tradeoffCurveImpl(inst *core.Instance, opts exact.Options, em *Emitter) err
 		cells = append(cells, runner.Cell[int]{
 			Key: fmt.Sprintf("tau%d", tau),
 			Run: func(int64) (int, error) {
-				sched, err := exact.SolveEOCD(inst, tau, opts)
+				sched, err := exact.SolveEOCD(inst, tau, exact.Options{})
 				if err != nil {
 					return 0, fmt.Errorf("tradeoff tau=%d: %w", tau, err)
 				}

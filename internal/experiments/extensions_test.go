@@ -4,15 +4,11 @@ import (
 	"strconv"
 	"testing"
 
-	"ocd/internal/exact"
 	"ocd/internal/workload"
 )
 
 func TestDynamicConditionsSmall(t *testing.T) {
-	tab, err := DynamicConditions(15, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "dynamic-conditions", Values{"n": 15, "tokens": 8, "seed": 3})
 	// 6 models × 5 heuristics.
 	if len(tab.Rows) != 30 {
 		t.Fatalf("rows = %d, want 30", len(tab.Rows))
@@ -30,10 +26,9 @@ func TestDynamicConditionsSmall(t *testing.T) {
 }
 
 func TestLossCodingSmall(t *testing.T) {
-	tab, err := LossCoding(10, 16, 0.3, []float64{1.5, 2.0}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "loss-coding", Values{
+		"n": 10, "tokens": 16, "loss": 0.3, "redundancies": []float64{1.5, 2.0}, "seed": 4,
+	})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (uncoded + 2 codings)", len(tab.Rows))
 	}
@@ -45,10 +40,7 @@ func TestLossCodingSmall(t *testing.T) {
 }
 
 func TestUnderlayComparisonSmall(t *testing.T) {
-	tab, err := UnderlayComparison(50, 8, 10, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "underlay", Values{"phys-n": 50, "hosts": 8, "tokens": 10, "seed": 6})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}
@@ -66,20 +58,14 @@ func TestUnderlayComparisonSmall(t *testing.T) {
 }
 
 func TestKnowledgeDelaySmall(t *testing.T) {
-	tab, err := KnowledgeDelay(15, 12, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "knowledge-delay", Values{"n": 15, "tokens": 12, "max-delay": 3, "seed": 8})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (delays 0..3)", len(tab.Rows))
 	}
 }
 
 func TestTradeoffCurveFigure1(t *testing.T) {
-	tab, err := TradeoffCurve(workload.Figure1(), exact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "tradeoff-curve", Values{"instance": workload.Figure1()})
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (tau 2..3)", len(tab.Rows))
 	}
@@ -90,10 +76,7 @@ func TestTradeoffCurveFigure1(t *testing.T) {
 }
 
 func TestBoundsQualitySmall(t *testing.T) {
-	tab, err := BoundsQuality(2, 4, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "bounds-quality", Values{"instances": 2, "n": 4, "m": 2, "seed": 7})
 	if len(tab.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 (2 instances x 5 heuristics)", len(tab.Rows))
 	}
@@ -110,10 +93,7 @@ func TestBoundsQualitySmall(t *testing.T) {
 }
 
 func TestProtocolComparisonSmall(t *testing.T) {
-	tab, err := ProtocolComparison([]int{15}, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "protocol-comparison", Values{"sizes": []int{15}, "tokens": 10, "seed": 3})
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -124,10 +104,7 @@ func TestProtocolComparisonSmall(t *testing.T) {
 }
 
 func TestArchitectureComparisonSmall(t *testing.T) {
-	tab, err := ArchitectureComparison(20, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "architectures", Values{"n": 20, "tokens": 16, "seed": 5})
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}

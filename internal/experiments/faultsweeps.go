@@ -9,6 +9,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ocd/internal/core"
 	"ocd/internal/fault"
@@ -36,6 +37,9 @@ type FaultSweepOptions struct {
 	// invariant monitor occupies the single kernel Observer seat when
 	// -monitor is set, and fault cells keep that seat free for it.
 	Telemetry *telemetry.Registry
+
+	// run is the journal's run identity (see journalRun).
+	run string
 }
 
 // harnessParams is the shared parameter-schema tail of every spec whose
@@ -55,7 +59,26 @@ func harnessOptions(a Args) FaultSweepOptions {
 		JournalPath: a.String("journal"),
 		Monitor:     a.Bool("monitor"),
 		Parallelism: a.Int("parallelism"),
+		run:         journalRun(a),
 	}
+}
+
+// journalRun renders the run a crash-safety journal is pinned to: the spec
+// name and every resolved parameter except the harnessParams tail, which
+// changes how cells execute but never what they produce.
+func journalRun(a Args) string {
+	harness := make(map[string]bool)
+	for _, p := range harnessParams() {
+		harness[p.Name] = true
+	}
+	var b strings.Builder
+	b.WriteString(a.spec.Name)
+	for _, p := range a.spec.Params {
+		if !harness[p.Name] {
+			fmt.Fprintf(&b, " %s=%v", p.Name, a.vals[p.Name])
+		}
+	}
+	return b.String()
 }
 
 // faultRow is one sweep cell's outcome. Every field is JSON-round-trippable
@@ -188,14 +211,6 @@ func init() {
 	})
 }
 
-// Partition sweeps partition heal time × heuristic; see partitionImpl.
-// Kept for direct callers — the facade routes through the registry.
-func Partition(n, tokens, k int, healAfters []int, heuristicNames []string, seed int64, opts FaultSweepOptions) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return partitionImpl(n, tokens, k, healAfters, heuristicNames, seed, opts, em)
-	})
-}
-
 // partitionImpl sweeps partition heal time × heuristic: the overlay is
 // split into k sides by the seeded RandomPartitions model, cross-side arcs
 // sever during episodes, and each column of the sweep gives the episodes a
@@ -262,14 +277,6 @@ func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, 
 		em.Note("kernel invariant monitor attached: any violation fails the sweep")
 	}
 	return nil
-}
-
-// ChurnSweep sweeps membership churn rate × heuristic; see churnImpl. Kept
-// for direct callers — the facade routes through the registry.
-func ChurnSweep(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNames []string, seed int64, opts FaultSweepOptions) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return churnImpl(n, tokens, leaveRates, rejoinP, heuristicNames, seed, opts, em)
-	})
 }
 
 // churnImpl sweeps membership churn rate × heuristic: members leave with
@@ -346,7 +353,7 @@ func mapWithJournal(seed int64, cells []runner.Cell[faultRow], opts FaultSweepOp
 	var j *runner.Journal
 	if opts.JournalPath != "" {
 		var err error
-		j, err = runner.OpenJournal(opts.JournalPath)
+		j, err = runner.OpenJournal(opts.JournalPath, opts.run)
 		if err != nil {
 			return nil, err
 		}

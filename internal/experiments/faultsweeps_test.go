@@ -8,11 +8,10 @@ import (
 )
 
 func TestPartitionSweepSmall(t *testing.T) {
-	tab, err := Partition(14, 6, 2, []int{0, 4, -1}, []string{"local", "retry-local"}, 3,
-		FaultSweepOptions{Monitor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "partition", Values{
+		"n": 14, "tokens": 6, "k": 2, "heal": []int{0, 4, -1},
+		"heuristics": []string{"local", "retry-local"}, "seed": 3, "monitor": true,
+	})
 	out := tab.ASCII()
 	for _, want := range []string{"heal", "liveness", "never", "invariant monitor"} {
 		if !strings.Contains(out, want) {
@@ -25,11 +24,10 @@ func TestPartitionSweepSmall(t *testing.T) {
 }
 
 func TestChurnSweepSmall(t *testing.T) {
-	tab, err := ChurnSweep(14, 6, []float64{0, 0.05}, 0.5, []string{"local"}, 3,
-		FaultSweepOptions{Monitor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := mustRun(t, "churn", Values{
+		"n": 14, "tokens": 6, "leave": []float64{0, 0.05}, "rejoin": 0.5,
+		"heuristics": []string{"local"}, "seed": 3, "monitor": true,
+	})
 	out := tab.ASCII()
 	for _, want := range []string{"leave", "departures", "rejoin empty"} {
 		if !strings.Contains(out, want) {
@@ -43,10 +41,10 @@ func TestChurnSweepSmall(t *testing.T) {
 }
 
 func TestFaultSweepsRejectUnknownHeuristic(t *testing.T) {
-	if _, err := Partition(10, 4, 2, []int{0}, []string{"nope"}, 1, FaultSweepOptions{}); err == nil {
+	if _, err := Run("partition", Values{"n": 10, "tokens": 4, "heal": []int{0}, "heuristics": []string{"nope"}}); err == nil {
 		t.Error("partition sweep accepted an unknown heuristic")
 	}
-	if _, err := ChurnSweep(10, 4, []float64{0}, 0.5, []string{"nope"}, 1, FaultSweepOptions{}); err == nil {
+	if _, err := Run("churn", Values{"n": 10, "tokens": 4, "leave": []float64{0}, "heuristics": []string{"nope"}}); err == nil {
 		t.Error("churn sweep accepted an unknown heuristic")
 	}
 }
@@ -58,12 +56,10 @@ func TestFaultSweepsRejectUnknownHeuristic(t *testing.T) {
 func TestChurnSweepParallelMatchesSerial(t *testing.T) {
 	run := func(parallelism int) *Table {
 		t.Helper()
-		tab, err := ChurnSweep(14, 6, []float64{0, 0.05, 0.1}, 0.5,
-			[]string{"local", "bandwidth"}, 7, FaultSweepOptions{Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
+		return mustRun(t, "churn", Values{
+			"n": 14, "tokens": 6, "leave": []float64{0, 0.05, 0.1}, "rejoin": 0.5,
+			"heuristics": []string{"local", "bandwidth"}, "seed": 7, "parallelism": parallelism,
+		})
 	}
 	serial, parallel := run(1), run(4)
 	if !reflect.DeepEqual(serial, parallel) {
@@ -73,21 +69,16 @@ func TestChurnSweepParallelMatchesSerial(t *testing.T) {
 }
 
 func TestPartitionSweepJournalResume(t *testing.T) {
-	heals := []int{0, 4}
-	names := []string{"local"}
-	clean, err := Partition(14, 6, 2, heals, names, 5, FaultSweepOptions{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(journal string) *Table {
+		return mustRun(t, "partition", Values{
+			"n": 14, "tokens": 6, "k": 2, "heal": []int{0, 4},
+			"heuristics": []string{"local"}, "seed": 5, "journal": journal,
+		})
 	}
+	clean := run("")
 	path := filepath.Join(t.TempDir(), "partition.jsonl")
-	first, err := Partition(14, 6, 2, heals, names, 5, FaultSweepOptions{JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Partition(14, 6, 2, heals, names, 5, FaultSweepOptions{JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := run(path)
+	resumed := run(path)
 	if !reflect.DeepEqual(clean, first) || !reflect.DeepEqual(clean, resumed) {
 		t.Fatal("journaled partition sweep diverged from the plain run")
 	}

@@ -37,8 +37,6 @@ type SweepConfig struct {
 	Kind GraphKind
 	// Tokens is the number of tokens in the (initial) file.
 	Tokens int
-	// Caps is the capacity range (paper: 3..15).
-	Caps topology.CapRange
 	// GraphSeeds is the number of graph instances per sweep point.
 	GraphSeeds int
 	// Repeats is the number of heuristic repetitions per graph (paper: 3).
@@ -59,18 +57,6 @@ type SweepConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultSweep mirrors the paper's settings: 200-token file, capacities
-// U[3,15], several graph instances, three repeats.
-func DefaultSweep(kind GraphKind) SweepConfig {
-	return SweepConfig{
-		Kind:       kind,
-		Tokens:     200,
-		Caps:       topology.DefaultCaps,
-		GraphSeeds: 3,
-		Repeats:    3,
-	}
-}
-
 func (c SweepConfig) factories() ([]string, []sim.Factory, error) {
 	names := c.Heuristics
 	if len(names) == 0 {
@@ -89,9 +75,9 @@ func (c SweepConfig) factories() ([]string, []sim.Factory, error) {
 
 func (c SweepConfig) graph(n int, seed int64) (*graph.Graph, error) {
 	if c.Kind == TransitStubGraph {
-		return topology.TransitStubN(n, c.Caps, seed)
+		return topology.TransitStubN(n, topology.DefaultCaps, seed)
 	}
-	return topology.Random(n, c.Caps, seed)
+	return topology.Random(n, topology.DefaultCaps, seed)
 }
 
 // point aggregates the runs of one heuristic at one sweep point.
@@ -223,7 +209,6 @@ func sweepFromArgs(a Args, kind GraphKind) SweepConfig {
 	return SweepConfig{
 		Kind:        kind,
 		Tokens:      a.Int("tokens"),
-		Caps:        topology.DefaultCaps,
 		GraphSeeds:  a.Int("graph-seeds"),
 		Repeats:     a.Int("repeats"),
 		Heuristics:  a.Strings("heuristics"),
@@ -290,14 +275,6 @@ func init() {
 	})
 }
 
-// GraphSize reproduces Figures 2 and 3; see graphSizeImpl. Kept for direct
-// callers (custom Caps) — the facade routes through the registry.
-func GraphSize(c SweepConfig, sizes []int) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return graphSizeImpl(c, sizes, em)
-	})
-}
-
 // graphSizeImpl reproduces Figures 2 and 3: single source distributing one
 // file to all receivers, sweeping the graph size. Columns report the
 // paper's two metrics — "moves" (turns/makespan) and bandwidth — plus the
@@ -336,14 +313,6 @@ func graphSizeImpl(c SweepConfig, sizes []int, em *Emitter) error {
 	return nil
 }
 
-// ReceiverDensity reproduces Figure 4; see receiverDensityImpl. Kept for
-// direct callers — the facade routes through the registry.
-func ReceiverDensity(c SweepConfig, n int, thresholds []float64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return receiverDensityImpl(c, n, thresholds, em)
-	})
-}
-
 // receiverDensityImpl reproduces Figure 4: single source, 200 tokens,
 // sweeping the want-set score threshold on a fixed-size graph.
 func receiverDensityImpl(c SweepConfig, n int, thresholds []float64, em *Emitter) error {
@@ -376,14 +345,6 @@ func receiverDensityImpl(c SweepConfig, n int, thresholds []float64, em *Emitter
 	em.Note("paper: the bandwidth heuristic is slightly slower but uses far less bandwidth at low densities")
 	em.Note("paper: pruned bandwidth of the flooding heuristics is roughly optimal")
 	return nil
-}
-
-// NumFiles reproduces Figures 5 and 6; see numFilesImpl. Kept for direct
-// callers — the facade routes through the registry.
-func NumFiles(c SweepConfig, n int, fileCounts []int, multiSender bool) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return numFilesImpl(c, n, fileCounts, multiSender, em)
-	})
 }
 
 // numFilesImpl reproduces Figures 5 and 6: a fixed token mass subdivided

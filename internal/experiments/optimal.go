@@ -73,12 +73,6 @@ func init() {
 	})
 }
 
-// Figure1 reproduces the paper's Figure 1 narrative; see figure1Impl. Kept
-// for direct callers — the facade routes through the registry.
-func Figure1() (*Table, error) {
-	return run1(figure1Impl)
-}
-
 // figure1Impl reproduces the paper's Figure 1 narrative with certified
 // optima: on the reconstructed gadget, the minimum-time schedule takes 2
 // timesteps and 6 units of bandwidth, while the minimum-bandwidth schedule
@@ -122,14 +116,6 @@ func figure1Impl(em *Emitter) error {
 	}
 	em.Note("paper: minimum time = 2 timesteps / 6 bandwidth; minimum bandwidth = 4 bandwidth / 3 timesteps")
 	return nil
-}
-
-// ILPvsBnB cross-validates the two exact solvers; see ilpVsBnBImpl. Kept
-// for direct callers — the facade routes through the registry.
-func ILPvsBnB(instances, n, m int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return ilpVsBnBImpl(instances, n, m, seed, em)
-	})
 }
 
 // ilpVsBnBImpl cross-validates the two exact solvers on random small
@@ -185,10 +171,10 @@ func ilpVsBnBImpl(instances, n, m int, seed int64, em *Emitter) error {
 }
 
 // RandomTinyInstances draws count seeded instances from a single RNG
-// stream. The solver benchmark in cmd/ocdbench and the ILP↔exact parity
-// tests share this generator, so "the pinned solver bench set" names the
-// same instances everywhere; changing it invalidates committed solver
-// baselines.
+// stream. The benchmark's solver workload, the ILP↔exact parity tests and
+// the ilp package's solver work ceilings share this generator, so "the
+// pinned solver set" names the same instances everywhere; changing it
+// changes the benchmark's output digest and the ceilings' pinned optimum.
 func RandomTinyInstances(seed int64, count, n, m int) []*core.Instance {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*core.Instance, count)

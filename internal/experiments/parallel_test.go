@@ -3,8 +3,6 @@ package experiments
 import (
 	"runtime"
 	"testing"
-
-	"ocd/internal/topology"
 )
 
 // TestParallelSweepMatchesSerial is the end-to-end determinism golden test:
@@ -14,23 +12,11 @@ import (
 // in canonical order) and it runs under -race in CI, so a data race between
 // cells fails the build even when it does not corrupt the table.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	cfg := SweepConfig{
-		Kind:       TransitStubGraph,
-		Tokens:     24,
-		Caps:       topology.DefaultCaps,
-		GraphSeeds: 2,
-		Repeats:    2,
-		BaseSeed:   7,
-	}
-	sizes := []int{20, 30}
-
 	render := func(parallelism int) string {
-		cfg.Parallelism = parallelism
-		tab, err := GraphSize(cfg, sizes)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return tab.CSV()
+		return mustRun(t, "graph-size", Values{
+			"topology": "transit-stub", "sizes": []int{20, 30}, "tokens": 24,
+			"graph-seeds": 2, "repeats": 2, "seed": 7, "parallelism": parallelism,
+		}).CSV()
 	}
 
 	serial := render(1)
@@ -49,11 +35,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // exactly even though cells run concurrently.
 func TestParallelChaosMatchesRepeatRun(t *testing.T) {
 	run := func() string {
-		tab, err := Chaos(14, 8, []float64{0, 0.5}, []string{"local", "random"}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.CSV()
+		return mustRun(t, "chaos", Values{
+			"n": 14, "tokens": 8, "intensities": []float64{0, 0.5},
+			"heuristics": []string{"local", "random"}, "seed": 3,
+		}).CSV()
 	}
 	first := run()
 	for i := 0; i < 2; i++ {

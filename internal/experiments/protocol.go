@@ -31,15 +31,6 @@ func init() {
 	})
 }
 
-// ProtocolComparison quantifies the price of honest knowledge; see
-// protocolComparisonImpl. Kept for direct callers — the facade routes
-// through the registry.
-func ProtocolComparison(sizes []int, tokens int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return protocolComparisonImpl(sizes, tokens, seed, em)
-	})
-}
-
 // protocolComparisonImpl quantifies the price of honest knowledge: the
 // message-passing realization of the Local heuristic (every vertex learns
 // only through per-turn neighbor gossip, §4.1) versus the idealized

@@ -28,14 +28,6 @@ func init() {
 	})
 }
 
-// Figure7 exercises the appendix reduction (Theorem 5); see figure7Impl.
-// Kept for direct callers — the facade routes through the registry.
-func Figure7(graphs, n int, edgeP float64, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return figure7Impl(graphs, n, edgeP, seed, em)
-	})
-}
-
 // figure7Impl exercises the appendix reduction (Theorem 5): for random
 // small undirected graphs and every k, it checks that G has a dominating
 // set of size ≤ k if and only if the reduced FOCD instance completes in two

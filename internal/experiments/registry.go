@@ -70,7 +70,7 @@ func RunTelemetry(name string, vals Values, tel *telemetry.Registry) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecTelemetry(a, tel)
+	return s.exec(a, tel, nil)
 }
 
 // RunStrings resolves string overrides against the named spec and executes
@@ -92,7 +92,7 @@ func RunStringsTelemetry(name string, overrides map[string]string, tel *telemetr
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecTelemetry(a, tel, sinks...)
+	return s.exec(a, tel, sinks)
 }
 
 func unknownSpec(name string) error {

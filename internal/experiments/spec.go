@@ -445,21 +445,10 @@ func (s *Spec) paramNames() []string {
 	return names
 }
 
-// Exec runs the spec with resolved args, streaming into the given sinks
-// and returning the assembled table.
-func (s *Spec) Exec(a Args, sinks ...Sink) (*Table, error) {
-	return s.exec(a, nil, sinks)
-}
-
-// ExecTelemetry is Exec with a metric registry attached to the run: the
-// driver's instrumented seams record into tel, which may be shared across
-// runs to accumulate one process-wide stream. The table is byte-identical
-// to an Exec of the same args — telemetry never feeds the table. A nil
-// tel is exactly Exec.
-func (s *Spec) ExecTelemetry(a Args, tel *telemetry.Registry, sinks ...Sink) (*Table, error) {
-	return s.exec(a, tel, sinks)
-}
-
+// exec runs the spec with resolved args, streaming into the given sinks
+// and returning the assembled table. The driver's instrumented seams
+// record into tel (nil = telemetry off), which may be shared across runs to
+// accumulate one process-wide stream; telemetry never feeds the table.
 func (s *Spec) exec(a Args, tel *telemetry.Registry, sinks []Sink) (*Table, error) {
 	em := newEmitter(sinks)
 	em.tel = tel

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,53 @@ func TestParseSpecFile(t *testing.T) {
 	} {
 		if _, err := ParseSpecFile([]byte(bad)); err == nil {
 			t.Errorf("ParseSpecFile accepted %s", bad)
+		}
+	}
+}
+
+// TestPaperSpecFiles checks the committed evaluation sweeps: both scales
+// list the same 18 experiments in the same order, every invocation
+// resolves, and the full scale keeps the paper's parameters.
+func TestPaperSpecFiles(t *testing.T) {
+	load := func(name string) ([]Invocation, []Args) {
+		t.Helper()
+		invs, err := LoadSpecFile(filepath.Join("..", "..", "specs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := make([]Args, len(invs))
+		for i, inv := range invs {
+			spec, _ := Lookup(inv.Experiment)
+			if args[i], err = spec.ResolveStrings(inv.Params); err != nil {
+				t.Fatalf("%s entry %d: %v", name, i, err)
+			}
+		}
+		return invs, args
+	}
+	full, fullArgs := load("paper-full.json")
+	small, _ := load("paper-small.json")
+	if len(full) != 18 || len(small) != 18 {
+		t.Fatalf("full lists %d experiments, small %d; want 18 each", len(full), len(small))
+	}
+	for i := range full {
+		if full[i].Experiment != small[i].Experiment {
+			t.Errorf("entry %d: full runs %s, small runs %s", i, full[i].Experiment, small[i].Experiment)
+		}
+	}
+	for i, a := range fullArgs {
+		switch full[i].Experiment {
+		case "graph-size":
+			sizes := a.Ints("sizes")
+			if sizes[len(sizes)-1] != 1000 || a.Int("tokens") != 200 ||
+				a.Int("graph-seeds") != 3 || a.Int("repeats") != 3 {
+				t.Errorf("entry %d: graph-size drifted from the paper: sizes %v, %d tokens, %d graph seeds, %d repeats",
+					i, sizes, a.Int("tokens"), a.Int("graph-seeds"), a.Int("repeats"))
+			}
+		case "num-files":
+			files := a.Ints("files")
+			if a.Int("tokens") != 512 || files[len(files)-1] != 128 {
+				t.Errorf("entry %d: num-files drifted from the paper: %d tokens, files %v", i, a.Int("tokens"), files)
+			}
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ocd/internal/telemetry"
-	"ocd/internal/topology"
 )
 
 // TestTelemetryDoesNotPerturbTables is the tentpole invariant: attaching a
@@ -61,17 +60,10 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 	snapshot := func(parallelism int) []telemetry.Metric {
 		reg := telemetry.New()
-		cfg := SweepConfig{
-			Kind:        TransitStubGraph,
-			Tokens:      16,
-			Caps:        topology.DefaultCaps,
-			GraphSeeds:  2,
-			Repeats:     2,
-			BaseSeed:    7,
-			Parallelism: parallelism,
-			Telemetry:   reg,
-		}
-		if _, err := GraphSize(cfg, []int{12, 20}); err != nil {
+		if _, err := RunTelemetry("graph-size", Values{
+			"topology": "transit-stub", "sizes": []int{12, 20}, "tokens": 16,
+			"graph-seeds": 2, "repeats": 2, "seed": 7, "parallelism": parallelism,
+		}, reg); err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
 		return reg.DeterministicSnapshot()

@@ -45,14 +45,6 @@ func init() {
 	})
 }
 
-// Theorem4 demonstrates the unbounded competitive ratio; see theorem4Impl.
-// Kept for direct callers — the facade routes through the registry.
-func Theorem4(pathLen int, decoySweep []int, capacity int) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return theorem4Impl(pathLen, decoySweep, capacity, em)
-	})
-}
-
 // theorem4Impl demonstrates that no c-competitive online algorithm exists
 // for FOCD: on the adversarial family (a path whose far endpoint wants one
 // of m tokens), the worst-case makespan of the knowledge-free online
@@ -86,14 +78,6 @@ func theorem4Impl(pathLen int, decoySweep []int, capacity int, em *Emitter) erro
 	}
 	em.Note("Theorem 4: the ratio grows without bound in the decoy count, so no fixed c suffices")
 	return nil
-}
-
-// OracleAdditive demonstrates the §4.2 upper bound; see oracleAdditiveImpl.
-// Kept for direct callers — the facade routes through the registry.
-func OracleAdditive(sizes []int, tokens int, seed int64) (*Table, error) {
-	return run1(func(em *Emitter) error {
-		return oracleAdditiveImpl(sizes, tokens, seed, em)
-	})
 }
 
 // oracleAdditiveImpl demonstrates the §4.2 upper bound: an online

@@ -54,8 +54,8 @@ func (o Options) nodes() int {
 	return o.MaxNodes
 }
 
-// Stats reports the work a Solve performed; it feeds the ocdbench solver
-// section and the perf-regression gate.
+// Stats reports the work a Solve performed; it feeds the solver.* telemetry
+// counters and the solver work ceilings test.
 type Stats struct {
 	// Nodes is the number of LP relaxations solved (the root plus every
 	// expanded branch-and-bound node; nodes pruned by bound before their

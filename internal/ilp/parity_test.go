@@ -72,3 +72,60 @@ func TestParityWithExactSolvers(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverWorkCeilings gates the solver's deterministic work on a pinned
+// set: seed 7, 8 instances, n=6, m=3, each solved at horizon FOCD optimum
+// + 1. Every schedule validates and the optima sum to exactly 48; two
+// passes count identical work; branch-and-bound nodes and simplex
+// iterations stay within 1.5× of the 183 and 1,359 measured when the
+// ceilings were set (175 of those nodes were warm starts).
+func TestSolverWorkCeilings(t *testing.T) {
+	const (
+		wantObjective = 48
+		maxNodes      = 274
+		maxIterations = 2038
+	)
+	pass := func() (int, ilp.Stats) {
+		t.Helper()
+		objective := 0
+		var work ilp.Stats
+		for i, inst := range experiments.RandomTinyInstances(7, 8, 6, 3) {
+			fast, err := exact.SolveFOCD(inst, exact.Options{})
+			if err != nil {
+				t.Fatalf("inst %d: exact focd: %v", i, err)
+			}
+			prog, err := ilp.Build(inst, fast.Makespan()+1)
+			if err != nil {
+				t.Fatalf("inst %d: build: %v", i, err)
+			}
+			sched, obj, st, err := prog.SolveStats(ilp.Options{})
+			if err != nil {
+				t.Fatalf("inst %d: solve: %v", i, err)
+			}
+			if err := core.Validate(inst, sched); err != nil {
+				t.Errorf("inst %d: schedule invalid: %v", i, err)
+			}
+			objective += obj
+			work.Nodes += st.Nodes
+			work.SimplexIterations += st.SimplexIterations
+			work.WarmStarts += st.WarmStarts
+			work.BoundFlips += st.BoundFlips
+			work.DualRestorations += st.DualRestorations
+		}
+		return objective, work
+	}
+	objective, first := pass()
+	t.Logf("objective sum %d, work %+v", objective, first)
+	if objective != wantObjective {
+		t.Errorf("objective sum = %d, want %d", objective, wantObjective)
+	}
+	if _, second := pass(); second != first {
+		t.Errorf("solver work not deterministic: %+v then %+v", first, second)
+	}
+	if first.Nodes > maxNodes {
+		t.Errorf("branch-and-bound nodes = %d, ceiling %d", first.Nodes, maxNodes)
+	}
+	if first.SimplexIterations > maxIterations {
+		t.Errorf("simplex iterations = %d, ceiling %d", first.SimplexIterations, maxIterations)
+	}
+}

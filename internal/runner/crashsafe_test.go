@@ -87,7 +87,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	// First attempt: the process dies after the first five cells landed in
 	// the journal — simulated by running only that prefix.
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resume with a fresh Journal value, as a re-invoked process would.
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 
 func TestJournalSkipsTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestJournalSkipsTornFinalLine(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatalf("torn journal failed to load: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestJournalSkipsTornFinalLine(t *testing.T) {
 
 func TestJournalRejectsBaseSeedMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +165,30 @@ func TestJournalRejectsBaseSeedMismatch(t *testing.T) {
 	}
 }
 
+func TestJournalRejectsRunMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := OpenJournal(path, "rows n=12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Map(1, rowCells(2), Options{Parallelism: 1, Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if j2, err := OpenJournal(path, "rows n=30"); err == nil {
+		j2.Close()
+		t.Fatal("journal recorded for another run was accepted")
+	}
+	j3, err := OpenJournal(path, "rows n=12")
+	if err != nil {
+		t.Fatalf("journal rejected its own run: %v", err)
+	}
+	defer j3.Close()
+	if j3.Len() != 2 {
+		t.Errorf("journal holds %d cells, want 2", j3.Len())
+	}
+}
+
 func TestJournalParallelResumeMatchesSerial(t *testing.T) {
 	base := int64(9)
 	clean, err := Map(base, rowCells(32), Options{Parallelism: 1})
@@ -172,7 +196,7 @@ func TestJournalParallelResumeMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +205,7 @@ func TestJournalParallelResumeMatchesSerial(t *testing.T) {
 	_, _ = Map(base, cells, Options{Parallelism: 4, Journal: j})
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournal(path, "rows")
 	if err != nil {
 		t.Fatal(err)
 	}

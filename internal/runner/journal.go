@@ -24,11 +24,12 @@ import (
 // journalMagic identifies the header line of a runner journal.
 const journalMagic = "ocd-runner"
 
-// journalHeader is the first line of every journal: the magic tag and the
-// experiment base seed, so a journal cannot silently resume a different
-// experiment.
+// journalHeader is the first line of every journal: the magic tag, the
+// run the journal was opened for and the experiment base seed, so a
+// journal cannot silently resume a different experiment.
 type journalHeader struct {
 	Journal string `json:"journal"`
+	Run     string `json:"run"`
 	Base    int64  `json:"base"`
 }
 
@@ -44,22 +45,26 @@ type journalEntry struct {
 type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
+	run       string
 	base      int64
 	haveBase  bool
 	completed map[string]json.RawMessage
 }
 
-// OpenJournal opens or creates the journal at path, loading every
-// well-formed completed-cell line already present. A torn trailing line —
-// the signature of a killed run — is skipped, not an error; any
-// well-formed lines after it still count. For duplicate keys the last
-// line wins.
-func OpenJournal(path string) (*Journal, error) {
+// OpenJournal opens or creates the journal at path for one run, loading
+// every well-formed completed-cell line already present. run names
+// everything that shapes the cells' results besides the base seed (for an
+// experiment, its name and parameters); a journal recorded for a different
+// run is rejected, because cell keys name only a position in the sweep and
+// would otherwise resume another run's rows. A torn trailing line — the
+// signature of a killed run — is skipped, not an error; any well-formed
+// lines after it still count. For duplicate keys the last line wins.
+func OpenJournal(path, run string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runner: open journal: %w", err)
 	}
-	j := &Journal{f: f, completed: make(map[string]json.RawMessage)}
+	j := &Journal{f: f, run: run, completed: make(map[string]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	first := true
@@ -74,6 +79,10 @@ func OpenJournal(path string) (*Journal, error) {
 			if err := json.Unmarshal(line, &h); err != nil || h.Journal != journalMagic {
 				f.Close()
 				return nil, fmt.Errorf("runner: %s is not a runner journal", path)
+			}
+			if h.Run != run {
+				f.Close()
+				return nil, fmt.Errorf("runner: journal %s was recorded for run %q, not %q", path, h.Run, run)
 			}
 			j.base, j.haveBase = h.Base, true
 			continue
@@ -113,7 +122,7 @@ func (j *Journal) bind(base int64) error {
 		}
 		return nil
 	}
-	line, err := json.Marshal(journalHeader{Journal: journalMagic, Base: base})
+	line, err := json.Marshal(journalHeader{Journal: journalMagic, Run: j.run, Base: base})
 	if err != nil {
 		return fmt.Errorf("runner: journal header: %w", err)
 	}
