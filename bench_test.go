@@ -11,6 +11,7 @@
 package ocd_test
 
 import (
+	"strconv"
 	"testing"
 
 	"ocd"
@@ -229,7 +230,9 @@ func BenchmarkSteinerSerial(b *testing.B) {
 // each capacity model.
 func BenchmarkDynamicModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ocd.ExperimentDynamicConditions(20, 12, int64(i)); err != nil {
+		if _, err := ocd.RunExperiment("dynamic-conditions", map[string]string{
+			"n": "20", "tokens": "12", "seed": strconv.Itoa(i),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +241,9 @@ func BenchmarkDynamicModels(b *testing.B) {
 // BenchmarkEncoding measures the §6 coding-under-loss comparison.
 func BenchmarkEncoding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ocd.ExperimentLossCoding(12, 32, 0.3, []float64{1.5}, int64(i)); err != nil {
+		if _, err := ocd.RunExperiment("loss-coding", map[string]string{
+			"n": "12", "tokens": "32", "loss": "0.3", "redundancies": "1.5", "seed": strconv.Itoa(i),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +252,9 @@ func BenchmarkEncoding(b *testing.B) {
 // BenchmarkUnderlay measures the §6 shared-physical-links comparison.
 func BenchmarkUnderlay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ocd.ExperimentUnderlay(60, 8, 16, int64(i)); err != nil {
+		if _, err := ocd.RunExperiment("underlay", map[string]string{
+			"phys-n": "60", "hosts": "8", "tokens": "16", "seed": strconv.Itoa(i),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +263,9 @@ func BenchmarkUnderlay(b *testing.B) {
 // BenchmarkKnowledgeDelay measures the §5.1 staleness ablation.
 func BenchmarkKnowledgeDelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ocd.ExperimentKnowledgeDelay(20, 16, 4, int64(i)); err != nil {
+		if _, err := ocd.RunExperiment("knowledge-delay", map[string]string{
+			"n": "20", "tokens": "16", "max-delay": "4", "seed": strconv.Itoa(i),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +275,7 @@ func BenchmarkKnowledgeDelay(b *testing.B) {
 // Figure 1 gadget.
 func BenchmarkTradeoffCurve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ocd.ExperimentTradeoffCurve(ocd.Figure1Instance()); err != nil {
+		if _, err := ocd.RunExperiment("tradeoff-curve", map[string]string{"instance": "figure1"}); err != nil {
 			b.Fatal(err)
 		}
 	}

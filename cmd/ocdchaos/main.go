@@ -1,21 +1,31 @@
-// Command ocdchaos is the fault-injection harness: it sweeps fault
-// intensity × heuristic under the canonical chaos plan (bursty
-// Gilbert–Elliott loss, crash/recovery churn with download loss, gossip
-// loss) and reports degradation metrics — outcome, delivered fraction,
-// lost/retransmitted/wasted moves, and makespan inflation over a
-// fault-free baseline. The crash-source scenario crash-stops the sole
-// holder mid-distribution to demonstrate graceful termination with an
-// explicit unsatisfiable-receiver report. The partition scenario sweeps
-// k-way partition heal times; the churn scenario sweeps membership leave
-// rates (members lose all state and rejoin empty). Both support -monitor
-// (kernel invariant monitor; any violation fails the run) and -journal
-// (crash-safety journal: a killed sweep re-invoked with the same journal
-// resumes from its completed cells with byte-identical output).
+// Command ocdchaos is the fault-injection harness. Each -scenario value
+// names a registered experiment, and the scenario flags are that
+// experiment's parameters:
 //
-// The binary also speaks the declarative registry: -list prints every
-// registered experiment with its parameter schema, -experiment <name>
-// runs one with -param name=value overrides, and -spec file.json replays
-// a JSON sweep file.
+//	-scenario sweep         → chaos: fault intensity × heuristic under the
+//	                          canonical chaos plan (bursty Gilbert–Elliott
+//	                          loss, crash/recovery churn with download loss,
+//	                          gossip loss), with makespan inflation over a
+//	                          fault-free baseline
+//	-scenario crash-source  → crashed-source: the sole holder crash-stops
+//	                          mid-distribution; graceful termination with an
+//	                          explicit unsatisfiable-receiver report
+//	-scenario partition     → partition: k-way partition heal time × heuristic
+//	-scenario churn         → churn: membership leave rate (-churn-rates sets
+//	                          leave) × heuristic; members lose all state and
+//	                          rejoin empty
+//
+// A scenario run is the same run as -experiment <name> with those
+// parameters: the spec's checks validate the flags, -telemetry and -jsonl
+// apply to every scenario, and the partition and churn sweeps also take
+// -monitor (kernel invariant monitor; any violation fails the run) and
+// -journal (crash-safety journal: a killed sweep re-invoked with the same
+// journal resumes from its completed cells with byte-identical output).
+//
+// The binary also speaks the declarative registry directly: -list prints
+// every registered experiment with its parameter schema, -experiment
+// <name> runs one with -param name=value overrides, and -spec file.json
+// replays a JSON sweep file.
 //
 // Examples:
 //
@@ -34,7 +44,6 @@ import (
 	"io"
 	"os"
 
-	"ocd"
 	"ocd/internal/cliutil"
 )
 
@@ -47,23 +56,26 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ocdchaos", flag.ContinueOnError)
-	var (
-		scenario    = fs.String("scenario", "sweep", "scenario: sweep | crash-source | partition | churn")
-		n           = fs.Int("n", 30, "number of vertices")
-		tokens      = fs.Int("tokens", 24, "number of tokens in the file")
-		intensities = fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0,1] (sweep)")
-		heuristics  = fs.String("heuristics", "local,bandwidth,retry-local", "comma-separated heuristic names; retry-<name> wraps in the backoff sender")
-		crashAt     = fs.Int("crash-at", 2, "step at which the sole source crash-stops (crash-source)")
-		k           = fs.Int("k", 2, "number of partition sides (partition)")
-		heal        = fs.String("heal", "0,4,16,-1", "comma-separated partition heal times in steps, -1 = never heals (partition)")
-		churnRates  = fs.String("churn-rates", "0,0.02,0.05,0.1", "comma-separated per-step leave probabilities (churn)")
-		rejoin      = fs.Float64("rejoin", 0.5, "per-step rejoin probability for absent members, 0 = departures are permanent (churn)")
-		csv         = fs.Bool("csv", false, "emit CSV instead of the ASCII table")
-	)
+	scenario := fs.String("scenario", "sweep", "scenario: sweep | crash-source | partition | churn")
+	fs.Int("n", 30, "number of vertices")
+	fs.Int("tokens", 24, "number of tokens in the file")
+	fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0,1] (sweep)")
+	fs.String("heuristics", "local,bandwidth,retry-local", "comma-separated heuristic names; retry-<name> wraps in the backoff sender")
+	fs.Int("crash-at", 2, "step at which the sole source crash-stops (crash-source)")
+	fs.Int("k", 2, "number of partition sides (partition)")
+	fs.String("heal", "0,4,16,-1", "comma-separated partition heal times in steps, -1 = never heals (partition)")
+	fs.String("churn-rates", "0,0.02,0.05,0.1", "comma-separated per-step leave probabilities (churn)")
+	fs.Float64("rejoin", 0.5, "per-step rejoin probability for absent members, 0 = departures are permanent (churn)")
+	csv := fs.Bool("csv", false, "emit CSV instead of the ASCII table")
 	harness := cliutil.AddHarness(fs)
 	spec := cliutil.AddSpecMode(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !spec.Active() {
+		if err := useScenario(fs, *scenario, spec); err != nil {
+			return err
+		}
 	}
 	if err := harness.Validate(); err != nil {
 		return err
@@ -73,112 +85,42 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Finish carries the telemetry/profile write errors; it must reach the
 	// exit code even when the run itself failed first.
-	err := runModes(fs, stdout, harness, spec, *csv, scenarioFlags{
-		scenario: *scenario, n: *n, tokens: *tokens, intensities: *intensities,
-		heuristics: *heuristics, crashAt: *crashAt, k: *k, heal: *heal,
-		churnRates: *churnRates, rejoin: *rejoin,
-	})
+	err := spec.Execute(fs, stdout, *csv, harness)
 	if ferr := harness.Finish(); ferr != nil && err == nil {
 		err = ferr
 	}
 	return err
 }
 
-// scenarioFlags bundles the classic (non-spec) mode's parsed flags.
-type scenarioFlags struct {
-	scenario, intensities, heuristics, heal, churnRates string
-	n, tokens, crashAt, k                               int
-	rejoin                                              float64
+// scenarios maps each -scenario value to the registered experiment it
+// runs and the scenario flags that experiment takes.
+var scenarios = map[string]struct {
+	experiment string
+	flags      []string
+}{
+	"sweep":        {"chaos", []string{"n", "tokens", "intensities", "heuristics"}},
+	"crash-source": {"crashed-source", []string{"n", "tokens", "crash-at"}},
+	"partition":    {"partition", []string{"n", "tokens", "k", "heal", "heuristics"}},
+	"churn":        {"churn", []string{"n", "tokens", "churn-rates", "rejoin", "heuristics"}},
 }
 
-func runModes(fs *flag.FlagSet, stdout io.Writer, harness *cliutil.Harness, spec *cliutil.SpecMode, csv bool, sf scenarioFlags) error {
-	if spec.Active() {
-		return spec.Execute(fs, stdout, csv, harness)
+// useScenario turns a -scenario invocation into the -experiment one it
+// names: each of the scenario's flags becomes the experiment parameter of
+// the same name (-churn-rates sets leave), so the spec's checks are the
+// only validation and the run takes the same path as -experiment.
+func useScenario(fs *flag.FlagSet, name string, m *cliutil.SpecMode) error {
+	sc, ok := scenarios[name]
+	if !ok {
+		return fmt.Errorf("unknown scenario %q (have sweep, crash-source, partition, churn)", name)
 	}
-	return runScenario(stdout, harness, csv, sf)
-}
-
-func runScenario(stdout io.Writer, harness *cliutil.Harness, csvOut bool, sf scenarioFlags) error {
-	scenario, n, tokens, intensities := &sf.scenario, &sf.n, &sf.tokens, &sf.intensities
-	heuristics, crashAt, k, heal := &sf.heuristics, &sf.crashAt, &sf.k, &sf.heal
-	churnRates, rejoin, csv := &sf.churnRates, &sf.rejoin, &csvOut
-
-	xs, err := cliutil.ParseFloats(*intensities)
-	if err != nil {
-		return fmt.Errorf("-intensities: %w", err)
-	}
-	names := cliutil.SplitNames(*heuristics)
-	if err := validateFlags(*n, *tokens, *crashAt, xs, names); err != nil {
-		return err
-	}
-	sweepOpts := ocd.FaultSweepOptions{
-		JournalPath: harness.Journal, Monitor: harness.Monitor, Parallelism: harness.Parallelism,
-		Telemetry: harness.Registry(),
-	}
-
-	var tab *ocd.Table
-	switch *scenario {
-	case "sweep":
-		tab, err = ocd.ExperimentChaos(*n, *tokens, xs, names, harness.Seed)
-	case "crash-source":
-		tab, err = ocd.ExperimentCrashedSource(*n, *tokens, *crashAt, harness.Seed)
-	case "partition":
-		var heals []int
-		if heals, err = cliutil.ParseInts(*heal); err != nil {
-			return fmt.Errorf("-heal: %w", err)
+	m.Experiment = sc.experiment
+	m.Params = make(cliutil.Params, len(sc.flags))
+	for _, f := range sc.flags {
+		param := f
+		if f == "churn-rates" {
+			param = "leave"
 		}
-		if len(heals) == 0 {
-			return fmt.Errorf("-heal is empty")
-		}
-		if *k < 2 {
-			return fmt.Errorf("-k must be at least 2, got %d", *k)
-		}
-		tab, err = ocd.ExperimentPartition(*n, *tokens, *k, heals, names, harness.Seed, sweepOpts)
-	case "churn":
-		var rates []float64
-		if rates, err = cliutil.ParseFloats(*churnRates); err != nil {
-			return fmt.Errorf("-churn-rates: %w", err)
-		}
-		if len(rates) == 0 {
-			return fmt.Errorf("-churn-rates is empty")
-		}
-		for _, r := range rates {
-			if r < 0 || r > 1 {
-				return fmt.Errorf("-churn-rates entries must be in [0,1], got %v", r)
-			}
-		}
-		if *rejoin < 0 || *rejoin > 1 {
-			return fmt.Errorf("-rejoin must be in [0,1], got %v", *rejoin)
-		}
-		tab, err = ocd.ExperimentChurn(*n, *tokens, rates, *rejoin, names, harness.Seed, sweepOpts)
-	default:
-		return fmt.Errorf("unknown scenario %q (have sweep, crash-source, partition, churn)", *scenario)
-	}
-	if err != nil {
-		return err
-	}
-	return cliutil.WriteTable(stdout, tab, *csv)
-}
-
-// validateFlags rejects out-of-range parameters up front with a clear
-// message, mirroring cmd/ocdsim.
-func validateFlags(n, tokens, crashAt int, xs []float64, names []string) error {
-	switch {
-	case n <= 0:
-		return fmt.Errorf("-n must be positive, got %d", n)
-	case tokens <= 0:
-		return fmt.Errorf("-tokens must be positive, got %d", tokens)
-	case crashAt < 0:
-		return fmt.Errorf("-crash-at must be non-negative, got %d", crashAt)
-	case len(xs) == 0:
-		return fmt.Errorf("-intensities is empty")
-	case len(names) == 0:
-		return fmt.Errorf("-heuristics is empty")
-	}
-	for _, x := range xs {
-		if x < 0 || x > 1 {
-			return fmt.Errorf("-intensities entries must be in [0,1], got %v", x)
-		}
+		m.Params[param] = fs.Lookup(f).Value.String()
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ocd/internal/telemetry"
 )
 
 func runOK(t *testing.T, args ...string) string {
@@ -123,28 +125,38 @@ func TestSpecFileJournalRejectsSecondInvocation(t *testing.T) {
 	}
 }
 
+// TestFlagValidation: every scenario flag is checked by the parameter of
+// the experiment it feeds, so each error names that parameter.
 func TestFlagValidation(t *testing.T) {
-	bad := [][]string{
-		{"-n", "0"},
-		{"-tokens", "-3"},
-		{"-crash-at", "-1", "-scenario", "crash-source"},
-		{"-intensities", "1.5"},
-		{"-intensities", "abc"},
-		{"-intensities", ""},
-		{"-heuristics", ""},
-		{"-heuristics", "nope"},
-		{"-scenario", "nope"},
-		{"-scenario", "partition", "-k", "1"},
-		{"-scenario", "partition", "-heal", ""},
-		{"-scenario", "partition", "-heal", "abc"},
-		{"-scenario", "churn", "-churn-rates", ""},
-		{"-scenario", "churn", "-churn-rates", "1.5"},
-		{"-scenario", "churn", "-rejoin", "2"},
+	bad := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "param n:"},
+		{[]string{"-tokens", "-3"}, "param tokens:"},
+		{[]string{"-crash-at", "-1", "-scenario", "crash-source"}, "param crash-at:"},
+		{[]string{"-intensities", "1.5"}, "param intensities:"},
+		{[]string{"-intensities", "abc"}, "param intensities:"},
+		{[]string{"-intensities", ""}, "param intensities:"},
+		{[]string{"-heuristics", ""}, "param heuristics:"},
+		{[]string{"-heuristics", "nope"}, "param heuristics:"},
+		{[]string{"-scenario", "nope"}, "unknown scenario"},
+		{[]string{"-scenario", "partition", "-k", "1"}, "param k:"},
+		{[]string{"-scenario", "partition", "-heal", ""}, "param heal:"},
+		{[]string{"-scenario", "partition", "-heal", "abc"}, "param heal:"},
+		{[]string{"-scenario", "churn", "-churn-rates", ""}, "param leave:"},
+		{[]string{"-scenario", "churn", "-churn-rates", "1.5"}, "param leave:"},
+		{[]string{"-scenario", "churn", "-rejoin", "2"}, "param rejoin:"},
 	}
-	for _, args := range bad {
+	for _, tc := range bad {
 		var out bytes.Buffer
-		if err := run(args, &out); err == nil {
-			t.Errorf("run(%v) accepted invalid flags", args)
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("run(%v) accepted invalid flags", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): error %q does not contain %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -168,15 +180,89 @@ func TestSpecModeHarnessFlags(t *testing.T) {
 	}
 }
 
-// TestSpecModeMatchesScenario runs the same sweep through the classic
-// scenario flags and the registry and expects identical tables.
+// TestSpecModeMatchesScenario: each -scenario is a spelling of one
+// registered experiment. At defaults and with every scenario flag set,
+// its output must match the -experiment … -param … spelling.
 func TestSpecModeMatchesScenario(t *testing.T) {
-	classic := runOK(t, "-scenario", "churn", "-n", "12", "-tokens", "6",
-		"-churn-rates", "0,0.05", "-heuristics", "local", "-seed", "5")
-	spec := runOK(t, "-experiment", "churn", "-param", "n=12", "-param", "tokens=6",
-		"-param", "leave=0,0.05", "-param", "heuristics=local", "-seed", "5")
-	if classic != spec {
-		t.Errorf("scenario and spec modes diverge:\n--- scenario ---\n%s--- spec ---\n%s", classic, spec)
+	cases := []struct {
+		scenario, experiment string
+		flags, params        []string
+	}{
+		{"sweep", "chaos",
+			[]string{"-n", "12", "-tokens", "6", "-intensities", "0,0.5", "-heuristics", "local,retry-local"},
+			[]string{"n=12", "tokens=6", "intensities=0,0.5", "heuristics=local,retry-local"}},
+		{"crash-source", "crashed-source",
+			[]string{"-n", "12", "-tokens", "36", "-crash-at", "1"},
+			[]string{"n=12", "tokens=36", "crash-at=1"}},
+		{"partition", "partition",
+			[]string{"-n", "12", "-tokens", "6", "-k", "3", "-heal", "0,-1", "-heuristics", "local"},
+			[]string{"n=12", "tokens=6", "k=3", "heal=0,-1", "heuristics=local"}},
+		{"churn", "churn",
+			[]string{"-n", "12", "-tokens", "6", "-churn-rates", "0,0.05", "-rejoin", "0.25", "-heuristics", "local"},
+			[]string{"n=12", "tokens=6", "leave=0,0.05", "rejoin=0.25", "heuristics=local"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.scenario, func(t *testing.T) {
+			if scenario, spec := runOK(t, "-scenario", tc.scenario), runOK(t, "-experiment", tc.experiment); scenario != spec {
+				t.Errorf("defaults diverge:\n--- scenario ---\n%s--- spec ---\n%s", scenario, spec)
+			}
+			scenarioArgs := append([]string{"-scenario", tc.scenario, "-seed", "5"}, tc.flags...)
+			specArgs := []string{"-experiment", tc.experiment, "-seed", "5"}
+			for _, p := range tc.params {
+				specArgs = append(specArgs, "-param", p)
+			}
+			if scenario, spec := runOK(t, scenarioArgs...), runOK(t, specArgs...); scenario != spec {
+				t.Errorf("flags set: outputs diverge:\n--- scenario ---\n%s--- spec ---\n%s", scenario, spec)
+			}
+		})
+	}
+}
+
+// TestScenarioWritesTelemetryAndRows: a scenario run honours -telemetry
+// and -jsonl exactly like -experiment. The stream's runner.cells counter
+// equals the cells the run executed, and the row log holds the table's
+// one head.
+func TestScenarioWritesTelemetryAndRows(t *testing.T) {
+	cases := []struct {
+		args  []string
+		cells int64
+	}{
+		// One fault-free baseline per heuristic plus 2 intensities × 1 heuristic.
+		{[]string{"-n", "12", "-tokens", "6", "-intensities", "0,0.5", "-heuristics", "local"}, 3},
+		// One cell per paper heuristic.
+		{[]string{"-scenario", "crash-source", "-n", "12", "-tokens", "36", "-crash-at", "1"}, 5},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		tel, rows := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "rows.jsonl")
+		runOK(t, append(tc.args, "-telemetry", tel, "-jsonl", rows)...)
+
+		f, err := os.Open(tel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := telemetry.DecodeJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells int64 = -1
+		for _, m := range metrics {
+			if m.Name == "runner.cells" {
+				cells = m.Value
+			}
+		}
+		if cells != tc.cells {
+			t.Errorf("run(%v): runner.cells = %d, want %d (stream %+v)", tc.args, cells, tc.cells, metrics)
+		}
+
+		rowLog, err := os.ReadFile(rows)
+		if err != nil {
+			t.Fatalf("run(%v): no row log: %v", tc.args, err)
+		}
+		if heads := strings.Count(string(rowLog), `"title"`); heads != 1 {
+			t.Errorf("run(%v): row log has %d heads, want 1:\n%s", tc.args, heads, rowLog)
+		}
 	}
 }
 

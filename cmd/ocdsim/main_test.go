@@ -133,7 +133,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestSpecModeList(t *testing.T) {
 	out := runOK(t, "-list")
-	for _, want := range []string{"graph-size", "figure1", "-param", "facade: ocd.Experiment"} {
+	for _, want := range []string{"graph-size", "figure1", "-param", "seeds: derived"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in registry listing:\n%s", want, out)
 		}
@@ -176,6 +176,7 @@ func TestSpecModeErrors(t *testing.T) {
 }
 
 func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
 	bad := [][]string{
 		{"-n", "0"},
 		{"-n", "-5"},
@@ -186,6 +187,11 @@ func TestFlagValidation(t *testing.T) {
 		{"-patience", "-1"},
 		{"-max-steps", "-1"},
 		{"-files", "0"},
+		// A single run reads none of the experiment runner's flags.
+		{"-jsonl", filepath.Join(dir, "rows.jsonl")},
+		{"-journal", filepath.Join(dir, "j.jsonl")},
+		{"-monitor"},
+		{"-parallelism", "2"},
 	}
 	for _, args := range bad {
 		var out bytes.Buffer
@@ -194,11 +200,19 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) accepted out-of-range flags", args)
 			continue
 		}
-		if !strings.Contains(err.Error(), "must be") {
+		if !strings.Contains(err.Error(), "must be") || !strings.Contains(err.Error(), args[0]) {
 			t.Errorf("run(%v): unclear error %q", args, err)
 		}
 	}
-	// The validated boundary values stay accepted.
+	for _, name := range []string{"rows.jsonl", "j.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Errorf("a rejected single run wrote %s", name)
+		}
+	}
+	// The validated boundary values stay accepted, and so do the harness
+	// flags a single run does read.
 	runOK(t, "-n", "10", "-tokens", "4", "-loss", "0", "-patience", "0")
 	runOK(t, "-n", "10", "-tokens", "4", "-loss", "1", "-patience", "5", "-max-steps", "30")
+	runOK(t, "-n", "10", "-tokens", "4", "-seed", "3", "-telemetry", filepath.Join(dir, "tel.jsonl"),
+		"-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-memprofile", filepath.Join(dir, "mem.pprof"))
 }

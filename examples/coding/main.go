@@ -18,13 +18,14 @@ func main() {
 		vertices = 12
 		tokens   = 32
 		loss     = 0.4
-		seed     = 5
 	)
 	fmt.Printf("single-source distribution of %d tokens over %d vertices, %.0f%% per-move loss\n\n",
 		tokens, vertices, loss*100)
 
-	table, err := ocd.ExperimentLossCoding(vertices, tokens, loss,
-		[]float64{1.25, 1.5, 2.0}, seed)
+	table, err := ocd.RunExperiment("loss-coding", map[string]string{
+		"n": fmt.Sprint(vertices), "tokens": fmt.Sprint(tokens), "loss": fmt.Sprint(loss),
+		"redundancies": "1.25,1.5,2", "seed": "5",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

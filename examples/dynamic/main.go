@@ -11,12 +11,9 @@ import (
 )
 
 func main() {
-	const (
-		vertices = 40
-		tokens   = 32
-		seed     = 21
-	)
-	table, err := ocd.ExperimentDynamicConditions(vertices, tokens, seed)
+	table, err := ocd.RunExperiment("dynamic-conditions", map[string]string{
+		"n": "40", "tokens": "32", "seed": "21",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,14 +15,14 @@ func main() {
 	const (
 		physVertices = 120
 		hosts        = 16
-		tokens       = 48
-		seed         = 11
 	)
 	fmt.Printf("physical transit-stub network of ~%d vertices; %d overlay hosts;\n",
 		physVertices, hosts)
 	fmt.Printf("each overlay link rides the shortest physical path\n\n")
 
-	table, err := ocd.ExperimentUnderlay(physVertices, hosts, tokens, seed)
+	table, err := ocd.RunExperiment("underlay", map[string]string{
+		"phys-n": fmt.Sprint(physVertices), "hosts": fmt.Sprint(hosts), "tokens": "48", "seed": "11",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -146,36 +146,24 @@ func TestFacadeExperiments(t *testing.T) {
 		"thm4": func() (*ocd.Table, error) {
 			return ocd.ExperimentTheorem4(1, []int{2}, 1)
 		},
-		"oracle": func() (*ocd.Table, error) {
-			return ocd.ExperimentOracleAdditive([]int{12}, 6, 2)
-		},
-		"dynamic": func() (*ocd.Table, error) {
-			return ocd.ExperimentDynamicConditions(10, 6, 2)
-		},
-		"coding": func() (*ocd.Table, error) {
-			return ocd.ExperimentLossCoding(8, 16, 0.2, []float64{1.5}, 2)
-		},
-		"underlay": func() (*ocd.Table, error) {
-			return ocd.ExperimentUnderlay(40, 6, 8, 2)
-		},
-		"delay": func() (*ocd.Table, error) {
-			return ocd.ExperimentKnowledgeDelay(10, 8, 1, 2)
-		},
-		"tradeoff": func() (*ocd.Table, error) {
-			return ocd.ExperimentTradeoffCurve(ocd.Figure1Instance())
-		},
-		"protocol": func() (*ocd.Table, error) {
-			return ocd.ExperimentProtocolComparison([]int{12}, 6, 2)
-		},
-		"bounds": func() (*ocd.Table, error) {
-			return ocd.ExperimentBoundsQuality(1, 4, 2, 2)
-		},
-		"arch": func() (*ocd.Table, error) {
-			return ocd.ExperimentArchitectures(12, 8, 2)
-		},
 		"ilp-vs-bnb": func() (*ocd.Table, error) {
 			return ocd.ExperimentILPvsBnB(1, 4, 1, 2)
 		},
+	}
+	// Experiments without a typed function run by name.
+	for name, params := range map[string]map[string]string{
+		"oracle-additive":     {"sizes": "12", "tokens": "6", "seed": "2"},
+		"dynamic-conditions":  {"n": "10", "tokens": "6", "seed": "2"},
+		"loss-coding":         {"n": "8", "tokens": "16", "loss": "0.2", "redundancies": "1.5", "seed": "2"},
+		"underlay":            {"phys-n": "40", "hosts": "6", "tokens": "8", "seed": "2"},
+		"knowledge-delay":     {"n": "10", "tokens": "8", "max-delay": "1", "seed": "2"},
+		"tradeoff-curve":      {"instance": "figure1"},
+		"protocol-comparison": {"sizes": "12", "tokens": "6", "seed": "2"},
+		"bounds-quality":      {"instances": "1", "n": "4", "m": "2", "seed": "2"},
+		"architectures":       {"n": "12", "tokens": "8", "seed": "2"},
+	} {
+		name, params := name, params
+		cases[name] = func() (*ocd.Table, error) { return ocd.RunExperiment(name, params) }
 	}
 	for name, run := range cases {
 		tab, err := run()

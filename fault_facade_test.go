@@ -63,21 +63,31 @@ func TestPublicAPIRetryHeuristicName(t *testing.T) {
 }
 
 func TestPublicAPIChaosExperiments(t *testing.T) {
-	tab, err := ocd.ExperimentChaos(12, 6, []float64{0, 0.5}, []string{"local", "retry-local"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("chaos rows = %d, want 4", len(tab.Rows))
-	}
-	if tab.ASCII() == "" || tab.CSV() == "" {
-		t.Error("empty rendering")
-	}
-	crash, err := ocd.ExperimentCrashedSource(12, 36, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(crash.Rows) != 5 {
-		t.Fatalf("crashed-source rows = %d, want 5", len(crash.Rows))
+	for _, tc := range []struct {
+		name   string
+		params map[string]string
+		rows   int
+	}{
+		{"chaos", map[string]string{
+			"n": "12", "tokens": "6", "intensities": "0,0.5", "heuristics": "local,retry-local", "seed": "3",
+		}, 4},
+		{"crashed-source", map[string]string{"n": "12", "tokens": "36", "crash-at": "1", "seed": "5"}, 5},
+		{"partition", map[string]string{
+			"n": "12", "tokens": "6", "heal": "0,-1", "heuristics": "local", "seed": "3",
+		}, 2},
+		{"churn", map[string]string{
+			"n": "12", "tokens": "6", "leave": "0,0.05", "heuristics": "local,retry-local", "seed": "3",
+		}, 4},
+	} {
+		tab, err := ocd.RunExperiment(tc.name, tc.params)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(tab.Rows) != tc.rows {
+			t.Fatalf("%s rows = %d, want %d", tc.name, len(tab.Rows), tc.rows)
+		}
+		if tab.ASCII() == "" || tab.CSV() == "" {
+			t.Errorf("%s: empty rendering", tc.name)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package cliutil holds the command-line plumbing shared by cmd/ocdsim and
-// cmd/ocdchaos: comma-separated list parsing, the common harness flags
-// (seed, journal, monitor, parallelism), table writing, and the registry-
+// cmd/ocdchaos: the common harness flags (seed, journal, monitor,
+// parallelism, telemetry, profiles), table writing, and the registry-
 // driven spec mode (-experiment/-param/-list/-spec) that lowers both
 // binaries onto the declarative experiment pipeline.
 package cliutil
@@ -13,57 +13,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"ocd/internal/experiments"
 	"ocd/internal/telemetry"
 )
-
-// ParseFloats parses a comma-separated float list, skipping empty entries.
-func ParseFloats(s string) ([]float64, error) {
-	var xs []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		x, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		xs = append(xs, x)
-	}
-	return xs, nil
-}
-
-// ParseInts parses a comma-separated integer list, skipping empty entries.
-func ParseInts(s string) ([]int, error) {
-	var xs []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		x, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", part, err)
-		}
-		xs = append(xs, x)
-	}
-	return xs, nil
-}
-
-// SplitNames splits a comma-separated name list, dropping empty entries.
-func SplitNames(s string) []string {
-	var names []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			names = append(names, part)
-		}
-	}
-	return names
-}
 
 // Harness bundles the flags every experiment-running binary shares: the
 // base seed, the sweep harness ring (crash-safety journal, kernel

@@ -6,44 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"ocd/internal/telemetry"
 )
-
-func TestParseFloats(t *testing.T) {
-	xs, err := ParseFloats("0, 0.5,,1")
-	if err != nil || !reflect.DeepEqual(xs, []float64{0, 0.5, 1}) {
-		t.Fatalf("got %v, %v", xs, err)
-	}
-	if _, err := ParseFloats("0,abc"); err == nil {
-		t.Error("bad float accepted")
-	}
-	if xs, err := ParseFloats(""); err != nil || xs != nil {
-		t.Errorf("empty list: got %v, %v", xs, err)
-	}
-}
-
-func TestParseInts(t *testing.T) {
-	xs, err := ParseInts("1, -1, 16")
-	if err != nil || !reflect.DeepEqual(xs, []int{1, -1, 16}) {
-		t.Fatalf("got %v, %v", xs, err)
-	}
-	if _, err := ParseInts("1,1.5"); err == nil {
-		t.Error("float accepted as int")
-	}
-}
-
-func TestSplitNames(t *testing.T) {
-	if got := SplitNames(" local , ,bandwidth"); !reflect.DeepEqual(got, []string{"local", "bandwidth"}) {
-		t.Fatalf("got %v", got)
-	}
-	if got := SplitNames(""); got != nil {
-		t.Fatalf("empty input: got %v", got)
-	}
-}
 
 func TestParamsFlag(t *testing.T) {
 	var p Params
@@ -92,7 +59,7 @@ func TestSpecModeList(t *testing.T) {
 	if err := execute(t, &out, false, "-list"); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"figure1", "facade: ocd.ExperimentChaos", "-param seed=<int64>"} {
+	for _, want := range []string{"figure1", "chaos — ", "seeds: derived", "-param seed=<int64>"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q in listing:\n%s", want, out.String())
 		}

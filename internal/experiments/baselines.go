@@ -16,7 +16,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "architectures",
-		Facade:     "ExperimentArchitectures",
 		Doc:        "§2 architectures: tree and striped-forest overlays vs the paper's mesh heuristics",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

@@ -16,7 +16,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "bounds-quality",
-		Facade:     "ExperimentBoundsQuality",
 		Doc:        "heuristic makespan/bandwidth as ratios to certified optima on random small instances",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

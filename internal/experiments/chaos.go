@@ -86,7 +86,6 @@ func outcome(res *fault.Result, err error) string {
 func init() {
 	Register(Spec{
 		Name:       "chaos",
-		Facade:     "ExperimentChaos",
 		Doc:        "fault intensity × heuristic sweep under the canonical chaos plan",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
@@ -105,7 +104,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "crashed-source",
-		Facade:     "ExperimentCrashedSource",
 		Doc:        "crash-stop the sole source mid-distribution; graceful unsatisfiability report",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

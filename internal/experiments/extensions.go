@@ -20,7 +20,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "dynamic-conditions",
-		Facade:     "ExperimentDynamicConditions",
 		Doc:        "§6 changing network conditions: every heuristic under time-varying capacity models",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
@@ -35,7 +34,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "loss-coding",
-		Facade:     "ExperimentLossCoding",
 		Doc:        "§6 encoding: uncoded vs (k,n)-coded distribution under per-move loss",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
@@ -53,7 +51,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "underlay",
-		Facade:     "ExperimentUnderlay",
 		Doc:        "§6 realistic topologies: overlay-only capacities vs shared physical links",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
@@ -69,7 +66,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "knowledge-delay",
-		Facade:     "ExperimentKnowledgeDelay",
 		Doc:        "§5.1 ablation: the Local heuristic with peer views 0..max-delay turns stale",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
@@ -85,7 +81,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "tradeoff-curve",
-		Facade:     "ExperimentTradeoffCurve",
 		Doc:        "§3.4 hybrid objective: certified minimum bandwidth at every makespan bound",
 		SeedPolicy: SeedNone,
 		Params: []Param{

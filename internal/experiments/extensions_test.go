@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	"ocd/internal/workload"
 )
 
 func TestDynamicConditionsSmall(t *testing.T) {
@@ -65,7 +63,7 @@ func TestKnowledgeDelaySmall(t *testing.T) {
 }
 
 func TestTradeoffCurveFigure1(t *testing.T) {
-	tab := mustRun(t, "tradeoff-curve", Values{"instance": workload.Figure1()})
+	tab := mustRun(t, "tradeoff-curve", Values{"instance": "figure1"})
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (tau 2..3)", len(tab.Rows))
 	}

@@ -21,9 +21,9 @@ import (
 	"ocd/internal/workload"
 )
 
-// FaultSweepOptions configures the partition/churn sweeps' harness ring —
+// faultSweepOptions configures the partition/churn sweeps' harness ring —
 // everything orthogonal to the experimental axes.
-type FaultSweepOptions struct {
+type faultSweepOptions struct {
 	// JournalPath, when non-empty, journals completed cells to this JSONL
 	// file and resumes from it (see runner.Journal).
 	JournalPath string
@@ -43,7 +43,7 @@ type FaultSweepOptions struct {
 }
 
 // harnessParams is the shared parameter-schema tail of every spec whose
-// driver takes FaultSweepOptions: the crash-safety journal, the invariant
+// body takes faultSweepOptions: the crash-safety journal, the invariant
 // monitor, and runner parallelism.
 func harnessParams() []Param {
 	return []Param{
@@ -54,8 +54,8 @@ func harnessParams() []Param {
 }
 
 // harnessOptions reads the harnessParams tail back out of resolved args.
-func harnessOptions(a Args) FaultSweepOptions {
-	return FaultSweepOptions{
+func harnessOptions(a Args) faultSweepOptions {
+	return faultSweepOptions{
 		JournalPath: a.String("journal"),
 		Monitor:     a.Bool("monitor"),
 		Parallelism: a.Int("parallelism"),
@@ -164,7 +164,6 @@ func checkPartitionSides(v any) error {
 func init() {
 	Register(Spec{
 		Name:       "partition",
-		Facade:     "ExperimentPartition",
 		Doc:        "partition heal time × heuristic under the k-way RandomPartitions model",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
@@ -187,7 +186,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "churn",
-		Facade:     "ExperimentChurn",
 		Doc:        "membership churn rate × heuristic; members leave losing all state and rejoin empty",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
@@ -217,7 +215,7 @@ func init() {
 // different heal time (negative: the first episode never heals). The
 // liveness column separates "stalled but satisfiable once healed" from
 // proven unsatisfiability.
-func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, seed int64, opts FaultSweepOptions, em *Emitter) error {
+func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, seed int64, opts faultSweepOptions, em *Emitter) error {
 	g, err := topology.Random(n, topology.DefaultCaps, seed)
 	if err != nil {
 		return err
@@ -283,7 +281,7 @@ func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, 
 // the per-step probability of the column (losing all state) and rejoin
 // empty with probability rejoinP; the source is protected. rejoinP of 0
 // makes every departure permanent.
-func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNames []string, seed int64, opts FaultSweepOptions, em *Emitter) error {
+func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNames []string, seed int64, opts faultSweepOptions, em *Emitter) error {
 	g, err := topology.Random(n, topology.DefaultCaps, seed)
 	if err != nil {
 		return err
@@ -345,7 +343,7 @@ func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNa
 // crash-safety journal. The journal's close error is propagated: a
 // journal that cannot flush its tail would silently lose completed cells
 // on the next resume.
-func mapWithJournal(seed int64, cells []runner.Cell[faultRow], opts FaultSweepOptions) ([]faultRow, error) {
+func mapWithJournal(seed int64, cells []runner.Cell[faultRow], opts faultSweepOptions) ([]faultRow, error) {
 	ropts := runner.Options{
 		Parallelism: opts.Parallelism,
 		Metrics:     telemetry.NewRunnerMetrics(opts.Telemetry),

@@ -221,7 +221,6 @@ func sweepFromArgs(a Args, kind GraphKind) SweepConfig {
 func init() {
 	Register(Spec{
 		Name:       "graph-size",
-		Facade:     "ExperimentGraphSize",
 		Doc:        "Figures 2/3: moves and bandwidth vs graph size on random or transit-stub graphs",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
@@ -241,7 +240,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "receiver-density",
-		Facade:     "ExperimentReceiverDensity",
 		Doc:        "Figure 4: moves and bandwidth vs receiver density on a fixed-size graph",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
@@ -258,7 +256,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "num-files",
-		Facade:     "ExperimentNumFiles",
 		Doc:        "Figures 5/6: moves and bandwidth vs number of files, single source or multiple senders",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{

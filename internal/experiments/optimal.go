@@ -48,7 +48,6 @@ func (c *solverCtrs) record(st ilp.Stats) {
 func init() {
 	Register(Spec{
 		Name:       "figure1",
-		Facade:     "ExperimentFigure1",
 		Doc:        "Figure 1: time vs bandwidth tension on the gadget, certified by both exact solvers",
 		SeedPolicy: SeedNone,
 		Run: func(_ Args, em *Emitter) error {
@@ -57,7 +56,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "ilp-vs-bnb",
-		Facade:     "ExperimentILPvsBnB",
 		Doc:        "§3.4 cross-check: time-indexed ILP vs schedule branch-and-bound on random tiny instances",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

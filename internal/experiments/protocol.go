@@ -16,7 +16,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "protocol-comparison",
-		Facade:     "ExperimentProtocolComparison",
 		Doc:        "§4.1: idealized instant-aggregate Local vs the message-passing protocol realization",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

@@ -12,7 +12,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "figure7",
-		Facade:     "ExperimentFigure7",
 		Doc:        "Figure 7 / Theorem 5: the Dominating Set → FOCD reduction on random graphs",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

@@ -54,14 +54,8 @@ func Specs() []*Spec {
 }
 
 // Run resolves typed values against the named spec and executes it — the
-// one-line body of every ocd.Experiment* facade function.
+// body of every typed ocd.Experiment* function.
 func Run(name string, vals Values) (*Table, error) {
-	return RunTelemetry(name, vals, nil)
-}
-
-// RunTelemetry is Run with a metric registry attached to the run (nil =
-// telemetry off). The table is unaffected by tel.
-func RunTelemetry(name string, vals Values, tel *telemetry.Registry) (*Table, error) {
 	s, ok := Lookup(name)
 	if !ok {
 		return nil, unknownSpec(name)
@@ -70,7 +64,7 @@ func RunTelemetry(name string, vals Values, tel *telemetry.Registry) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	return s.exec(a, tel, nil)
+	return s.exec(a, nil, nil)
 }
 
 // RunStrings resolves string overrides against the named spec and executes
@@ -108,7 +102,7 @@ func Describe(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s — %s\n  facade: ocd.%s  seeds: %s\n", s.Name, s.Doc, s.Facade, s.SeedPolicy); err != nil {
+		if _, err := fmt.Fprintf(w, "%s — %s\n  seeds: %s\n", s.Name, s.Doc, s.SeedPolicy); err != nil {
 			return err
 		}
 		for _, p := range s.Params {

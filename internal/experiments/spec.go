@@ -5,11 +5,11 @@ package experiments
 // validation, and a driver body — in the package Registry. Callers run
 // experiments as data: resolve a parameter map (typed values from the
 // facade, strings from a CLI or a JSON sweep file) against the schema and
-// execute. The facade's Experiment* functions, the ocdsim/ocdchaos
-// -experiment modes, and reproducible -spec sweep files all lower to the
-// same path, which is also the layer sharded or distributed sweeps plug
-// into: a (spec name, params) pair is a complete, serializable description
-// of a run.
+// execute. The facade's typed paper-figure functions, ocd.RunExperiment,
+// the ocdsim/ocdchaos -experiment modes, ocdchaos -scenario, and
+// reproducible -spec sweep files all lower to the same path, which is also
+// the layer sharded or distributed sweeps plug into: a (spec name, params)
+// pair is a complete, serializable description of a run.
 
 import (
 	"fmt"
@@ -45,8 +45,8 @@ const (
 	Floats
 	// Strings is a comma-separated string list.
 	Strings
-	// Instance is a problem instance: the literal "figure1", a path to an
-	// instance JSON file, or (from the facade) an injected *core.Instance.
+	// Instance is a problem instance: the literal "figure1" or a path to an
+	// instance JSON file.
 	Instance
 )
 
@@ -104,9 +104,6 @@ const (
 type Spec struct {
 	// Name is the registry key (kebab-case).
 	Name string
-	// Facade is the ocd.Experiment* function this spec powers; the
-	// registry-completeness test reconciles the two sets.
-	Facade string
 	// Doc is the one-line description shown by -list.
 	Doc string
 	// SeedPolicy is SeedDerived or SeedNone.
@@ -191,9 +188,6 @@ func (s *Spec) HasParam(name string) bool {
 func (s *Spec) validate() error {
 	if s.Name == "" || s.Run == nil {
 		return fmt.Errorf("experiments: spec %q incomplete (name and run are required)", s.Name)
-	}
-	if s.Facade == "" || !strings.HasPrefix(s.Facade, "Experiment") {
-		return fmt.Errorf("experiments: spec %s: facade %q does not name an Experiment* function", s.Name, s.Facade)
 	}
 	if s.SeedPolicy != SeedDerived && s.SeedPolicy != SeedNone {
 		return fmt.Errorf("experiments: spec %s: seed policy %q", s.Name, s.SeedPolicy)
@@ -283,10 +277,7 @@ func coerceKind(p Param, v any) (any, error) {
 			return []string(nil), nil
 		}
 	case Instance:
-		switch x := v.(type) {
-		case *core.Instance:
-			return x, nil
-		case string:
+		if x, ok := v.(string); ok {
 			return loadInstance(x)
 		}
 	}

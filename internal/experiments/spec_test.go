@@ -124,11 +124,8 @@ func TestDescribeListsEverySpec(t *testing.T) {
 	}
 	out := buf.String()
 	for _, s := range Specs() {
-		if !strings.Contains(out, s.Name+" — ") {
-			t.Errorf("Describe output missing spec %q", s.Name)
-		}
-		if !strings.Contains(out, "ocd."+s.Facade) {
-			t.Errorf("Describe output missing facade ocd.%s", s.Facade)
+		if head := s.Name + " — " + s.Doc + "\n  seeds: " + s.SeedPolicy + "\n"; !strings.Contains(out, head) {
+			t.Errorf("Describe output missing the head %q", head)
 		}
 	}
 }

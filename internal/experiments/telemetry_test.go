@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,9 +61,9 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 	snapshot := func(parallelism int) []telemetry.Metric {
 		reg := telemetry.New()
-		if _, err := RunTelemetry("graph-size", Values{
-			"topology": "transit-stub", "sizes": []int{12, 20}, "tokens": 16,
-			"graph-seeds": 2, "repeats": 2, "seed": 7, "parallelism": parallelism,
+		if _, err := RunStringsTelemetry("graph-size", map[string]string{
+			"topology": "transit-stub", "sizes": "12,20", "tokens": "16",
+			"graph-seeds": "2", "repeats": "2", "seed": "7", "parallelism": strconv.Itoa(parallelism),
 		}, reg); err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}

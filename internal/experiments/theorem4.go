@@ -15,7 +15,6 @@ import (
 func init() {
 	Register(Spec{
 		Name:       "theorem4",
-		Facade:     "ExperimentTheorem4",
 		Doc:        "Theorem 4: unbounded competitive ratio on the adversarial decoy family",
 		SeedPolicy: SeedNone,
 		Params: []Param{
@@ -30,7 +29,6 @@ func init() {
 	})
 	Register(Spec{
 		Name:       "oracle-additive",
-		Facade:     "ExperimentOracleAdditive",
 		Doc:        "§4.2: the propagate-then-plan oracle finishes within an additive graph diameter",
 		SeedPolicy: SeedDerived,
 		Params: []Param{

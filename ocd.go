@@ -6,7 +6,8 @@
 // validation, pruning, lower bounds), the topology generators, the paper's
 // five distribution heuristics, the exact solvers (schedule branch-and-
 // bound and the §3.4 time-indexed integer program), and the experiment
-// harness that regenerates every figure of the paper's evaluation.
+// harness: typed functions for the paper's figures, and RunExperiment for
+// every registered experiment by name.
 //
 // Quick start:
 //
@@ -232,11 +233,10 @@ func ProtocolLocalWithGossipLoss(drop func(step, from, to int) bool) StrategyFac
 	return protocol.LocalWithGossipLoss(drop)
 }
 
-// Experiment registry — every Experiment* function below is a one-line
-// resolution against the declarative spec registry in
-// internal/experiments: the same specs back the ocdsim/ocdchaos
-// -experiment modes and -spec sweep files, so a facade call, a CLI flag
-// set, and a JSON sweep entry are three spellings of the same run.
+// Experiment registry — every experiment in internal/experiments is a
+// declarative spec. The same specs back the ocdsim/ocdchaos -experiment
+// modes and -spec sweep files, so RunExperiment, a CLI flag set, and a
+// JSON sweep entry are three spellings of the same run.
 
 // ExperimentNames lists the registered experiment specs in sorted order.
 func ExperimentNames() []string { return experiments.Names() }
@@ -247,54 +247,11 @@ func DescribeExperiments(w io.Writer) error { return experiments.Describe(w) }
 
 // RunExperiment runs a registered experiment by name with string parameter
 // overrides (exactly what `ocdsim -experiment name -param k=v` passes);
-// unset parameters take their declared defaults.
+// unset parameters take their declared defaults. It is the entry point for
+// every experiment, including the fault sweeps and §6 extensions that
+// have no typed function below.
 func RunExperiment(name string, params map[string]string) (*Table, error) {
 	return experiments.RunStrings(name, params)
-}
-
-// ExperimentChaos sweeps fault intensity × heuristic under the canonical
-// chaos plan, reporting outcome, delivered fraction, loss/retransmission/
-// waste counters, and makespan inflation over a fault-free baseline.
-// Heuristic names accept a "retry-" prefix for the backoff wrapper.
-func ExperimentChaos(n, tokens int, intensities []float64, heuristicNames []string, seed int64) (*Table, error) {
-	return experiments.Run("chaos", experiments.Values{
-		"n": n, "tokens": tokens, "intensities": intensities,
-		"heuristics": heuristicNames, "seed": seed,
-	})
-}
-
-// ExperimentCrashedSource crash-stops the sole holder of a single-file
-// workload at the given step and shows every heuristic terminating
-// gracefully with an explicit unsatisfiable-receiver report.
-func ExperimentCrashedSource(n, tokens, crashAt int, seed int64) (*Table, error) {
-	return experiments.Run("crashed-source", experiments.Values{
-		"n": n, "tokens": tokens, "crash-at": crashAt, "seed": seed,
-	})
-}
-
-// FaultSweepOptions configures the partition/churn sweeps' harness ring:
-// the crash-safety journal, the invariant monitor, and parallelism.
-type FaultSweepOptions = experiments.FaultSweepOptions
-
-// ExperimentPartition sweeps partition heal time × heuristic under the
-// k-way RandomPartitions model, classifying stalled runs as healable or
-// unsatisfiable.
-func ExperimentPartition(n, tokens, k int, healAfters []int, heuristicNames []string, seed int64, opts FaultSweepOptions) (*Table, error) {
-	return experiments.RunTelemetry("partition", experiments.Values{
-		"n": n, "tokens": tokens, "k": k, "heal": healAfters,
-		"heuristics": heuristicNames, "seed": seed,
-		"journal": opts.JournalPath, "monitor": opts.Monitor, "parallelism": opts.Parallelism,
-	}, opts.Telemetry)
-}
-
-// ExperimentChurn sweeps membership churn rate × heuristic: members leave
-// with per-step probability (losing all state) and rejoin empty.
-func ExperimentChurn(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNames []string, seed int64, opts FaultSweepOptions) (*Table, error) {
-	return experiments.RunTelemetry("churn", experiments.Values{
-		"n": n, "tokens": tokens, "leave": leaveRates, "rejoin": rejoinP,
-		"heuristics": heuristicNames, "seed": seed,
-		"journal": opts.JournalPath, "monitor": opts.Monitor, "parallelism": opts.Parallelism,
-	}, opts.Telemetry)
 }
 
 // DefaultCaps is the paper's capacity range: 3..15 tokens per timestep.
@@ -489,8 +446,17 @@ func SteinerSchedule(inst *Instance) (*Schedule, error) {
 	return steiner.SerialSchedule(inst)
 }
 
-// Experiments — each regenerates one paper figure; see internal/experiments
-// for the configuration structs.
+// SolveFOCDILP finds the minimum makespan by binary search on the §3.4
+// program's feasibility (the Decisional FOCD problem), returning the
+// schedule and the optimal τ.
+func SolveFOCDILP(inst *Instance) (*Schedule, int, error) {
+	return ilp.SolveFOCD(inst, ilp.Options{})
+}
+
+// Paper figures — typed entry points for the seven artifacts of the
+// paper's evaluation (Figures 1–7, Theorem 4, the §3.4 IP cross-check).
+// Each is one resolution against the registry; every other experiment
+// (fault sweeps, §6 extensions, ablations) runs through RunExperiment.
 
 // ExperimentGraphSize reproduces Figure 2 (random) or Figure 3
 // (transit-stub) at the given sizes.
@@ -542,13 +508,6 @@ func ExperimentTheorem4(pathLen int, decoySweep []int, capacity int) (*Table, er
 	})
 }
 
-// ExperimentOracleAdditive measures the §4.2 additive-diameter oracle.
-func ExperimentOracleAdditive(sizes []int, tokens int, seed int64) (*Table, error) {
-	return experiments.Run("oracle-additive", experiments.Values{
-		"sizes": sizes, "tokens": tokens, "seed": seed,
-	})
-}
-
 // ExperimentILPvsBnB cross-checks the two exact solvers on random tiny
 // instances.
 func ExperimentILPvsBnB(instances, n, m int, seed int64) (*Table, error) {
@@ -557,46 +516,8 @@ func ExperimentILPvsBnB(instances, n, m int, seed int64) (*Table, error) {
 	})
 }
 
-// Extensions — the paper's §6 open problems, implemented as experiments.
-
-// ExperimentDynamicConditions runs every heuristic under time-varying
-// capacity models (§6 "Changing network conditions" and "Arrivals and
-// departures").
-func ExperimentDynamicConditions(n, tokens int, seed int64) (*Table, error) {
-	return experiments.Run("dynamic-conditions", experiments.Values{
-		"n": n, "tokens": tokens, "seed": seed,
-	})
-}
-
-// ExperimentLossCoding compares uncoded vs (k,n)-coded distribution under
-// per-move loss (§6 "Encoding").
-func ExperimentLossCoding(n, tokens int, lossRate float64, redundancies []float64, seed int64) (*Table, error) {
-	return experiments.Run("loss-coding", experiments.Values{
-		"n": n, "tokens": tokens, "loss": lossRate, "redundancies": redundancies, "seed": seed,
-	})
-}
-
-// ExperimentUnderlay compares overlay-only capacities against shared
-// physical links (§6 "Realistic topologies").
-func ExperimentUnderlay(physN, hosts, tokens int, seed int64) (*Table, error) {
-	return experiments.Run("underlay", experiments.Values{
-		"phys-n": physN, "hosts": hosts, "tokens": tokens, "seed": seed,
-	})
-}
-
-// ExperimentKnowledgeDelay ablates the Local heuristic's knowledge
-// freshness (§5.1's "state k turns ago" relaxation).
-func ExperimentKnowledgeDelay(n, tokens, maxDelay int, seed int64) (*Table, error) {
-	return experiments.Run("knowledge-delay", experiments.Values{
-		"n": n, "tokens": tokens, "max-delay": maxDelay, "seed": seed,
-	})
-}
-
-// ExperimentTradeoffCurve certifies the §3.4 hybrid objective on an
-// instance: minimum bandwidth at every makespan bound.
-func ExperimentTradeoffCurve(inst *Instance) (*Table, error) {
-	return experiments.Run("tradeoff-curve", experiments.Values{"instance": inst})
-}
+// Strategy extensions — the §2 architectures, the §4.1 message-passing
+// Local, and the §5.1 stale-knowledge Local as strategy factories.
 
 // LocalDelayedFactory returns the Local heuristic planning from peer
 // views that are `delay` turns stale. Run it with IdlePatience ≥ delay.
@@ -604,34 +525,10 @@ func LocalDelayedFactory(delay int) StrategyFactory {
 	return heuristics.LocalDelayed(delay)
 }
 
-// SolveFOCDILP finds the minimum makespan by binary search on the §3.4
-// program's feasibility (the Decisional FOCD problem), returning the
-// schedule and the optimal τ.
-func SolveFOCDILP(inst *Instance) (*Schedule, int, error) {
-	return ilp.SolveFOCD(inst, ilp.Options{})
-}
-
-// ExperimentBoundsQuality reports heuristic makespan/bandwidth as ratios
-// to certified optima on random small instances (the paper's §1 bound-
-// quality promise).
-func ExperimentBoundsQuality(instances, n, m int, seed int64) (*Table, error) {
-	return experiments.Run("bounds-quality", experiments.Values{
-		"instances": instances, "n": n, "m": m, "seed": seed,
-	})
-}
-
 // ProtocolLocalFactory returns the message-passing realization of the
 // Local heuristic: knowledge spreads only via per-turn neighbor gossip
 // (§4.1). Run with IdlePatience of at least the graph diameter.
 func ProtocolLocalFactory() StrategyFactory { return protocol.Local }
-
-// ExperimentProtocolComparison measures the turn cost of honest
-// message-passing knowledge versus the §5.1 idealized instant aggregates.
-func ExperimentProtocolComparison(sizes []int, tokens int, seed int64) (*Table, error) {
-	return experiments.Run("protocol-comparison", experiments.Values{
-		"sizes": sizes, "tokens": tokens, "seed": seed,
-	})
-}
 
 // TreeFactory returns the §2 single-tree (Overcast-style) architecture as
 // a strategy: bandwidth-optimal on all-want workloads, pipeline-bound on
@@ -641,14 +538,6 @@ func TreeFactory() StrategyFactory { return baselines.Tree }
 // ForestFactory returns the §2 striped-forest (SplitStream-style)
 // architecture with k stripes.
 func ForestFactory(k int) StrategyFactory { return baselines.Forest(k) }
-
-// ExperimentArchitectures compares the §2 tree/forest architectures with
-// the paper's mesh heuristics.
-func ExperimentArchitectures(n, tokens int, seed int64) (*Table, error) {
-	return experiments.Run("architectures", experiments.Values{
-		"n": n, "tokens": tokens, "seed": seed,
-	})
-}
 
 // EncodeInstanceJSON / DecodeInstanceJSON and the schedule counterparts
 // serialize workloads for archival and replay.

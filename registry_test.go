@@ -1,78 +1,10 @@
 package ocd
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strings"
 	"testing"
 
 	"ocd/internal/experiments"
 )
-
-// facadeFuncs parses ocd.go and returns every top-level Experiment* function
-// that returns (*Table, error) — the facade surface the registry must cover.
-// Helper functions like ExperimentNames (which returns []string) are not
-// experiment runners and are excluded by the return-type requirement.
-func facadeFuncs(t *testing.T) []string {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "ocd.go", nil, 0)
-	if err != nil {
-		t.Fatalf("parsing ocd.go: %v", err)
-	}
-	var names []string
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Experiment") {
-			continue
-		}
-		res := fn.Type.Results
-		if res == nil || len(res.List) != 2 {
-			continue
-		}
-		star, ok := res.List[0].Type.(*ast.StarExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := star.X.(*ast.Ident); !ok || id.Name != "Table" {
-			continue
-		}
-		names = append(names, fn.Name.Name)
-	}
-	if len(names) == 0 {
-		t.Fatal("found no Experiment* facade functions in ocd.go")
-	}
-	return names
-}
-
-// TestRegistryCoversEveryFacadeFunction reconciles the facade and the
-// registry in both directions: every exported Experiment* function must be
-// backed by a registered spec, and every registered spec must name a facade
-// function that actually exists. This keeps the two surfaces from drifting
-// as experiments are added.
-func TestRegistryCoversEveryFacadeFunction(t *testing.T) {
-	registered := make(map[string]string) // facade name -> spec name
-	for _, s := range experiments.Specs() {
-		if prev, dup := registered[s.Facade]; dup {
-			t.Errorf("specs %q and %q both claim facade %s", prev, s.Name, s.Facade)
-		}
-		registered[s.Facade] = s.Name
-	}
-
-	inFacade := make(map[string]bool)
-	for _, name := range facadeFuncs(t) {
-		inFacade[name] = true
-		if _, ok := registered[name]; !ok {
-			t.Errorf("facade function %s has no registered spec", name)
-		}
-	}
-	for _, s := range experiments.Specs() {
-		if !inFacade[s.Facade] {
-			t.Errorf("spec %q names facade %s, which ocd.go does not define", s.Name, s.Facade)
-		}
-	}
-}
 
 // TestRunExperimentMatchesFacade routes the same experiment through the
 // string-typed registry entry point and the typed facade function and
