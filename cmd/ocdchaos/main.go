@@ -72,6 +72,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := spec.CheckFlags(fs); err != nil {
+		return err
+	}
 	if !spec.Active() {
 		if err := useScenario(fs, *scenario, spec); err != nil {
 			return err

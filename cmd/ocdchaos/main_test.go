@@ -126,7 +126,8 @@ func TestSpecFileJournalRejectsSecondInvocation(t *testing.T) {
 }
 
 // TestFlagValidation: every scenario flag is checked by the parameter of
-// the experiment it feeds, so each error names that parameter.
+// the experiment it feeds, so each error names that parameter, and spec
+// mode rejects every scenario flag by name.
 func TestFlagValidation(t *testing.T) {
 	bad := []struct {
 		args []string
@@ -147,6 +148,17 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-scenario", "churn", "-churn-rates", ""}, "param leave:"},
 		{[]string{"-scenario", "churn", "-churn-rates", "1.5"}, "param leave:"},
 		{[]string{"-scenario", "churn", "-rejoin", "2"}, "param rejoin:"},
+		// -experiment, -spec and -list read no scenario flag.
+		{[]string{"-experiment", "chaos", "-param", "intensities=0", "-param", "heuristics=local",
+			"-n", "12", "-tokens", "6", "-scenario", "bogus", "-intensities", "9"}, "-intensities is not read by"},
+		{[]string{"-experiment", "chaos", "-param", "n=12", "-tokens", "6"}, "-tokens is not read by"},
+		{[]string{"-list", "-scenario", "nope"}, "-scenario is not read by"},
+		{[]string{"-list", "-scenario", "sweep"}, "-scenario is not read by"},
+		{[]string{"-spec", "sweeps.json", "-k", "3"}, "-k is not read by"},
+		{[]string{"-experiment", "partition", "-heal", "0"}, "-heal is not read by"},
+		{[]string{"-experiment", "churn", "-churn-rates", "0.1", "-rejoin", "0"}, "-churn-rates is not read by"},
+		{[]string{"-experiment", "crashed-source", "-crash-at", "1"}, "-crash-at is not read by"},
+		{[]string{"-experiment", "chaos", "-heuristics", "local"}, "-heuristics is not read by"},
 	}
 	for _, tc := range bad {
 		var out bytes.Buffer

@@ -59,6 +59,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := spec.CheckFlags(fs, "jsonl", "journal", "monitor", "parallelism"); err != nil {
+		return err
+	}
 	if err := harness.Validate(); err != nil {
 		return err
 	}
@@ -91,25 +94,7 @@ func runModes(fs *flag.FlagSet, stdout io.Writer, harness *cliutil.Harness, spec
 	if spec.Active() {
 		return spec.Execute(fs, stdout, false, harness)
 	}
-	if err := rejectSpecOnlyFlags(fs); err != nil {
-		return err
-	}
 	return runClassic(stdout, harness, cf)
-}
-
-// rejectSpecOnlyFlags fails a single run that sets a flag only the
-// experiment runner reads, instead of ignoring it and exiting 0.
-func rejectSpecOnlyFlags(fs *flag.FlagSet) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "jsonl", "journal", "monitor", "parallelism":
-			if err == nil {
-				err = fmt.Errorf("-%s must be used with -experiment or -spec; a single run ignores it", f.Name)
-			}
-		}
-	})
-	return err
 }
 
 func runClassic(stdout io.Writer, harness *cliutil.Harness, cf classicFlags) error {

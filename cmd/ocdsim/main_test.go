@@ -215,4 +215,40 @@ func TestFlagValidation(t *testing.T) {
 	runOK(t, "-n", "10", "-tokens", "4", "-loss", "1", "-patience", "5", "-max-steps", "30")
 	runOK(t, "-n", "10", "-tokens", "4", "-seed", "3", "-telemetry", filepath.Join(dir, "tel.jsonl"),
 		"-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-memprofile", filepath.Join(dir, "mem.pprof"))
+
+	// -experiment, -spec and -list read none of the single run's flags.
+	paperSmall := filepath.Join("..", "..", "specs", "paper-small.json")
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-experiment", "figure1", "-n", "50"}, "-n"},
+		{[]string{"-experiment", "figure1", "-heuristic", "bogus"}, "-heuristic"},
+		{[]string{"-spec", paperSmall, "-heuristic", "nope"}, "-heuristic"},
+		{[]string{"-list", "-topology", "transit-stub"}, "-topology"},
+		{[]string{"-experiment", "theorem4", "-param", "decoys=1", "-timeline"}, "-timeline"},
+		{[]string{"-experiment", "figure1", "-dump-schedule", filepath.Join(dir, "s.json")}, "-dump-schedule"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("run(%v) accepted a flag spec mode ignores", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag+" is not read by -experiment") {
+			t.Errorf("run(%v): error %q does not name %s", tc.args, err, tc.flag)
+		}
+		if out.Len() > 0 {
+			t.Errorf("run(%v) printed output before failing:\n%s", tc.args, out.String())
+		}
+	}
+	// Spec mode keeps every flag it does read.
+	out := runOK(t, "-experiment", "graph-size", "-param", "sizes=12", "-param", "tokens=4",
+		"-param", "graph-seeds=1", "-param", "repeats=1", "-seed", "3", "-parallelism", "1", "-monitor",
+		"-journal", filepath.Join(dir, "journal.jsonl"), "-jsonl", filepath.Join(dir, "spec-rows.jsonl"),
+		"-telemetry", filepath.Join(dir, "spec-tel.jsonl"),
+		"-cpuprofile", filepath.Join(dir, "spec-cpu.pprof"), "-memprofile", filepath.Join(dir, "spec-mem.pprof"))
+	if !strings.Contains(out, "== ") {
+		t.Errorf("spec run with harness flags printed no table:\n%s", out)
+	}
 }

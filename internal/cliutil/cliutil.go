@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"ocd/internal/experiments"
@@ -233,6 +234,33 @@ func AddSpecMode(fs *flag.FlagSet) *SpecMode {
 // will handle the invocation instead of the binary's classic mode.
 func (m *SpecMode) Active() bool {
 	return m.List || m.Experiment != "" || m.SpecFile != "" || len(m.Params) > 0
+}
+
+// specModeFlags are the flags a spec-mode invocation reads: SpecMode's and
+// Harness's own, and -csv in a binary that has it.
+var specModeFlags = []string{
+	"experiment", "list", "spec", "jsonl", "param",
+	"seed", "journal", "monitor", "parallelism", "telemetry", "cpuprofile", "memprofile",
+	"csv",
+}
+
+// CheckFlags fails an invocation that explicitly sets a flag its mode does
+// not read, naming the flag, instead of ignoring it and exiting 0. In spec
+// mode that is every flag outside specModeFlags; in the binary's own mode
+// it is each of specOnly, the flags only spec mode reads there.
+func (m *SpecMode) CheckFlags(fs *flag.FlagSet, specOnly ...string) error {
+	active := m.Active()
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case active && !slices.Contains(specModeFlags, f.Name):
+			err = fmt.Errorf("-%s is not read by -experiment, -spec or -list; set experiment parameters with -param", f.Name)
+		case !active && slices.Contains(specOnly, f.Name):
+			err = fmt.Errorf("-%s must be used with -experiment or -spec; a single run ignores it", f.Name)
+		}
+	})
+	return err
 }
 
 // Execute handles a spec-mode invocation: the registry listing, a single

@@ -93,23 +93,7 @@ func (in *Instance) Check() error {
 // Satisfiable reports whether every wanted token can reach every wanter,
 // i.e. for each vertex v and token t ∈ w(v)\h(v) some holder of t reaches v.
 func (in *Instance) Satisfiable() bool {
-	for v := 0; v < in.N(); v++ {
-		need := in.Want[v].Difference(in.Have[v])
-		if need.Empty() {
-			continue
-		}
-		dist := in.G.BFSTo(v)
-		reachable := tokenset.New(in.NumTokens)
-		for u := 0; u < in.N(); u++ {
-			if dist[u] >= 0 {
-				reachable.UnionWith(in.Have[u])
-			}
-		}
-		if !need.SubsetOf(reachable) {
-			return false
-		}
-	}
-	return true
+	return NewArrivals(in, nil).Satisfiable()
 }
 
 // Done reports whether possession already satisfies every want set.

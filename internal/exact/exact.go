@@ -117,7 +117,8 @@ func SolveFOCD(inst *core.Instance, opts Options) (*core.Schedule, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
-	if !inst.Satisfiable() {
+	arrivals := core.NewArrivals(inst, nil)
+	if !arrivals.Satisfiable() {
 		return nil, ErrUnsatisfiable
 	}
 	maxSteps := opts.MaxSteps
@@ -125,17 +126,18 @@ func SolveFOCD(inst *core.Instance, opts Options) (*core.Schedule, error) {
 		maxSteps = inst.TheoremOneHorizon()
 	}
 	s := &focdSearch{
-		inst:    inst,
-		budget:  opts.nodes(),
-		memo:    make(map[uint64]int),
-		possess: inst.InitialPossession(),
-		arcs:    inst.G.Arcs(),
-		useful:  tokenset.New(inst.NumTokens),
+		inst:     inst,
+		budget:   opts.nodes(),
+		memo:     make(map[uint64]int),
+		possess:  inst.InitialPossession(),
+		arcs:     inst.G.Arcs(),
+		arrivals: arrivals,
+		useful:   tokenset.New(inst.NumTokens),
 	}
 	if core.Done(inst, s.possess) {
 		return &core.Schedule{}, nil
 	}
-	lb := core.MakespanLowerBound(inst, s.possess)
+	lb := arrivals.Bound()
 	if lb < 1 {
 		lb = 1
 	}
@@ -166,8 +168,10 @@ type focdSearch struct {
 	// sched is the path to the current node; its steps alias the frames.
 	sched core.Schedule
 	// arcs is the arc list in (From, To) order, sorted once per solve.
-	arcs   []graph.Arc
-	frames frames
+	arcs []graph.Arc
+	// arrivals is the makespan bound's table, refreshed at every node.
+	arrivals *core.Arrivals
+	frames   frames
 	// Enumeration scratch, consumed before the search descends: the
 	// forced moves, every option of every choice arc (one with more
 	// useful tokens than capacity) and an odometer over those options.
@@ -204,7 +208,8 @@ func (s *focdSearch) dfs(left int) (bool, error) {
 	if s.nodes > s.budget {
 		return false, ErrBudget
 	}
-	if core.MakespanLowerBound(s.inst, s.possess) > left {
+	s.arrivals.Refresh(s.possess)
+	if s.arrivals.Bound() > left {
 		return false, nil
 	}
 	key := possessionHash(s.possess)

@@ -146,13 +146,15 @@ func maxCap(g *graph.Graph) int {
 // for each vertex v missing k tokens, all k must cross the minimum cut
 // separating the holders of v's missing tokens from v, at most cut
 // tokens per step, and none can arrive before the hop distance from the
-// nearest holder. The bound is max over v of max(ceil(k/cut), dist).
+// nearest holder, the smallest d_t(v) of core.Arrivals. The bound is max
+// over v of max(ceil(k/cut), dist).
 //
 // It is admissible, and incomparable with core.MakespanLowerBound: the
 // radius bound sees in-capacity and token spread, the flow bound sees
 // global bottleneck cuts. Take the maximum of the two for the sharpest
 // cheap bound.
 func FlowMakespanLowerBound(inst *core.Instance) (int, error) {
+	arrivals := core.NewArrivals(inst, nil)
 	best := 0
 	for v := 0; v < inst.N(); v++ {
 		missing := inst.Want[v].Difference(inst.Have[v])
@@ -179,7 +181,7 @@ func FlowMakespanLowerBound(inst *core.Instance) (int, error) {
 			continue
 		}
 		bound := (k + cut - 1) / cut
-		if d := nearestHolder(inst, holders, v); d > bound {
+		if d := arrivals.Nearest(v); d > bound {
 			bound = d
 		}
 		if bound > best {
@@ -187,21 +189,6 @@ func FlowMakespanLowerBound(inst *core.Instance) (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// nearestHolder returns the hop distance from the nearest holder to v.
-func nearestHolder(inst *core.Instance, holders []int, v int) int {
-	dist := inst.G.BFSTo(v)
-	bestDist := -1
-	for _, h := range holders {
-		if dist[h] >= 0 && (bestDist == -1 || dist[h] < bestDist) {
-			bestDist = dist[h]
-		}
-	}
-	if bestDist < 0 {
-		return 0
-	}
-	return bestDist
 }
 
 // CombinedMakespanLowerBound returns the max of the §5.1 radius bound and

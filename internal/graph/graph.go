@@ -5,7 +5,7 @@
 // a single timestep. Multi-arcs are merged by summing capacities, as the
 // paper permits. The package also provides the reachability machinery the
 // heuristics and lower bounds need: BFS distance fields, all-pairs
-// distances, diameter, and radius closures.
+// distances and diameter.
 package graph
 
 import (
@@ -363,20 +363,6 @@ func (g *Graph) StronglyConnected() bool {
 		}
 	}
 	return true
-}
-
-// InClosure returns the set of vertices u with dist(u → v) ≤ radius, i.e.
-// the vertices whose tokens could reach v within radius timesteps ignoring
-// capacities. Used by the radius move lower bound (§5.1).
-func (g *Graph) InClosure(v, radius int) []int {
-	dist := g.BFSTo(v)
-	closure := make([]int, 0, g.n)
-	for u, du := range dist {
-		if du >= 0 && du <= radius {
-			closure = append(closure, u)
-		}
-	}
-	return closure
 }
 
 // DOT renders the graph in Graphviz DOT format with capacities as labels.

@@ -158,20 +158,6 @@ func TestDiameterAndConnectivity(t *testing.T) {
 	}
 }
 
-func TestInClosure(t *testing.T) {
-	g := line(t, 5)
-	got := g.InClosure(3, 2)
-	want := map[int]bool{1: true, 2: true, 3: true}
-	if len(got) != len(want) {
-		t.Fatalf("InClosure = %v", got)
-	}
-	for _, v := range got {
-		if !want[v] {
-			t.Errorf("InClosure contains %d", v)
-		}
-	}
-}
-
 func TestInOutCapacity(t *testing.T) {
 	g := New(3)
 	mustAdd(t, g, 0, 2, 3)

@@ -24,10 +24,11 @@ func SolveFOCD(inst *core.Instance, opts Options) (*core.Schedule, int, error) {
 	if core.Done(inst, inst.InitialPossession()) {
 		return &core.Schedule{}, 0, nil
 	}
-	if !inst.Satisfiable() {
+	arrivals := core.NewArrivals(inst, nil)
+	if !arrivals.Satisfiable() {
 		return nil, 0, fmt.Errorf("ilp: %w", errUnsat)
 	}
-	lo := core.MakespanLowerBound(inst, nil)
+	lo := arrivals.Bound()
 	if lo < 1 {
 		lo = 1
 	}
