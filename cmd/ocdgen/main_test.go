@@ -38,6 +38,9 @@ func TestErrors(t *testing.T) {
 		{"-topology", "nope"},
 		{"-format", "nope"},
 		{"-n", "1"},
+		{"-topology", "transit-stub", "-n", "-3"},
+		{"-topology", "transit-stub", "-n", "0"},
+		{"-topology", "transit-stub", "-n", "1"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)

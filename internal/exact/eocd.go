@@ -46,9 +46,11 @@ func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, 
 		globalLB: core.BandwidthLowerBound(inst, nil),
 		possess:  inst.InitialPossession(),
 		arcs:     arcs,
+		frames:   getFrames(),
 		useful:   tokenset.New(inst.NumTokens),
 		used:     make([]int, len(arcs)),
 	}
+	defer framePool.Put(s.frames)
 	if core.Done(inst, s.possess) {
 		return &core.Schedule{}, nil
 	}
@@ -87,7 +89,7 @@ type eocdSearch struct {
 	possess []tokenset.Set
 	// arcs is the arc list in (From, To) order, sorted once per solve.
 	arcs   []graph.Arc
-	frames frames
+	frames *frames
 	// Enumeration scratch, consumed before the search descends: the
 	// candidate moves with the index in arcs of each, the subset being
 	// built, and per-arc usage of that subset.

@@ -13,13 +13,15 @@
 // Both searches mutate one possession array in place: a candidate step is
 // applied with an undo log of the (vertex, token) bits it newly set and
 // reverted after its subtree, and candidates are enumerated into per-depth
-// frames that are refilled, not reallocated, at every node. A returned
-// schedule is copied out of the frames.
+// frames that are refilled, not reallocated, at every node. The frames
+// come from a pool shared by all solves, and a returned schedule is copied
+// out of them before they go back.
 package exact
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
@@ -95,6 +97,22 @@ func (f *frame) Swap(i, j int) { f.spans[i], f.spans[j] = f.spans[j], f.spans[i]
 // frames holds one frame per depth, grown on first use.
 type frames []*frame
 
+// framePool recycles frames across solves, as internal/lp recycles its
+// tableau: a solve takes one frames value, grows each depth's arena to
+// what its nodes need, and puts it back when it returns, so the next
+// solve refills arenas that are already large enough. A solve owns its
+// frames until it returns, and every schedule it returns or keeps as an
+// incumbent is cloned out of them.
+var framePool sync.Pool
+
+// getFrames takes a frames value from the pool, or makes an empty one.
+func getFrames() *frames {
+	if fs, ok := framePool.Get().(*frames); ok {
+		return fs
+	}
+	return new(frames)
+}
+
 // at returns depth's frame, emptied for the node about to refill it.
 func (fs *frames) at(depth int) *frame {
 	for len(*fs) <= depth {
@@ -132,8 +150,10 @@ func SolveFOCD(inst *core.Instance, opts Options) (*core.Schedule, error) {
 		possess:  inst.InitialPossession(),
 		arcs:     inst.G.Arcs(),
 		arrivals: arrivals,
+		frames:   getFrames(),
 		useful:   tokenset.New(inst.NumTokens),
 	}
+	defer framePool.Put(s.frames)
 	if core.Done(inst, s.possess) {
 		return &core.Schedule{}, nil
 	}
@@ -171,7 +191,7 @@ type focdSearch struct {
 	arcs []graph.Arc
 	// arrivals is the makespan bound's table, refreshed at every node.
 	arrivals *core.Arrivals
-	frames   frames
+	frames   *frames
 	// Enumeration scratch, consumed before the search descends: the
 	// forced moves, every option of every choice arc (one with more
 	// useful tokens than capacity) and an odometer over those options.

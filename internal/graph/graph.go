@@ -287,6 +287,34 @@ func (g *Graph) BFSTo(dst int) []int {
 	return dist
 }
 
+// MultiSourceBFSFrom returns, for every vertex v, the hop distance to v
+// from the nearest vertex in sources (following arc direction).
+// Unreachable vertices get -1.
+func (g *Graph) MultiSourceBFSFrom(sources []int) []int {
+	dist := make([]int, g.n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	queue := make([]int, 0, g.n)
+	for _, s := range sources {
+		if s >= 0 && s < g.n && dist[s] == -1 {
+			dist[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, a := range g.out[u] {
+			if dist[a.To] == -1 {
+				dist[a.To] = dist[u] + 1
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	return dist
+}
+
 // MultiSourceBFSTo returns, for every vertex v, the hop distance from v to
 // the nearest vertex in targets (following arc direction). Unreachable
 // vertices get -1.

@@ -117,6 +117,28 @@ func TestBFSTo(t *testing.T) {
 	}
 }
 
+func TestMultiSourceBFSFrom(t *testing.T) {
+	g := line(t, 5)
+	dist := g.MultiSourceBFSFrom([]int{0, 3})
+	want := []int{0, 1, 2, 0, 1}
+	for v, d := range want {
+		if dist[v] != d {
+			t.Errorf("multi distFrom[%d] = %d, want %d", v, dist[v], d)
+		}
+	}
+	// Against the arcs nothing is reached; no source reaches nothing.
+	for v, d := range g.MultiSourceBFSFrom([]int{4}) {
+		if (v == 4) != (d == 0) || (v != 4 && d != -1) {
+			t.Errorf("distFrom(4)[%d] = %d on a one-way line", v, d)
+		}
+	}
+	for _, d := range g.MultiSourceBFSFrom(nil) {
+		if d != -1 {
+			t.Error("empty sources produced finite distance")
+		}
+	}
+}
+
 func TestMultiSourceBFSTo(t *testing.T) {
 	g := line(t, 5)
 	dist := g.MultiSourceBFSTo([]int{2, 4})

@@ -14,13 +14,19 @@
 // implicit variable bounds of the bounded-variable simplex in internal/lp,
 // which removes T·|A| dense rows from every relaxation.
 //
+// Build presolves: it creates only the variables a token can reach in
+// time and that can still help a wanter of it, and drops the rows the
+// bounds already imply. The LP value and the integer optimum are those of
+// the full program (see Build).
+//
 // The objective minimizes the number of real-arc moves. Solving is
 // warm-started branch-and-bound: nodes are ordered best-bound-first, each
 // node re-solves its LP by dual simplex from the parent's optimal basis
 // (a Basis snapshot, not a phase-1 from scratch), branching fixes a
-// variable by tightening its bounds in place, and the incumbent is pruned
-// against the §5.1 bandwidth lower bound from internal/core — once the
-// incumbent meets that certified bound the search stops early.
+// variable of the earliest fractional step by tightening its bounds in
+// place, and the incumbent is pruned against the §5.1 bandwidth lower
+// bound from internal/core — once the incumbent meets that certified
+// bound the search stops early.
 package ilp
 
 import (
@@ -76,26 +82,63 @@ type Stats struct {
 	DualRestorations int
 }
 
-// variable identifies one x^i_{(u,v),t}.
-type variable struct {
-	from, to int // from == to means self-arc
-	token    int
-	step     int // 1-based
-}
-
 // Program is the constructed integer program plus the decoding metadata.
+//
+// A variable x^i_{(u,v),t} lives at a slot computed from its arc, token
+// and step: (a·m + t)·(τ+1) + i − 1, where a is the arc's position in
+// arcs and position len(arcs)+v stands for v's self-arc. Slots in
+// increasing order give the full program's column order (real arcs by
+// (From, To), then token, then step; then self-arcs by vertex, token,
+// step), and the program's columns are the live slots in that order.
 type Program struct {
 	inst *core.Instance
 	tau  int
-	vars []variable
-	// index maps (from,to,token,step) → variable position.
-	index map[variable]int
+	// arcs are the graph arcs in (From, To) order (the cost carriers).
+	arcs []graph.Arc
+	// slots holds each column's slot.
+	slots []int32
 	prob  *lp.Problem
-	// realArcs are the graph arcs (cost carriers).
-	realArcs []graph.Arc
 }
 
-// Build constructs the time-indexed program for the given horizon.
+// slot returns the slot of the variable on arc position a for token t at
+// step i; position len(p.arcs)+v is v's self-arc.
+func (p *Program) slot(a, t, i int) int {
+	return (a*p.inst.NumTokens+t)*(p.tau+1) + i - 1
+}
+
+// unslot inverts slot: the arc position, token and step of a slot.
+func (p *Program) unslot(s int32) (a, t, i int) {
+	i = int(s)%(p.tau+1) + 1
+	at := int(s) / (p.tau + 1)
+	return at / p.inst.NumTokens, at % p.inst.NumTokens, i
+}
+
+// Build constructs the time-indexed program for the given horizon,
+// creating only its live variables. With d_h(t,u) the hops from the
+// nearest holder of t to u and d_w(t,v) the hops from v to the nearest
+// wanter of t (−1 when there is no path):
+//
+//   - x^i_{(u,v),t} for i ≤ τ, self-arcs included (u = v), is live iff
+//     0 ≤ d_h(t,u) ≤ i−1 and 0 ≤ d_w(t,v) ≤ τ−i;
+//   - the final x^{τ+1}_{(v,v),t} is live iff v wants t and
+//     0 ≤ d_h(t,v) ≤ τ.
+//
+// Every other variable is 0 in some optimum, so leaving it out keeps the
+// LP value and the integer optimum:
+//
+//   - if t cannot reach u by step i−1, x is 0 in every feasible point: its
+//     possession row is fed only by variables like it, down to an x^0 of 0;
+//   - if v reaches no wanter of t in the τ−i steps left, x supports only
+//     variables like it, since a live x^{i+1}_{(v,z),t} has
+//     d_w(t,v) ≤ 1 + d_w(t,z) ≤ τ−i; zeroing every such variable keeps the
+//     other rows satisfied and costs nothing.
+//
+// A wanted final variable that is not live keeps its final row, now empty
+// and violated, so the program stays infeasible.
+//
+// The rows drop what the bounds already say: a step-1 possession row is
+// x ≤ 1 (a live step-1 variable's tail holds t), and a capacity row with
+// no more live variables than the arc's capacity cannot bind.
 func Build(inst *core.Instance, tau int) (*Program, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
@@ -103,84 +146,114 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("ilp: horizon %d must be >= 1", tau)
 	}
-	p := &Program{
-		inst:     inst,
-		tau:      tau,
-		index:    make(map[variable]int),
-		realArcs: inst.G.Arcs(),
+	p := &Program{inst: inst, tau: tau, arcs: inst.G.Arcs()}
+	n, m, na := inst.N(), inst.NumTokens, len(p.arcs)
+	dh, dw := distances(inst)
+	within := func(d, limit int) bool { return d >= 0 && d <= limit }
+	live := func(u, v, t, i int) bool {
+		if i == tau+1 {
+			return inst.Want[v].Has(t) && within(dh[t][v], tau)
+		}
+		return within(dh[t][u], i-1) && within(dw[t][v], tau-i)
 	}
-	n := inst.N()
-	m := inst.NumTokens
 
-	add := func(v variable) {
-		p.index[v] = len(p.vars)
-		p.vars = append(p.vars, v)
+	// Columns, in slot order: col maps a slot to its column, or −1.
+	col := make([]int32, (na+n)*m*(tau+1))
+	for s := range col {
+		col[s] = -1
 	}
-	// Real-arc variables: steps 1..τ.
-	for _, a := range p.realArcs {
+	for a := 0; a < na+n; a++ {
+		u, v, last := a-na, a-na, tau+1 // self-arc of vertex a−na
+		if a < na {
+			u, v, last = p.arcs[a].From, p.arcs[a].To, tau
+		}
 		for t := 0; t < m; t++ {
-			for i := 1; i <= tau; i++ {
-				add(variable{from: a.From, to: a.To, token: t, step: i})
-			}
-		}
-	}
-	// Self-arc variables: steps 1..τ+1.
-	for v := 0; v < n; v++ {
-		for t := 0; t < m; t++ {
-			for i := 1; i <= tau+1; i++ {
-				add(variable{from: v, to: v, token: t, step: i})
-			}
-		}
-	}
-
-	nv := len(p.vars)
-	prob := &lp.Problem{C: make([]float64, nv), Up: make([]float64, nv)}
-	for idx, v := range p.vars {
-		if v.from != v.to {
-			prob.C[idx] = 1
-		}
-		prob.Up[idx] = 1 // binary relaxation: x ∈ [0, 1] as implicit bounds
-	}
-
-	addRow := func(row []float64, rhs float64) {
-		prob.A = append(prob.A, row)
-		prob.B = append(prob.B, rhs)
-	}
-
-	// Possession rows: x^i_{(u,v),t} − Σ_{w:(w,u)∈E'} x^{i−1}_{(w,u),t} ≤ init
-	// where init = 1 if i == 1 and t ∈ h(u), else 0 (the x^0 constants).
-	for idx, v := range p.vars {
-		row := make([]float64, nv)
-		row[idx] = 1
-		rhs := 0.0
-		if v.step == 1 {
-			if p.inst.Have[v.from].Has(v.token) {
-				rhs = 1
-			}
-		} else {
-			prev := v.step - 1
-			// Incoming real arcs into v.from (only exist for prev ≤ τ).
-			if prev <= tau {
-				for _, a := range inst.G.In(v.from) {
-					j := p.index[variable{from: a.From, to: a.To, token: v.token, step: prev}]
-					row[j] -= 1
+			for i := 1; i <= last; i++ {
+				if live(u, v, t, i) {
+					s := p.slot(a, t, i)
+					col[s] = int32(len(p.slots))
+					p.slots = append(p.slots, int32(s))
 				}
 			}
-			// Self-arc at v.from.
-			j := p.index[variable{from: v.from, to: v.from, token: v.token, step: prev}]
-			row[j] -= 1
 		}
-		addRow(row, rhs)
 	}
 
-	// Capacity rows: real arcs only.
-	for _, a := range p.realArcs {
+	// Row count, so that every row is carved from one backing array.
+	rows := 0
+	for _, s := range p.slots {
+		if int(s)%(tau+1) > 0 { // step ≥ 2: a possession row
+			rows++
+		}
+	}
+	for a := 0; a < na; a++ {
 		for i := 1; i <= tau; i++ {
-			row := make([]float64, nv)
-			for t := 0; t < m; t++ {
-				row[p.index[variable{from: a.From, to: a.To, token: t, step: i}]] = 1
+			if p.liveCount(col, a, i) > p.arcs[a].Cap {
+				rows++
 			}
-			addRow(row, float64(a.Cap))
+		}
+	}
+	for v := 0; v < n; v++ {
+		rows += inst.Want[v].Count()
+	}
+
+	nv := len(p.slots)
+	prob := &lp.Problem{
+		C:  make([]float64, nv),
+		Up: make([]float64, nv),
+		A:  make([][]float64, 0, rows),
+		B:  make([]float64, 0, rows),
+	}
+	for j, s := range p.slots {
+		if a, _, _ := p.unslot(s); a < na {
+			prob.C[j] = 1
+		}
+		prob.Up[j] = 1 // binary relaxation: x ∈ [0, 1] as implicit bounds
+	}
+	backing := make([]float64, rows*nv)
+	addRow := func(rhs float64) []float64 {
+		r := len(prob.A)
+		row := backing[r*nv : (r+1)*nv : (r+1)*nv]
+		prob.A = append(prob.A, row)
+		prob.B = append(prob.B, rhs)
+		return row
+	}
+
+	// Possession rows: x^i_{(u,v),t} − Σ_{w:(w,u)∈E'} x^{i−1}_{(w,u),t} ≤ 0
+	// for i ≥ 2, over the live supporters only. Scanning the arc list for
+	// u's in-arcs costs less than the dense row it fills.
+	for j, s := range p.slots {
+		a, t, i := p.unslot(s)
+		if i == 1 {
+			continue
+		}
+		u := a - na
+		if a < na {
+			u = p.arcs[a].From
+		}
+		row := addRow(0)
+		row[j] = 1
+		for k, b := range p.arcs {
+			if c := col[p.slot(k, t, i-1)]; b.To == u && c >= 0 {
+				row[c] = -1
+			}
+		}
+		if c := col[p.slot(na+u, t, i-1)]; c >= 0 {
+			row[c] = -1
+		}
+	}
+
+	// Capacity rows: real arcs only, where the live variables can exceed c.
+	for a := 0; a < na; a++ {
+		for i := 1; i <= tau; i++ {
+			if p.liveCount(col, a, i) <= p.arcs[a].Cap {
+				continue
+			}
+			row := addRow(float64(p.arcs[a].Cap))
+			for t := 0; t < m; t++ {
+				if c := col[p.slot(a, t, i)]; c >= 0 {
+					row[c] = 1
+				}
+			}
 		}
 	}
 
@@ -190,9 +263,10 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 			if !inst.Want[v].Has(t) {
 				continue
 			}
-			row := make([]float64, nv)
-			row[p.index[variable{from: v, to: v, token: t, step: tau + 1}]] = -1
-			addRow(row, -1)
+			row := addRow(-1)
+			if c := col[p.slot(na+v, t, tau+1)]; c >= 0 {
+				row[c] = -1
+			}
 		}
 	}
 
@@ -200,8 +274,42 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 	return p, nil
 }
 
+// liveCount counts the live variables of real arc a at step i.
+func (p *Program) liveCount(col []int32, a, i int) int {
+	live := 0
+	for t := 0; t < p.inst.NumTokens; t++ {
+		if col[p.slot(a, t, i)] >= 0 {
+			live++
+		}
+	}
+	return live
+}
+
+// distances returns, per token t, d_h(t,·): the hops from the nearest
+// holder of t, and d_w(t,·): the hops to the nearest wanter of t, −1 where
+// no path exists.
+func distances(inst *core.Instance) (dh, dw [][]int) {
+	n, m := inst.N(), inst.NumTokens
+	dh, dw = make([][]int, m), make([][]int, m)
+	holders, wanters := make([]int, 0, n), make([]int, 0, n)
+	for t := 0; t < m; t++ {
+		holders, wanters = holders[:0], wanters[:0]
+		for v := 0; v < n; v++ {
+			if inst.Have[v].Has(t) {
+				holders = append(holders, v)
+			}
+			if inst.Want[v].Has(t) {
+				wanters = append(wanters, v)
+			}
+		}
+		dh[t] = inst.G.MultiSourceBFSFrom(holders)
+		dw[t] = inst.G.MultiSourceBFSTo(wanters)
+	}
+	return dh, dw
+}
+
 // NumVariables returns the number of 0/1 variables in the program.
-func (p *Program) NumVariables() int { return len(p.vars) }
+func (p *Program) NumVariables() int { return len(p.slots) }
 
 // NumConstraints returns the number of inequality rows. The x ≤ 1 bounds
 // are implicit in the simplex and add no rows.
@@ -237,7 +345,8 @@ func (p *Program) SolveStats(opts Options) (*core.Schedule, int, Stats, error) {
 	if err := s.run(); err != nil {
 		return nil, 0, s.stats(), err
 	}
-	if s.bestX == nil {
+	// An incumbent sets bestObj; its bestX is empty when no variable is live.
+	if math.IsInf(s.bestObj, 1) {
 		return nil, 0, s.stats(), ErrInfeasible
 	}
 	sched := p.decode(s.bestX)
@@ -355,21 +464,25 @@ func (s *solver) run() error {
 	return nil
 }
 
-// expand prunes, records an integral incumbent, or branches on the most
-// fractional variable, pushing both children with the node's optimal
-// basis as their warm start.
+// expand prunes, records an integral incumbent, or branches, pushing both
+// children with the node's optimal basis as their warm start. It branches
+// on a fractional variable of the earliest step that has one: the most
+// fractional there, the lowest column on ties. Fixing an early move
+// settles what every later possession row can carry.
 func (s *solver) expand(sol *lp.Solution, parent *bbNode, depth int) {
 	// Integral objective: the bound can be rounded up before comparing.
 	if math.Ceil(sol.Objective-intTol) >= s.bestObj {
 		return
 	}
-	frac := -1
-	fracDist := 0.0
+	frac, fracStep, fracDist := -1, 0, 0.0
 	for j, x := range sol.X {
 		d := math.Abs(x - math.Round(x))
-		if d > intTol && d > fracDist {
-			frac = j
-			fracDist = d
+		if d <= intTol {
+			continue
+		}
+		_, _, step := s.p.unslot(s.p.slots[j])
+		if frac == -1 || step < fracStep || (step == fracStep && d > fracDist) {
+			frac, fracStep, fracDist = j, step, d
 		}
 	}
 	if frac == -1 {
@@ -434,12 +547,13 @@ func (s *solver) applyFixings(target map[int]int) error {
 // storage pseudo-moves.
 func (p *Program) decode(x []float64) *core.Schedule {
 	sched := &core.Schedule{Steps: make([]core.Step, p.tau)}
-	for idx, v := range p.vars {
-		if v.from == v.to || x[idx] < 0.5 {
+	for j, s := range p.slots {
+		a, t, i := p.unslot(s)
+		if a >= len(p.arcs) || x[j] < 0.5 {
 			continue
 		}
-		sched.Steps[v.step-1] = append(sched.Steps[v.step-1],
-			core.Move{From: v.from, To: v.to, Token: v.token})
+		sched.Steps[i-1] = append(sched.Steps[i-1],
+			core.Move{From: p.arcs[a].From, To: p.arcs[a].To, Token: t})
 	}
 	// Drop empty trailing steps.
 	for len(sched.Steps) > 0 && len(sched.Steps[len(sched.Steps)-1]) == 0 {

@@ -26,18 +26,49 @@ func lineInstance(t *testing.T, n, m, c int) *core.Instance {
 }
 
 func TestBuildDimensions(t *testing.T) {
+	// Line 0→1→2 at capacity 1, vertex 0 holds both tokens and vertex 2
+	// wants both, τ = 2. For either token d_h(·, v) = v and d_w(·, v) = 2 − v.
+	// A variable x^i is live iff d_h(tail) ≤ i−1 and d_w(head) ≤ τ−i:
+	//   0→1 needs i ≥ 1 and 1 ≤ 2−i: step 1 only;
+	//   1→2 needs i ≥ 2 and 0 ≤ 2−i: step 2 only;
+	//   self-arcs at i ≤ 2: 0 needs 2 ≤ 2−i, 1 needs i ≥ 2 and 1 ≤ 2−i,
+	//   2 needs i ≥ 3 — none is live;
+	//   final x^3 at 2: wanted and d_h = 2 ≤ τ, live.
+	// Two tokens each: 6 live variables of the full program's 26 (2 arcs ×
+	// 2 tokens × 2 steps plus 3 vertices × 2 tokens × 3 steps).
 	inst := lineInstance(t, 3, 2, 1)
 	prog, err := Build(inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real arcs: 2 arcs × 2 tokens × 2 steps = 8.
-	// Self arcs: 3 vertices × 2 tokens × 3 steps = 18.
-	if got := prog.NumVariables(); got != 26 {
-		t.Errorf("variables = %d, want 26", got)
+	type key struct{ from, to, token, step int }
+	got := map[key]bool{}
+	for _, s := range prog.slots {
+		a, tok, i := prog.unslot(s)
+		from, to := a-len(prog.arcs), a-len(prog.arcs)
+		if a < len(prog.arcs) {
+			from, to = prog.arcs[a].From, prog.arcs[a].To
+		}
+		got[key{from, to, tok, i}] = true
 	}
-	if prog.NumConstraints() == 0 {
-		t.Error("no constraints built")
+	want := map[key]bool{}
+	for tok := 0; tok < 2; tok++ {
+		want[key{0, 1, tok, 1}] = true
+		want[key{1, 2, tok, 2}] = true
+		want[key{2, 2, tok, 3}] = true
+	}
+	if prog.NumVariables() != len(want) || len(got) != len(want) {
+		t.Errorf("variables = %d, want %d", prog.NumVariables(), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Errorf("variable %+v not live", k)
+		}
+	}
+	// Rows: the 4 possession rows of the step-2 and step-3 variables, one
+	// capacity row per arc (two live tokens, capacity 1) and 2 final rows.
+	if got := prog.NumConstraints(); got != 8 {
+		t.Errorf("constraints = %d, want 8", got)
 	}
 }
 

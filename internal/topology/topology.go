@@ -262,8 +262,11 @@ func TransitStub(p TransitStubParams, seed int64) (*graph.Graph, error) {
 }
 
 // TransitStubN generates a transit-stub graph with approximately n vertices
-// using DefaultTransitStub parameters.
+// using DefaultTransitStub parameters. Like Random, it rejects n < 2.
 func TransitStubN(n int, caps CapRange, seed int64) (*graph.Graph, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("topology: transit-stub graph needs n >= 2, got %d", n)
+	}
 	p := DefaultTransitStub(n)
 	p.Caps = caps
 	return TransitStub(p, seed)

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,27 @@ func TestTransitStubDeterministic(t *testing.T) {
 	b, _ := TransitStubN(60, DefaultCaps, 11)
 	if a.N() != b.N() || a.NumArcs() != b.NumArcs() {
 		t.Fatal("transit-stub generation not deterministic")
+	}
+}
+
+func TestTransitStubNErrors(t *testing.T) {
+	for _, n := range []int{-3, 0, 1} {
+		g, err := TransitStubN(n, DefaultCaps, 1)
+		if err == nil {
+			t.Errorf("TransitStubN(%d) accepted: %d vertices", n, g.N())
+			continue
+		}
+		if want := fmt.Sprintf("got %d", n); !strings.Contains(err.Error(), want) {
+			t.Errorf("TransitStubN(%d) error %q does not name n", n, err)
+		}
+	}
+	// The smallest accepted size still builds the default one-domain graph.
+	g, err := TransitStubN(2, DefaultCaps, 1)
+	if err != nil {
+		t.Fatalf("TransitStubN(2): %v", err)
+	}
+	if g.N() != 40 {
+		t.Errorf("TransitStubN(2) produced %d vertices, want 40", g.N())
 	}
 }
 
