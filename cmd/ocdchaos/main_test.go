@@ -137,6 +137,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-tokens", "-3"}, "param tokens:"},
 		{[]string{"-crash-at", "-1", "-scenario", "crash-source"}, "param crash-at:"},
 		{[]string{"-intensities", "1.5"}, "param intensities:"},
+		{[]string{"-intensities", "0,NaN"}, "param intensities:"},
 		{[]string{"-intensities", "abc"}, "param intensities:"},
 		{[]string{"-intensities", ""}, "param intensities:"},
 		{[]string{"-heuristics", ""}, "param heuristics:"},
@@ -148,6 +149,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-scenario", "churn", "-churn-rates", ""}, "param leave:"},
 		{[]string{"-scenario", "churn", "-churn-rates", "1.5"}, "param leave:"},
 		{[]string{"-scenario", "churn", "-rejoin", "2"}, "param rejoin:"},
+		{[]string{"-scenario", "churn", "-churn-rates", "NaN"}, "param leave:"},
+		{[]string{"-scenario", "churn", "-rejoin", "NaN"}, "param rejoin:"},
 		// -experiment, -spec and -list read no scenario flag.
 		{[]string{"-experiment", "chaos", "-param", "intensities=0", "-param", "heuristics=local",
 			"-n", "12", "-tokens", "6", "-scenario", "bogus", "-intensities", "9"}, "-intensities is not read by"},

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ocd"
 	"ocd/internal/cliutil"
@@ -94,10 +95,10 @@ func runModes(fs *flag.FlagSet, stdout io.Writer, harness *cliutil.Harness, spec
 	if spec.Active() {
 		return spec.Execute(fs, stdout, false, harness)
 	}
-	return runClassic(stdout, harness, cf)
+	return runClassic(fs, stdout, harness, cf)
 }
 
-func runClassic(stdout io.Writer, harness *cliutil.Harness, cf classicFlags) error {
+func runClassic(fs *flag.FlagSet, stdout io.Writer, harness *cliutil.Harness, cf classicFlags) error {
 	topo, n, tokens, heuristic := &cf.topo, &cf.n, &cf.tokens, &cf.heuristic
 	work, density, files, maxSteps := &cf.work, &cf.density, &cf.files, &cf.maxSteps
 	oracle, loss, patience := &cf.oracle, &cf.loss, &cf.patience
@@ -107,8 +108,18 @@ func runClassic(stdout io.Writer, harness *cliutil.Harness, cf classicFlags) err
 	if err := validateFlags(*n, *tokens, *loss, *density, *patience, *maxSteps, *files); err != nil {
 		return err
 	}
-	if *steptrace != "" && *oracle {
-		return fmt.Errorf("-steptrace cannot be combined with -oracle")
+	if *oracle {
+		// The §4.2 oracle runs lossless to completion from the seed alone,
+		// with no step observer.
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && slices.Contains([]string{"loss", "max-steps", "patience", "steptrace"}, f.Name) {
+				err = fmt.Errorf("-%s cannot be combined with -oracle", f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
 
 	inst, err := buildInstance(*instPath, *topo, *work, *n, *tokens, *density, *files, *seed)
@@ -137,12 +148,12 @@ func runClassic(stdout io.Writer, harness *cliutil.Harness, cf classicFlags) err
 	var lastTrace *ocd.StepCollector
 	for _, name := range names {
 		var res *ocd.RunResult
+		validate := func(s *ocd.Schedule) error { return ocd.Validate(inst, s) }
 		if *oracle {
 			res, err = ocd.RunOracle(inst, name, *seed)
 		} else {
 			opts := ocd.RunOptions{
-				MaxSteps: *maxSteps, Seed: *seed, Prune: *loss == 0, LossRate: *loss,
-				IdlePatience: *patience,
+				MaxSteps: *maxSteps, Seed: *seed, Prune: *loss == 0, IdlePatience: *patience,
 			}
 			if *steptrace != "" {
 				// The kernel has one Observer seat; the explicit step trace
@@ -153,15 +164,27 @@ func runClassic(stdout io.Writer, harness *cliutil.Harness, cf classicFlags) err
 			} else {
 				opts.Observer = ocd.NewKernelObserver(harness.Registry(), "sim").Observer()
 			}
-			res, err = ocd.RunHeuristic(inst, name, opts)
+			if *loss == 0 {
+				res, err = ocd.RunHeuristic(inst, name, opts)
+			} else {
+				// -max-steps 0 keeps its static meaning; the fault engine's
+				// default would be four Theorem 1 horizons.
+				plan := ocd.FaultPlan{Loss: ocd.BernoulliLoss(*loss, *seed)}
+				if opts.MaxSteps == 0 {
+					opts.MaxSteps = inst.TheoremOneHorizon() + *patience
+				}
+				var fres *ocd.FaultResult
+				if fres, err = ocd.RunFaulted(inst, name, plan, opts); err == nil {
+					res = fres.Result
+				}
+				validate = func(s *ocd.Schedule) error { return ocd.ValidateFaulted(inst, s, plan) }
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("heuristic %s: %w", name, err)
 		}
-		if *loss == 0 {
-			if verr := ocd.Validate(inst, res.Schedule); verr != nil {
-				return fmt.Errorf("heuristic %s produced invalid schedule: %w", name, verr)
-			}
+		if verr := validate(res.Schedule); verr != nil {
+			return fmt.Errorf("heuristic %s produced invalid schedule: %w", name, verr)
 		}
 		fmt.Fprintf(stdout, "%-14s moves=%-5d bandwidth=%-8d pruned=%-8d lost=%-6d completed=%v\n",
 			res.Strategy, res.Steps, res.Moves, res.PrunedMoves, res.Lost, res.Completed)
@@ -197,9 +220,9 @@ func validateFlags(n, tokens int, loss, density float64, patience, maxSteps, fil
 		return fmt.Errorf("-n must be positive, got %d", n)
 	case tokens <= 0:
 		return fmt.Errorf("-tokens must be positive, got %d", tokens)
-	case loss < 0 || loss > 1:
+	case !inUnit(loss):
 		return fmt.Errorf("-loss must be in [0,1], got %v", loss)
-	case density < 0 || density > 1:
+	case !inUnit(density):
 		return fmt.Errorf("-density must be in [0,1], got %v", density)
 	case patience < 0:
 		return fmt.Errorf("-patience must be non-negative, got %d", patience)
@@ -210,6 +233,10 @@ func validateFlags(n, tokens int, loss, density float64, patience, maxSteps, fil
 	}
 	return nil
 }
+
+// inUnit reports whether x lies in [0,1]. NaN does not: it fails every
+// comparison, so a test for being out of range would let it through.
+func inUnit(x float64) bool { return x >= 0 && x <= 1 }
 
 // buildInstance loads or generates the problem instance.
 func buildInstance(instPath, topo, work string, n, tokens int, density float64, files int, seed int64) (*ocd.Instance, error) {

@@ -183,7 +183,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-tokens", "0"},
 		{"-loss", "-0.1"},
 		{"-loss", "1.5"},
+		{"-loss", "NaN"},
 		{"-density", "2"},
+		{"-density", "NaN"},
 		{"-patience", "-1"},
 		{"-max-steps", "-1"},
 		{"-files", "0"},
@@ -207,6 +209,16 @@ func TestFlagValidation(t *testing.T) {
 	for _, name := range []string{"rows.jsonl", "j.jsonl"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			t.Errorf("a rejected single run wrote %s", name)
+		}
+	}
+	// The §4.2 oracle runs lossless to completion from the seed alone, so
+	// it rejects, by name, every flag that shapes a kernel run.
+	for _, flagArgs := range [][]string{{"-loss", "0.3"}, {"-loss", "0"}, {"-max-steps", "3"}, {"-patience", "5"}} {
+		var out bytes.Buffer
+		args := append([]string{"-n", "20", "-tokens", "10", "-oracle"}, flagArgs...)
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), flagArgs[0]+" cannot be combined with -oracle") {
+			t.Errorf("run(%v): want an error naming %s, got %v", args, flagArgs[0], err)
 		}
 	}
 	// The validated boundary values stay accepted, and so do the harness

@@ -3,9 +3,10 @@
 //
 // Every random draw in the simulator comes from a *math/rand.Rand owned
 // by exactly one sequential context: the kernel's per-run strategy
-// stream, the loss-policy stream, or a runner cell's stream derived from
-// its seed. The determinism guarantee — byte-identical output for any
-// worker count — holds only while that ownership is respected.
+// stream or a runner cell's stream derived from its seed. (Fault models,
+// loss included, draw from seeded hashes, not from a stream.) The
+// determinism guarantee — byte-identical output for any worker count —
+// holds only while that ownership is respected.
 // *rand.Rand is not safe for concurrent use, and even a data-race-free
 // shared stream makes the draw sequence depend on scheduling order.
 //

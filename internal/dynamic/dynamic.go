@@ -1,9 +1,10 @@
 // Package dynamic implements the paper's §6 "Changing network conditions"
-// and "Arrivals and departures" open problems as capacity models: arc
-// capacities vary between turns under pluggable models (cross traffic, link
-// failures, periodic load, node churn, and a possession-aware adversary).
-// The models run through the fault engine as fault.Plan.Capacity, which
-// enforces the per-step effective capacities.
+// open problem as capacity models: arc capacities vary between turns under
+// pluggable models (cross traffic, link failures, periodic load, and a
+// possession-aware adversary). The models run through the fault engine as
+// fault.Plan.Capacity, which enforces the per-step effective capacities.
+// Arrivals and departures are fault models, not capacity models:
+// fault.RandomCrashes and fault.RandomChurn.
 //
 // All models are deterministic functions of (seed, step, arc), so a run
 // can be validated after the fact by replaying the model (fault.Validate).
@@ -126,36 +127,6 @@ func (m Periodic) Cap(step int, a graph.Arc) int {
 		eff = 1
 	}
 	return eff
-}
-
-// Churn models node arrivals and departures: each vertex is down with
-// probability P in any step (capacities to and from it drop to zero, §6's
-// framing), except vertices listed in AlwaysUp — typically the sources —
-// which never leave.
-type Churn struct {
-	P        float64
-	Seed     int64
-	AlwaysUp []int
-}
-
-// Name implements Model.
-func (m Churn) Name() string { return fmt.Sprintf("churn(%.2f)", m.P) }
-
-func (m Churn) down(step, v int) bool {
-	for _, u := range m.AlwaysUp {
-		if u == v {
-			return false
-		}
-	}
-	return frac(hash64(m.Seed, step, v, -1)) < m.P
-}
-
-// Cap implements Model.
-func (m Churn) Cap(step int, a graph.Arc) int {
-	if m.down(step, a.From) || m.down(step, a.To) {
-		return 0
-	}
-	return a.Cap
 }
 
 // Adversary cuts the arcs it predicts are most useful each step: the arcs

@@ -79,16 +79,6 @@ func TestPeriodicDipsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestChurnRespectsAlwaysUp(t *testing.T) {
-	m := Churn{P: 1.0, Seed: 3, AlwaysUp: []int{0, 1}}
-	if m.Cap(4, arc(0, 1, 5)) != 5 {
-		t.Error("always-up pair still churned")
-	}
-	if m.Cap(4, arc(0, 2, 5)) != 0 {
-		t.Error("churning vertex kept its arc")
-	}
-}
-
 func TestAdversaryCutsUsefulArcs(t *testing.T) {
 	g, err := topology.Star(3, 2)
 	if err != nil {
@@ -158,7 +148,6 @@ func TestModelsReplayByteIdentical(t *testing.T) {
 		func() Model { return CrossTraffic{MaxShare: 0.7, Seed: 5} },
 		func() Model { return LinkFailure{P: 0.3, Seed: 5} },
 		func() Model { return Periodic{Period: 7, Floor: 0.2} },
-		func() Model { return Churn{P: 0.25, Seed: 5, AlwaysUp: []int{0}} },
 	}
 	for _, mk := range build {
 		a, b := mk(), mk()

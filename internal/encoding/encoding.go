@@ -6,16 +6,17 @@
 //
 // Coding changes the completion predicate — a receiver is done once it
 // holds any k coded tokens of each file it wants — and it pays for that
-// flexibility with a larger token universe. Under lossy channels
-// (sim.Options.LossRate) the redundancy lets receivers finish without
-// waiting for retransmission of specific tokens, which is exactly the
-// tradeoff §6 anticipates.
+// flexibility with a larger token universe. Under lossy channels (a fault
+// plan's Loss model, e.g. fault.Bernoulli) the redundancy lets receivers
+// finish without waiting for retransmission of specific tokens, which is
+// exactly the tradeoff §6 anticipates.
 package encoding
 
 import (
 	"fmt"
 
 	"ocd/internal/core"
+	"ocd/internal/fault"
 	"ocd/internal/sim"
 	"ocd/internal/tokenset"
 )
@@ -107,14 +108,15 @@ func countInRange(s tokenset.Set, lo, hi int) int {
 	return n
 }
 
-// Run executes a heuristic on the coded instance with the threshold
-// completion predicate layered onto the engine.
-func (c *Coded) Run(factory sim.Factory, opts sim.Options) (*sim.Result, error) {
+// Run executes a heuristic on the coded instance under the fault plan (the
+// zero Plan is lossless), with the threshold completion predicate layered
+// onto the fault engine.
+func (c *Coded) Run(factory sim.Factory, plan fault.Plan, opts sim.Options) (*fault.Result, error) {
 	opts.Done = c.Done
 	// Pruning against the full coded want sets would keep deliveries the
 	// threshold semantics never needed; skip it.
 	opts.Prune = false
-	return sim.Run(c.Inst, factory, opts)
+	return fault.Run(c.Inst, factory, plan, opts)
 }
 
 // Overhead returns the token-universe expansion factor n/k aggregated over

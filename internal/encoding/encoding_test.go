@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ocd/internal/core"
+	"ocd/internal/fault"
 	"ocd/internal/heuristics"
 	"ocd/internal/sim"
 	"ocd/internal/topology"
@@ -114,7 +115,7 @@ func TestCodedRunFinishesEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coded.Run(heuristics.Local, sim.Options{Seed: 1})
+	res, err := coded.Run(heuristics.Local, fault.Plan{}, sim.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +143,13 @@ func TestCodedBeatsUncodedUnderLoss(t *testing.T) {
 	}
 	uncodedTotal, codedTotal := 0, 0
 	for seed := int64(0); seed < 5; seed++ {
-		uncoded, err := sim.Run(orig, heuristics.RoundRobin, sim.Options{
-			Seed: seed, LossRate: 0.5, IdlePatience: 5, MaxSteps: 2000,
-		})
+		plan := fault.Plan{Loss: fault.Bernoulli{P: 0.5, Seed: seed}}
+		opts := sim.Options{Seed: seed, IdlePatience: 5, MaxSteps: 2000}
+		uncoded, err := fault.Run(orig, heuristics.RoundRobin, plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coded.Run(heuristics.RoundRobin, sim.Options{
-			Seed: seed, LossRate: 0.5, IdlePatience: 5, MaxSteps: 2000,
-		})
+		res, err := coded.Run(heuristics.RoundRobin, plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +178,7 @@ func TestCodedValidatableSubSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coded.Run(heuristics.Global, sim.Options{Seed: 2})
+	res, err := coded.Run(heuristics.Global, fault.Plan{}, sim.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

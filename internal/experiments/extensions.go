@@ -103,20 +103,28 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 		return err
 	}
 	inst := workload.SingleFile(g, tokens)
-	// Models are built per cell: the possession-aware adversary mutates
-	// internal state while running, and giving every heuristic a freshly
-	// constructed model with the same seed keeps the comparison paired.
-	makeModels := []func(seed int64) dynamic.Model{
-		func(int64) dynamic.Model { return dynamic.Static{} },
-		func(s int64) dynamic.Model { return dynamic.CrossTraffic{MaxShare: 0.7, Seed: s} },
-		func(s int64) dynamic.Model { return dynamic.LinkFailure{P: 0.3, Seed: s} },
-		func(int64) dynamic.Model { return dynamic.Periodic{Period: 8, Floor: 0.2} },
-		func(s int64) dynamic.Model { return dynamic.Churn{P: 0.2, Seed: s, AlwaysUp: []int{0}} },
-		func(int64) dynamic.Model { return dynamic.NewAdversary(inst, g.NumArcs()/10) },
+	// Plans are built per cell: the possession-aware adversary and the
+	// memoizing crash chain mutate internal state while running, and giving
+	// every heuristic a freshly constructed plan with the same seed keeps
+	// the comparison paired.
+	type condition struct {
+		name string
+		plan func(seed int64) fault.Plan
 	}
-	modelNames := make([]string, len(makeModels))
-	for i, mk := range makeModels {
-		modelNames[i] = mk(seed).Name() // names do not depend on the seed
+	capacity := func(mk func(seed int64) dynamic.Model) condition {
+		// Model names do not depend on the seed.
+		return condition{mk(seed).Name(), func(s int64) fault.Plan { return fault.Plan{Capacity: mk(s)} }}
+	}
+	conditions := []condition{
+		capacity(func(int64) dynamic.Model { return dynamic.Static{} }),
+		capacity(func(s int64) dynamic.Model { return dynamic.CrossTraffic{MaxShare: 0.7, Seed: s} }),
+		capacity(func(s int64) dynamic.Model { return dynamic.LinkFailure{P: 0.3, Seed: s} }),
+		capacity(func(int64) dynamic.Model { return dynamic.Periodic{Period: 8, Floor: 0.2} }),
+		// Node churn is a crash chain whose downtime is independent per
+		// step: down with probability 0.2 whatever the previous step, state
+		// kept across downtime, the source never down.
+		{"churn(0.20)", func(s int64) fault.Plan { return fault.Plan{Crashes: fault.NewRandomCrashes(0.2, 0.8, s, 0)} }},
+		capacity(func(int64) dynamic.Model { return dynamic.NewAdversary(inst, g.NumArcs()/10) }),
 	}
 	em.Head(fmt.Sprintf("§6 changing network conditions (n=%d, %d tokens)", n, tokens),
 		"model", "heuristic", "moves", "bandwidth", "completed")
@@ -126,15 +134,14 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 		failed       bool
 	}
 	var cells []runner.Cell[dynCell]
-	for mi := range makeModels {
-		mk := makeModels[mi]
+	for _, c := range conditions {
 		for i, factory := range heuristics.All() {
 			factory := factory
 			cells = append(cells, runner.Cell[dynCell]{
-				Key:     modelNames[mi] + "/" + heuristics.Names()[i],
+				Key:     c.name + "/" + heuristics.Names()[i],
 				SeedKey: "dyn-workload",
 				Run: func(cellSeed int64) (dynCell, error) {
-					res, err := fault.Run(inst, factory, fault.Plan{Capacity: mk(cellSeed)}, sim.Options{
+					res, err := fault.Run(inst, factory, c.plan(cellSeed), sim.Options{
 						Seed: cellSeed, IdlePatience: 30,
 					})
 					if err != nil {
@@ -150,15 +157,15 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 		return err
 	}
 	idx := 0
-	for mi := range makeModels {
+	for _, c := range conditions {
 		for i := range heuristics.All() {
 			res := results[idx]
 			idx++
 			if res.failed {
-				em.Emit(modelNames[mi], heuristics.Names()[i], "-", "-", false)
+				em.Emit(c.name, heuristics.Names()[i], "-", "-", false)
 				continue
 			}
-			em.Emit(modelNames[mi], heuristics.Names()[i], res.steps, res.moves, res.completed)
+			em.Emit(c.name, heuristics.Names()[i], res.steps, res.moves, res.completed)
 		}
 	}
 	em.Note("§6: capacities varying between turns model cross traffic, channel dynamics, mobility, and DoS")
@@ -185,6 +192,9 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 	if tokens < k {
 		k = tokens
 	}
+	lossy := func(cellSeed int64) fault.Plan {
+		return fault.Plan{Loss: fault.Bernoulli{P: lossRate, Seed: cellSeed}}
+	}
 	type codedCell struct {
 		scheme, overhead   string
 		steps, moves, lost int
@@ -194,8 +204,8 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 		Key:     "uncoded",
 		SeedKey: "loss-workload",
 		Run: func(cellSeed int64) (codedCell, error) {
-			base, err := sim.Run(inst, heuristics.RoundRobin, sim.Options{
-				Seed: cellSeed, LossRate: lossRate, IdlePatience: 10,
+			base, err := fault.Run(inst, heuristics.RoundRobin, lossy(cellSeed), sim.Options{
+				Seed: cellSeed, IdlePatience: 10,
 			})
 			if err != nil {
 				return codedCell{}, fmt.Errorf("uncoded run: %w", err)
@@ -217,8 +227,8 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 				if err != nil {
 					return codedCell{}, err
 				}
-				res, err := coded.Run(heuristics.RoundRobin, sim.Options{
-					Seed: cellSeed, LossRate: lossRate, IdlePatience: 10,
+				res, err := coded.Run(heuristics.RoundRobin, lossy(cellSeed), sim.Options{
+					Seed: cellSeed, IdlePatience: 10,
 				})
 				if err != nil {
 					return codedCell{}, fmt.Errorf("coded run r=%.2f: %w", r, err)

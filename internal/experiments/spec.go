@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -451,7 +452,16 @@ func (s *Spec) exec(a Args, tel *telemetry.Registry, sinks []Sink) (*Table, erro
 
 // Parameter checks, applied element-wise to list kinds.
 
-func eachNumber(v any, f func(float64) error) error {
+// eachNumber applies check to v, or to each element of a list v, after
+// rejecting NaN and ±Inf: no range check can see them, since NaN fails
+// every comparison and +Inf passes checkPositive.
+func eachNumber(v any, check func(float64) error) error {
+	f := func(x float64) error {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("must be finite, got %v", x)
+		}
+		return check(x)
+	}
 	switch x := v.(type) {
 	case int:
 		return f(float64(x))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,6 +86,16 @@ func TestSpecChecks(t *testing.T) {
 		{"graph-size", "heuristics", "nope"},
 		{"receiver-density", "thresholds", "1.5"},
 		{"loss-coding", "redundancies", "0"},
+		// NaN fails every range comparison and +Inf passes checkPositive:
+		// both are rejected before any range check.
+		{"loss-coding", "loss", "NaN"},
+		{"loss-coding", "redundancies", "Inf"},
+		{"loss-coding", "redundancies", "1,NaN"},
+		{"chaos", "intensities", "NaN"},
+		{"churn", "leave", "NaN"},
+		{"churn", "rejoin", "NaN"},
+		{"receiver-density", "thresholds", "0.5,NaN"},
+		{"figure7", "edge-p", "NaN"},
 		{"theorem4", "decoys", "-1"},
 		{"figure7", "edge-p", "2"},
 		{"tradeoff-curve", "instance", "/does/not/exist.json"},
@@ -96,6 +107,16 @@ func TestSpecChecks(t *testing.T) {
 		}
 		if _, err := spec.ResolveStrings(map[string]string{tc.param: tc.value}); err == nil {
 			t.Errorf("%s: %s=%q accepted", tc.spec, tc.param, tc.value)
+		}
+	}
+	// The typed surface behind the ocd.Experiment* functions runs the same
+	// checks.
+	for _, v := range []Values{
+		{"thresholds": []float64{0.5, math.NaN()}},
+		{"tokens": 8, "thresholds": []float64{math.Inf(1)}},
+	} {
+		if _, err := Run("receiver-density", v); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("receiver-density: %v accepted or unclear: %v", v, err)
 		}
 	}
 	// The sweep heuristic domain accepts the empty list (meaning all

@@ -86,14 +86,10 @@ type Result struct {
 // metrics filled in.
 //
 // MaxSteps of 0 defaults to 4× the Theorem 1 horizon plus IdlePatience —
-// faults legitimately slow distribution down. Loss comes only from
-// plan.Loss; a positive opts.LossRate is rejected rather than ignored.
+// faults legitimately slow distribution down. Loss comes from plan.Loss.
 func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) (*Result, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
-	}
-	if opts.LossRate > 0 {
-		return nil, errors.New("fault: Options.LossRate is not supported; set Plan.Loss (e.g. fault.Bernoulli) instead")
 	}
 	plan = plan.normalized()
 	maxSteps := opts.MaxSteps
@@ -231,9 +227,9 @@ type faultKernel struct {
 	// model at the right moment (permanence is monotone in step).
 	step int
 
-	// lossK holds the per-arc draw index k within the current step; the
-	// plan's loss model replaces Options.LossRate and every accepted move
-	// gets its own deterministic draw.
+	// lossK holds the per-arc draw index k within the current step, so
+	// every accepted move gets its own deterministic draw from the plan's
+	// loss model.
 	lossK    []int
 	lossStep int
 }

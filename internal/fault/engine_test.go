@@ -306,24 +306,29 @@ func TestCapacityModelsRunThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capacity := func(mk func() dynamic.Model) func() Plan {
+		return func() Plan { return Plan{Capacity: mk()} }
+	}
 	cases := []struct {
-		model func() dynamic.Model
+		name string
+		plan func() Plan
 		// slower marks the stress case: heavy link failure must not let
 		// distribution finish in fewer steps than static capacities do.
 		slower bool
 	}{
-		{model: func() dynamic.Model { return dynamic.Static{} }},
-		{model: func() dynamic.Model { return dynamic.CrossTraffic{MaxShare: 0.6, Seed: 5} }},
-		{model: func() dynamic.Model { return dynamic.LinkFailure{P: 0.25, Seed: 5} }},
-		{model: func() dynamic.Model { return dynamic.LinkFailure{P: 0.5, Seed: 6} }, slower: true},
-		{model: func() dynamic.Model { return dynamic.Periodic{Period: 6, Floor: 0.3} }},
-		{model: func() dynamic.Model { return dynamic.Churn{P: 0.15, Seed: 5, AlwaysUp: []int{0}} }},
-		{model: func() dynamic.Model { return dynamic.NewAdversary(inst, 2) }},
+		{"static", capacity(func() dynamic.Model { return dynamic.Static{} }), false},
+		{"cross-traffic(0.60)", capacity(func() dynamic.Model { return dynamic.CrossTraffic{MaxShare: 0.6, Seed: 5} }), false},
+		{"link-failure(0.25)", capacity(func() dynamic.Model { return dynamic.LinkFailure{P: 0.25, Seed: 5} }), false},
+		{"link-failure(0.50)", capacity(func() dynamic.Model { return dynamic.LinkFailure{P: 0.5, Seed: 6} }), true},
+		{"periodic(6)", capacity(func() dynamic.Model { return dynamic.Periodic{Period: 6, Floor: 0.3} }), false},
+		// §6 node churn is not a capacity model: it runs as the crash
+		// chain whose per-step downtime is independent of the last step.
+		{"churn(0.15)", func() Plan { return Plan{Crashes: NewRandomCrashes(0.15, 0.85, 5, 0)} }, false},
+		{"adversary(2)", capacity(func() dynamic.Model { return dynamic.NewAdversary(inst, 2) }), false},
 	}
 	for _, tc := range cases {
-		m := tc.model()
-		t.Run(m.Name(), func(t *testing.T) {
-			res, err := Run(inst, heuristics.Local, Plan{Capacity: m}, opts)
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(inst, heuristics.Local, tc.plan(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +336,7 @@ func TestCapacityModelsRunThroughEngine(t *testing.T) {
 			if !res.Completed || !core.Done(inst, final) {
 				t.Fatal("run incomplete")
 			}
-			if err := Validate(inst, res.Schedule, Plan{Capacity: tc.model()}); err != nil {
+			if err := Validate(inst, res.Schedule, tc.plan()); err != nil {
 				t.Fatalf("fresh-model replay validation: %v", err)
 			}
 			if tc.slower && res.Steps < static.Steps {
@@ -356,13 +361,46 @@ func TestCapacityModelsRunThroughEngine(t *testing.T) {
 	})
 }
 
-// TestRunRejectsLossRate: this engine takes loss from Plan.Loss alone, so a
-// LossRate it would otherwise ignore fails closed, naming the plan field.
-func TestRunRejectsLossRate(t *testing.T) {
-	inst := lineInstance(t, 3, 2, 1)
-	_, err := Run(inst, pusherFactory, Plan{}, sim.Options{Seed: 1, LossRate: 0.2})
-	if err == nil || !strings.Contains(err.Error(), "Plan.Loss") {
-		t.Errorf("want an error naming Plan.Loss, got %v", err)
+// recorder logs every move its inner strategy proposes.
+type recorder struct {
+	sim.Strategy
+	log *[]core.Move
+}
+
+func (r recorder) Plan(st *sim.State) []core.Move {
+	mvs := r.Strategy.Plan(st)
+	*r.log = append(*r.log, mvs...)
+	return mvs
+}
+
+// TestLossStreamDecoupledFromStrategy: a plan's loss model must not change
+// a randomized strategy's decisions for the same seed. A loss probability
+// small enough to never drop anything still makes one draw per accepted
+// move, so a loss model drawing from the strategy's PRNG would make the
+// two runs below diverge from the second timestep on.
+func TestLossStreamDecoupledFromStrategy(t *testing.T) {
+	inst := lineInstance(t, 4, 6, 2)
+	run := func(plan Plan) ([]core.Move, *Result) {
+		var log []core.Move
+		factory := sim.WrapStrategy(heuristics.Random, func(_ *core.Instance, s sim.Strategy) (sim.Strategy, error) {
+			return recorder{Strategy: s, log: &log}, nil
+		})
+		res, err := Run(inst, factory, plan, sim.Options{Seed: 42, IdlePatience: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log, res
+	}
+	plain, _ := run(Plan{})
+	lossy, res := run(Plan{Loss: Bernoulli{P: 1e-12, Seed: 42}})
+	if res.Lost != 0 {
+		t.Fatalf("wanted a drop-free lossy run, lost %d", res.Lost)
+	}
+	if !res.Completed {
+		t.Fatal("lossy run incomplete")
+	}
+	if len(plain) == 0 || !reflect.DeepEqual(plain, lossy) {
+		t.Error("a loss model changed the strategy's proposed moves for the same seed")
 	}
 }
 

@@ -59,8 +59,9 @@ func (NoLoss) Name() string { return "no-loss" }
 // Drop implements LossModel.
 func (NoLoss) Drop(int, int, int, int) bool { return false }
 
-// Bernoulli drops each move independently with probability P — the uniform
-// model Options.LossRate already provides, recast as a replayable plan.
+// Bernoulli drops each move independently with probability P — the §6
+// uniform lossy channel. It is the loss model behind ocdsim -loss and the
+// loss-coding experiment.
 type Bernoulli struct {
 	P    float64
 	Seed int64

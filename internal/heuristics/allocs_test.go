@@ -25,19 +25,6 @@ var allocCeilings = map[string]float64{
 	"global":     800,
 }
 
-// lossyAllocCeilings guard the loss-enabled kernel path: a loss draw per
-// accepted move plus the exact-size delivered copy must not reintroduce
-// per-step allocation. The absolute counts sit below the lossless ones
-// because lossy runs skip the pruning pass; measured the same way, ~50%
-// headroom above observed.
-var lossyAllocCeilings = map[string]float64{
-	"roundrobin": 250,
-	"random":     250,
-	"local":      250,
-	"bandwidth":  250,
-	"global":     500,
-}
-
 // BenchmarkHeuristicRun is the per-heuristic microbenchmark backing the
 // ceilings above: -benchmem reports allocs/op for the same fixed workload.
 func BenchmarkHeuristicRun(b *testing.B) {
@@ -61,9 +48,8 @@ func BenchmarkHeuristicRun(b *testing.B) {
 
 // TestAllocationCeilings runs every heuristic end to end on a fixed
 // instance and fails if its total allocations exceed the recorded ceiling.
-// The lossless and lossy kernel paths are guarded separately: the lossy
-// path draws from the loss stream per accepted move and copies delivered
-// moves out at exact size, both of which must stay amortized.
+// The lossy kernel path runs through the fault engine and is guarded by
+// TestFaultEngineAllocationCeilings.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -73,35 +59,26 @@ func TestAllocationCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := workload.SingleFile(g, 40)
-	for _, path := range []struct {
-		label    string
-		opts     sim.Options
-		ceilings map[string]float64
-	}{
-		{"lossless", sim.Options{Seed: 1, Prune: true}, allocCeilings},
-		{"lossy", sim.Options{Seed: 1, LossRate: 0.15, IdlePatience: 30}, lossyAllocCeilings},
-	} {
-		t.Run(path.label, func(t *testing.T) {
-			for i, factory := range All() {
-				name := Names()[i]
-				ceiling, ok := path.ceilings[name]
-				if !ok {
-					t.Errorf("%s: no allocation ceiling recorded; add one", name)
-					continue
-				}
-				allocs := testing.AllocsPerRun(5, func() {
-					if _, err := sim.Run(inst, factory, path.opts); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-				})
-				t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
-				if allocs > ceiling {
-					t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
-						name, allocs, ceiling)
-				}
+	t.Run("lossless", func(t *testing.T) {
+		for i, factory := range All() {
+			name := Names()[i]
+			ceiling, ok := allocCeilings[name]
+			if !ok {
+				t.Errorf("%s: no allocation ceiling recorded; add one", name)
+				continue
 			}
-		})
-	}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := sim.Run(inst, factory, sim.Options{Seed: 1, Prune: true}); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
+			t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
+			if allocs > ceiling {
+				t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
+					name, allocs, ceiling)
+			}
+		}
+	})
 }
 
 // faultAllocCeilings guard the fault engine's per-run set-up of one
@@ -112,12 +89,15 @@ var faultAllocCeilings = map[string]float64{
 	"none":         950,
 	"link-failure": 950,
 	"crash-keep":   1300,
+	"bernoulli":    950,
 }
 
 // TestFaultEngineAllocationCeilings runs every heuristic through fault.Run
-// on the reference instance under the control plan, a capacity model and
-// random crashes, and fails if a run allocates more than its plan's
-// ceiling.
+// on the reference instance under the control plan, a capacity model,
+// random crashes and Bernoulli loss, and fails if a run allocates more than
+// its plan's ceiling. The lossy plan guards the kernel's loss path: a draw
+// per accepted move plus the exact-size delivered copy must not
+// reintroduce per-step allocation.
 func TestFaultEngineAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -136,21 +116,24 @@ func TestFaultEngineAllocationCeilings(t *testing.T) {
 		{"crash-keep", func() fault.Plan {
 			return fault.Plan{Crashes: fault.NewRandomCrashes(0.01, 0.5, 1, 0), StateLoss: fault.KeepState}
 		}},
+		{"bernoulli", func() fault.Plan { return fault.Plan{Loss: fault.Bernoulli{P: 0.15, Seed: 1}} }},
 	}
 	for _, p := range plans {
 		ceiling := faultAllocCeilings[p.name]
-		for i, factory := range All() {
-			name := Names()[i]
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := fault.Run(inst, factory, p.build(), sim.Options{Seed: 1, IdlePatience: 40}); err != nil {
-					t.Fatalf("%s under %s: %v", name, p.name, err)
+		t.Run(p.name, func(t *testing.T) {
+			for i, factory := range All() {
+				name := Names()[i]
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, err := fault.Run(inst, factory, p.build(), sim.Options{Seed: 1, IdlePatience: 40}); err != nil {
+						t.Fatalf("%s under %s: %v", name, p.name, err)
+					}
+				})
+				t.Logf("%s under %s: %.0f allocs/run (ceiling %.0f)", name, p.name, allocs, ceiling)
+				if allocs > ceiling {
+					t.Errorf("%s under %s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
+						name, p.name, allocs, ceiling)
 				}
-			})
-			t.Logf("%s under %s: %.0f allocs/run (ceiling %.0f)", name, p.name, allocs, ceiling)
-			if allocs > ceiling {
-				t.Errorf("%s under %s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
-					name, p.name, allocs, ceiling)
 			}
-		}
+		})
 	}
 }

@@ -2,11 +2,12 @@ package sim_test
 
 // Golden equivalence tests for the step-kernel consolidation: each of the
 // three engines (baseline, fault, underlay) is run on seeded transit-stub
-// instances for every heuristic — the fault engine also under two §6
-// capacity models of internal/dynamic — and the observable outcome —
-// makespan, moves, rejected, lost, and an FNV-1a hash of the full schedule
-// — is pinned against values recorded on the pre-kernel engines. Any
-// divergence means the consolidation changed behavior, not just structure.
+// instances for every heuristic — the fault engine also under Bernoulli
+// loss and two §6 capacity models of internal/dynamic — and the observable
+// outcome — makespan, moves, rejected, lost, and an FNV-1a hash of the
+// full schedule — is pinned against values recorded on the pre-kernel
+// engines. Any divergence means the consolidation changed behavior, not
+// just structure.
 //
 // To regenerate the table after an intentional semantic change, run:
 //
@@ -92,10 +93,11 @@ func goldenEngineRuns(t *testing.T) string {
 		res, err := sim.Run(inst, factory, sim.Options{Seed: 11, IdlePatience: 20, Prune: true})
 		fmt.Fprintf(&b, "base/%s: %s\n", name, summarize(res, err))
 
-		res, err = sim.Run(inst, factory, sim.Options{Seed: 11, LossRate: 0.15, IdlePatience: 30})
-		fmt.Fprintf(&b, "base-lossy/%s: %s\n", name, summarize(res, err))
+		fres, err := fault.Run(inst, factory, fault.Plan{Loss: fault.Bernoulli{P: 0.15, Seed: 11}},
+			sim.Options{Seed: 11, IdlePatience: 30})
+		fmt.Fprintf(&b, "fault-bernoulli/%s: %s\n", name, sumFault(fres, err))
 
-		fres, err := fault.Run(inst, factory, fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}},
+		fres, err = fault.Run(inst, factory, fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}},
 			sim.Options{Seed: 11, IdlePatience: 30})
 		fmt.Fprintf(&b, "dynamic-cross/%s: %s\n", name, summarize(fres.Result, err))
 
@@ -157,38 +159,40 @@ func TestGoldenEngineEquivalence(t *testing.T) {
 }
 
 // goldenEngineTable was recorded on the pre-kernel engines (commit
-// f592303); the unified kernel must reproduce it byte for byte.
+// f592303); the unified kernel must reproduce it byte for byte. The
+// fault-bernoulli rows were recorded later, on the fault engine (DESIGN.md,
+// "One way to perturb a network").
 const goldenEngineTable = `
 base/roundrobin: steps=12 moves=7999 rejected=0 lost=0 hash=deff66d945966b21 err=nil
-base-lossy/roundrobin: steps=27 moves=20118 rejected=0 lost=3047 hash=3d89a8d96e4de11a err=nil
+fault-bernoulli/roundrobin: steps=33 moves=24975 rejected=0 lost=3730 hash=cd5cba267784f3f2 err=nil graceful=false
 dynamic-cross/roundrobin: steps=21 moves=9758 rejected=0 lost=0 hash=29a86cc46a8089b1 err=nil
 dynamic-adversary/roundrobin: steps=62 moves=39009 rejected=0 lost=0 hash=51f1bee87de23b28 err=nil
 fault-chaos/roundrobin: steps=314 moves=234114 rejected=0 lost=20114 hash=9990d09f4aa0d15b err=nil graceful=false
 fault-crash/roundrobin: steps=12 moves=6895 rejected=0 lost=0 hash=a63f3a589c6d5499 err=nil graceful=false
 underlay/roundrobin: steps=862 moves=91997 rejected=207885 lost=0 hash=3542a99fa61f8c61 err=nil
 base/random: steps=11 moves=974 rejected=0 lost=0 hash=e31e07aa661ad489 err=nil
-base-lossy/random: steps=14 moves=1142 rejected=0 lost=170 hash=ba24b56663828d1b err=nil
+fault-bernoulli/random: steps=13 moves=1162 rejected=0 lost=192 hash=323bef5d8f1a5be8 err=nil graceful=false
 dynamic-cross/random: steps=19 moves=968 rejected=0 lost=0 hash=28845ccabc3baf86 err=nil
 dynamic-adversary/random: steps=46 moves=964 rejected=0 lost=0 hash=695d1568009b86dc err=nil
 fault-chaos/random: steps=184 moves=3362 rejected=0 lost=252 hash=0a1fee599fc5bcd1 err=nil graceful=false
 fault-crash/random: steps=11 moves=965 rejected=0 lost=0 hash=13a57f04472c3c6a err=nil graceful=false
 underlay/random: steps=10 moves=253 rejected=387 lost=0 hash=39213da23a77b351 err=nil
 base/local: steps=11 moves=936 rejected=0 lost=0 hash=27422782b91fce41 err=nil
-base-lossy/local: steps=14 moves=1102 rejected=0 lost=166 hash=ef2bd554e7e72f31 err=nil
+fault-bernoulli/local: steps=13 moves=1115 rejected=0 lost=179 hash=2351633cf1bd001d err=nil graceful=false
 dynamic-cross/local: steps=19 moves=936 rejected=0 lost=0 hash=66f41fe4d7a5455f err=nil
 dynamic-adversary/local: steps=45 moves=936 rejected=0 lost=0 hash=9a2ad81082432d3f err=nil
 fault-chaos/local: steps=184 moves=2753 rejected=0 lost=204 hash=3b48ca48609433c8 err=nil graceful=false
 fault-crash/local: steps=11 moves=936 rejected=0 lost=0 hash=9166cbb9c51c2fdc err=nil graceful=false
 underlay/local: steps=9 moves=208 rejected=170 lost=0 hash=d132562d5b132784 err=nil
 base/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=24d212ba6685218c err=nil
-base-lossy/bandwidth: steps=15 moves=1102 rejected=0 lost=166 hash=9c02e7cff7829313 err=nil
+fault-bernoulli/bandwidth: steps=13 moves=1111 rejected=0 lost=175 hash=84d7e443aadee8ae err=nil graceful=false
 dynamic-cross/bandwidth: steps=19 moves=936 rejected=0 lost=0 hash=b95e78562b9069ce err=nil
 dynamic-adversary/bandwidth: steps=45 moves=936 rejected=0 lost=0 hash=ce5a968c07a624a1 err=nil
 fault-chaos/bandwidth: steps=184 moves=2764 rejected=0 lost=215 hash=d752603a8c8c7cb5 err=nil graceful=false
 fault-crash/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=3fbd68faa2e05bc0 err=nil graceful=false
 underlay/bandwidth: steps=8 moves=208 rejected=142 lost=0 hash=49d18fc228474d05 err=nil
 base/global: steps=11 moves=936 rejected=0 lost=0 hash=d2b9d795811129f2 err=nil
-base-lossy/global: steps=14 moves=1102 rejected=0 lost=166 hash=713513021c429d37 err=nil
+fault-bernoulli/global: steps=13 moves=1115 rejected=0 lost=179 hash=16eec66fb25c3cdb err=nil graceful=false
 dynamic-cross/global: steps=19 moves=936 rejected=0 lost=0 hash=04828daf54f63583 err=nil
 dynamic-adversary/global: steps=45 moves=936 rejected=0 lost=0 hash=411db6a3fe247931 err=nil
 fault-chaos/global: steps=184 moves=2760 rejected=0 lost=211 hash=0466b97462cd3d66 err=nil graceful=false

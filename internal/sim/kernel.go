@@ -257,25 +257,6 @@ func (res *Result) Finalize(inst *core.Instance, possess []tokenset.Set,
 	}
 }
 
-// rateLossPolicy is the baseline engine's §6 independent-loss model: each
-// accepted move is dropped with probability rate, drawn from a loss stream
-// salted away from seed (lossStreamSalt) so the strategy stream is
-// unperturbed. A non-positive rate returns nil — the kernel then makes no
-// draws at all, exactly as when loss is disabled.
-func rateLossPolicy(rate float64, seed int64) LossPolicy {
-	if rate <= 0 {
-		return nil
-	}
-	return &rateLoss{rate: rate, rng: rand.New(rand.NewSource(seed ^ lossStreamSalt))}
-}
-
-type rateLoss struct {
-	rate float64
-	rng  *rand.Rand
-}
-
-func (l *rateLoss) Lost(int, core.Move, int) bool { return l.rng.Float64() < l.rate }
-
 // WrapStrategy lifts a per-run strategy wrapper into a Factory: the inner
 // factory builds its strategy, then wrap decorates it. Wrappers compose
 // facade names (e.g. retry(roundrobin), oracle(global)) that experiment

@@ -142,8 +142,9 @@ type Result struct {
 	// Rejected counts strategy-proposed moves the engine had to discard
 	// for violating capacity or possession. Zero for correct strategies.
 	Rejected int
-	// Lost counts accepted moves dropped by the loss model (Options.
-	// LossRate); they consumed capacity but delivered nothing.
+	// Lost counts accepted moves dropped by the engine's loss policy (a
+	// fault plan's Loss model under fault.Run); they consumed capacity but
+	// delivered nothing. Always zero for Run, which is lossless.
 	Lost int
 }
 
@@ -161,12 +162,6 @@ type Options struct {
 	// toward the makespan; the §4.2 "propagate knowledge, then plan"
 	// oracle relies on this to model its diameter-long listening phase.
 	IdlePatience int
-	// LossRate, when positive, drops each accepted move with this
-	// probability before delivery (the §6 "lossy channels" open problem).
-	// Lost moves consume capacity and count as bandwidth and in
-	// Result.Lost, but deliver nothing; the schedule records only the
-	// successful moves so it always validates against the static model.
-	LossRate float64
 	// Done overrides the completion predicate (default: every want set is
 	// satisfied). The §6 encoding extension uses this for "any k of n
 	// coded tokens" semantics.
@@ -182,15 +177,10 @@ type Options struct {
 // MaxSteps without this error, reporting Completed=false).
 var ErrStalled = errors.New("sim: strategy stalled with unsatisfied wants")
 
-// lossStreamSalt separates the loss model's PRNG stream from the strategy
-// stream. Drawing both from one source would make enabling LossRate change
-// every randomized strategy's decisions for the same seed.
-const lossStreamSalt int64 = 0x6c6f7373 // "loss"
-
 // Run executes the strategy produced by factory on inst until every want is
 // satisfied or the step limit is reached. It is the baseline composition
-// over the step-kernel: static capacities, the §6 independent-loss model,
-// no interceptor.
+// over the step-kernel: static capacities, no loss, no interceptor. The §6
+// lossy channels run through fault.Run with a plan's Loss model.
 func Run(inst *core.Instance, factory Factory, opts Options) (*Result, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
@@ -223,7 +213,6 @@ func Run(inst *core.Instance, factory Factory, opts Options) (*Result, error) {
 		MaxSteps:     maxSteps,
 		IdlePatience: opts.IdlePatience,
 		Done:         done,
-		Loss:         rateLossPolicy(opts.LossRate, opts.Seed),
 		Observer:     opts.Observer,
 	}
 	reason, stepAt := eng.Run(inst, strat, st, res)

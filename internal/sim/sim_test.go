@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"ocd/internal/core"
@@ -231,17 +230,31 @@ func TestFactoryErrorPropagates(t *testing.T) {
 	}
 }
 
+// alternateLoss drops every second accepted move: 50% loss.
+type alternateLoss struct{ n int }
+
+func (l *alternateLoss) Lost(int, core.Move, int) bool {
+	l.n++
+	return l.n%2 == 0
+}
+
 func TestRunLossModel(t *testing.T) {
 	// With 50% loss on a single link, bandwidth includes the lost moves
 	// and the recorded schedule still validates (only successful moves
-	// are recorded).
+	// are recorded). sim.Run is lossless, so this drives the kernel's
+	// loss path directly, as fault.Run does with a plan's Loss model.
 	inst := lineInstance(t, 2, 20, 4)
-	res, err := Run(inst, pusherFactory, Options{
-		Seed: 9, LossRate: 0.5, MaxSteps: 500, IdlePatience: 3,
-	})
+	strat, err := pusherFactory(inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := &State{Inst: inst, Possess: inst.InitialPossession()}
+	res := &Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
+	eng := Engine{MaxSteps: 500, IdlePatience: 3, Loss: &alternateLoss{}}
+	if reason, _ := eng.Run(inst, strat, st, res); reason != StopDone {
+		t.Fatalf("stop reason %d, want StopDone", reason)
+	}
+	res.Finalize(inst, st.Possess, core.Done, false)
 	if !res.Completed {
 		t.Fatal("lossy run incomplete")
 	}
@@ -254,84 +267,6 @@ func TestRunLossModel(t *testing.T) {
 	}
 	if err := core.Validate(inst, res.Schedule); err != nil {
 		t.Fatalf("lossy schedule invalid: %v", err)
-	}
-}
-
-func TestRunLossZeroIsLossless(t *testing.T) {
-	inst := lineInstance(t, 3, 5, 2)
-	res, err := Run(inst, pusherFactory, Options{Seed: 1, LossRate: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lost != 0 {
-		t.Errorf("lost %d moves at zero loss rate", res.Lost)
-	}
-}
-
-// randomPusher picks a uniformly random useful token per arc each turn —
-// a minimal randomized strategy whose decisions expose any perturbation of
-// the strategy PRNG stream.
-type randomPusher struct{}
-
-func (randomPusher) Name() string { return "random-pusher" }
-
-func (randomPusher) Plan(st *State) []core.Move {
-	var moves []core.Move
-	for u := 0; u < st.Inst.N(); u++ {
-		for _, a := range st.Inst.G.Out(u) {
-			useful := st.Possess[u].Difference(st.Possess[a.To]).Slice()
-			for c := 0; c < a.Cap && len(useful) > 0; c++ {
-				i := st.Rand.Intn(len(useful))
-				moves = append(moves, core.Move{From: u, To: a.To, Token: useful[i]})
-				useful = append(useful[:i], useful[i+1:]...)
-			}
-		}
-	}
-	return moves
-}
-
-// recorder logs every move its inner strategy proposes.
-type recorder struct {
-	inner Strategy
-	log   *[]core.Move
-}
-
-func (r recorder) Name() string { return r.inner.Name() }
-
-func (r recorder) Plan(st *State) []core.Move {
-	mvs := r.inner.Plan(st)
-	*r.log = append(*r.log, mvs...)
-	return mvs
-}
-
-// TestLossStreamDecoupledFromStrategy is the regression test for the
-// loss/strategy PRNG coupling: enabling LossRate must not change a
-// randomized strategy's decisions for the same seed. A loss rate small
-// enough to never actually drop anything still performs a draw per
-// delivered move, so with a shared stream the two runs below would
-// diverge from the second timestep on.
-func TestLossStreamDecoupledFromStrategy(t *testing.T) {
-	inst := lineInstance(t, 4, 6, 2)
-	run := func(loss float64) ([]core.Move, *Result) {
-		var log []core.Move
-		res, err := Run(inst, func(*core.Instance, *rand.Rand) (Strategy, error) {
-			return recorder{inner: randomPusher{}, log: &log}, nil
-		}, Options{Seed: 42, LossRate: loss, IdlePatience: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return log, res
-	}
-	plain, _ := run(0)
-	lossy, res := run(1e-12)
-	if res.Lost != 0 {
-		t.Fatalf("wanted a drop-free lossy run, lost %d", res.Lost)
-	}
-	if !res.Completed {
-		t.Fatal("lossy run incomplete")
-	}
-	if len(plain) == 0 || !reflect.DeepEqual(plain, lossy) {
-		t.Error("enabling LossRate changed the strategy's proposed moves for the same seed")
 	}
 }
 

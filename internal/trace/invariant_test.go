@@ -56,13 +56,16 @@ func TestInvariantMonitorZeroViolationsAcrossEngines(t *testing.T) {
 		}
 		check(t, "base/"+name, m)
 
-		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{})
-		if _, err := sim.Run(inst, factory, sim.Options{Seed: 11, LossRate: 0.15, IdlePatience: 30, Observer: m}); err != nil {
-			t.Fatalf("base-lossy/%s: %v", name, err)
+		plan := fault.Plan{Loss: fault.Bernoulli{P: 0.15, Seed: 11}}
+		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{
+			Down: plan.DownAt, Capacity: plan.EffectiveCapacity,
+		})
+		if _, err := fault.Run(inst, factory, plan, sim.Options{Seed: 11, IdlePatience: 30, Observer: m}); err != nil {
+			t.Fatalf("fault-bernoulli/%s: %v", name, err)
 		}
-		check(t, "base-lossy/"+name, m)
+		check(t, "fault-bernoulli/"+name, m)
 
-		plan := fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}}
+		plan = fault.Plan{Capacity: dynamic.CrossTraffic{MaxShare: 0.6, Seed: 3}}
 		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{
 			Down: plan.DownAt, Capacity: plan.EffectiveCapacity,
 		})

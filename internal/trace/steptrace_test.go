@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ocd/internal/fault"
 	"ocd/internal/heuristics"
 	"ocd/internal/sim"
 	"ocd/internal/telemetry"
@@ -13,9 +14,12 @@ import (
 	"ocd/internal/workload"
 )
 
+// lossyPlan is the reference runs' loss model: 20% Bernoulli loss.
+var lossyPlan = fault.Plan{Loss: fault.Bernoulli{P: 0.2, Seed: 5}}
+
 // collectRun executes a lossy reference run with a StepCollector attached
 // and returns both, so tests can cross-check the trace against the result.
-func collectRun(t *testing.T) (*StepCollector, *sim.Result) {
+func collectRun(t *testing.T) (*StepCollector, *fault.Result) {
 	t.Helper()
 	g, err := topology.Random(40, topology.DefaultCaps, 3)
 	if err != nil {
@@ -23,8 +27,8 @@ func collectRun(t *testing.T) (*StepCollector, *sim.Result) {
 	}
 	inst := workload.SingleFile(g, 30)
 	col := NewStepCollector(inst)
-	res, err := sim.Run(inst, heuristics.Local, sim.Options{
-		Seed: 5, LossRate: 0.2, IdlePatience: 20, Observer: col,
+	res, err := fault.Run(inst, heuristics.Local, lossyPlan, sim.Options{
+		Seed: 5, IdlePatience: 20, Observer: col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,13 +45,13 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := workload.SingleFile(g, 30)
-	opts := sim.Options{Seed: 5, LossRate: 0.2, IdlePatience: 20}
-	bare, err := sim.Run(inst, heuristics.Local, opts)
+	opts := sim.Options{Seed: 5, IdlePatience: 20}
+	bare, err := fault.Run(inst, heuristics.Local, lossyPlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Observer = NewStepCollector(inst)
-	observed, err := sim.Run(inst, heuristics.Local, opts)
+	observed, err := fault.Run(inst, heuristics.Local, lossyPlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,22 +67,22 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 	// step-phase work must not perturb the run, and the counters must agree
 	// with the result they counted.
 	reg := telemetry.New()
-	opts.Observer = telemetry.NewKernelObserver(reg, "sim").Observer()
-	counted, err := sim.Run(inst, heuristics.Local, opts)
+	opts.Observer = telemetry.NewKernelObserver(reg, "fault").Observer()
+	counted, err := fault.Run(inst, heuristics.Local, lossyPlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bare.Schedule.Steps, counted.Schedule.Steps) {
 		t.Error("attaching a telemetry KernelObserver changed the schedule")
 	}
-	if got := reg.Counter("kernel.sim.delivered").Value(); got != int64(counted.Schedule.Moves()) {
-		t.Errorf("kernel.sim.delivered = %d, schedule has %d moves", got, counted.Schedule.Moves())
+	if got := reg.Counter("kernel.fault.delivered").Value(); got != int64(counted.Schedule.Moves()) {
+		t.Errorf("kernel.fault.delivered = %d, schedule has %d moves", got, counted.Schedule.Moves())
 	}
-	if got := reg.Counter("kernel.sim.lost").Value(); got != int64(counted.Lost) {
-		t.Errorf("kernel.sim.lost = %d, result lost %d", got, counted.Lost)
+	if got := reg.Counter("kernel.fault.lost").Value(); got != int64(counted.Lost) {
+		t.Errorf("kernel.fault.lost = %d, result lost %d", got, counted.Lost)
 	}
-	if got := reg.Counter("kernel.sim.steps").Value(); got != int64(counted.Steps) {
-		t.Errorf("kernel.sim.steps = %d, result ran %d steps", got, counted.Steps)
+	if got := reg.Counter("kernel.fault.steps").Value(); got != int64(counted.Steps) {
+		t.Errorf("kernel.fault.steps = %d, result ran %d steps", got, counted.Steps)
 	}
 }
 

@@ -156,9 +156,6 @@ func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
-	if opts.LossRate > 0 {
-		return nil, errors.New("underlay: Options.LossRate is not supported; the underlay engine is lossless")
-	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
@@ -175,7 +172,6 @@ func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options
 	// overlay capacity, and possession; the Admit hook layers the shared
 	// physical-link charging on top. This engine deliberately ignores
 	// opts.Done, as it always has: completion is the static predicate.
-	// Transport is lossless, so a LossRate was rejected above.
 	eng := sim.Engine{
 		MaxSteps:     maxSteps,
 		IdlePatience: opts.IdlePatience,

@@ -2,7 +2,6 @@ package underlay
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"ocd/internal/core"
@@ -160,23 +159,6 @@ func TestRunRejectsForeignInstance(t *testing.T) {
 	}
 	if _, err := net.Run(workload.SingleFile(g, 1), heuristics.Local, sim.Options{}); err == nil {
 		t.Error("foreign instance accepted")
-	}
-}
-
-// TestRunRejectsLossRate: the underlay engine is lossless, so a LossRate
-// fails closed instead of being silently ignored.
-func TestRunRejectsLossRate(t *testing.T) {
-	phys, hosts := dumbbell(t, 2)
-	net, err := Build(phys, hosts, [][2]int{{0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := core.NewInstance(net.Overlay, 1)
-	inst.Have[0].Add(0)
-	inst.Want[2].Add(0)
-	_, err = net.Run(inst, heuristics.Local, sim.Options{Seed: 1, LossRate: 0.2})
-	if err == nil || !strings.Contains(err.Error(), "lossless") {
-		t.Errorf("want an error saying the engine is lossless, got %v", err)
 	}
 }
 
