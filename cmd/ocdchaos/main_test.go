@@ -85,6 +85,36 @@ func TestJournalResumeMatchesCleanRun(t *testing.T) {
 	}
 }
 
+// TestJournalFromEarlierRowFormatResumes: testdata/churn-journal.jsonl was
+// recorded when churn cells journaled both a "crashes" and a "departures"
+// count. The header pins only the experiment, its parameters and the seed,
+// so a row format that no longer read "departures" would resume without
+// error and print zeros; the resumed table must match a clean run, and
+// every cell must come from the journal (nothing appended).
+func TestJournalFromEarlierRowFormatResumes(t *testing.T) {
+	args := []string{"-scenario", "churn", "-n", "12", "-tokens", "6",
+		"-churn-rates", "0,0.05,0.1", "-heuristics", "local,bandwidth", "-seed", "5"}
+	recorded, err := os.ReadFile(filepath.Join("testdata", "churn-journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "churn.jsonl")
+	if err := os.WriteFile(journal, recorded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := runOK(t, args...)
+	if resumed := runOK(t, append(args, "-journal", journal)...); resumed != clean {
+		t.Errorf("resumed run diverged from the clean run:\n%s\nvs\n%s", resumed, clean)
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, recorded) {
+		t.Error("resume re-ran cells the journal already held")
+	}
+}
+
 // TestJournalRejectsOtherInvocation: a journal resumes only the invocation
 // that recorded it. Partition cell keys name only the heal axis, so a
 // journal that pinned just the base seed used to hand an n=12 run's rows

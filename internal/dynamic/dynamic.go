@@ -3,8 +3,9 @@
 // pluggable models (cross traffic, link failures, periodic load, and a
 // possession-aware adversary). The models run through the fault engine as
 // fault.Plan.Capacity, which enforces the per-step effective capacities.
-// Arrivals and departures are fault models, not capacity models:
-// fault.RandomCrashes and fault.RandomChurn.
+// Arrivals and departures are crash plans, not capacity models:
+// fault.RandomCrashes, and membership churn as fault.NewRandomChurn under
+// the DropAll state-loss policy.
 //
 // All models are deterministic functions of (seed, step, arc), so a run
 // can be validated after the fact by replaying the model (fault.Validate).

@@ -82,7 +82,9 @@ func journalRun(a Args) string {
 }
 
 // faultRow is one sweep cell's outcome. Every field is JSON-round-trippable
-// so journaled cells resume to byte-identical tables.
+// so journaled cells resume to byte-identical tables. Departures counts the
+// run's crash transitions, which in the churn sweep are members leaving;
+// only that sweep prints it.
 type faultRow struct {
 	Outcome    string  `json:"outcome"`
 	Liveness   string  `json:"liveness"`
@@ -92,7 +94,6 @@ type faultRow struct {
 	Lost       int     `json:"lost"`
 	Retrans    int     `json:"retrans"`
 	Wasted     int     `json:"wasted"`
-	Crashes    int     `json:"crashes"`
 	Departures int     `json:"departures"`
 }
 
@@ -131,8 +132,7 @@ func runFaultCell(c sweepCell) (faultRow, error) {
 		Lost:       res.Lost,
 		Retrans:    res.Retransmissions,
 		Wasted:     res.WastedMoves,
-		Crashes:    res.Crashes,
-		Departures: res.Departures,
+		Departures: res.Crashes,
 	}, nil
 }
 
@@ -277,10 +277,11 @@ func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, 
 	return nil
 }
 
-// churnImpl sweeps membership churn rate × heuristic: members leave with
-// the per-step probability of the column (losing all state) and rejoin
-// empty with probability rejoinP; the source is protected. rejoinP of 0
-// makes every departure permanent.
+// churnImpl sweeps membership churn rate × heuristic as a crash plan:
+// members leave with the per-step probability of the column and rejoin
+// with probability rejoinP, and DropAll makes each departure lose all
+// state; the source is protected. rejoinP of 0 makes every departure
+// permanent.
 func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNames []string, seed int64, opts faultSweepOptions, em *Emitter) error {
 	g, err := topology.Random(n, topology.DefaultCaps, seed)
 	if err != nil {
@@ -308,7 +309,8 @@ func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNa
 						inst: inst, heuristic: name, seed: cellSeed, monitor: opts.Monitor,
 						plan: func() fault.Plan {
 							return fault.Plan{
-								Churn: fault.NewRandomChurn(leave, rejoinP, cellSeed, 0),
+								Crashes:   fault.NewRandomChurn(leave, rejoinP, cellSeed, 0),
+								StateLoss: fault.DropAll,
 							}
 						},
 					})

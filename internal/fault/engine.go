@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -30,9 +29,9 @@ const (
 	// LivenessComplete: every want was satisfied.
 	LivenessComplete Liveness = "complete"
 	// LivenessHealable: wants remain, but at least one missing token is
-	// still held by a live (or transiently absent) vertex that can reach
-	// its receiver once transient partitions heal and churned members
-	// rejoin — the run stalled or timed out on a recoverable fault, it
+	// still held by a live (or transiently down) vertex that can reach
+	// its receiver once transient partitions heal and crashed vertices
+	// recover — the run stalled or timed out on a recoverable fault, it
 	// did not fail.
 	LivenessHealable Liveness = "healable"
 	// LivenessUnsatisfiable: every remaining missing token is provably
@@ -54,7 +53,7 @@ type Result struct {
 	// IdlePatience stall.
 	Graceful bool
 	// Liveness distinguishes a run stalled behind transient faults
-	// (healable — satisfiable once partitions heal and members rejoin)
+	// (healable — satisfiable once partitions heal and vertices recover)
 	// from one whose remaining wants are proven undeliverable.
 	Liveness Liveness
 	// Unsatisfiable lists the receivers with undeliverable wants, in
@@ -69,12 +68,9 @@ type Result struct {
 	// WastedMoves counts deliveries whose effect was later destroyed by a
 	// crash state wipe.
 	WastedMoves int
-	// Crashes counts up→down transitions; DownSteps the total vertex-down
-	// timesteps. Churn departures count separately below.
+	// Crashes counts up→down transitions (under membership churn, the
+	// departures); DownSteps the total vertex-down timesteps.
 	Crashes, DownSteps int
-	// Departures counts churn leave events (each wipes the member's
-	// state); AwaySteps the total member-absent timesteps.
-	Departures, AwaySteps int
 }
 
 // Run executes the strategy produced by factory on inst under the fault
@@ -157,16 +153,7 @@ func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) 
 	case sim.StopStalled:
 		// Unlike the other engines, a faulted run finalizes its metrics
 		// even on a stall — partial degradation reports are the point.
-		err := fmt.Errorf("%w: step %d under %s", sim.ErrStalled, stepAt, plan.Name())
-		if fs, ok := strat.(sim.Failer); ok {
-			if ferr := fs.Err(); ferr != nil {
-				// The stall has a named cause — e.g. the retry wrapper
-				// exhausted its attempts. Keep ErrStalled as the head
-				// error so errors.Is classification is unchanged.
-				err = errors.Join(err, ferr)
-			}
-		}
-		return finish(false), err
+		return finish(false), sim.Stalled(strat, fmt.Sprintf("step %d under %s", stepAt, plan.Name()))
 	default:
 		return finish(false), nil
 	}
@@ -283,37 +270,20 @@ func (f *faultKernel) detect(possess []tokenset.Set) {
 	f.reach.detect(f.inst, possess, f.perm, f.permSevered, f.unsat)
 }
 
-// PreStep implements sim.StepInterceptor: fault transitions first — a
-// vertex that is down this step (crashed or churned away) cannot send,
-// receive, or plan, and its state-loss policy applies at the moment it
-// goes down — then reachability detection if any transition occurred.
-// When a crash and a departure coincide, churn semantics win: leaving the
-// overlay always wipes everything, whatever the crash StateLoss says.
+// PreStep implements sim.StepInterceptor: crash transitions first — a
+// vertex that is down this step cannot send, receive, or plan, and its
+// state-loss policy applies at the moment it goes down — then
+// reachability detection if any transition occurred.
 func (f *faultKernel) PreStep(step int, st *sim.State) {
 	f.step = step
 	wiped := false
 	for v := range f.down {
-		crashed := f.plan.Crashes.Down(step, v)
-		away := f.plan.Churn.Away(step, v)
-		f.down[v] = crashed || away
-		if crashed {
+		f.down[v] = f.plan.Crashes.Down(step, v)
+		if f.down[v] {
 			f.res.DownSteps++
 			f.perm[v] = f.perm[v] || f.plan.Crashes.Permanent(step, v)
-		}
-		if away {
-			if !crashed {
-				f.res.AwaySteps++
-			}
-			f.perm[v] = f.perm[v] || f.plan.Churn.Gone(step, v)
-		}
-		if f.down[v] && !f.prevDown[v] {
-			f.needDetect = true
-			if away {
-				f.res.Departures++
-				f.res.WastedMoves += st.Possess[v].DifferenceCount(f.inst.Have[v])
-				st.Possess[v].Clear()
-				wiped = true
-			} else {
+			if !f.prevDown[v] {
+				f.needDetect = true
 				f.res.Crashes++
 				switch f.plan.StateLoss {
 				case DropDownloads:
@@ -518,13 +488,14 @@ func receiverReports(inst *core.Instance, possess []tokenset.Set, unsat []tokens
 // Validate replays a faulted schedule against the instance and plan,
 // checking that every recorded move used an existing arc within the step's
 // effective capacity (crashes and the capacity model applied), that no
-// move touched a crashed or churned-away vertex or crossed a severed arc,
-// and that every sender possessed the token at the start of the timestep —
-// with the plan's crash/churn transitions and state-loss policies replayed
-// on possession. Unlike core.Validate it does not require the schedule to
-// satisfy every want: faulted runs may legitimately end partial. Lost
-// moves are not recorded in the schedule, so delivered traffic is a lower
-// bound on each arc's usage.
+// move touched a crashed vertex or crossed a severed arc, and that every
+// sender possessed the token at the start of the timestep — with the
+// plan's crash transitions and state-loss policy replayed on possession.
+// The replay is written out here rather than shared with the engine, so
+// that it stays an independent check on it. Unlike core.Validate it does
+// not require the schedule to satisfy every want: faulted runs may
+// legitimately end partial. Lost moves are not recorded in the schedule,
+// so delivered traffic is a lower bound on each arc's usage.
 func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 	plan = plan.normalized()
 	n := inst.N()
@@ -536,19 +507,13 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 
 	for i, st := range sched.Steps {
 		for v := 0; v < n; v++ {
-			crashed := plan.Crashes.Down(i, v)
-			away := plan.Churn.Away(i, v)
-			down[v] = crashed || away
+			down[v] = plan.Crashes.Down(i, v)
 			if down[v] && !prevDown[v] {
-				if away {
+				switch plan.StateLoss {
+				case DropDownloads:
+					possess[v].CopyFrom(inst.Have[v])
+				case DropAll:
 					possess[v].Clear()
-				} else {
-					switch plan.StateLoss {
-					case DropDownloads:
-						possess[v].CopyFrom(inst.Have[v])
-					case DropAll:
-						possess[v].Clear()
-					}
 				}
 			}
 			prevDown[v] = down[v]
@@ -565,7 +530,7 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 				return fmt.Errorf("fault: step %d move %v: token out of range", i, mv)
 			}
 			if down[mv.From] || down[mv.To] {
-				return fmt.Errorf("fault: step %d move %v: endpoint crashed or away", i, mv)
+				return fmt.Errorf("fault: step %d move %v: endpoint crashed", i, mv)
 			}
 			if plan.Partitions.Severed(i, mv.From, mv.To) {
 				return fmt.Errorf("fault: step %d move %v: arc severed by partition", i, mv)

@@ -101,8 +101,8 @@ func TestCrashedSoleHolderTerminatesGracefully(t *testing.T) {
 	if res.Completed {
 		t.Fatal("run completed despite the source crashing with 4 tokens undelivered")
 	}
-	if !res.Graceful {
-		t.Fatal("run did not terminate gracefully")
+	if !res.Graceful || res.Liveness != LivenessUnsatisfiable {
+		t.Fatalf("graceful=%v liveness=%q, want graceful unsatisfiable", res.Graceful, res.Liveness)
 	}
 	if res.Steps >= inst.TheoremOneHorizon() {
 		t.Errorf("took %d steps, not before the horizon %d", res.Steps, inst.TheoremOneHorizon())

@@ -253,13 +253,16 @@ func (m CrashSchedule) Permanent(step, v int) bool {
 // vertex crashes with probability CrashP per step, a down vertex recovers
 // with probability RecoverP per step (RecoverP = 0 turns every crash into
 // a crash-stop). Vertices in Protect — typically the sources — never fail.
-// Construct with NewRandomCrashes; the value memoizes per-vertex
-// trajectories and is not safe for concurrent use.
+// Construct with NewRandomCrashes or NewRandomChurn; the value memoizes
+// per-vertex trajectories and is not safe for concurrent use.
 type RandomCrashes struct {
 	CrashP, RecoverP float64
 	Seed             int64
 	Protect          []int
 	c                *chain
+	// salt is the chain identity operand: -1 for crashes, -2 for churn,
+	// so the two draw independent trajectories from the same seed.
+	salt int
 }
 
 // NewRandomCrashes returns the stochastic crash-recovery model.
@@ -268,7 +271,20 @@ func NewRandomCrashes(crashP, recoverP float64, seed int64, protect ...int) *Ran
 		CrashP: crashP, RecoverP: recoverP, Seed: seed,
 		Protect: append([]int(nil), protect...),
 		c:       newChain(seed, crashP, recoverP),
+		salt:    -1,
 	}
+}
+
+// NewRandomChurn returns the crash model of membership churn: a present
+// member leaves with probability leaveP per step and an absent one rejoins
+// with probability rejoinP (0 makes every departure permanent). Run it
+// with StateLoss DropAll, so a member that leaves loses everything it
+// downloaded and rejoins empty. Its chain is salted apart from
+// NewRandomCrashes, so the same seed draws an independent trajectory.
+func NewRandomChurn(leaveP, rejoinP float64, seed int64, protect ...int) *RandomCrashes {
+	m := NewRandomCrashes(leaveP, rejoinP, seed, protect...)
+	m.salt = -2
+	return m
 }
 
 // Name implements CrashModel.
@@ -283,7 +299,7 @@ func (m *RandomCrashes) Down(step, v int) bool {
 			return false
 		}
 	}
-	return m.c.state(step, v, -1)
+	return m.c.state(step, v, m.salt)
 }
 
 // Permanent implements CrashModel.
@@ -305,8 +321,9 @@ const (
 	// disk. The engine charges the destroyed deliveries to WastedMoves.
 	DropDownloads
 	// DropAll wipes possession entirely on crash — the vertex rejoins
-	// empty. A sole holder crashing under DropAll makes its tokens
-	// extinct, the strongest unsatisfiability scenario.
+	// empty, as a member does after membership churn (NewRandomChurn). A
+	// sole holder crashing under DropAll makes its tokens extinct, the
+	// strongest unsatisfiability scenario.
 	DropAll
 )
 
@@ -355,18 +372,16 @@ type Plan struct {
 	// Crashes takes vertices down (and possibly back up).
 	Crashes CrashModel
 	// StateLoss is applied to a vertex's possession at the moment it
-	// crashes. Churn departures ignore it: members always rejoin empty.
+	// crashes.
 	StateLoss StateLoss
 	// Partitions severs arcs while both endpoints stay up.
 	Partitions PartitionModel
-	// Churn removes members, who lose all state and rejoin empty.
-	Churn ChurnModel
 	// Capacity varies arc capacities between turns; nil leaves capacities
 	// static. It is how the §6 changing-conditions models of
 	// internal/dynamic run: Run enforces them and Validate replays them
-	// (rebuild a PossessionAware model fresh for the replay). Crashed or
-	// churned-out vertices and severed arcs override whatever the capacity
-	// model says — they carry nothing.
+	// (rebuild a PossessionAware model fresh for the replay). Crashed
+	// vertices and severed arcs override whatever the capacity model
+	// says — they carry nothing.
 	Capacity dynamic.Model
 	// Gossip is carried along for protocol strategies (see
 	// protocol.LocalWithGossipLoss); the engine itself does not consult it.
@@ -385,9 +400,6 @@ func (p Plan) normalized() Plan {
 	if p.Partitions == nil {
 		p.Partitions = NoPartitions{}
 	}
-	if p.Churn == nil {
-		p.Churn = NoChurn{}
-	}
 	if p.Capacity == nil {
 		p.Capacity = dynamic.Static{}
 	}
@@ -401,9 +413,6 @@ func (p Plan) Name() string {
 	if p.Partitions != nil {
 		s += " + " + q.Partitions.Name()
 	}
-	if p.Churn != nil {
-		s += " + " + q.Churn.Name()
-	}
 	if q.Capacity.Name() != (dynamic.Static{}).Name() {
 		s += " + " + q.Capacity.Name()
 	}
@@ -413,12 +422,11 @@ func (p Plan) Name() string {
 	return s
 }
 
-// DownAt reports whether v is out of service at step under the plan —
-// crashed or churned out. It is the predicate the invariant monitor's
-// down-vertex silence check consumes (trace.InvariantConfig.Down).
+// DownAt reports whether v is crashed at step under the plan. It is the
+// predicate the invariant monitor's down-vertex silence check consumes
+// (trace.InvariantConfig.Down).
 func (p Plan) DownAt(step, v int) bool {
-	q := p.normalized()
-	return q.Crashes.Down(step, v) || q.Churn.Away(step, v)
+	return p.normalized().Crashes.Down(step, v)
 }
 
 // EffectiveCapacity returns the plan's effective capacity for base arc a
@@ -429,7 +437,6 @@ func (p Plan) DownAt(step, v int) bool {
 func (p Plan) EffectiveCapacity(step int, a graph.Arc) int {
 	q := p.normalized()
 	if q.Crashes.Down(step, a.From) || q.Crashes.Down(step, a.To) ||
-		q.Churn.Away(step, a.From) || q.Churn.Away(step, a.To) ||
 		q.Partitions.Severed(step, a.From, a.To) {
 		return 0
 	}

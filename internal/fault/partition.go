@@ -1,13 +1,13 @@
 package fault
 
-// Arc-level partitions and membership churn — the second robustness ring
-// on top of the crash/loss models in fault.go. Partitions sever arcs
-// without touching the vertices behind them (the endpoints keep planning
-// and keep their state); churn removes whole members, who lose everything
-// and rejoin empty. Both follow the package contract: every model is a
-// pure function of (seed, step, identity), memoized where a trajectory is
-// sequential, so a partitioned or churned run replays byte-identically
-// from its plan.
+// Arc-level partitions — the second robustness ring on top of the crash
+// and loss models in fault.go. Partitions sever arcs without touching the
+// vertices behind them: the endpoints keep planning and keep their state.
+// (Membership churn, which removes whole members, is a crash plan: see
+// NewRandomChurn.) Partition models follow the package contract: each is
+// a pure function of (seed, step, identity), memoized where a trajectory
+// is sequential, so a partitioned run replays byte-identically from its
+// plan.
 
 import "fmt"
 
@@ -171,114 +171,4 @@ func (m *RandomPartitions) Severed(step, from, to int) bool {
 // Permanent implements PartitionModel.
 func (m *RandomPartitions) Permanent(step, from, to int) bool {
 	return m.HealAfter < 0 && m.Severed(step, from, to)
-}
-
-// ChurnModel decides, deterministically, which vertices have left the
-// overlay at each step and whether a departure is final. Churn differs
-// from crashes in its state semantics: a member that leaves loses
-// everything it downloaded and rejoins empty (DropAll), regardless of the
-// plan's crash StateLoss — the modelling of anonymous peers that
-// reinstall, not servers that reboot.
-type ChurnModel interface {
-	Name() string
-	// Away reports whether v has left the overlay at step (unable to
-	// send, receive, or plan — identical to a crashed vertex in-flight).
-	Away(step, v int) bool
-	// Gone reports whether v has left at step and will never rejoin.
-	Gone(step, v int) bool
-}
-
-// NoChurn keeps every member in the overlay.
-type NoChurn struct{}
-
-// Name implements ChurnModel.
-func (NoChurn) Name() string { return "no-churn" }
-
-// Away implements ChurnModel.
-func (NoChurn) Away(int, int) bool { return false }
-
-// Gone implements ChurnModel.
-func (NoChurn) Gone(int, int) bool { return false }
-
-// ChurnEvent scripts one membership session gap: vertex V leaves at step
-// At and rejoins (empty) at step RejoinAt (exclusive). RejoinAt < 0 means
-// the member never returns.
-type ChurnEvent struct {
-	V        int
-	At       int
-	RejoinAt int
-}
-
-// ChurnSchedule is an explicit scripted churn plan.
-type ChurnSchedule struct {
-	Events []ChurnEvent
-}
-
-// Name implements ChurnModel.
-func (m ChurnSchedule) Name() string {
-	return fmt.Sprintf("churn-schedule(%d events)", len(m.Events))
-}
-
-// Away implements ChurnModel.
-func (m ChurnSchedule) Away(step, v int) bool {
-	for _, e := range m.Events {
-		if e.V == v && step >= e.At && (e.RejoinAt < 0 || step < e.RejoinAt) {
-			return true
-		}
-	}
-	return false
-}
-
-// Gone implements ChurnModel.
-func (m ChurnSchedule) Gone(step, v int) bool {
-	for _, e := range m.Events {
-		if e.V == v && e.RejoinAt < 0 && step >= e.At {
-			return true
-		}
-	}
-	return false
-}
-
-// RandomChurn models session churn by an independent two-state chain per
-// vertex: a present member leaves with probability LeaveP per step, an
-// absent one rejoins (empty) with probability RejoinP per step (RejoinP =
-// 0 turns every departure into a permanent exit). Vertices in Protect —
-// typically the sources — never leave. Construct with NewRandomChurn; the
-// value memoizes per-vertex trajectories and is not safe for concurrent
-// use. The chain identity is salted differently from RandomCrashes, so a
-// plan composing both from the same seed keeps them independent.
-type RandomChurn struct {
-	LeaveP, RejoinP float64
-	Seed            int64
-	Protect         []int
-	c               *chain
-}
-
-// NewRandomChurn returns the stochastic membership churn model.
-func NewRandomChurn(leaveP, rejoinP float64, seed int64, protect ...int) *RandomChurn {
-	return &RandomChurn{
-		LeaveP: leaveP, RejoinP: rejoinP, Seed: seed,
-		Protect: append([]int(nil), protect...),
-		c:       newChain(seed, leaveP, rejoinP),
-	}
-}
-
-// Name implements ChurnModel.
-func (m *RandomChurn) Name() string {
-	return fmt.Sprintf("random-churn(%.3f leave, %.2f rejoin)", m.LeaveP, m.RejoinP)
-}
-
-// Away implements ChurnModel.
-func (m *RandomChurn) Away(step, v int) bool {
-	for _, u := range m.Protect {
-		if u == v {
-			return false
-		}
-	}
-	return m.c.state(step, v, -2)
-}
-
-// Gone implements ChurnModel.
-func (m *RandomChurn) Gone(step, v int) bool {
-	return m.RejoinP == 0 && m.Away(step, v)
 }

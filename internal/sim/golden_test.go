@@ -3,9 +3,10 @@ package sim_test
 // Golden equivalence tests for the step-kernel consolidation: each of the
 // three engines (baseline, fault, underlay) is run on seeded transit-stub
 // instances for every heuristic — the fault engine also under Bernoulli
-// loss and two §6 capacity models of internal/dynamic — and the observable
-// outcome — makespan, moves, rejected, lost, and an FNV-1a hash of the
-// full schedule — is pinned against values recorded on the pre-kernel
+// loss, two §6 capacity models of internal/dynamic, the chaos plan, a
+// crash-stop source and membership churn — and the observable outcome —
+// makespan, moves, rejected, lost, and an FNV-1a hash of the full
+// schedule — is pinned against values recorded on the pre-kernel
 // engines. Any divergence means the consolidation changed behavior, not
 // just structure.
 //
@@ -117,6 +118,12 @@ func goldenEngineRuns(t *testing.T) string {
 		}, sim.Options{Seed: 11, IdlePatience: 40})
 		fmt.Fprintf(&b, "fault-crash/%s: %s\n", name, sumFault(fres, err))
 
+		fres, err = fault.Run(inst, factory, fault.Plan{
+			Crashes:   fault.NewRandomChurn(0.01, 0.5, 21, 0),
+			StateLoss: fault.DropAll,
+		}, sim.Options{Seed: 11, IdlePatience: 40})
+		fmt.Fprintf(&b, "fault-churn/%s: %s\n", name, sumFault(fres, err))
+
 		ures, err := net.Run(instU, factory, sim.Options{Seed: 11, IdlePatience: 30})
 		fmt.Fprintf(&b, "underlay/%s: %s\n", name, summarize(ures, err))
 	}
@@ -161,7 +168,9 @@ func TestGoldenEngineEquivalence(t *testing.T) {
 // goldenEngineTable was recorded on the pre-kernel engines (commit
 // f592303); the unified kernel must reproduce it byte for byte. The
 // fault-bernoulli rows were recorded later, on the fault engine (DESIGN.md,
-// "One way to perturb a network").
+// "One way to perturb a network"). The fault-churn rows were recorded on
+// the fault engine's separate membership-churn model, before churn became
+// a crash plan with DropAll; the crash plan reproduces them unedited.
 const goldenEngineTable = `
 base/roundrobin: steps=12 moves=7999 rejected=0 lost=0 hash=deff66d945966b21 err=nil
 fault-bernoulli/roundrobin: steps=33 moves=24975 rejected=0 lost=3730 hash=cd5cba267784f3f2 err=nil graceful=false
@@ -169,6 +178,7 @@ dynamic-cross/roundrobin: steps=21 moves=9758 rejected=0 lost=0 hash=29a86cc46a8
 dynamic-adversary/roundrobin: steps=62 moves=39009 rejected=0 lost=0 hash=51f1bee87de23b28 err=nil
 fault-chaos/roundrobin: steps=314 moves=234114 rejected=0 lost=20114 hash=9990d09f4aa0d15b err=nil graceful=false
 fault-crash/roundrobin: steps=12 moves=6895 rejected=0 lost=0 hash=a63f3a589c6d5499 err=nil graceful=false
+fault-churn/roundrobin: steps=16 moves=11112 rejected=0 lost=0 hash=c8f4d49b27b51409 err=nil graceful=false
 underlay/roundrobin: steps=862 moves=91997 rejected=207885 lost=0 hash=3542a99fa61f8c61 err=nil
 base/random: steps=11 moves=974 rejected=0 lost=0 hash=e31e07aa661ad489 err=nil
 fault-bernoulli/random: steps=13 moves=1162 rejected=0 lost=192 hash=323bef5d8f1a5be8 err=nil graceful=false
@@ -176,6 +186,7 @@ dynamic-cross/random: steps=19 moves=968 rejected=0 lost=0 hash=28845ccabc3baf86
 dynamic-adversary/random: steps=46 moves=964 rejected=0 lost=0 hash=695d1568009b86dc err=nil
 fault-chaos/random: steps=184 moves=3362 rejected=0 lost=252 hash=0a1fee599fc5bcd1 err=nil graceful=false
 fault-crash/random: steps=11 moves=965 rejected=0 lost=0 hash=13a57f04472c3c6a err=nil graceful=false
+fault-churn/random: steps=16 moves=1067 rejected=0 lost=0 hash=aeb7796f6fcacbc4 err=nil graceful=false
 underlay/random: steps=10 moves=253 rejected=387 lost=0 hash=39213da23a77b351 err=nil
 base/local: steps=11 moves=936 rejected=0 lost=0 hash=27422782b91fce41 err=nil
 fault-bernoulli/local: steps=13 moves=1115 rejected=0 lost=179 hash=2351633cf1bd001d err=nil graceful=false
@@ -183,6 +194,7 @@ dynamic-cross/local: steps=19 moves=936 rejected=0 lost=0 hash=66f41fe4d7a5455f 
 dynamic-adversary/local: steps=45 moves=936 rejected=0 lost=0 hash=9a2ad81082432d3f err=nil
 fault-chaos/local: steps=184 moves=2753 rejected=0 lost=204 hash=3b48ca48609433c8 err=nil graceful=false
 fault-crash/local: steps=11 moves=936 rejected=0 lost=0 hash=9166cbb9c51c2fdc err=nil graceful=false
+fault-churn/local: steps=15 moves=1008 rejected=0 lost=0 hash=b393d25fefa88a8d err=nil graceful=false
 underlay/local: steps=9 moves=208 rejected=170 lost=0 hash=d132562d5b132784 err=nil
 base/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=24d212ba6685218c err=nil
 fault-bernoulli/bandwidth: steps=13 moves=1111 rejected=0 lost=175 hash=84d7e443aadee8ae err=nil graceful=false
@@ -190,6 +202,7 @@ dynamic-cross/bandwidth: steps=19 moves=936 rejected=0 lost=0 hash=b95e78562b906
 dynamic-adversary/bandwidth: steps=45 moves=936 rejected=0 lost=0 hash=ce5a968c07a624a1 err=nil
 fault-chaos/bandwidth: steps=184 moves=2764 rejected=0 lost=215 hash=d752603a8c8c7cb5 err=nil graceful=false
 fault-crash/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=3fbd68faa2e05bc0 err=nil graceful=false
+fault-churn/bandwidth: steps=15 moves=1008 rejected=0 lost=0 hash=333908d6c87b1781 err=nil graceful=false
 underlay/bandwidth: steps=8 moves=208 rejected=142 lost=0 hash=49d18fc228474d05 err=nil
 base/global: steps=11 moves=936 rejected=0 lost=0 hash=d2b9d795811129f2 err=nil
 fault-bernoulli/global: steps=13 moves=1115 rejected=0 lost=179 hash=16eec66fb25c3cdb err=nil graceful=false
@@ -197,5 +210,6 @@ dynamic-cross/global: steps=19 moves=936 rejected=0 lost=0 hash=04828daf54f63583
 dynamic-adversary/global: steps=45 moves=936 rejected=0 lost=0 hash=411db6a3fe247931 err=nil
 fault-chaos/global: steps=184 moves=2760 rejected=0 lost=211 hash=0466b97462cd3d66 err=nil graceful=false
 fault-crash/global: steps=11 moves=936 rejected=0 lost=0 hash=452c5cfe2600cced err=nil graceful=false
+fault-churn/global: steps=15 moves=1008 rejected=0 lost=0 hash=30d52281521eae2c err=nil graceful=false
 underlay/global: steps=8 moves=208 rejected=168 lost=0 hash=bec595151032bff4 err=nil
 `

@@ -219,14 +219,23 @@ func Run(inst *core.Instance, factory Factory, opts Options) (*Result, error) {
 	if reason == StopStalled {
 		// A stalled run reports its partial schedule without finalized
 		// summary metrics, matching the engine's historical contract.
-		err := fmt.Errorf("%w: step %d, strategy %s", ErrStalled, stepAt, strat.Name())
-		if fs, ok := strat.(Failer); ok {
-			if ferr := fs.Err(); ferr != nil {
-				err = errors.Join(err, ferr)
-			}
-		}
-		return res, err
+		return res, Stalled(strat, fmt.Sprintf("step %d, strategy %s", stepAt, strat.Name()))
 	}
 	res.Finalize(inst, st.Possess, done, opts.Prune)
 	return res, nil
+}
+
+// Stalled is the error every engine returns when its run stalls:
+// ErrStalled with where the run stopped, joined with the strategy's own
+// failure when it is a Failer that names one (e.g. the retry wrapper
+// exhausted its attempts). ErrStalled stays the head error, so errors.Is
+// classification is unchanged.
+func Stalled(strat Strategy, where string) error {
+	err := fmt.Errorf("%w: %s", ErrStalled, where)
+	if fs, ok := strat.(Failer); ok {
+		if ferr := fs.Err(); ferr != nil {
+			return errors.Join(err, ferr)
+		}
+	}
+	return err
 }

@@ -29,8 +29,8 @@ const (
 	// ViolationCapacity: an arc carried more accepted moves in one step
 	// than its effective capacity.
 	ViolationCapacity = "capacity"
-	// ViolationDownSilence: a move was admitted with a down (crashed or
-	// churned-away) endpoint.
+	// ViolationDownSilence: a move was admitted with a crashed endpoint
+	// (membership churn is a crash plan too).
 	ViolationDownSilence = "down-silence"
 	// ViolationConservation: a vertex possesses a token it neither started
 	// with nor ever took delivery of — tokens appeared out of nothing.
@@ -59,8 +59,8 @@ func (v InvariantViolation) String() string {
 // zero value checks against the static model: base-graph capacities,
 // nothing down.
 type InvariantConfig struct {
-	// Down, when non-nil, reports whether vertex v is out of service at
-	// step; any admitted move touching a down endpoint is a violation.
+	// Down, when non-nil, reports whether vertex v is crashed at step;
+	// any admitted move touching a down endpoint is a violation.
 	// Fault-engine runs pass fault.Plan.DownAt.
 	Down func(step, v int) bool
 	// Capacity, when non-nil, returns the effective capacity of base arc a

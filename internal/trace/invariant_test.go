@@ -85,7 +85,8 @@ func TestInvariantMonitorZeroViolationsAcrossEngines(t *testing.T) {
 
 		plan = fault.Plan{
 			Partitions: fault.NewRandomPartitions(2, 0.1, 4, 21),
-			Churn:      fault.NewRandomChurn(0.05, 0.5, 21, 0),
+			Crashes:    fault.NewRandomChurn(0.05, 0.5, 21, 0),
+			StateLoss:  fault.DropAll,
 			Loss:       fault.Bernoulli{P: 0.05, Seed: 21},
 		}
 		m = trace.NewInvariantMonitor(inst, trace.InvariantConfig{

@@ -156,6 +156,9 @@ func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
+	if opts.Done != nil {
+		return nil, errors.New("underlay: Options.Done is not supported; completion on the shared underlay is the static predicate")
+	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
@@ -170,8 +173,8 @@ func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options
 	res := &sim.Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
 	// The kernel's own admission covers token range, overlay arc existence,
 	// overlay capacity, and possession; the Admit hook layers the shared
-	// physical-link charging on top. This engine deliberately ignores
-	// opts.Done, as it always has: completion is the static predicate.
+	// physical-link charging on top. Completion is the static predicate,
+	// so a custom Done was rejected above.
 	eng := sim.Engine{
 		MaxSteps:     maxSteps,
 		IdlePatience: opts.IdlePatience,
@@ -181,7 +184,7 @@ func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options
 	}
 	reason, stepAt := eng.Run(inst, strat, st, res)
 	if reason == sim.StopStalled {
-		return res, fmt.Errorf("%w: step %d on shared underlay", sim.ErrStalled, stepAt)
+		return res, sim.Stalled(strat, fmt.Sprintf("step %d on shared underlay", stepAt))
 	}
 	res.Finalize(inst, st.Possess, core.Done, opts.Prune)
 	return res, nil

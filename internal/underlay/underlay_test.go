@@ -2,12 +2,15 @@ package underlay
 
 import (
 	"errors"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
 	"ocd/internal/heuristics"
 	"ocd/internal/sim"
+	"ocd/internal/tokenset"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
 )
@@ -159,6 +162,55 @@ func TestRunRejectsForeignInstance(t *testing.T) {
 	}
 	if _, err := net.Run(workload.SingleFile(g, 1), heuristics.Local, sim.Options{}); err == nil {
 		t.Error("foreign instance accepted")
+	}
+}
+
+// errGaveUp is the sentinel failure of quitter.
+var errGaveUp = errors.New("quitter gave up")
+
+// quitter proposes nothing and names its failure through sim.Failer.
+type quitter struct{}
+
+func (quitter) Name() string                { return "quitter" }
+func (quitter) Plan(*sim.State) []core.Move { return nil }
+func (quitter) Err() error                  { return errGaveUp }
+
+// TestRunStallKeepsStrategyFailure: a stall joins the strategy's own
+// failure onto ErrStalled, as every engine does.
+func TestRunStallKeepsStrategyFailure(t *testing.T) {
+	phys, hosts := dumbbell(t, 2)
+	net, err := Build(phys, hosts, [][2]int{{0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := core.NewInstance(net.Overlay, 1)
+	inst.Have[0].Add(0)
+	inst.Want[2].Add(0)
+	factory := func(*core.Instance, *rand.Rand) (sim.Strategy, error) { return quitter{}, nil }
+	_, err = net.Run(inst, factory, sim.Options{Seed: 1, IdlePatience: 2})
+	if !errors.Is(err, sim.ErrStalled) {
+		t.Fatalf("want a stall, got %v", err)
+	}
+	if !errors.Is(err, errGaveUp) {
+		t.Errorf("stall error dropped the strategy's failure: %v", err)
+	}
+}
+
+// TestRunRejectsDone: completion on the shared underlay is the static
+// predicate, so a custom Done fails closed instead of being ignored.
+func TestRunRejectsDone(t *testing.T) {
+	phys, hosts := dumbbell(t, 2)
+	net, err := Build(phys, hosts, [][2]int{{0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := core.NewInstance(net.Overlay, 1)
+	inst.Have[0].Add(0)
+	inst.Want[2].Add(0)
+	anyDone := func(*core.Instance, []tokenset.Set) bool { return true }
+	_, err = net.Run(inst, heuristics.Local, sim.Options{Seed: 1, Done: anyDone})
+	if err == nil || !strings.Contains(err.Error(), "Done") {
+		t.Errorf("want an error naming Options.Done, got %v", err)
 	}
 }
 

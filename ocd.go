@@ -110,12 +110,6 @@ type (
 	PartitionEvent = fault.PartitionEvent
 	// PartitionSchedule replays scripted partition events.
 	PartitionSchedule = fault.PartitionSchedule
-	// ChurnModel decides per-step membership absences (FaultPlan.Churn).
-	ChurnModel = fault.ChurnModel
-	// ChurnEvent is one scripted session gap (RejoinAt < 0 = never returns).
-	ChurnEvent = fault.ChurnEvent
-	// ChurnSchedule replays scripted churn events.
-	ChurnSchedule = fault.ChurnSchedule
 	// FaultLiveness classifies a faulted run's terminal state: complete,
 	// healable (stalled behind transient faults), or unsatisfiable.
 	FaultLiveness = fault.Liveness
@@ -158,13 +152,6 @@ func RandomCrashes(crashP, recoverP float64, seed int64, protect ...int) CrashMo
 // (healAfter < 0: the first episode never heals).
 func RandomPartitions(k int, startP float64, healAfter int, seed int64) PartitionModel {
 	return fault.NewRandomPartitions(k, startP, healAfter, seed)
-}
-
-// RandomChurn models session churn: present members leave with leaveP per
-// step (losing all state), absent ones rejoin empty with rejoinP per step
-// (rejoinP = 0: departures are permanent). Protected vertices never leave.
-func RandomChurn(leaveP, rejoinP float64, seed int64, protect ...int) ChurnModel {
-	return fault.NewRandomChurn(leaveP, rejoinP, seed, protect...)
 }
 
 // CutEdge scripts a full bidirectional link cut over [at, healAt).
