@@ -43,6 +43,9 @@ type Graph struct {
 	// view marks the read-only graph of a View: AddArc is rejected and
 	// arcs whose capacity is 0 are masked out of every accessor.
 	view bool
+	// arcGen counts a View's changes to its set of present arcs (see
+	// ArcGeneration).
+	arcGen uint64
 }
 
 // arcKey packs an in-range vertex pair into the ID index's key.
@@ -160,6 +163,14 @@ func (g *Graph) HasArc(u, v int) bool { return g.lookup(u, v) >= 0 }
 // ArcID returns the dense arc ID of u→v in [0, NumArcs()), or -1 if the
 // arc does not exist. IDs are assigned in insertion order and never change.
 func (g *Graph) ArcID(u, v int) int { return int(g.lookup(u, v)) }
+
+// ArcGeneration returns a counter that a View's Refresh advances whenever
+// it masks or unmasks an arc; a graph under construction is not planned
+// against, so AddArc leaves it alone. A capacity change on an arc that
+// stays present leaves it alone too, so state derived from the adjacency
+// lists alone (in-arc positions, BFS layers) is still valid while the
+// graph and its generation are.
+func (g *Graph) ArcGeneration() uint64 { return g.arcGen }
 
 // CapByID returns the capacity of the arc with the given dense ID.
 func (g *Graph) CapByID(id int) int { return g.capsByID[id] }

@@ -83,11 +83,20 @@ func NewView(base *Graph) *View {
 func (v *View) Graph() *Graph { return v.g }
 
 // Refresh sets every arc's capacity from caps, which holds one entry per
-// base arc ID; an arc with capacity ≤ 0 is masked. It allocates nothing.
+// base arc ID; an arc with capacity ≤ 0 is masked. It advances the graph's
+// ArcGeneration only when some arc flips between masked and present, so a
+// refresh that merely changes capacities keeps state derived from the
+// adjacency lists valid. It allocates nothing.
 func (v *View) Refresh(caps []int) {
 	g := v.g
-	for id := range g.capsByID {
-		g.capsByID[id] = max(caps[id], 0)
+	flipped := false
+	for id, old := range g.capsByID {
+		c := max(caps[id], 0)
+		flipped = flipped || (c > 0) != (old > 0)
+		g.capsByID[id] = c
+	}
+	if flipped {
+		g.arcGen++
 	}
 	for u, order := range v.outOrder {
 		arcs, ids := g.out[u][:0], g.outID[u][:0]

@@ -228,3 +228,32 @@ func TestViewsOfOneBaseConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestViewArcGeneration pins the arc-set generation that strategy caches
+// key on: a Refresh that only changes capacities of present arcs leaves it
+// alone, and one that masks or unmasks any arc advances it.
+func TestViewArcGeneration(t *testing.T) {
+	base := shuffledGraph(t, rand.New(rand.NewSource(5)), 12, 0.3)
+	view := graph.NewView(base)
+	g := view.Graph()
+	caps := append([]int(nil), base.CapsByID()...)
+	steps := []struct {
+		what    string
+		edit    func()
+		advance bool
+	}{
+		{"same capacities", func() {}, false},
+		{"capacity change, arc stays present", func() { caps[0] += 3 }, false},
+		{"arc masked", func() { caps[1] = 0 }, true},
+		{"masked arc stays masked at a negative capacity", func() { caps[1] = -2 }, false},
+		{"arc unmasked", func() { caps[1] = 1 }, true},
+	}
+	for _, s := range steps {
+		before := g.ArcGeneration()
+		s.edit()
+		view.Refresh(caps)
+		if got := g.ArcGeneration() != before; got != s.advance {
+			t.Errorf("%s: generation advanced = %v, want %v", s.what, got, s.advance)
+		}
+	}
+}

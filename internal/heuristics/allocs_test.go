@@ -3,6 +3,7 @@ package heuristics
 import (
 	"testing"
 
+	"ocd/internal/core"
 	"ocd/internal/dynamic"
 	"ocd/internal/fault"
 	"ocd/internal/sim"
@@ -25,17 +26,30 @@ var allocCeilings = map[string]float64{
 	"global":     800,
 }
 
+// multisenderAllocCeilings guard the same contract on a multi-file
+// instance with several sources, where the strategies' per-run caches
+// (Bandwidth's per-token targets, Local's holder masks) are largest: they
+// must be built once per run, not once per step. Set ~50% above the
+// measured values.
+var multisenderAllocCeilings = map[string]float64{
+	"roundrobin": 650,
+	"random":     550,
+	"local":      550,
+	"bandwidth":  525,
+	"global":     900,
+}
+
 // BenchmarkHeuristicRun is the per-heuristic microbenchmark backing the
 // ceilings above: -benchmem reports allocs/op for the same fixed workload.
+// The <shape>/<heuristic> sub-benchmarks run the benchmark's three
+// multi-file shapes at n=200, where planning dominates a run.
 func BenchmarkHeuristicRun(b *testing.B) {
 	g, err := topology.Random(60, topology.DefaultCaps, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst := workload.SingleFile(g, 40)
-	for i, factory := range All() {
-		factory := factory
-		b.Run(Names()[i], func(b *testing.B) {
+	run := func(name string, inst *core.Instance, factory sim.Factory) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for j := 0; j < b.N; j++ {
 				if _, err := sim.Run(inst, factory, sim.Options{Seed: 1, Prune: true}); err != nil {
@@ -44,10 +58,41 @@ func BenchmarkHeuristicRun(b *testing.B) {
 			}
 		})
 	}
+	inst := workload.SingleFile(g, 40)
+	for i, factory := range All() {
+		run(Names()[i], inst, factory)
+	}
+
+	g200, err := topology.Random(200, topology.DefaultCaps, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	multi, err := workload.MultiFile(g200, 512, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sender, err := workload.MultiSender(g200, 512, 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := []struct {
+		name string
+		inst *core.Instance
+	}{
+		{"density", workload.ReceiverDensity(g200, 200, 0.2, 1)},
+		{"multifile", multi},
+		{"multisender", sender},
+	}
+	for _, shape := range shapes {
+		for i, factory := range All() {
+			run(shape.name+"/"+Names()[i], shape.inst, factory)
+		}
+	}
 }
 
 // TestAllocationCeilings runs every heuristic end to end on a fixed
-// instance and fails if its total allocations exceed the recorded ceiling.
+// single-file and a fixed multi-sender instance and fails if its total
+// allocations exceed the recorded ceiling.
 // The lossy kernel path runs through the fault engine and is guarded by
 // TestFaultEngineAllocationCeilings.
 func TestAllocationCeilings(t *testing.T) {
@@ -58,27 +103,40 @@ func TestAllocationCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := workload.SingleFile(g, 40)
-	t.Run("lossless", func(t *testing.T) {
-		for i, factory := range All() {
-			name := Names()[i]
-			ceiling, ok := allocCeilings[name]
-			if !ok {
-				t.Errorf("%s: no allocation ceiling recorded; add one", name)
-				continue
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := sim.Run(inst, factory, sim.Options{Seed: 1, Prune: true}); err != nil {
-					t.Fatalf("%s: %v", name, err)
+	// Four files of 16 tokens, each at a random non-wanting source.
+	sender, err := workload.MultiSender(g, 64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		inst     *core.Instance
+		ceilings map[string]float64
+	}{
+		{"lossless", workload.SingleFile(g, 40), allocCeilings},
+		{"multisender", sender, multisenderAllocCeilings},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for i, factory := range All() {
+				name := Names()[i]
+				ceiling, ok := c.ceilings[name]
+				if !ok {
+					t.Errorf("%s: no allocation ceiling recorded; add one", name)
+					continue
 				}
-			})
-			t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
-			if allocs > ceiling {
-				t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
-					name, allocs, ceiling)
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, err := sim.Run(c.inst, factory, sim.Options{Seed: 1, Prune: true}); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				})
+				t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
+				if allocs > ceiling {
+					t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
+						name, allocs, ceiling)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // faultAllocCeilings guard the fault engine's per-run set-up of one

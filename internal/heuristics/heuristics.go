@@ -62,14 +62,12 @@ func All() []sim.Factory {
 // step's effective graph: arc IDs are stable across steps (a step view
 // shares its base's IDs), but the capacities behind them change.
 type residual struct {
-	g *graph.Graph
 	//ocd:scratch
 	rem []int
 }
 
-// reset points the residual at g and restores every arc to full capacity.
+// reset restores every arc to its full capacity in g.
 func (r *residual) reset(g *graph.Graph) {
-	r.g = g
 	caps := g.CapsByID()
 	if cap(r.rem) < len(caps) {
 		r.rem = make([]int, len(caps))
@@ -83,25 +81,6 @@ func (r *residual) takeID(id int32) { r.rem[id]-- }
 
 // leftID returns the remaining capacity of the arc with the given dense ID.
 func (r *residual) leftID(id int32) int { return r.rem[id] }
-
-// take consumes one unit of arc u→v if any capacity remains.
-func (r *residual) take(u, v int) bool {
-	id := r.g.ArcID(u, v)
-	if id < 0 || r.rem[id] <= 0 {
-		return false
-	}
-	r.rem[id]--
-	return true
-}
-
-// left returns the remaining capacity of arc u→v (0 if absent).
-func (r *residual) left(u, v int) int {
-	id := r.g.ArcID(u, v)
-	if id < 0 {
-		return 0
-	}
-	return r.rem[id]
-}
 
 // raritySorter holds the reusable scratch for the stable sort-by-count on
 // the per-vertex hot path: a counting-sort bucket array (have-counts are

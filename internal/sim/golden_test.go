@@ -87,6 +87,11 @@ func goldenEngineRuns(t *testing.T) string {
 	}
 	instU := workload.SingleFile(net.Overlay, 16)
 
+	instM, err := workload.MultiSender(g, 64, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var b strings.Builder
 	for i, factory := range heuristics.All() {
 		name := heuristics.Names()[i]
@@ -126,6 +131,13 @@ func goldenEngineRuns(t *testing.T) string {
 
 		ures, err := net.Run(instU, factory, sim.Options{Seed: 11, IdlePatience: 30})
 		fmt.Fprintf(&b, "underlay/%s: %s\n", name, summarize(ures, err))
+
+		res, err = sim.Run(instM, factory, sim.Options{Seed: 11, IdlePatience: 20})
+		fmt.Fprintf(&b, "base-multisender/%s: %s\n", name, summarize(res, err))
+
+		fres, err = fault.Run(instM, factory, fault.Plan{Capacity: dynamic.LinkFailure{P: 0.1, Seed: 3}},
+			sim.Options{Seed: 11, IdlePatience: 30})
+		fmt.Fprintf(&b, "dynamic-link-multisender/%s: %s\n", name, summarize(fres.Result, err))
 	}
 	return b.String()
 }
@@ -171,6 +183,9 @@ func TestGoldenEngineEquivalence(t *testing.T) {
 // "One way to perturb a network"). The fault-churn rows were recorded on
 // the fault engine's separate membership-churn model, before churn became
 // a crash plan with DropAll; the crash plan reproduces them unedited.
+// The base-multisender and dynamic-link-multisender rows pin multi-file
+// instances, where tokens start at several sources; they were recorded
+// before the strategies began planning from each step's deliveries.
 const goldenEngineTable = `
 base/roundrobin: steps=12 moves=7999 rejected=0 lost=0 hash=deff66d945966b21 err=nil
 fault-bernoulli/roundrobin: steps=33 moves=24975 rejected=0 lost=3730 hash=cd5cba267784f3f2 err=nil graceful=false
@@ -180,6 +195,8 @@ fault-chaos/roundrobin: steps=314 moves=234114 rejected=0 lost=20114 hash=9990d0
 fault-crash/roundrobin: steps=12 moves=6895 rejected=0 lost=0 hash=a63f3a589c6d5499 err=nil graceful=false
 fault-churn/roundrobin: steps=16 moves=11112 rejected=0 lost=0 hash=c8f4d49b27b51409 err=nil graceful=false
 underlay/roundrobin: steps=862 moves=91997 rejected=207885 lost=0 hash=3542a99fa61f8c61 err=nil
+base-multisender/roundrobin: steps=40 moves=31185 rejected=0 lost=0 hash=2493e311242d1043 err=nil
+dynamic-link-multisender/roundrobin: steps=41 moves=28515 rejected=0 lost=0 hash=f57176569874db74 err=nil
 base/random: steps=11 moves=974 rejected=0 lost=0 hash=e31e07aa661ad489 err=nil
 fault-bernoulli/random: steps=13 moves=1162 rejected=0 lost=192 hash=323bef5d8f1a5be8 err=nil graceful=false
 dynamic-cross/random: steps=19 moves=968 rejected=0 lost=0 hash=28845ccabc3baf86 err=nil
@@ -188,6 +205,8 @@ fault-chaos/random: steps=184 moves=3362 rejected=0 lost=252 hash=0a1fee599fc5bc
 fault-crash/random: steps=11 moves=965 rejected=0 lost=0 hash=13a57f04472c3c6a err=nil graceful=false
 fault-churn/random: steps=16 moves=1067 rejected=0 lost=0 hash=aeb7796f6fcacbc4 err=nil graceful=false
 underlay/random: steps=10 moves=253 rejected=387 lost=0 hash=39213da23a77b351 err=nil
+base-multisender/random: steps=24 moves=2577 rejected=0 lost=0 hash=376c2909596da9c3 err=nil
+dynamic-link-multisender/random: steps=27 moves=2575 rejected=0 lost=0 hash=7e591b777e08817d err=nil
 base/local: steps=11 moves=936 rejected=0 lost=0 hash=27422782b91fce41 err=nil
 fault-bernoulli/local: steps=13 moves=1115 rejected=0 lost=179 hash=2351633cf1bd001d err=nil graceful=false
 dynamic-cross/local: steps=19 moves=936 rejected=0 lost=0 hash=66f41fe4d7a5455f err=nil
@@ -196,6 +215,8 @@ fault-chaos/local: steps=184 moves=2753 rejected=0 lost=204 hash=3b48ca48609433c
 fault-crash/local: steps=11 moves=936 rejected=0 lost=0 hash=9166cbb9c51c2fdc err=nil graceful=false
 fault-churn/local: steps=15 moves=1008 rejected=0 lost=0 hash=b393d25fefa88a8d err=nil graceful=false
 underlay/local: steps=9 moves=208 rejected=170 lost=0 hash=d132562d5b132784 err=nil
+base-multisender/local: steps=12 moves=2295 rejected=0 lost=0 hash=20537fc6496fac94 err=nil
+dynamic-link-multisender/local: steps=12 moves=2133 rejected=0 lost=0 hash=03a7c70dcffd9e5c err=nil
 base/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=24d212ba6685218c err=nil
 fault-bernoulli/bandwidth: steps=13 moves=1111 rejected=0 lost=175 hash=84d7e443aadee8ae err=nil graceful=false
 dynamic-cross/bandwidth: steps=19 moves=936 rejected=0 lost=0 hash=b95e78562b9069ce err=nil
@@ -204,6 +225,8 @@ fault-chaos/bandwidth: steps=184 moves=2764 rejected=0 lost=215 hash=d752603a8c8
 fault-crash/bandwidth: steps=11 moves=936 rejected=0 lost=0 hash=3fbd68faa2e05bc0 err=nil graceful=false
 fault-churn/bandwidth: steps=15 moves=1008 rejected=0 lost=0 hash=333908d6c87b1781 err=nil graceful=false
 underlay/bandwidth: steps=8 moves=208 rejected=142 lost=0 hash=49d18fc228474d05 err=nil
+base-multisender/bandwidth: steps=11 moves=816 rejected=0 lost=0 hash=e50427217d32f052 err=nil
+dynamic-link-multisender/bandwidth: steps=14 moves=820 rejected=0 lost=0 hash=980a9047d409566b err=nil
 base/global: steps=11 moves=936 rejected=0 lost=0 hash=d2b9d795811129f2 err=nil
 fault-bernoulli/global: steps=13 moves=1115 rejected=0 lost=179 hash=16eec66fb25c3cdb err=nil graceful=false
 dynamic-cross/global: steps=19 moves=936 rejected=0 lost=0 hash=04828daf54f63583 err=nil
@@ -212,4 +235,6 @@ fault-chaos/global: steps=184 moves=2760 rejected=0 lost=211 hash=0466b97462cd3d
 fault-crash/global: steps=11 moves=936 rejected=0 lost=0 hash=452c5cfe2600cced err=nil graceful=false
 fault-churn/global: steps=15 moves=1008 rejected=0 lost=0 hash=30d52281521eae2c err=nil graceful=false
 underlay/global: steps=8 moves=208 rejected=168 lost=0 hash=bec595151032bff4 err=nil
+base-multisender/global: steps=11 moves=2244 rejected=0 lost=0 hash=1ffc7a4d4b37ac5d err=nil
+dynamic-link-multisender/global: steps=14 moves=2258 rejected=0 lost=0 hash=a4b9ac4a28043830 err=nil
 `

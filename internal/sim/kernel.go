@@ -46,7 +46,8 @@ type StepInterceptor interface {
 	// PreStep runs first in every timestep, before the completion check —
 	// crash transitions apply even to a step that then terminates.
 	// Implementations that mutate possession wholesale must call
-	// st.InvalidateCounts.
+	// st.InvalidateCounts, which also makes every strategy rebuild the
+	// state it derives from possession (see Changes).
 	PreStep(step int, st *State)
 	// StopEarly runs after the completion check; returning true stops the
 	// run with StopEarly (the fault engine's graceful settlement).
@@ -203,6 +204,8 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 				return StopStalled, step
 			}
 			res.Schedule.Append(nil)
+			st.Delivered = nil
+			st.executed++
 			if obs != nil {
 				obs.OnStep(step, nil, st)
 			}
@@ -238,6 +241,8 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 			st.Deliver(mv)
 		}
 		res.Schedule.Append(out)
+		st.Delivered = out
+		st.executed++
 		if obs != nil {
 			obs.OnStep(step, out, st)
 		}

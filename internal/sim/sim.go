@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"ocd/internal/core"
+	"ocd/internal/graph"
 	"ocd/internal/tokenset"
 )
 
@@ -26,6 +27,13 @@ import (
 // Random additionally reads the possession of out-neighbors; Local reads
 // the global aggregate vectors; Bandwidth and Global read everything
 // (they are the paper's global-knowledge heuristics).
+//
+// State also carries a change signal, so that a strategy can keep state
+// derived from possession and the arc set current instead of rescanning
+// every vertex each turn: Delivered holds the last executed step's
+// deliveries, the kernel counts executed steps, InvalidateCounts counts
+// wipes, and the planning graph's ArcGeneration counts arc-set changes.
+// Changes.Delta reads all four and answers "apply Delivered" or "rebuild".
 type State struct {
 	Inst *core.Instance
 	// Possess is the current possession p_i(v) per vertex. Strategies must
@@ -36,10 +44,18 @@ type State struct {
 	Step int
 	// Rand is the per-run PRNG for randomized strategies.
 	Rand *rand.Rand
+	// Delivered is the step the kernel executed last, exactly as appended
+	// to the schedule: the moves that reached their receivers, nil after an
+	// idle step or a fully lost one, and nil before the first step.
+	// Strategies must not mutate it.
+	Delivered core.Step
 
 	// counts caches the per-token holder counts |{v : t ∈ p(v)}|, computed
 	// lazily by HaveCounts and maintained incrementally by Deliver.
 	counts []int
+	// executed counts the steps the kernel has executed on this state, and
+	// wipes the InvalidateCounts calls; Changes.Delta compares both.
+	executed, wipes int
 }
 
 // Missing returns w(v) \ p(v) for vertex v as a fresh set.
@@ -86,9 +102,9 @@ func (s *State) HaveCounts() []int {
 }
 
 // Deliver records the delivery of mv: the destination gains the token and
-// the cached have-counts are updated incrementally. Engines must route all
-// possession growth through this method (or call InvalidateCounts after
-// mutating Possess directly).
+// the cached have-counts are updated incrementally. The kernel routes every
+// delivery through this method and then publishes the step as Delivered;
+// any other possession edit must be followed by InvalidateCounts.
 func (s *State) Deliver(mv core.Move) {
 	if s.counts != nil && !s.Possess[mv.To].Has(mv.Token) {
 		s.counts[mv.Token]++
@@ -97,9 +113,37 @@ func (s *State) Deliver(mv core.Move) {
 }
 
 // InvalidateCounts drops the cached have-counts; the next HaveCounts call
-// recomputes them. Needed after wholesale possession edits such as the
-// fault engine's state-loss events.
-func (s *State) InvalidateCounts() { s.counts = nil }
+// recomputes them. It also counts a wipe, so every strategy rebuilds the
+// state it derives from possession at its next Plan. Needed after
+// wholesale possession edits such as the fault engine's state-loss events.
+func (s *State) InvalidateCounts() {
+	s.counts = nil
+	s.wipes++
+}
+
+// Changes remembers the change signal a strategy last planned against.
+// The zero value holds no graph, so the strategy's first Plan rebuilds.
+type Changes struct {
+	executed, wipes int
+	g               *graph.Graph
+	gen             uint64
+}
+
+// Delta reports whether st differs from the state this strategy last
+// planned against by exactly st.Delivered, so that caches derived from
+// possession and the arc set may be updated from its moves; false means
+// they must be rebuilt. It answers false when the kernel did not execute
+// exactly one step since then (a wrapper such as the §4.2 oracle skipped
+// Plan), when possession was wiped (InvalidateCounts), or when the
+// planning graph or its ArcGeneration changed. Either way it records st
+// as the new reference point.
+func (c *Changes) Delta(st *State) bool {
+	g := st.Inst.G
+	delta := c.g == g && c.gen == g.ArcGeneration() &&
+		st.executed == c.executed+1 && st.wipes == c.wipes
+	*c = Changes{executed: st.executed, wipes: st.wipes, g: g, gen: g.ArcGeneration()}
+	return delta
+}
 
 // Strategy plans the moves of one timestep. Implementations may keep
 // per-run state (e.g. Round Robin's per-arc cursor); a fresh Strategy is
