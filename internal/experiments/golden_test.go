@@ -22,6 +22,9 @@ var goldenCases = []struct {
 	{"chaos", map[string]string{
 		"n": "16", "tokens": "8", "intensities": "0,0.5", "heuristics": "local,retry-local", "seed": "3",
 	}},
+	{"crashed-source", map[string]string{
+		"n": "12", "tokens": "36", "crash-at": "1", "seed": "3",
+	}},
 	{"partition", map[string]string{
 		"n": "16", "tokens": "8", "heal": "0,-1", "heuristics": "local", "seed": "3",
 	}},

@@ -6,10 +6,10 @@ package experiments
 // experiments as data: resolve a parameter map (typed values from the
 // facade, strings from a CLI or a JSON sweep file) against the schema and
 // execute. The facade's typed paper-figure functions, ocd.RunExperiment,
-// the ocdsim/ocdchaos -experiment modes, ocdchaos -scenario, and
-// reproducible -spec sweep files all lower to the same path, which is also
-// the layer sharded or distributed sweeps plug into: a (spec name, params)
-// pair is a complete, serializable description of a run.
+// ocdsim's -experiment mode, and reproducible -spec sweep files all lower
+// to the same path, which is also the layer sharded or distributed sweeps
+// plug into: a (spec name, params) pair is a complete, serializable
+// description of a run.
 
 import (
 	"fmt"

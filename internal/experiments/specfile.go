@@ -1,9 +1,9 @@
 package experiments
 
 // Reproducible sweep files: a JSON description of one or more registry
-// invocations, runnable via `ocdsim -spec file.json` (or ocdchaos). The
-// file pins the experiment names and every parameter override, so a sweep
-// can be archived, diffed, and re-run to byte-identical tables.
+// invocations, runnable via `ocdsim -spec file.json`. The file pins the
+// experiment names and every parameter override, so a sweep can be
+// archived, diffed, and re-run to byte-identical tables.
 
 import (
 	"bytes"

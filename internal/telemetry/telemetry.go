@@ -1,7 +1,7 @@
 // Package telemetry is the deterministic-friendly metrics layer behind
-// the -telemetry flag of ocdsim and ocdchaos: named counters, gauges, and
-// duration histograms registered on a Registry, recorded lock-free on the
-// hot path, and emitted as a JSONL stream plus a human Summary table.
+// ocdsim's -telemetry flag: named counters, gauges, and duration
+// histograms registered on a Registry, recorded lock-free on the hot path,
+// and emitted as a JSONL stream plus a human Summary table.
 //
 // Every metric carries a Class, and the split is enforced by
 // construction:

@@ -36,7 +36,6 @@ import (
 	"ocd/internal/protocol"
 	"ocd/internal/sim"
 	"ocd/internal/steiner"
-	"ocd/internal/telemetry"
 	"ocd/internal/tokenset"
 	"ocd/internal/topology"
 	"ocd/internal/trace"
@@ -102,8 +101,6 @@ type (
 	CrashSchedule = fault.CrashSchedule
 	// StateLossPolicy selects what a crashing vertex forgets.
 	StateLossPolicy = fault.StateLoss
-	// RetryOptions configures the retry-with-backoff wrapper.
-	RetryOptions = fault.RetryOptions
 	// PartitionModel decides per-step arc severing (FaultPlan.Partitions).
 	PartitionModel = fault.PartitionModel
 	// PartitionEvent is one scripted cut (HealAt < 0 = never heals).
@@ -154,16 +151,6 @@ func RandomPartitions(k int, startP float64, healAfter int, seed int64) Partitio
 	return fault.NewRandomPartitions(k, startP, healAfter, seed)
 }
 
-// CutEdge scripts a full bidirectional link cut over [at, healAt).
-func CutEdge(u, v, at, healAt int) []PartitionEvent { return fault.CutEdge(u, v, at, healAt) }
-
-// FaultPlanAtIntensity builds the canonical chaos plan at intensity
-// x ∈ [0,1]: bursty loss, crash/recovery churn with download loss, and
-// gossip loss, all scaled by x. Protected vertices never crash.
-func FaultPlanAtIntensity(x float64, seed int64, protect ...int) FaultPlan {
-	return fault.AtIntensity(x, seed, protect...)
-}
-
 // RunFaulted runs the named heuristic under the fault plan using the
 // crash/recovery-aware engine: it detects provably undeliverable receivers
 // via live-holder reachability and terminates gracefully with degradation
@@ -194,13 +181,6 @@ func ValidateConstraints(inst *Instance, sched *Schedule) error {
 	return core.ValidateConstraints(inst, sched)
 }
 
-// RetryFactory wraps a strategy factory in the retry-with-backoff sender:
-// moves proposed by the inner strategy that fail to deliver are re-offered
-// with exponential backoff, re-routing around crashed senders.
-func RetryFactory(inner StrategyFactory, opts RetryOptions) StrategyFactory {
-	return fault.WithRetry(inner, opts)
-}
-
 // Error sentinels, for errors.Is on run errors.
 var (
 	// ErrStalled marks a run that made no progress for a full IdlePatience
@@ -213,24 +193,13 @@ var (
 	ErrRetriesExhausted = fault.ErrRetriesExhausted
 )
 
-// ProtocolLocalWithGossipLoss is ProtocolLocalFactory with lossy knowledge
-// gossip: each per-turn neighbor exchange is skipped when drop returns
-// true (pair with FaultPlan.Gossip).
-func ProtocolLocalWithGossipLoss(drop func(step, from, to int) bool) StrategyFactory {
-	return protocol.LocalWithGossipLoss(drop)
-}
-
 // Experiment registry — every experiment in internal/experiments is a
-// declarative spec. The same specs back the ocdsim/ocdchaos -experiment
-// modes and -spec sweep files, so RunExperiment, a CLI flag set, and a
-// JSON sweep entry are three spellings of the same run.
+// declarative spec. The same specs back ocdsim's -experiment mode and its
+// -spec sweep files, so RunExperiment, a CLI flag set, and a JSON sweep
+// entry are three spellings of the same run.
 
 // ExperimentNames lists the registered experiment specs in sorted order.
 func ExperimentNames() []string { return experiments.Names() }
-
-// DescribeExperiments writes the experiment registry listing — every spec
-// with its parameter schema, defaults, and seed policy.
-func DescribeExperiments(w io.Writer) error { return experiments.Describe(w) }
 
 // RunExperiment runs a registered experiment by name with string parameter
 // overrides (exactly what `ocdsim -experiment name -param k=v` passes);
@@ -552,53 +521,10 @@ type (
 	StepRecord = trace.StepRecord
 	// StepCollector is the standard Observer: one StepRecord per timestep.
 	StepCollector = trace.StepCollector
-	// InvariantMonitor is the kernel-invariant sanitizer Observer: it
-	// re-checks possession, capacity, down-vertex silence, and token
-	// conservation every step.
-	InvariantMonitor = trace.InvariantMonitor
-	// InvariantConfig adapts the monitor to an engine's fault semantics
-	// (pass FaultPlan.DownAt and FaultPlan.EffectiveCapacity for faulted
-	// runs); the zero value checks the static model.
-	InvariantConfig = trace.InvariantConfig
-	// InvariantViolation is one structured invariant breach.
-	InvariantViolation = trace.InvariantViolation
 )
 
 // NewStepCollector builds a per-step trace collector for runs over inst.
 func NewStepCollector(inst *Instance) *StepCollector { return trace.NewStepCollector(inst) }
-
-// NewInvariantMonitor builds a kernel invariant monitor for runs over
-// inst; attach it through RunOptions.Observer and check its Err after the
-// run.
-func NewInvariantMonitor(inst *Instance, cfg InvariantConfig) *InvariantMonitor {
-	return trace.NewInvariantMonitor(inst, cfg)
-}
-
-// Telemetry — the deterministic-friendly metrics layer. A Registry hands
-// out named counters (deterministic: safe to golden-test), gauges, and
-// duration histograms (wall-clock: reported, never folded into experiment
-// tables). A nil *TelemetryRegistry turns every recording site into a
-// no-op, so instrumented code records unconditionally.
-type (
-	// TelemetryRegistry interns named metrics and snapshots/streams them.
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryMetric is one snapshotted metric (JSONL stream row).
-	TelemetryMetric = telemetry.Metric
-	// KernelObserver counts kernel step-phase work (steps, planned,
-	// admitted, delivered, lost, rejected) through the Observer seat.
-	KernelObserver = telemetry.KernelObserver
-)
-
-// NewTelemetryRegistry builds an empty metric registry.
-func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.New() }
-
-// NewKernelObserver builds a step-phase counting Observer recording into
-// reg under kernel.<engine>.*; attach it through RunOptions.Observer via
-// its Observer() method. A nil reg yields a nil observer, which the
-// kernel treats as "no observer".
-func NewKernelObserver(reg *TelemetryRegistry, engine string) *KernelObserver {
-	return telemetry.NewKernelObserver(reg, engine)
-}
 
 // EncodeStepTraceJSONL writes step records as JSONL (one object per line).
 func EncodeStepTraceJSONL(w io.Writer, recs []StepRecord) error {
