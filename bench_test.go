@@ -165,11 +165,12 @@ func BenchmarkILPvsBnB(b *testing.B) {
 // --- Ablations (DESIGN.md "key design decisions") ---
 
 // BenchmarkPrune measures the §5.1 pruning post-pass on a flooded
-// schedule — the post-pass design keeps the hot simulation loop free of
-// bookkeeping.
+// schedule, a Round Robin run's: the shape that carries most of the
+// benchmark grid's moves. The post-pass design keeps the hot simulation
+// loop free of bookkeeping.
 func BenchmarkPrune(b *testing.B) {
 	inst := benchInstance(b, false, 100, 100)
-	res, err := ocd.RunHeuristic(inst, "random", ocd.RunOptions{Seed: 1})
+	res, err := ocd.RunHeuristic(inst, "roundrobin", ocd.RunOptions{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

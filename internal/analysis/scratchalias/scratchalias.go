@@ -2,7 +2,7 @@
 // retained references to designated reusable scratch buffers.
 //
 // The hot paths of the simulator reuse per-run scratch slices instead of
-// allocating per step (the kernel's accepted/delivered buffers, every
+// allocating per step (the kernel's accepted-move and arc-ID buffers, every
 // heuristic's work lists, the trace observers' per-step arrays). The
 // unchecked convention those buffers rely on: a reference to a scratch
 // buffer must never outlive the call that filled it, because the next

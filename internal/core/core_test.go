@@ -147,6 +147,54 @@ func TestValidateTokenRange(t *testing.T) {
 	}
 }
 
+// arcRunInstance has arcs 0→1 (capacity 3) and 0→3 (capacity 1) and no
+// arc 0→2; vertex 0 holds all four tokens.
+func arcRunInstance(t *testing.T) *Instance {
+	t.Helper()
+	g := graph.New(4)
+	for _, a := range []graph.Arc{{From: 0, To: 1, Cap: 3}, {From: 0, To: 3, Cap: 1}} {
+		if err := g.AddArc(a.From, a.To, a.Cap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst := NewInstance(g, 4)
+	inst.Have[0].AddRange(0, 4)
+	return inst
+}
+
+// TestValidateArcRuns checks that looking an arc up once per run of moves
+// on one pair keeps every check: a missing arc after a run, a run broken
+// by an out-of-range token, a first move on no pair and capacity counted
+// across a run split by another arc all fail on the right move.
+func TestValidateArcRuns(t *testing.T) {
+	inst := arcRunInstance(t)
+	for _, tc := range []struct {
+		name   string
+		step   Step
+		bad    int // index of the failing move; -1 if the step is valid
+		reason string
+	}{
+		{"missing arc after a run", Step{{0, 1, 0}, {0, 1, 1}, {0, 2, 2}}, 2, "arc does not exist"},
+		{"run broken by a token", Step{{0, 1, 0}, {0, 1, 4}, {0, 1, 1}}, 1, "token out of range"},
+		{"first move (-1, -1)", Step{{-1, -1, 0}, {0, 1, 0}}, 0, "arc does not exist"},
+		{"first move (0, 0)", Step{{0, 0, 0}, {0, 1, 0}}, 0, "arc does not exist"},
+		{"capacity across a split run", Step{{0, 1, 0}, {0, 1, 1}, {0, 3, 0}, {0, 1, 2}, {0, 1, 3}}, 4, "capacity 3 exceeded"},
+		{"split run within capacity", Step{{0, 1, 0}, {0, 3, 0}, {0, 1, 1}, {0, 1, 2}}, -1, ""},
+	} {
+		err := ValidateConstraints(inst, &Schedule{Steps: []Step{tc.step}})
+		if tc.bad < 0 {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Move != tc.step[tc.bad] || verr.Reason != tc.reason {
+			t.Errorf("%s: err = %v, want move %v: %s", tc.name, err, tc.step[tc.bad], tc.reason)
+		}
+	}
+}
+
 func TestValidateUnsuccessful(t *testing.T) {
 	inst := lineInstance(t, 3, 1, 1)
 	sched := &Schedule{Steps: []Step{{{From: 0, To: 1, Token: 0}}}}

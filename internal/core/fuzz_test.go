@@ -97,3 +97,48 @@ func FuzzMakespanLowerBound(f *testing.F) {
 		}
 	})
 }
+
+// decodePruneInput turns fuzz bytes into an instance of at most 8
+// vertices and 16 tokens with arbitrary have and want sets, and a
+// schedule of up to 15 steps of up to 15 moves each. Every move joins
+// in-range vertices, From may equal To, and a token may be −1 or m, one
+// past either end; small n and m make duplicate deliveries common, and a
+// step of length 0 is an empty step. Prune reads no arcs, so the graph
+// has none.
+func decodePruneInput(data []byte) (*core.Instance, *core.Schedule) {
+	r := &bitReader{data: data}
+	n := 1 + r.bits(3)
+	m := r.bits(4) + 1
+	inst := core.NewInstance(graph.New(n), m)
+	for v := 0; v < n; v++ {
+		for t := 0; t < m; t++ {
+			if r.bits(1) == 1 {
+				inst.Have[v].Add(t)
+			}
+			if r.bits(1) == 1 {
+				inst.Want[v].Add(t)
+			}
+		}
+	}
+	sched := &core.Schedule{}
+	for i, steps := 0, r.bits(4); i < steps; i++ {
+		st := make(core.Step, r.bits(4))
+		for j := range st {
+			st[j] = core.Move{From: r.bits(3) % n, To: r.bits(3) % n, Token: r.bits(5)%(m+2) - 1}
+		}
+		sched.Append(st)
+	}
+	return inst, sched
+}
+
+// FuzzPrune checks Prune against the two-pass reference on arbitrary small
+// schedules, valid or not: the output must match move for move, every
+// output step must be capped at its length, and nothing may panic.
+func FuzzPrune(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x23, 0x5a, 0xc3, 0x0f, 0xff, 0x81, 0x42, 0x99, 0x3c, 0xe7, 0x18, 0x66})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inst, sched := decodePruneInput(data)
+		checkPrune(t, "fuzz", inst, sched)
+	})
+}

@@ -4,17 +4,25 @@ package core_test
 // Arrivals table replaced, kept verbatim under renamed identifiers as the
 // reference for TestArrivalsMatchReference and FuzzMakespanLowerBound: the
 // radius bound ran one reverse BFS per receiver, Satisfiable one more, and
-// the flow bound a third for its nearest holder.
+// the flow bound a third for its nearest holder. refPrune, the last of
+// them, is the Prune that the position buffer replaced, kept the same way
+// as the reference for TestPruneMatchesReference and FuzzPrune: it copied
+// every first delivery into a per-step slice, and every survivor into a
+// second one.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ocd/internal/core"
 	"ocd/internal/experiments"
 	"ocd/internal/flow"
 	"ocd/internal/graph"
+	"ocd/internal/heuristics"
+	"ocd/internal/sim"
 	"ocd/internal/tokenset"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
@@ -163,6 +171,57 @@ func refNearestHolder(inst *core.Instance, holders []int, v int) int {
 		return 0
 	}
 	return bestDist
+}
+
+func refPrune(inst *core.Instance, sched *core.Schedule) *core.Schedule {
+	// Pass 1: drop duplicate deliveries. A move is redundant if the
+	// destination already possesses the token at the moment of delivery
+	// (including an earlier kept move in the same timestep). Marking the
+	// possession as each move is kept makes the within-step duplicate check
+	// the same O(1) set probe as the cross-step one: pass 1 never reads
+	// cur[v] for anything except (destination, token) membership, so the
+	// early add is indistinguishable from the end-of-step add.
+	cur := inst.InitialPossession()
+	kept := make([]core.Step, len(sched.Steps))
+	for i, st := range sched.Steps {
+		for _, mv := range st {
+			if cur[mv.To].Has(mv.Token) {
+				continue // duplicate delivery
+			}
+			cur[mv.To].Add(mv.Token)
+			kept[i] = append(kept[i], mv)
+		}
+	}
+
+	// Pass 2: backward sweep. needed[v] holds the tokens vertex v must
+	// possess because it wants them or because a kept later move sends
+	// them from v.
+	needed := make([]tokenset.Set, inst.N())
+	for v := range needed {
+		needed[v] = inst.Want[v].Clone()
+	}
+	final := make([]core.Step, len(kept))
+	for i := len(kept) - 1; i >= 0; i-- {
+		for _, mv := range kept[i] {
+			if !needed[mv.To].Has(mv.Token) {
+				continue // delivery never used downstream
+			}
+			final[i] = append(final[i], mv)
+		}
+		for _, mv := range final[i] {
+			// The sender must possess the token before this step; protect
+			// its (unique, by pass 1) earlier delivery or initial copy.
+			needed[mv.From].Add(mv.Token)
+		}
+	}
+
+	out := &core.Schedule{}
+	for _, st := range final {
+		if len(st) > 0 {
+			out.Steps = append(out.Steps, st)
+		}
+	}
+	return out
 }
 
 // ----------------------------------------------------------------------
@@ -367,5 +426,81 @@ func checkDist(t *testing.T, name string, inst *core.Instance, a *core.Arrivals)
 			}
 			return true
 		})
+	}
+}
+
+// checkPrune compares Prune with refPrune on one schedule, move for move,
+// and checks that every output step is capped at its length: appending to
+// one step must leave the others unchanged.
+func checkPrune(t *testing.T, name string, inst *core.Instance, sched *core.Schedule) {
+	t.Helper()
+	got, want := core.Prune(inst, sched), refPrune(inst, sched)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Prune kept %d moves in %d steps, reference %d in %d:\n got %v\nwant %v",
+			name, got.Moves(), got.Makespan(), want.Moves(), want.Makespan(), got.Steps, want.Steps)
+	}
+	before := got.Clone()
+	for i := range got.Steps {
+		_ = append(got.Steps[i], core.Move{From: -1, To: -1, Token: -1})
+		for j := range got.Steps {
+			if !slices.Equal(got.Steps[j], before.Steps[j]) {
+				t.Fatalf("%s: appending to pruned step %d overwrote step %d", name, i, j)
+			}
+		}
+	}
+}
+
+// TestPruneMatchesReference pins Prune against the two-pass implementation
+// it replaced: random valid and flooded schedules on small random trees,
+// and full Round Robin, Random and Global runs on single-file and
+// multi-sender instances of Random(60).
+func TestPruneMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(6)
+		m := 1 + rng.Intn(4)
+		g := graph.New(n)
+		perm := rng.Perm(n)
+		for i := 1; i < n; i++ {
+			if err := g.AddEdge(perm[i], perm[rng.Intn(i)], 1+rng.Intn(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inst := core.NewInstance(g, m)
+		for tok := 0; tok < m; tok++ {
+			inst.Have[rng.Intn(n)].Add(tok)
+			inst.Want[rng.Intn(n)].Add(tok)
+			inst.Want[rng.Intn(n)].Add(tok)
+		}
+		checkPrune(t, fmt.Sprintf("random-valid/%d", trial), inst, core.RandomValidSchedule(t, inst, rng))
+		checkPrune(t, fmt.Sprintf("flood/%d", trial), inst, core.FloodSchedule(inst))
+	}
+
+	g, err := topology.Random(60, topology.DefaultCaps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := workload.MultiSender(g, 64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		inst *core.Instance
+	}{
+		{"single-file", workload.SingleFile(g, 40)},
+		{"multisender", sender},
+	} {
+		for _, h := range []string{"roundrobin", "random", "global"} {
+			factory, ok := heuristics.Named(h)
+			if !ok {
+				t.Fatalf("no heuristic %q", h)
+			}
+			res, err := sim.Run(c.inst, factory, sim.Options{Seed: 1})
+			if err != nil || !res.Completed {
+				t.Fatalf("%s/%s: completed=%v err=%v", c.name, h, res != nil && res.Completed, err)
+			}
+			checkPrune(t, c.name+"/"+h, c.inst, res.Schedule)
+		}
 	}
 }

@@ -122,20 +122,22 @@ func ValidateConstraints(inst *Instance, sched *Schedule) error {
 }
 
 // replayConstraints replays the schedule checking arc existence, capacity,
-// and possession, returning the final possession.
+// and possession, returning the final possession. Capacity is counted per
+// arc ID; each run of moves on one arc is looked up once.
 func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
 	cur := inst.InitialPossession()
 	used := make([]int, inst.G.NumArcs())
+	arcs := inst.G.ArcRun()
 	for i, st := range sched.Steps {
 		clear(used)
 		for _, mv := range st {
 			if mv.Token < 0 || mv.Token >= inst.NumTokens {
 				return nil, &ValidationError{Step: i, Move: mv, Reason: "token out of range"}
 			}
-			id := inst.G.ArcID(mv.From, mv.To)
+			id := arcs.ID(mv.From, mv.To)
 			if id < 0 {
 				return nil, &ValidationError{Step: i, Move: mv, Reason: "arc does not exist"}
 			}

@@ -504,6 +504,7 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 	down := make([]bool, n)
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
 	used := make([]int, inst.G.NumArcs())
+	arcs := inst.G.ArcRun()
 
 	for i, st := range sched.Steps {
 		for v := 0; v < n; v++ {
@@ -535,7 +536,7 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 			if plan.Partitions.Severed(i, mv.From, mv.To) {
 				return fmt.Errorf("fault: step %d move %v: arc severed by partition", i, mv)
 			}
-			id := inst.G.ArcID(mv.From, mv.To)
+			id := arcs.ID(mv.From, mv.To)
 			if id < 0 {
 				return fmt.Errorf("fault: step %d move %v: arc does not exist", i, mv)
 			}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -448,6 +449,49 @@ func TestValidateRejectsOutOfRangeMoves(t *testing.T) {
 		err := Validate(inst, sched, Plan{})
 		if err == nil || !strings.Contains(err.Error(), tc.reason) {
 			t.Errorf("move %v: err = %v, want %q", tc.mv, err, tc.reason)
+		}
+	}
+}
+
+// mv is the move from → to carrying tok.
+func mv(from, to, tok int) core.Move { return core.Move{From: from, To: to, Token: tok} }
+
+// TestValidateArcRuns checks that looking an arc up once per run of moves
+// on one pair keeps every check of the faulted replay: a missing arc
+// after a run, a run broken by an out-of-range token, a first move on no
+// pair and capacity counted across a run split by another arc all fail on
+// the right move.
+func TestValidateArcRuns(t *testing.T) {
+	g := graph.New(4)
+	for _, a := range []graph.Arc{{From: 0, To: 1, Cap: 3}, {From: 0, To: 3, Cap: 1}} {
+		if err := g.AddArc(a.From, a.To, a.Cap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst := core.NewInstance(g, 4)
+	inst.Have[0].AddRange(0, 4)
+	for _, tc := range []struct {
+		name   string
+		step   core.Step
+		bad    int // index of the failing move; -1 if the step is valid
+		reason string
+	}{
+		{"missing arc after a run", core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 2, 2)}, 2, "arc does not exist"},
+		{"run broken by a token", core.Step{mv(0, 1, 0), mv(0, 1, 4), mv(0, 1, 1)}, 1, "token out of range"},
+		{"first move (-1, -1)", core.Step{mv(-1, -1, 0), mv(0, 1, 0)}, 0, "vertex out of range"},
+		{"first move (0, 0)", core.Step{mv(0, 0, 0), mv(0, 1, 0)}, 0, "arc does not exist"},
+		{"capacity across a split run", core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2), mv(0, 1, 3)}, 4, "effective capacity 3 exceeded"},
+		{"split run within capacity", core.Step{mv(0, 1, 0), mv(0, 3, 0), mv(0, 1, 1), mv(0, 1, 2)}, -1, ""},
+	} {
+		err := Validate(inst, &core.Schedule{Steps: []core.Step{tc.step}}, Plan{})
+		if tc.bad < 0 {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if want := fmt.Sprintf("move %v: %s", tc.step[tc.bad], tc.reason); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
 	}
 }

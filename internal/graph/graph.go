@@ -164,6 +164,39 @@ func (g *Graph) HasArc(u, v int) bool { return g.lookup(u, v) >= 0 }
 // arc does not exist. IDs are assigned in insertion order and never change.
 func (g *Graph) ArcID(u, v int) int { return int(g.lookup(u, v)) }
 
+// ArcRun resolves the arcs of a sequence of moves, looking an arc up only
+// when its (From, To) pair differs from the previous call's. Strategies
+// propose their moves in runs on one arc and schedules keep those runs, so
+// an admission or replay loop that holds one ArcRun as a local pays one
+// lookup per run instead of one per move. It has resolved no pair when made,
+// so its first call always looks up. The graph must not change while an
+// ArcRun of it is in use.
+type ArcRun struct {
+	g        *Graph
+	from, to int
+	id       int
+	resolved bool
+}
+
+// ArcRun returns a run resolver over g that has resolved no pair yet.
+func (g *Graph) ArcRun() ArcRun { return ArcRun{g: g} }
+
+// ID returns ArcID(u, v), reusing the previous answer while (u, v) is the
+// pair it last resolved.
+func (r *ArcRun) ID(u, v int) int {
+	if r.resolved && u == r.from && v == r.to {
+		return r.id
+	}
+	return r.resolve(u, v)
+}
+
+// resolve looks (u, v) up and remembers it; kept out of ID so that the
+// common case, a repeated pair, inlines into the caller's loop.
+func (r *ArcRun) resolve(u, v int) int {
+	r.from, r.to, r.id, r.resolved = u, v, r.g.ArcID(u, v), true
+	return r.id
+}
+
 // ArcGeneration returns a counter that a View's Refresh advances whenever
 // it masks or unmasks an arc; a graph under construction is not planned
 // against, so AddArc leaves it alone. A capacity change on an arc that

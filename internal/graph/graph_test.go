@@ -237,3 +237,25 @@ func TestAllPairsMatchesBFS(t *testing.T) {
 		}
 	}
 }
+
+// TestArcRun checks the run rule: an ArcRun answers ArcID for every pair,
+// looks up again whenever From or To changes, and matches nothing before
+// its first lookup.
+func TestArcRun(t *testing.T) {
+	g := New(4)
+	mustAdd(t, g, 0, 1, 3)
+	mustAdd(t, g, 0, 3, 1)
+	mustAdd(t, g, 1, 0, 1)
+	for _, first := range [][2]int{{0, 0}, {-1, -1}, {0, 2}} {
+		r := g.ArcRun()
+		if got := r.ID(first[0], first[1]); got != -1 {
+			t.Errorf("first pair %v: ID = %d, want -1", first, got)
+		}
+	}
+	r := g.ArcRun()
+	for _, p := range [][2]int{{0, 1}, {0, 1}, {0, 2}, {0, 3}, {0, 3}, {1, 0}, {1, 0}, {0, 1}, {3, 0}, {-1, 1}, {0, 1}} {
+		if got, want := r.ID(p[0], p[1]), g.ArcID(p[0], p[1]); got != want {
+			t.Errorf("ID%v = %d, want %d", p, got, want)
+		}
+	}
+}

@@ -144,9 +144,24 @@ func TestJournalSkipsTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn journal failed to load: %v", err)
 	}
-	defer j2.Close()
 	if j2.Len() != 3 {
 		t.Errorf("journal holds %d cells after the torn line, want 3", j2.Len())
+	}
+
+	// Resume into the torn journal: the cells it records must land on
+	// lines of their own, not extend the fragment, so a second resume
+	// finds all five.
+	if _, err := Map(7, rowCells(5), Options{Parallelism: 1, Journal: j2}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, err := OpenJournal(path, "rows")
+	if err != nil {
+		t.Fatalf("resumed journal failed to load: %v", err)
+	}
+	defer j3.Close()
+	if j3.Len() != 5 {
+		t.Errorf("journal holds %d cells after resuming past the torn line, want 5", j3.Len())
 	}
 }
 

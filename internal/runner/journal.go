@@ -10,8 +10,8 @@ package runner
 //
 // The journal is deliberately append-only: a line is written only after
 // its cell succeeded, a torn final line (the process died mid-write) is
-// skipped on reload, and failed cells are never recorded — they re-run on
-// resume.
+// skipped on reload and ended there, so the next record starts a line of
+// its own, and failed cells are never recorded — they re-run on resume.
 
 import (
 	"bufio"
@@ -58,7 +58,9 @@ type Journal struct {
 // run is rejected, because cell keys name only a position in the sweep and
 // would otherwise resume another run's rows. A torn trailing line — the
 // signature of a killed run — is skipped, not an error; any well-formed
-// lines after it still count. For duplicate keys the last line wins.
+// lines after it still count. A file whose last line lacks its newline
+// gets one before anything is appended. For duplicate keys the last line
+// wins.
 func OpenJournal(path, run string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -98,7 +100,31 @@ func OpenJournal(path, run string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: read journal: %w", err)
 	}
+	if err := endTornLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("runner: end torn journal line: %w", err)
+	}
 	return j, nil
+}
+
+// endTornLine ends a non-empty file whose last byte is not a newline, the
+// fragment a killed write leaves. Without it the next record would extend
+// the fragment into one unparsable line, and its cell would re-run on the
+// following resume.
+func endTornLine(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil || info.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, info.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Len reports the number of completed cells currently recorded.

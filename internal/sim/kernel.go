@@ -7,6 +7,12 @@ package sim
 // policy interfaces below. A correctness fix or allocation win in this loop
 // lands in every engine at once.
 //
+// Per-move cost: admission looks an arc up once per run of proposals on
+// one (From, To) pair (graph.ArcRun), and a step touches two scratch
+// buffers — accepted moves and their arc IDs, grown to the proposal's
+// length in one step — from which lost moves are filtered in place. The
+// only per-step allocation is the exact-size copy the schedule keeps.
+//
 // Equivalence contract: the kernel reproduces each pre-consolidation engine
 // byte for byte (see golden_test.go). The ordering facts that contract
 // depends on are called out inline — PreStep before the done check, loss
@@ -16,6 +22,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 
 	"ocd/internal/core"
 	"ocd/internal/tokenset"
@@ -136,18 +143,20 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 
 	// Per-timestep arc usage and effective capacities are dense slices
 	// indexed by the base graph's arc IDs — no per-step map churn. eff is
-	// read-only: the base's static capacities, or each step view's.
+	// read-only: the base's static capacities, or each step view's. arcs
+	// looks a proposal's arc up once per run of moves on one pair; the base
+	// graph never changes, so it carries across steps.
 	eff := inst.G.CapsByID()
+	arcs := inst.G.ArcRun()
 	//ocd:scratch
 	used := make([]int, inst.G.NumArcs())
-	// accepted/acceptedIDs/delivered are scratch buffers reused across
-	// steps; the schedule only ever retains exact-size copies.
+	// accepted/acceptedIDs are scratch buffers reused across steps; the
+	// loss pass filters accepted in place, and the schedule only ever
+	// retains exact-size copies.
 	//ocd:scratch
 	var accepted core.Step
 	//ocd:scratch
 	var acceptedIDs []int
-	//ocd:scratch
-	var delivered core.Step
 	idle := 0
 
 	step := 0
@@ -172,12 +181,12 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		proposed := strat.Plan(st)
 
 		clear(used)
-		accepted = accepted[:0]
-		acceptedIDs = acceptedIDs[:0]
+		accepted = slices.Grow(accepted[:0], len(proposed))
+		acceptedIDs = slices.Grow(acceptedIDs[:0], len(proposed))
 		for _, mv := range proposed {
 			id := -1
 			if mv.Token >= 0 && mv.Token < inst.NumTokens {
-				id = inst.G.ArcID(mv.From, mv.To)
+				id = arcs.ID(mv.From, mv.To)
 			}
 			ok := id >= 0 && used[id] < eff[id] && st.Possess[mv.From].Has(mv.Token)
 			if ok && eng.Admit != nil {
@@ -213,26 +222,29 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		}
 		idle = 0
 
-		delivered = delivered[:0]
+		// Lost moves are filtered out of accepted in place (the write index
+		// never passes the read index), leaving the delivered moves in
+		// admission order.
+		n := 0
 		for i, mv := range accepted {
-			if eng.Loss != nil && eng.Loss.Lost(step, mv, acceptedIDs[i]) {
+			lost := eng.Loss != nil && eng.Loss.Lost(step, mv, acceptedIDs[i])
+			if obs != nil {
+				obs.OnMove(step, mv, acceptedIDs[i], lost, st)
+			}
+			if lost {
 				res.Lost++
-				if obs != nil {
-					obs.OnMove(step, mv, acceptedIDs[i], true, st)
-				}
 				continue
 			}
-			delivered = append(delivered, mv)
-			if obs != nil {
-				obs.OnMove(step, mv, acceptedIDs[i], false, st)
-			}
+			accepted[n] = mv
+			n++
 		}
+		accepted = accepted[:n]
 		// The schedule keeps an exact-size copy — the scratch buffer's
 		// spare capacity never escapes, and a fully-lost step records nil.
 		var out core.Step
-		if len(delivered) > 0 {
-			out = make(core.Step, len(delivered))
-			copy(out, delivered)
+		if len(accepted) > 0 {
+			out = make(core.Step, len(accepted))
+			copy(out, accepted)
 		}
 		for _, mv := range out {
 			if ic != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ocd/internal/core"
@@ -288,5 +289,64 @@ func TestRunCustomDone(t *testing.T) {
 	}
 	if res.Steps != 2 {
 		t.Errorf("steps = %d, want 2 (capacity 1, threshold 2)", res.Steps)
+	}
+}
+
+// mv is the move from → to carrying tok.
+func mv(from, to, tok int) core.Move { return core.Move{From: from, To: to, Token: tok} }
+
+// script proposes its moves at step 0 and nothing afterwards.
+type script core.Step
+
+func (script) Name() string { return "script" }
+
+func (s script) Plan(st *State) []core.Move {
+	if st.Step == 0 {
+		return s
+	}
+	return nil
+}
+
+// TestKernelArcRuns checks that admission, which looks an arc up once per
+// run of proposals on one pair, still rejects exactly the moves it must: a
+// missing arc after a run, moves around one with an out-of-range token, a
+// first move on no pair, and the move over capacity on a run split by
+// another arc.
+func TestKernelArcRuns(t *testing.T) {
+	g := graph.New(4)
+	for _, a := range []graph.Arc{{From: 0, To: 1, Cap: 3}, {From: 0, To: 3, Cap: 1}} {
+		if err := g.AddArc(a.From, a.To, a.Cap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst := core.NewInstance(g, 4)
+	inst.Have[0].AddRange(0, 4)
+	inst.Want[1].AddRange(0, 4)
+	for _, tc := range []struct {
+		name     string
+		proposed script
+		accepted core.Step
+	}{
+		{"missing arc after a run", script{mv(0, 1, 0), mv(0, 1, 1), mv(0, 2, 2)}, core.Step{mv(0, 1, 0), mv(0, 1, 1)}},
+		{"run broken by a token", script{mv(0, 1, 0), mv(0, 1, 4), mv(0, 1, 1)}, core.Step{mv(0, 1, 0), mv(0, 1, 1)}},
+		{"token then a missing arc", script{mv(0, 1, 0), mv(0, 2, 4), mv(0, 2, 1)}, core.Step{mv(0, 1, 0)}},
+		{"missing arc then a token", script{mv(0, 2, 0), mv(0, 1, 4), mv(0, 1, 1)}, core.Step{mv(0, 1, 1)}},
+		{"first move (-1, -1)", script{mv(-1, -1, 0), mv(0, 1, 0)}, core.Step{mv(0, 1, 0)}},
+		{"first move (0, 0)", script{mv(0, 0, 0), mv(0, 1, 0)}, core.Step{mv(0, 1, 0)}},
+		{"capacity across a split run", script{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2), mv(0, 1, 3)},
+			core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2)}},
+	} {
+		st := &State{Inst: inst, Possess: inst.InitialPossession()}
+		res := &Result{Schedule: &core.Schedule{}}
+		eng := Engine{MaxSteps: 1, IdlePatience: 1}
+		if reason, _ := eng.Run(inst, tc.proposed, st, res); reason != StopLimit {
+			t.Fatalf("%s: stop reason %d, want StopLimit", tc.name, reason)
+		}
+		if got, want := res.Rejected, len(tc.proposed)-len(tc.accepted); got != want {
+			t.Errorf("%s: rejected %d moves, want %d", tc.name, got, want)
+		}
+		if len(res.Schedule.Steps) != 1 || !slices.Equal(res.Schedule.Steps[0], tc.accepted) {
+			t.Errorf("%s: schedule %v, want one step %v", tc.name, res.Schedule.Steps, tc.accepted)
+		}
 	}
 }
