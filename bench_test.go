@@ -287,7 +287,7 @@ func BenchmarkTradeoffCurve(b *testing.B) {
 func BenchmarkProtocolLocal(b *testing.B) {
 	inst := benchInstance(b, false, 100, 50)
 	for i := 0; i < b.N; i++ {
-		res, err := ocd.RunStrategy(inst, ocd.ProtocolLocalFactory(),
+		res, err := ocd.RunHeuristic(inst, "protocol-local",
 			ocd.RunOptions{Seed: int64(i), IdlePatience: 10})
 		if err != nil {
 			b.Fatal(err)
@@ -301,20 +301,15 @@ func BenchmarkProtocolLocal(b *testing.B) {
 // BenchmarkArchitectures measures the §2 tree/forest baselines.
 func BenchmarkArchitectures(b *testing.B) {
 	inst := benchInstance(b, false, 100, 50)
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ocd.RunStrategy(inst, ocd.TreeFactory(), ocd.RunOptions{Seed: int64(i)}); err != nil {
-				b.Fatal(err)
+	for _, name := range []string{"tree", "forest-4"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ocd.RunHeuristic(inst, name, ocd.RunOptions{Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("forest-4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ocd.RunStrategy(inst, ocd.ForestFactory(4), ocd.RunOptions{Seed: int64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFlowBound measures the min-cut makespan bound (§2 relaxation).

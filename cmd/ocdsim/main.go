@@ -212,7 +212,7 @@ func invocations(fs *flag.FlagSet, list bool, experiment, specFile string, param
 		if _, ok := experiments.Lookup(experiment); !ok {
 			// Surface the registry's canonical unknown-name error, which
 			// lists the catalogue.
-			_, err := experiments.RunStrings(experiment, nil)
+			_, err := experiments.Run(experiment, nil, nil)
 			return nil, err
 		}
 		invs = []experiments.Invocation{{Experiment: experiment, Params: params}}
@@ -268,7 +268,7 @@ func runSpecs(w io.Writer, invs []experiments.Invocation, jsonlPath string, csv 
 		sinks = append(sinks, &experiments.JSONLSink{W: f})
 	}
 	for i, inv := range invs {
-		tab, rerr := experiments.RunStringsTelemetry(inv.Experiment, inv.Params, reg, sinks...)
+		tab, rerr := experiments.Run(inv.Experiment, inv.Params, reg, sinks...)
 		if rerr != nil {
 			return rerr
 		}

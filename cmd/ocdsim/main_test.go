@@ -221,6 +221,18 @@ func TestSpecModeListNamesEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestSpecModeListGolden pins the whole -list output byte for byte: every
+// schema line, kind and rendered default.
+func TestSpecModeListGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOK(t, "-list"); got != string(want) {
+		t.Errorf("-list diverged from testdata/list.golden\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 func TestSpecModeExperiment(t *testing.T) {
 	out := runOK(t, "-experiment", "theorem4", "-param", "decoys=1,4")
 	if !strings.Contains(out, "Theorem 4") || !strings.Contains(out, "decoys") {

@@ -2,6 +2,7 @@ package ocd_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -107,12 +108,11 @@ func TestFacadeBaselineFactories(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := ocd.SingleFile(g, 8)
-	for name, f := range map[string]ocd.StrategyFactory{
-		"tree":           ocd.TreeFactory(),
-		"forest":         ocd.ForestFactory(2),
-		"local-delayed":  ocd.LocalDelayedFactory(1),
-		"protocol-local": ocd.ProtocolLocalFactory(),
-	} {
+	for _, name := range []string{"tree", "forest-2", "local-delayed-1", "protocol-local"} {
+		f, err := ocd.HeuristicFactory(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		res, err := ocd.RunStrategy(inst, f, ocd.RunOptions{Seed: 3, IdlePatience: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -177,5 +177,19 @@ func TestFacadeExperiments(t *testing.T) {
 		if tab.CSV() == "" || tab.ASCII() == "" {
 			t.Errorf("%s: rendering failed", name)
 		}
+	}
+}
+
+// TestFacadeRejectsNonFiniteFloats: a NaN or +Inf argument to a typed
+// experiment function reaches the parameter check and fails by name.
+func TestFacadeRejectsNonFiniteFloats(t *testing.T) {
+	for _, thresholds := range [][]float64{{0.5, math.NaN()}, {math.Inf(1)}} {
+		_, err := ocd.ExperimentReceiverDensity(14, thresholds, 8, 1, 1, 2)
+		if err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("thresholds %v: want a must-be-finite error, got %v", thresholds, err)
+		}
+	}
+	if _, err := ocd.ExperimentFigure7(1, 4, math.NaN(), 2); err == nil || !strings.Contains(err.Error(), "must be finite") {
+		t.Errorf("edge-p NaN: want a must-be-finite error, got %v", err)
 	}
 }

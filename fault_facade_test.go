@@ -91,3 +91,36 @@ func TestPublicAPIChaosExperiments(t *testing.T) {
 		}
 	}
 }
+
+// halfGossip drops every other knowledge exchange, deterministically.
+type halfGossip struct{}
+
+func (halfGossip) Name() string                 { return "half-gossip" }
+func (halfGossip) Drop(step, from, to int) bool { return (step+from+to)%2 == 0 }
+
+// TestRunFaultedProtocolLocalGossips: RunFaulted resolves "protocol-local"
+// against its plan, so the plan's gossip model reaches the strategy. The
+// same plan without gossip must plan differently.
+func TestRunFaultedProtocolLocalGossips(t *testing.T) {
+	g, err := ocd.RandomTopology(20, ocd.DefaultCaps, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := ocd.SingleFile(g, 12)
+	opts := ocd.RunOptions{Seed: 2, IdlePatience: 40}
+	clean, err := ocd.RunFaulted(inst, "protocol-local", ocd.FaultPlan{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy, err := ocd.RunFaulted(inst, "protocol-local", ocd.FaultPlan{Gossip: halfGossip{}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.Completed || !lossy.Completed {
+		t.Fatalf("completed: clean %v, lossy gossip %v", clean.Completed, lossy.Completed)
+	}
+	if lossy.Steps == clean.Steps && lossy.Moves == clean.Moves {
+		t.Errorf("gossip loss left the run unchanged (%d steps, %d moves): the plan's gossip model was ignored",
+			lossy.Steps, lossy.Moves)
+	}
+}

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"ocd/internal/baselines"
 	"ocd/internal/core"
-	"ocd/internal/heuristics"
+	"ocd/internal/fault"
 	"ocd/internal/runner"
 	"ocd/internal/sim"
 	"ocd/internal/telemetry"
@@ -19,9 +18,9 @@ func init() {
 		Doc:        "§2 architectures: tree and striped-forest overlays vs the paper's mesh heuristics",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "6"},
 		Run: func(a Args, em *Emitter) error {
@@ -46,31 +45,24 @@ func architectureComparisonImpl(n, tokens int, seed int64, em *Emitter) error {
 		"bw-optimal")
 	bwLB := core.BandwidthLowerBound(inst, nil)
 
-	type entry struct {
-		name    string
-		factory sim.Factory
-	}
-	entries := []entry{
-		{"tree", baselines.Tree},
-		{"forest-2", baselines.Forest(2)},
-		{"forest-4", baselines.Forest(4)},
-		{"local", heuristics.Local},
-		{"global", heuristics.Global},
-		{"random", heuristics.Random},
-	}
+	names := []string{"tree", "forest-2", "forest-4", "local", "global", "random"}
 	type archCell struct {
 		steps, moves, pruned int
 	}
-	cells := make([]runner.Cell[archCell], len(entries))
-	for i, e := range entries {
-		e := e
+	cells := make([]runner.Cell[archCell], len(names))
+	for i, name := range names {
+		name := name
 		cells[i] = runner.Cell[archCell]{
-			Key:     "arch/" + e.name,
+			Key:     "arch/" + name,
 			SeedKey: "arch-workload",
 			Run: func(cellSeed int64) (archCell, error) {
-				res, err := sim.Run(inst, e.factory, sim.Options{Seed: cellSeed, Prune: true})
+				f, err := NamedStrategy(name, fault.Plan{})
 				if err != nil {
-					return archCell{}, fmt.Errorf("architecture %s: %w", e.name, err)
+					return archCell{}, err
+				}
+				res, err := sim.Run(inst, f, sim.Options{Seed: cellSeed, Prune: true})
+				if err != nil {
+					return archCell{}, fmt.Errorf("architecture %s: %w", name, err)
 				}
 				return archCell{steps: res.Steps, moves: res.Moves, pruned: res.PrunedMoves}, nil
 			},
@@ -81,7 +73,7 @@ func architectureComparisonImpl(n, tokens int, seed int64, em *Emitter) error {
 		return err
 	}
 	for i, res := range results {
-		em.Emit(entries[i].name, res.steps, res.moves, res.pruned, res.moves == bwLB)
+		em.Emit(names[i], res.steps, res.moves, res.pruned, res.moves == bwLB)
 	}
 	em.Note("§2: spanning trees were the traditional topology, meshes came into favor for speed")
 	em.Note("trees hit the bandwidth lower bound exactly; meshes trade duplicate-free delivery for parallel paths")

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ocd/internal/core"
 	"ocd/internal/exact"
@@ -19,10 +18,10 @@ func init() {
 		Doc:        "heuristic makespan/bandwidth as ratios to certified optima on random small instances",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "instances", Kind: Int, Default: 5, Doc: "number of random instances", Check: checkPositive},
-			{Name: "n", Kind: Int, Default: 5, Doc: "vertices per instance", Check: checkPositive},
-			{Name: "m", Kind: Int, Default: 3, Doc: "tokens per instance", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed for the instance stream"},
+			{Name: "instances", Kind: Int, Default: "5", Doc: "number of random instances", Check: checkPositive},
+			{Name: "n", Kind: Int, Default: "5", Doc: "vertices per instance", Check: checkPositive},
+			{Name: "m", Kind: Int, Default: "3", Doc: "tokens per instance", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed for the instance stream"},
 		},
 		Smoke: map[string]string{"instances": "2", "n": "4", "m": "2"},
 		Run: func(a Args, em *Emitter) error {
@@ -45,11 +44,7 @@ func boundsQualityImpl(instances, n, m int, seed int64, em *Emitter) error {
 	// The tiny instances are drawn serially from one RNG stream (each draw
 	// depends on the previous); the expensive exact solves and heuristic
 	// runs then fan out with one cell per instance.
-	rng := rand.New(rand.NewSource(seed))
-	insts := make([]*core.Instance, instances)
-	for i := range insts {
-		insts[i] = randomTinyInstance(rng, n, m)
-	}
+	insts := RandomTinyInstances(seed, instances, n, m)
 	type heurOutcome struct {
 		steps, pruned int
 		failed        bool

@@ -3,60 +3,15 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"ocd/internal/fault"
 	"ocd/internal/heuristics"
-	"ocd/internal/protocol"
 	"ocd/internal/runner"
 	"ocd/internal/sim"
 	"ocd/internal/telemetry"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
 )
-
-// chaosFactory resolves a heuristic name for the chaos harness: the five
-// paper heuristics, "protocol-local", and any of those wrapped in the
-// retry-with-backoff strategy via a "retry-" prefix. The plan is consulted
-// so protocol strategies gossip over the plan's lossy channel — the engine
-// applies the plan's other models itself.
-func chaosFactory(name string, plan fault.Plan) (sim.Factory, error) {
-	if inner, ok := strings.CutPrefix(name, "retry-"); ok {
-		f, err := chaosFactory(inner, plan)
-		if err != nil {
-			return nil, err
-		}
-		return fault.WithRetry(f, fault.RetryOptions{}), nil
-	}
-	if f, ok := heuristics.Named(name); ok {
-		return f, nil
-	}
-	if name == "protocol-local" {
-		if plan.Gossip != nil {
-			return protocol.LocalWithGossipLoss(plan.Gossip.Drop), nil
-		}
-		return protocol.Local, nil
-	}
-	return nil, fmt.Errorf("chaos: unknown heuristic %q (have %v, protocol-local, retry-<name>)",
-		name, heuristics.Names())
-}
-
-// ResolveHeuristics resolves every name through the chaos naming scheme
-// (paper heuristics, protocol-local, retry-<name>) against plan. It is the
-// single validation point for the fault-layer sweeps (Chaos, Partition,
-// ChurnSweep) and the spec layer's heuristic-list checks, so an unknown
-// name produces one canonical error everywhere.
-func ResolveHeuristics(names []string, plan fault.Plan) ([]sim.Factory, error) {
-	fs := make([]sim.Factory, len(names))
-	for i, name := range names {
-		f, err := chaosFactory(name, plan)
-		if err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
-	return fs, nil
-}
 
 // chaosCell carries a faulted run's result through the runner; a stall is
 // row data ("stalled" outcome), not a cell failure.
@@ -89,13 +44,13 @@ func init() {
 		Doc:        "fault intensity × heuristic sweep under the canonical chaos plan",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "intensities", Kind: Floats, Default: []float64{0, 0.25, 0.5, 0.75, 1},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "intensities", Kind: Floats, Default: "0,0.25,0.5,0.75,1",
 				Doc: "fault intensities in [0,1]", Check: checkAll(checkNonEmpty, checkUnit)},
-			{Name: "heuristics", Kind: Strings, Default: []string{"local", "bandwidth", "retry-local"},
-				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkChaosHeuristics},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed (topology, fault plan, strategies)"},
+			{Name: "heuristics", Kind: Strings, Default: "local,bandwidth,retry-local",
+				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkStrategies},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed (topology, fault plan, strategies)"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "6", "intensities": "0,0.5", "heuristics": "local,retry-local"},
 		Run: func(a Args, em *Emitter) error {
@@ -107,10 +62,10 @@ func init() {
 		Doc:        "crash-stop the sole source mid-distribution; graceful unsatisfiability report",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "crash-at", Kind: Int, Default: 2, Doc: "step at which the sole source crash-stops", Check: checkNonNegative},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "crash-at", Kind: Int, Default: "2", Doc: "step at which the sole source crash-stops", Check: checkNonNegative},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "6", "crash-at": "1"},
 		Run: func(a Args, em *Emitter) error {
@@ -126,11 +81,6 @@ func init() {
 // fault-free baseline of the same heuristic, so the "inflation" column is
 // makespan under faults relative to makespan without.
 func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, seed int64, em *Emitter) error {
-	// Validate every name up front so an unknown heuristic fails before any
-	// cell runs.
-	if _, err := ResolveHeuristics(heuristicNames, fault.Plan{}); err != nil {
-		return err
-	}
 	g, err := topology.Random(n, topology.DefaultCaps, seed)
 	if err != nil {
 		return err
@@ -154,7 +104,10 @@ func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, se
 			Key:     "baseline/" + name,
 			SeedKey: chaosSeedKey,
 			Run: func(cellSeed int64) (int, error) {
-				f, _ := chaosFactory(name, fault.Plan{}) // validated above
+				f, err := NamedStrategy(name, fault.Plan{})
+				if err != nil {
+					return 0, err
+				}
 				res, err := fault.Run(inst, f, fault.Plan{}, sim.Options{Seed: cellSeed, IdlePatience: 40})
 				if err != nil || !res.Completed {
 					return 0, fmt.Errorf("fault-free baseline did not complete (err=%v)", err)
@@ -185,7 +138,10 @@ func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, se
 				SeedKey: chaosSeedKey,
 				Run: func(cellSeed int64) (chaosCell, error) {
 					plan := fault.AtIntensity(x, cellSeed, 0) // vertex 0 is the source: protect it
-					f, _ := chaosFactory(name, plan)          // validated above
+					f, err := NamedStrategy(name, plan)
+					if err != nil {
+						return chaosCell{}, err
+					}
 					res, err := fault.Run(inst, f, plan, sim.Options{Seed: cellSeed, IdlePatience: 40})
 					// A stall is row data; anything else fails the cell so it
 					// reaches the process exit code.
@@ -240,18 +196,22 @@ func crashedSourceImpl(n, tokens, crashAt int, seed int64, em *Emitter) error {
 		crashAt, n, tokens, inst.TheoremOneHorizon()),
 		"heuristic", "outcome", "steps", "delivered",
 		"unsatisfiable", "moves", "lost")
-	factories := heuristics.All()
-	cells := make([]runner.Cell[chaosCell], len(factories))
-	for i, f := range factories {
-		f := f
+	names := heuristics.Names()
+	cells := make([]runner.Cell[chaosCell], len(names))
+	for i, name := range names {
+		name := name
 		cells[i] = runner.Cell[chaosCell]{
-			Key:     "crash/" + heuristics.Names()[i],
+			Key:     "crash/" + name,
 			SeedKey: "crash-workload",
 			Run: func(cellSeed int64) (chaosCell, error) {
 				plan := fault.Plan{
 					Crashes: fault.CrashSchedule{Events: []fault.CrashEvent{
 						{V: 0, At: crashAt, RecoverAt: -1},
 					}},
+				}
+				f, err := NamedStrategy(name, plan)
+				if err != nil {
+					return chaosCell{}, err
 				}
 				res, err := fault.Run(inst, f, plan, sim.Options{Seed: cellSeed, IdlePatience: 40})
 				if err != nil && !errors.Is(err, sim.ErrStalled) {
@@ -265,9 +225,9 @@ func crashedSourceImpl(n, tokens, crashAt int, seed int64, em *Emitter) error {
 	if err != nil {
 		return fmt.Errorf("crashed source: %w", err)
 	}
-	for i := range factories {
+	for i, name := range names {
 		res := results[i].res
-		em.Emit(heuristics.Names()[i], outcome(res, results[i].err), res.Steps,
+		em.Emit(name, outcome(res, results[i].err), res.Steps,
 			fmt.Sprintf("%.0f%%", res.DeliveredFraction*100),
 			len(res.Unsatisfiable), res.Moves, res.Lost)
 	}

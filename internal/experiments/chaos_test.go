@@ -8,15 +8,15 @@ import (
 )
 
 func TestChaosSweepSmall(t *testing.T) {
-	n, tokens := 14, 8
-	intensities := []float64{0, 0.3, 0.7}
+	intensities := []string{"0", "0.3", "0.7"}
 	names := []string{"local", "random", "retry-local"}
 	if testing.Short() {
-		intensities = []float64{0, 0.5}
+		intensities = []string{"0", "0.5"}
 		names = []string{"local", "retry-local"}
 	}
-	tab := mustRun(t, "chaos", Values{
-		"n": n, "tokens": tokens, "intensities": intensities, "heuristics": names, "seed": 3,
+	tab := mustRun(t, "chaos", map[string]string{
+		"n": "14", "tokens": "8", "intensities": strings.Join(intensities, ","),
+		"heuristics": strings.Join(names, ","), "seed": "3",
 	})
 	if want := len(intensities) * len(names); len(tab.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
@@ -36,10 +36,10 @@ func TestChaosSweepSmall(t *testing.T) {
 }
 
 func TestChaosRejectsUnknownHeuristic(t *testing.T) {
-	if _, err := Run("chaos", Values{"n": 10, "tokens": 4, "intensities": []float64{0}, "heuristics": []string{"nope"}}); err == nil {
+	if _, err := Run("chaos", map[string]string{"n": "10", "tokens": "4", "intensities": "0", "heuristics": "nope"}, nil); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
-	if _, err := chaosFactory("retry-nope", fault.Plan{}); err == nil {
+	if _, err := NamedStrategy("retry-nope", fault.Plan{}); err == nil {
 		t.Fatal("retry- wrapper around unknown heuristic accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestChaosRejectsUnknownHeuristic(t *testing.T) {
 func TestCrashedSourceTerminatesGracefully(t *testing.T) {
 	// 48 tokens and a crash after one step: the source cannot have pushed
 	// every token out, so some must be provably undeliverable.
-	tab := mustRun(t, "crashed-source", Values{"n": 14, "tokens": 48, "crash-at": 1, "seed": 5})
+	tab := mustRun(t, "crashed-source", map[string]string{"n": "14", "tokens": "48", "crash-at": "1", "seed": "5"})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}

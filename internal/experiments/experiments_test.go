@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// mustRun runs a registered experiment with typed overrides and fails the
-// test on error.
-func mustRun(t *testing.T, name string, vals Values) *Table {
+// mustRun runs a registered experiment with string overrides and fails
+// the test on error.
+func mustRun(t *testing.T, name string, params map[string]string) *Table {
 	t.Helper()
-	tab, err := Run(name, vals)
+	tab, err := Run(name, params, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -18,9 +20,9 @@ func mustRun(t *testing.T, name string, vals Values) *Table {
 
 // smallSweep is the one-graph, one-repeat, 16-token configuration of the
 // §5.2/§5.3 sweep tests.
-func smallSweep(vals Values) Values {
-	vals["tokens"], vals["graph-seeds"], vals["repeats"] = 16, 1, 1
-	return vals
+func smallSweep(params map[string]string) map[string]string {
+	params["tokens"], params["graph-seeds"], params["repeats"] = "16", "1", "1"
+	return params
 }
 
 func TestTableRendering(t *testing.T) {
@@ -37,15 +39,24 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("ASCII missing %q:\n%s", want, ascii)
 		}
 	}
-	csv := tab.CSV()
-	if !strings.HasPrefix(csv, "a,bb\n") || !strings.Contains(csv, "1,2.5\n") {
-		t.Errorf("CSV malformed:\n%s", csv)
+	tab.AddRow("a,b", `say "hi"`)
+	out := tab.CSV()
+	if !strings.HasPrefix(out, "a,bb\n") || !strings.Contains(out, "1,2.5\n") {
+		t.Errorf("CSV malformed:\n%s", out)
+	}
+	// Cells holding a comma or a quote must parse back to the same cells.
+	records, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not parse: %v\n%s", err, out)
+	}
+	if want := append([][]string{tab.Columns}, tab.Rows...); !reflect.DeepEqual(records, want) {
+		t.Errorf("CSV parsed back to %q, want %q", records, want)
 	}
 }
 
 func TestGraphSizeSmall(t *testing.T) {
 	for _, kind := range []string{"random", "transit-stub"} {
-		tab := mustRun(t, "graph-size", smallSweep(Values{"topology": kind, "sizes": []int{12, 20}}))
+		tab := mustRun(t, "graph-size", smallSweep(map[string]string{"topology": kind, "sizes": "12,20"}))
 		// 2 sizes × 5 heuristics.
 		if len(tab.Rows) != 10 {
 			t.Errorf("%v: %d rows, want 10", kind, len(tab.Rows))
@@ -59,14 +70,14 @@ func TestGraphSizeSmall(t *testing.T) {
 }
 
 func TestGraphSizeUnknownHeuristic(t *testing.T) {
-	if _, err := Run("graph-size", smallSweep(Values{"sizes": []int{10}, "heuristics": []string{"nope"}})); err == nil {
+	if _, err := Run("graph-size", smallSweep(map[string]string{"sizes": "10", "heuristics": "nope"}), nil); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 }
 
 func TestReceiverDensitySmall(t *testing.T) {
-	tab := mustRun(t, "receiver-density", smallSweep(Values{
-		"n": 15, "thresholds": []float64{0.2, 1.0}, "heuristics": []string{"random", "bandwidth"},
+	tab := mustRun(t, "receiver-density", smallSweep(map[string]string{
+		"n": "15", "thresholds": "0.2,1", "heuristics": "random,bandwidth",
 	}))
 	if len(tab.Rows) != 4 {
 		t.Errorf("%d rows, want 4", len(tab.Rows))
@@ -74,9 +85,9 @@ func TestReceiverDensitySmall(t *testing.T) {
 }
 
 func TestNumFilesSmall(t *testing.T) {
-	for _, multi := range []bool{false, true} {
-		tab := mustRun(t, "num-files", smallSweep(Values{
-			"n": 17, "files": []int{1, 4}, "multi-sender": multi, "heuristics": []string{"local", "bandwidth"},
+	for _, multi := range []string{"false", "true"} {
+		tab := mustRun(t, "num-files", smallSweep(map[string]string{
+			"n": "17", "files": "1,4", "multi-sender": multi, "heuristics": "local,bandwidth",
 		}))
 		if len(tab.Rows) != 4 {
 			t.Errorf("multi=%v: %d rows, want 4", multi, len(tab.Rows))
@@ -101,7 +112,7 @@ func TestFigure1ExactNumbers(t *testing.T) {
 }
 
 func TestFigure7AllAgree(t *testing.T) {
-	tab := mustRun(t, "figure7", Values{"graphs": 2, "n": 5, "edge-p": 0.4, "seed": 3})
+	tab := mustRun(t, "figure7", map[string]string{"graphs": "2", "n": "5", "edge-p": "0.4", "seed": "3"})
 	if len(tab.Rows) != 2*6 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -113,7 +124,7 @@ func TestFigure7AllAgree(t *testing.T) {
 }
 
 func TestTheorem4Monotone(t *testing.T) {
-	tab := mustRun(t, "theorem4", Values{"path": 1, "decoys": []int{1, 4, 16}, "capacity": 1})
+	tab := mustRun(t, "theorem4", map[string]string{"path": "1", "decoys": "1,4,16", "capacity": "1"})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -131,7 +142,7 @@ func TestTheorem4Monotone(t *testing.T) {
 }
 
 func TestOracleAdditiveSmall(t *testing.T) {
-	tab := mustRun(t, "oracle-additive", Values{"sizes": []int{15}, "tokens": 10, "seed": 2})
+	tab := mustRun(t, "oracle-additive", map[string]string{"sizes": "15", "tokens": "10", "seed": "2"})
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("oracle exceeded additive diameter: %v", row)
@@ -140,7 +151,7 @@ func TestOracleAdditiveSmall(t *testing.T) {
 }
 
 func TestILPvsBnBAgree(t *testing.T) {
-	tab := mustRun(t, "ilp-vs-bnb", Values{"instances": 3, "n": 4, "m": 2, "seed": 5})
+	tab := mustRun(t, "ilp-vs-bnb", map[string]string{"instances": "3", "n": "4", "m": "2", "seed": "5"})
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("solver disagreement: %v", row)

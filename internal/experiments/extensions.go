@@ -23,9 +23,9 @@ func init() {
 		Doc:        "§6 changing network conditions: every heuristic under time-varying capacity models",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed (topology, models, strategies)"},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed (topology, models, strategies)"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "6"},
 		Run: func(a Args, em *Emitter) error {
@@ -37,12 +37,12 @@ func init() {
 		Doc:        "§6 encoding: uncoded vs (k,n)-coded distribution under per-move loss",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "loss", Kind: Float, Default: 0.2, Doc: "per-move loss probability in [0,1]", Check: checkUnit},
-			{Name: "redundancies", Kind: Floats, Default: []float64{1, 1.25, 1.5, 2},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "loss", Kind: Float, Default: "0.2", Doc: "per-move loss probability in [0,1]", Check: checkUnit},
+			{Name: "redundancies", Kind: Floats, Default: "1,1.25,1.5,2",
 				Doc: "coding redundancy factors (n/k)", Check: checkAll(checkNonEmpty, checkPositive)},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "8", "redundancies": "1,1.5"},
 		Run: func(a Args, em *Emitter) error {
@@ -54,10 +54,10 @@ func init() {
 		Doc:        "§6 realistic topologies: overlay-only capacities vs shared physical links",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "phys-n", Kind: Int, Default: 30, Doc: "physical network size (approximate)", Check: checkPositive},
-			{Name: "hosts", Kind: Int, Default: 12, Doc: "number of overlay hosts", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 16, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "phys-n", Kind: Int, Default: "30", Doc: "physical network size (approximate)", Check: checkPositive},
+			{Name: "hosts", Kind: Int, Default: "12", Doc: "number of overlay hosts", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "16", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"phys-n": "12", "hosts": "6", "tokens": "6"},
 		Run: func(a Args, em *Emitter) error {
@@ -69,10 +69,10 @@ func init() {
 		Doc:        "§5.1 ablation: the Local heuristic with peer views 0..max-delay turns stale",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 16, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "max-delay", Kind: Int, Default: 3, Doc: "largest staleness to ablate", Check: checkNonNegative},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "16", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "max-delay", Kind: Int, Default: "3", Doc: "largest staleness to ablate", Check: checkNonNegative},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"n": "12", "tokens": "6", "max-delay": "1"},
 		Run: func(a Args, em *Emitter) error {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDynamicConditionsSmall(t *testing.T) {
-	tab := mustRun(t, "dynamic-conditions", Values{"n": 15, "tokens": 8, "seed": 3})
+	tab := mustRun(t, "dynamic-conditions", map[string]string{"n": "15", "tokens": "8", "seed": "3"})
 	// 6 models × 5 heuristics.
 	if len(tab.Rows) != 30 {
 		t.Fatalf("rows = %d, want 30", len(tab.Rows))
@@ -24,8 +24,8 @@ func TestDynamicConditionsSmall(t *testing.T) {
 }
 
 func TestLossCodingSmall(t *testing.T) {
-	tab := mustRun(t, "loss-coding", Values{
-		"n": 10, "tokens": 16, "loss": 0.3, "redundancies": []float64{1.5, 2.0}, "seed": 4,
+	tab := mustRun(t, "loss-coding", map[string]string{
+		"n": "10", "tokens": "16", "loss": "0.3", "redundancies": "1.5,2", "seed": "4",
 	})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (uncoded + 2 codings)", len(tab.Rows))
@@ -38,7 +38,7 @@ func TestLossCodingSmall(t *testing.T) {
 }
 
 func TestUnderlayComparisonSmall(t *testing.T) {
-	tab := mustRun(t, "underlay", Values{"phys-n": 50, "hosts": 8, "tokens": 10, "seed": 6})
+	tab := mustRun(t, "underlay", map[string]string{"phys-n": "50", "hosts": "8", "tokens": "10", "seed": "6"})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}
@@ -56,14 +56,14 @@ func TestUnderlayComparisonSmall(t *testing.T) {
 }
 
 func TestKnowledgeDelaySmall(t *testing.T) {
-	tab := mustRun(t, "knowledge-delay", Values{"n": 15, "tokens": 12, "max-delay": 3, "seed": 8})
+	tab := mustRun(t, "knowledge-delay", map[string]string{"n": "15", "tokens": "12", "max-delay": "3", "seed": "8"})
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (delays 0..3)", len(tab.Rows))
 	}
 }
 
 func TestTradeoffCurveFigure1(t *testing.T) {
-	tab := mustRun(t, "tradeoff-curve", Values{"instance": "figure1"})
+	tab := mustRun(t, "tradeoff-curve", map[string]string{"instance": "figure1"})
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (tau 2..3)", len(tab.Rows))
 	}
@@ -74,7 +74,7 @@ func TestTradeoffCurveFigure1(t *testing.T) {
 }
 
 func TestBoundsQualitySmall(t *testing.T) {
-	tab := mustRun(t, "bounds-quality", Values{"instances": 2, "n": 4, "m": 2, "seed": 7})
+	tab := mustRun(t, "bounds-quality", map[string]string{"instances": "2", "n": "4", "m": "2", "seed": "7"})
 	if len(tab.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 (2 instances x 5 heuristics)", len(tab.Rows))
 	}
@@ -91,7 +91,7 @@ func TestBoundsQualitySmall(t *testing.T) {
 }
 
 func TestProtocolComparisonSmall(t *testing.T) {
-	tab := mustRun(t, "protocol-comparison", Values{"sizes": []int{15}, "tokens": 10, "seed": 3})
+	tab := mustRun(t, "protocol-comparison", map[string]string{"sizes": "15", "tokens": "10", "seed": "3"})
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -102,7 +102,7 @@ func TestProtocolComparisonSmall(t *testing.T) {
 }
 
 func TestArchitectureComparisonSmall(t *testing.T) {
-	tab := mustRun(t, "architectures", Values{"n": 20, "tokens": 16, "seed": 5})
+	tab := mustRun(t, "architectures", map[string]string{"n": "20", "tokens": "16", "seed": "5"})
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(tab.Rows))
 	}

@@ -48,8 +48,8 @@ type faultSweepOptions struct {
 func harnessParams() []Param {
 	return []Param{
 		{Name: "journal", Kind: String, Default: "", Doc: "crash-safety journal path; re-invoking with the same journal resumes from completed cells"},
-		{Name: "monitor", Kind: Bool, Default: false, Doc: "attach the kernel invariant monitor; any violation fails the run"},
-		{Name: "parallelism", Kind: Int, Default: 0, Doc: "runner worker count (0 = GOMAXPROCS); output is identical at every setting", Check: checkNonNegative},
+		{Name: "monitor", Kind: Bool, Default: "false", Doc: "attach the kernel invariant monitor; any violation fails the run"},
+		{Name: "parallelism", Kind: Int, Default: "0", Doc: "runner worker count (0 = GOMAXPROCS); output is identical at every setting", Check: checkNonNegative},
 	}
 }
 
@@ -102,7 +102,7 @@ type faultRow struct {
 // any invariant violation) fail the cell.
 func runFaultCell(c sweepCell) (faultRow, error) {
 	plan := c.plan()
-	f, err := chaosFactory(c.heuristic, plan)
+	f, err := NamedStrategy(c.heuristic, plan)
 	if err != nil {
 		return faultRow{}, err
 	}
@@ -167,14 +167,14 @@ func init() {
 		Doc:        "partition heal time × heuristic under the k-way RandomPartitions model",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "k", Kind: Int, Default: 2, Doc: "number of partition sides", Check: checkPartitionSides},
-			{Name: "heal", Kind: Ints, Default: []int{0, 4, 16, -1},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "k", Kind: Int, Default: "2", Doc: "number of partition sides", Check: checkPartitionSides},
+			{Name: "heal", Kind: Ints, Default: "0,4,16,-1",
 				Doc: "partition heal times in steps; negative = never heals", Check: checkNonEmpty},
-			{Name: "heuristics", Kind: Strings, Default: []string{"local", "bandwidth", "retry-local"},
-				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkChaosHeuristics},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed (topology, partition model, strategies)"},
+			{Name: "heuristics", Kind: Strings, Default: "local,bandwidth,retry-local",
+				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkStrategies},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed (topology, partition model, strategies)"},
 		}, harnessParams()...),
 		Smoke: map[string]string{"n": "12", "tokens": "6", "heal": "0,-1", "heuristics": "local"},
 		Run: func(a Args, em *Emitter) error {
@@ -189,15 +189,15 @@ func init() {
 		Doc:        "membership churn rate × heuristic; members leave losing all state and rejoin empty",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
-			{Name: "n", Kind: Int, Default: 30, Doc: "number of vertices", Check: checkPositive},
-			{Name: "tokens", Kind: Int, Default: 24, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "leave", Kind: Floats, Default: []float64{0, 0.02, 0.05, 0.1},
+			{Name: "n", Kind: Int, Default: "30", Doc: "number of vertices", Check: checkPositive},
+			{Name: "tokens", Kind: Int, Default: "24", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "leave", Kind: Floats, Default: "0,0.02,0.05,0.1",
 				Doc: "per-step leave probabilities in [0,1]", Check: checkAll(checkNonEmpty, checkUnit)},
-			{Name: "rejoin", Kind: Float, Default: 0.5,
+			{Name: "rejoin", Kind: Float, Default: "0.5",
 				Doc: "per-step rejoin probability for absent members; 0 = departures are permanent", Check: checkUnit},
-			{Name: "heuristics", Kind: Strings, Default: []string{"local", "bandwidth", "retry-local"},
-				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkChaosHeuristics},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed (topology, churn model, strategies)"},
+			{Name: "heuristics", Kind: Strings, Default: "local,bandwidth,retry-local",
+				Doc: "heuristic names; retry-<name> wraps in the backoff sender", Check: checkStrategies},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed (topology, churn model, strategies)"},
 		}, harnessParams()...),
 		Smoke: map[string]string{"n": "12", "tokens": "6", "leave": "0,0.05", "heuristics": "local"},
 		Run: func(a Args, em *Emitter) error {
@@ -225,9 +225,6 @@ func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, 
 		n, tokens, k),
 		"heal", "heuristic", "outcome", "liveness", "delivered",
 		"steps", "moves", "lost", "retrans")
-	if _, err := ResolveHeuristics(heuristicNames, fault.Plan{}); err != nil {
-		return err
-	}
 
 	var cells []runner.Cell[faultRow]
 	for hi, heal := range healAfters {
@@ -292,9 +289,6 @@ func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNa
 		n, tokens, rejoinP),
 		"leave", "heuristic", "outcome", "liveness", "delivered",
 		"steps", "departures", "retrans", "wasted")
-	if _, err := ResolveHeuristics(heuristicNames, fault.Plan{}); err != nil {
-		return err
-	}
 
 	var cells []runner.Cell[faultRow]
 	for li, leave := range leaveRates {

@@ -8,9 +8,9 @@ import (
 )
 
 func TestPartitionSweepSmall(t *testing.T) {
-	tab := mustRun(t, "partition", Values{
-		"n": 14, "tokens": 6, "k": 2, "heal": []int{0, 4, -1},
-		"heuristics": []string{"local", "retry-local"}, "seed": 3, "monitor": true,
+	tab := mustRun(t, "partition", map[string]string{
+		"n": "14", "tokens": "6", "k": "2", "heal": "0,4,-1",
+		"heuristics": "local,retry-local", "seed": "3", "monitor": "true",
 	})
 	out := tab.ASCII()
 	for _, want := range []string{"heal", "liveness", "never", "invariant monitor"} {
@@ -24,9 +24,9 @@ func TestPartitionSweepSmall(t *testing.T) {
 }
 
 func TestChurnSweepSmall(t *testing.T) {
-	tab := mustRun(t, "churn", Values{
-		"n": 14, "tokens": 6, "leave": []float64{0, 0.05}, "rejoin": 0.5,
-		"heuristics": []string{"local"}, "seed": 3, "monitor": true,
+	tab := mustRun(t, "churn", map[string]string{
+		"n": "14", "tokens": "6", "leave": "0,0.05", "rejoin": "0.5",
+		"heuristics": "local", "seed": "3", "monitor": "true",
 	})
 	out := tab.ASCII()
 	for _, want := range []string{"leave", "departures", "rejoin empty"} {
@@ -41,10 +41,10 @@ func TestChurnSweepSmall(t *testing.T) {
 }
 
 func TestFaultSweepsRejectUnknownHeuristic(t *testing.T) {
-	if _, err := Run("partition", Values{"n": 10, "tokens": 4, "heal": []int{0}, "heuristics": []string{"nope"}}); err == nil {
+	if _, err := Run("partition", map[string]string{"n": "10", "tokens": "4", "heal": "0", "heuristics": "nope"}, nil); err == nil {
 		t.Error("partition sweep accepted an unknown heuristic")
 	}
-	if _, err := Run("churn", Values{"n": 10, "tokens": 4, "leave": []float64{0}, "heuristics": []string{"nope"}}); err == nil {
+	if _, err := Run("churn", map[string]string{"n": "10", "tokens": "4", "leave": "0", "heuristics": "nope"}, nil); err == nil {
 		t.Error("churn sweep accepted an unknown heuristic")
 	}
 }
@@ -54,14 +54,14 @@ func TestFaultSweepsRejectUnknownHeuristic(t *testing.T) {
 // cell key) alone, so the worker count must not show up in the table. Run
 // under -race this also exercises the sweep's concurrency for data races.
 func TestChurnSweepParallelMatchesSerial(t *testing.T) {
-	run := func(parallelism int) *Table {
+	run := func(parallelism string) *Table {
 		t.Helper()
-		return mustRun(t, "churn", Values{
-			"n": 14, "tokens": 6, "leave": []float64{0, 0.05, 0.1}, "rejoin": 0.5,
-			"heuristics": []string{"local", "bandwidth"}, "seed": 7, "parallelism": parallelism,
+		return mustRun(t, "churn", map[string]string{
+			"n": "14", "tokens": "6", "leave": "0,0.05,0.1", "rejoin": "0.5",
+			"heuristics": "local,bandwidth", "seed": "7", "parallelism": parallelism,
 		})
 	}
-	serial, parallel := run(1), run(4)
+	serial, parallel := run("1"), run("4")
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel churn sweep diverged from serial:\nserial:\n%s\nparallel:\n%s",
 			serial.ASCII(), parallel.ASCII())
@@ -70,9 +70,9 @@ func TestChurnSweepParallelMatchesSerial(t *testing.T) {
 
 func TestPartitionSweepJournalResume(t *testing.T) {
 	run := func(journal string) *Table {
-		return mustRun(t, "partition", Values{
-			"n": 14, "tokens": 6, "k": 2, "heal": []int{0, 4},
-			"heuristics": []string{"local"}, "seed": 5, "journal": journal,
+		return mustRun(t, "partition", map[string]string{
+			"n": "14", "tokens": "6", "k": "2", "heal": "0,4",
+			"heuristics": "local", "seed": "5", "journal": journal,
 		})
 	}
 	clean := run("")

@@ -194,13 +194,13 @@ func checkTopology(v any) error {
 // specs — everything SweepConfig holds besides the per-figure axis.
 func sweepParams() []Param {
 	return []Param{
-		{Name: "tokens", Kind: Int, Default: 200, Doc: "number of tokens in the (initial) file", Check: checkPositive},
-		{Name: "graph-seeds", Kind: Int, Default: 3, Doc: "number of graph instances per sweep point", Check: checkPositive},
-		{Name: "repeats", Kind: Int, Default: 3, Doc: "number of heuristic repetitions per graph", Check: checkPositive},
-		{Name: "heuristics", Kind: Strings, Default: []string(nil), Doc: "paper heuristic names; empty = all five", Check: checkSweepHeuristics},
-		{Name: "max-steps", Kind: Int, Default: 0, Doc: "timestep limit per run (0 = Theorem 1 horizon)", Check: checkNonNegative},
-		{Name: "parallelism", Kind: Int, Default: 0, Doc: "runner worker count (0 = GOMAXPROCS); output is identical at every setting", Check: checkNonNegative},
-		{Name: "seed", Kind: Int64, Default: int64(0), Doc: "base seed decorrelating repeated invocations"},
+		{Name: "tokens", Kind: Int, Default: "200", Doc: "number of tokens in the (initial) file", Check: checkPositive},
+		{Name: "graph-seeds", Kind: Int, Default: "3", Doc: "number of graph instances per sweep point", Check: checkPositive},
+		{Name: "repeats", Kind: Int, Default: "3", Doc: "number of heuristic repetitions per graph", Check: checkPositive},
+		{Name: "heuristics", Kind: Strings, Default: "", Doc: "paper heuristic names; empty = all five", Check: checkSweepHeuristics},
+		{Name: "max-steps", Kind: Int, Default: "0", Doc: "timestep limit per run (0 = Theorem 1 horizon)", Check: checkNonNegative},
+		{Name: "parallelism", Kind: Int, Default: "0", Doc: "runner worker count (0 = GOMAXPROCS); output is identical at every setting", Check: checkNonNegative},
+		{Name: "seed", Kind: Int64, Default: "0", Doc: "base seed decorrelating repeated invocations"},
 	}
 }
 
@@ -225,7 +225,7 @@ func init() {
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
 			{Name: "topology", Kind: String, Default: "random", Doc: "topology family: random | transit-stub", Check: checkTopology},
-			{Name: "sizes", Kind: Ints, Default: []int{25, 50, 100}, Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
+			{Name: "sizes", Kind: Ints, Default: "25,50,100", Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
 		}, sweepParams()...),
 		Smoke: map[string]string{"sizes": "12,16", "tokens": "8", "graph-seeds": "1", "repeats": "1"},
 		Run: func(a Args, em *Emitter) error {
@@ -243,8 +243,8 @@ func init() {
 		Doc:        "Figure 4: moves and bandwidth vs receiver density on a fixed-size graph",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
-			{Name: "n", Kind: Int, Default: 100, Doc: "number of vertices", Check: checkPositive},
-			{Name: "thresholds", Kind: Floats, Default: []float64{0.1, 0.3, 0.5, 0.7, 0.9},
+			{Name: "n", Kind: Int, Default: "100", Doc: "number of vertices", Check: checkPositive},
+			{Name: "thresholds", Kind: Floats, Default: "0.1,0.3,0.5,0.7,0.9",
 				Doc: "want-set score thresholds in [0,1]", Check: checkAll(checkNonEmpty, checkUnit)},
 		}, sweepParams()...),
 		Smoke: map[string]string{"n": "12", "thresholds": "0.5", "tokens": "8", "graph-seeds": "1", "repeats": "1"},
@@ -259,9 +259,9 @@ func init() {
 		Doc:        "Figures 5/6: moves and bandwidth vs number of files, single source or multiple senders",
 		SeedPolicy: SeedDerived,
 		Params: append([]Param{
-			{Name: "n", Kind: Int, Default: 100, Doc: "number of vertices", Check: checkPositive},
-			{Name: "files", Kind: Ints, Default: []int{1, 2, 4, 8}, Doc: "file counts to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
-			{Name: "multi-sender", Kind: Bool, Default: false, Doc: "source each file at a random non-wanting vertex (Figure 6)"},
+			{Name: "n", Kind: Int, Default: "100", Doc: "number of vertices", Check: checkPositive},
+			{Name: "files", Kind: Ints, Default: "1,2,4,8", Doc: "file counts to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
+			{Name: "multi-sender", Kind: Bool, Default: "false", Doc: "source each file at a random non-wanting vertex (Figure 6)"},
 		}, sweepParams()...),
 		Smoke: map[string]string{"n": "12", "files": "1,2", "tokens": "8", "graph-seeds": "1", "repeats": "1"},
 		Run: func(a Args, em *Emitter) error {

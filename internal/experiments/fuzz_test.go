@@ -40,7 +40,7 @@ func FuzzParseSpecFile(f *testing.F) {
 				}
 			}
 			// Either outcome is fine; a panic fails the target.
-			_, _ = spec.ResolveStrings(inv.Params)
+			_, _ = spec.Resolve(inv.Params)
 		}
 	})
 }

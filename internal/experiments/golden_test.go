@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// goldenCases map each committed fixture onto the RunStrings overrides that
+// goldenCases map each committed fixture onto the Run overrides that
 // reproduce the facade call which generated it before the registry refactor.
 // Byte identity here is the refactor's acceptance bar: lowering an
 // experiment through spec → args → impl must not perturb a single cell.
@@ -51,9 +51,9 @@ func TestGoldenByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fixture: %v", err)
 			}
-			tab, err := RunStrings(tc.name, tc.params)
+			tab, err := Run(tc.name, tc.params, nil)
 			if err != nil {
-				t.Fatalf("RunStrings(%q): %v", tc.name, err)
+				t.Fatalf("Run(%q): %v", tc.name, err)
 			}
 			if got := tab.ASCII(); got != string(want) {
 				t.Errorf("output diverged from the pre-refactor fixture\n--- got ---\n%s--- want ---\n%s", got, want)

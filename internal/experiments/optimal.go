@@ -59,10 +59,10 @@ func init() {
 		Doc:        "§3.4 cross-check: time-indexed ILP vs schedule branch-and-bound on random tiny instances",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "instances", Kind: Int, Default: 10, Doc: "number of random instances", Check: checkPositive},
-			{Name: "n", Kind: Int, Default: 5, Doc: "vertices per instance", Check: checkPositive},
-			{Name: "m", Kind: Int, Default: 3, Doc: "tokens per instance", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed for the instance stream"},
+			{Name: "instances", Kind: Int, Default: "10", Doc: "number of random instances", Check: checkPositive},
+			{Name: "n", Kind: Int, Default: "5", Doc: "vertices per instance", Check: checkPositive},
+			{Name: "m", Kind: Int, Default: "3", Doc: "tokens per instance", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed for the instance stream"},
 		},
 		Smoke: map[string]string{"instances": "2", "n": "4", "m": "2"},
 		Run: func(a Args, em *Emitter) error {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -13,9 +14,9 @@ import (
 // cells fails the build even when it does not corrupt the table.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	render := func(parallelism int) string {
-		return mustRun(t, "graph-size", Values{
-			"topology": "transit-stub", "sizes": []int{20, 30}, "tokens": 24,
-			"graph-seeds": 2, "repeats": 2, "seed": 7, "parallelism": parallelism,
+		return mustRun(t, "graph-size", map[string]string{
+			"topology": "transit-stub", "sizes": "20,30", "tokens": "24",
+			"graph-seeds": "2", "repeats": "2", "seed": "7", "parallelism": strconv.Itoa(parallelism),
 		}).CSV()
 	}
 
@@ -35,9 +36,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // exactly even though cells run concurrently.
 func TestParallelChaosMatchesRepeatRun(t *testing.T) {
 	run := func() string {
-		return mustRun(t, "chaos", Values{
-			"n": 14, "tokens": 8, "intensities": []float64{0, 0.5},
-			"heuristics": []string{"local", "random"}, "seed": 3,
+		return mustRun(t, "chaos", map[string]string{
+			"n": "14", "tokens": "8", "intensities": "0,0.5",
+			"heuristics": "local,random", "seed": "3",
 		}).CSV()
 	}
 	first := run()

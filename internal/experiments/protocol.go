@@ -19,9 +19,9 @@ func init() {
 		Doc:        "§4.1: idealized instant-aggregate Local vs the message-passing protocol realization",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "sizes", Kind: Ints, Default: []int{16, 32, 64}, Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
-			{Name: "tokens", Kind: Int, Default: 16, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "sizes", Kind: Ints, Default: "16,32,64", Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
+			{Name: "tokens", Kind: Int, Default: "16", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"sizes": "12", "tokens": "6"},
 		Run: func(a Args, em *Emitter) error {

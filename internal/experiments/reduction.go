@@ -15,10 +15,10 @@ func init() {
 		Doc:        "Figure 7 / Theorem 5: the Dominating Set → FOCD reduction on random graphs",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "graphs", Kind: Int, Default: 3, Doc: "number of random graphs", Check: checkPositive},
-			{Name: "n", Kind: Int, Default: 6, Doc: "vertices per graph", Check: checkPositive},
-			{Name: "edge-p", Kind: Float, Default: 0.4, Doc: "edge probability in [0,1]", Check: checkUnit},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed for the graph stream"},
+			{Name: "graphs", Kind: Int, Default: "3", Doc: "number of random graphs", Check: checkPositive},
+			{Name: "n", Kind: Int, Default: "6", Doc: "vertices per graph", Check: checkPositive},
+			{Name: "edge-p", Kind: Float, Default: "0.4", Doc: "edge probability in [0,1]", Check: checkUnit},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed for the graph stream"},
 		},
 		Smoke: map[string]string{"graphs": "1", "n": "5"},
 		Run: func(a Args, em *Emitter) error {

@@ -53,36 +53,19 @@ func Specs() []*Spec {
 	return out
 }
 
-// Run resolves typed values against the named spec and executes it — the
-// body of every typed ocd.Experiment* function.
-func Run(name string, vals Values) (*Table, error) {
+// Run resolves string overrides against the named spec and executes it,
+// streaming into the given sinks. It is the one entry point behind the
+// facade, ocdsim's -experiment mode and -spec sweep files. The driver's
+// instrumented seams record into tel (nil = telemetry off); sharing one
+// registry across calls accumulates a single process-wide stream, which is
+// how ocdsim aggregates a multi-spec sweep file. The table is unaffected by
+// tel.
+func Run(name string, overrides map[string]string, tel *telemetry.Registry, sinks ...Sink) (*Table, error) {
 	s, ok := Lookup(name)
 	if !ok {
 		return nil, unknownSpec(name)
 	}
-	a, err := s.ResolveValues(vals)
-	if err != nil {
-		return nil, err
-	}
-	return s.exec(a, nil, nil)
-}
-
-// RunStrings resolves string overrides against the named spec and executes
-// it, streaming into the given sinks — the CLI and spec-file path.
-func RunStrings(name string, overrides map[string]string, sinks ...Sink) (*Table, error) {
-	return RunStringsTelemetry(name, overrides, nil, sinks...)
-}
-
-// RunStringsTelemetry is RunStrings with a metric registry attached to the
-// run (nil = telemetry off). Sharing one registry across calls accumulates
-// a single process-wide stream, which is how the CLIs aggregate multi-spec
-// sweep files. The table is unaffected by tel.
-func RunStringsTelemetry(name string, overrides map[string]string, tel *telemetry.Registry, sinks ...Sink) (*Table, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return nil, unknownSpec(name)
-	}
-	a, err := s.ResolveStrings(overrides)
+	a, err := s.Resolve(overrides)
 	if err != nil {
 		return nil, err
 	}
@@ -106,60 +89,18 @@ func Describe(w io.Writer) error {
 			return err
 		}
 		for _, p := range s.Params {
+			def := p.Default
+			switch {
+			case def == "" && (p.Kind == Ints || p.Kind == Floats || p.Kind == Strings):
+				def = `"" (all)`
+			case def == "":
+				def = `""`
+			}
 			if _, err := fmt.Fprintf(w, "  -param %s=<%v>  (default %s)  %s\n",
-				p.Name, p.Kind, formatDefault(p), p.Doc); err != nil {
+				p.Name, p.Kind, def, p.Doc); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// formatDefault renders a parameter default the way it would be typed on
-// the command line.
-func formatDefault(p Param) string {
-	switch v := p.Default.(type) {
-	case nil:
-		return `""`
-	case string:
-		if v == "" {
-			return `""`
-		}
-		return v
-	case []int:
-		if len(v) == 0 {
-			return `"" (all)`
-		}
-		s := ""
-		for i, x := range v {
-			if i > 0 {
-				s += ","
-			}
-			s += fmt.Sprintf("%d", x)
-		}
-		return s
-	case []float64:
-		s := ""
-		for i, x := range v {
-			if i > 0 {
-				s += ","
-			}
-			s += fmt.Sprintf("%v", x)
-		}
-		return s
-	case []string:
-		if len(v) == 0 {
-			return `"" (all)`
-		}
-		s := ""
-		for i, x := range v {
-			if i > 0 {
-				s += ","
-			}
-			s += x
-		}
-		return s
-	default:
-		return fmt.Sprintf("%v", v)
-	}
 }

@@ -3,12 +3,12 @@ package experiments
 // The declarative spec layer: every experiment in this package registers a
 // Spec — its name, a self-describing parameter schema with defaults and
 // validation, and a driver body — in the package Registry. Callers run
-// experiments as data: resolve a parameter map (typed values from the
-// facade, strings from a CLI or a JSON sweep file) against the schema and
-// execute. The facade's typed paper-figure functions, ocd.RunExperiment,
-// ocdsim's -experiment mode, and reproducible -spec sweep files all lower
-// to the same path, which is also the layer sharded or distributed sweeps
-// plug into: a (spec name, params) pair is a complete, serializable
+// experiments as data: a parameter value is always a string, spelled as on
+// the command line, and Resolve parses it against the schema and checks it.
+// The facade's typed paper-figure functions, ocd.RunExperiment, ocdsim's
+// -experiment mode, and reproducible -spec sweep files all lower to the
+// same map of strings, which is also the layer sharded or distributed
+// sweeps plug into: a (spec name, params) pair is a complete, serializable
 // description of a run.
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"ocd/internal/core"
-	"ocd/internal/fault"
 	"ocd/internal/heuristics"
 	"ocd/internal/telemetry"
 	"ocd/internal/trace"
@@ -81,9 +80,10 @@ type Param struct {
 	Name string
 	// Kind is the value type.
 	Kind Kind
-	// Default is the value used when the parameter is not supplied; its
-	// dynamic type must match Kind.
-	Default any
+	// Default is the value used when the parameter is not supplied,
+	// spelled as on the command line; Register parses and checks it like
+	// any override. An empty list default means "all".
+	Default string
 	// Doc is the one-line description shown by -list.
 	Doc string
 	// Check optionally validates the resolved value.
@@ -117,9 +117,6 @@ type Spec struct {
 	// Run is the driver body.
 	Run func(a Args, em *Emitter) error
 }
-
-// Values carries typed parameter overrides (the facade path).
-type Values map[string]any
 
 // Args is a fully resolved parameter set: every declared parameter is
 // present with its final typed value. The accessors panic on a missing
@@ -202,7 +199,7 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("experiments: spec %s: duplicate param %q", s.Name, p.Name)
 		}
 		seen[p.Name] = true
-		if _, err := coerce(p, p.Default); err != nil {
+		if _, err := p.resolve(p.Default); err != nil {
 			return fmt.Errorf("experiments: spec %s: default for %s: %w", s.Name, p.Name, err)
 		}
 	}
@@ -213,76 +210,19 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// coerce kind-checks (and for Instance, loads) one typed value, then runs
-// the param's Check.
-func coerce(p Param, v any) (any, error) {
-	out, err := coerceKind(p, v)
+// resolve parses one string into the param's kind (loading an Instance),
+// then runs the param's Check.
+func (p Param) resolve(raw string) (any, error) {
+	v, err := parse(p, raw)
 	if err != nil {
 		return nil, err
 	}
 	if p.Check != nil {
-		if err := p.Check(out); err != nil {
+		if err := p.Check(v); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
-}
-
-func coerceKind(p Param, v any) (any, error) {
-	switch p.Kind {
-	case Int:
-		if x, ok := v.(int); ok {
-			return x, nil
-		}
-	case Int64:
-		switch x := v.(type) {
-		case int64:
-			return x, nil
-		case int:
-			return int64(x), nil
-		}
-	case Float:
-		switch x := v.(type) {
-		case float64:
-			return x, nil
-		case int:
-			return float64(x), nil
-		}
-	case Bool:
-		if x, ok := v.(bool); ok {
-			return x, nil
-		}
-	case String:
-		if x, ok := v.(string); ok {
-			return x, nil
-		}
-	case Ints:
-		if x, ok := v.([]int); ok {
-			return x, nil
-		}
-		if v == nil {
-			return []int(nil), nil
-		}
-	case Floats:
-		if x, ok := v.([]float64); ok {
-			return x, nil
-		}
-		if v == nil {
-			return []float64(nil), nil
-		}
-	case Strings:
-		if x, ok := v.([]string); ok {
-			return x, nil
-		}
-		if v == nil {
-			return []string(nil), nil
-		}
-	case Instance:
-		if x, ok := v.(string); ok {
-			return loadInstance(x)
-		}
-	}
-	return nil, fmt.Errorf("want %v, got %T", p.Kind, v)
+	return v, nil
 }
 
 // parse converts one CLI/spec-file string into the param's kind.
@@ -296,8 +236,10 @@ func parse(p Param, s string) (any, error) {
 		return strconv.ParseFloat(s, 64)
 	case Bool:
 		return strconv.ParseBool(s)
-	case String, Instance:
+	case String:
 		return s, nil
+	case Instance:
+		return loadInstance(s)
 	case Ints:
 		return parseIntList(s)
 	case Floats:
@@ -358,73 +300,32 @@ func loadInstance(s string) (*core.Instance, error) {
 	return trace.DecodeInstance(f)
 }
 
-// ResolveValues resolves typed overrides (the facade path) against the
-// schema: every declared parameter gets its override or default, every
-// override must be declared, and all checks must pass.
-func (s *Spec) ResolveValues(vals Values) (Args, error) {
-	if err := s.checkKnown(len(vals), func(name string) bool { _, ok := vals[name]; return ok }); err != nil {
-		return Args{}, err
-	}
-	return s.resolve(func(name string) (any, bool) {
-		v, ok := vals[name]
-		return v, ok
-	})
-}
-
-// ResolveStrings resolves string overrides (the CLI and spec-file path).
-func (s *Spec) ResolveStrings(overrides map[string]string) (Args, error) {
-	if err := s.checkKnown(len(overrides), func(name string) bool { _, ok := overrides[name]; return ok }); err != nil {
-		return Args{}, err
-	}
-	var firstErr error
-	a, err := s.resolve(func(name string) (any, bool) {
-		raw, ok := overrides[name]
-		if !ok {
-			return nil, false
-		}
-		p, _ := s.ParamNamed(name)
-		v, err := parse(p, raw)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("experiments: %s: param %s: %w", s.Name, name, err)
-		}
-		return v, true
-	})
-	if firstErr != nil {
-		return Args{}, firstErr
-	}
-	return a, err
-}
-
-// checkKnown rejects overrides whose keys the schema does not declare.
-// The caller supplies a membership probe instead of the map itself so the
-// two override map types share one deterministic implementation (declared
-// params are probed in schema order; no map iteration).
-func (s *Spec) checkKnown(count int, has func(string) bool) error {
+// Resolve resolves string overrides against the schema: every declared
+// parameter gets its override or its default, every override must be
+// declared, and every value must parse and pass its check. Parameters are
+// visited in schema order, so the first error is deterministic.
+func (s *Spec) Resolve(overrides map[string]string) (Args, error) {
 	known := 0
 	for _, p := range s.Params {
-		if has(p.Name) {
+		if _, ok := overrides[p.Name]; ok {
 			known++
 		}
 	}
-	if known != count {
-		return fmt.Errorf("experiments: %s: unknown param (schema has %s)",
+	if known != len(overrides) {
+		return Args{}, fmt.Errorf("experiments: %s: unknown param (schema has %s)",
 			s.Name, strings.Join(s.paramNames(), ", "))
 	}
-	return nil
-}
-
-func (s *Spec) resolve(lookup func(string) (any, bool)) (Args, error) {
 	vals := make(map[string]any, len(s.Params))
 	for _, p := range s.Params {
-		v, ok := lookup(p.Name)
+		raw, ok := overrides[p.Name]
 		if !ok {
-			v = p.Default
+			raw = p.Default
 		}
-		out, err := coerce(p, v)
+		v, err := p.resolve(raw)
 		if err != nil {
 			return Args{}, fmt.Errorf("experiments: %s: param %s: %w", s.Name, p.Name, err)
 		}
-		vals[p.Name] = out
+		vals[p.Name] = v
 	}
 	return Args{spec: s, vals: vals}, nil
 }
@@ -546,17 +447,6 @@ func checkAll(checks ...func(any) error) func(any) error {
 		}
 		return nil
 	}
-}
-
-// checkChaosHeuristics validates heuristic names against the chaos-harness
-// naming scheme (paper heuristics, protocol-local, retry-<name>).
-func checkChaosHeuristics(v any) error {
-	names := v.([]string)
-	if len(names) == 0 {
-		return fmt.Errorf("must name at least one heuristic")
-	}
-	_, err := ResolveHeuristics(names, fault.Plan{})
-	return err
 }
 
 // checkSweepHeuristics validates heuristic names against the five paper

@@ -2,17 +2,18 @@ package experiments
 
 import (
 	"bytes"
-	"math"
+	"encoding/csv"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestSpecDefaultsResolve requires every registered spec to resolve with no
-// overrides: defaults must coerce and pass their own checks.
+// overrides: defaults must parse and pass their own checks.
 func TestSpecDefaultsResolve(t *testing.T) {
 	for _, s := range Specs() {
-		if _, err := s.ResolveStrings(nil); err != nil {
+		if _, err := s.Resolve(nil); err != nil {
 			t.Errorf("%s: defaults do not resolve: %v", s.Name, err)
 		}
 	}
@@ -22,7 +23,7 @@ func TestSpecDefaultsResolve(t *testing.T) {
 // configuration CI runs under -race) to resolve.
 func TestSpecSmokeResolves(t *testing.T) {
 	for _, s := range Specs() {
-		if _, err := s.ResolveStrings(s.Smoke); err != nil {
+		if _, err := s.Resolve(s.Smoke); err != nil {
 			t.Errorf("%s: smoke overrides do not resolve: %v", s.Name, err)
 		}
 	}
@@ -35,7 +36,7 @@ func TestSpecSmokeRuns(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			tab, err := RunStrings(s.Name, s.Smoke)
+			tab, err := Run(s.Name, s.Smoke, nil)
 			if err != nil {
 				t.Fatalf("smoke run: %v", err)
 			}
@@ -48,7 +49,7 @@ func TestSpecSmokeRuns(t *testing.T) {
 
 func TestSpecRejectsUnknownAndMalformedParams(t *testing.T) {
 	for _, s := range Specs() {
-		if _, err := s.ResolveStrings(map[string]string{"definitely-not-a-param": "1"}); err == nil {
+		if _, err := s.Resolve(map[string]string{"definitely-not-a-param": "1"}); err == nil {
 			t.Errorf("%s: unknown parameter accepted", s.Name)
 		}
 	}
@@ -58,7 +59,7 @@ func TestSpecRejectsUnknownAndMalformedParams(t *testing.T) {
 	if !ok {
 		t.Fatal("chaos spec missing")
 	}
-	if _, err := spec.ResolveStrings(map[string]string{"n": "abc"}); err == nil || !strings.Contains(err.Error(), "n") {
+	if _, err := spec.Resolve(map[string]string{"n": "abc"}); err == nil || !strings.Contains(err.Error(), "n") {
 		t.Errorf("chaos: n=abc accepted or unclear: %v", err)
 	}
 }
@@ -105,30 +106,20 @@ func TestSpecChecks(t *testing.T) {
 		if !ok {
 			t.Fatalf("spec %s missing", tc.spec)
 		}
-		if _, err := spec.ResolveStrings(map[string]string{tc.param: tc.value}); err == nil {
+		if _, err := spec.Resolve(map[string]string{tc.param: tc.value}); err == nil {
 			t.Errorf("%s: %s=%q accepted", tc.spec, tc.param, tc.value)
-		}
-	}
-	// The typed surface behind the ocd.Experiment* functions runs the same
-	// checks.
-	for _, v := range []Values{
-		{"thresholds": []float64{0.5, math.NaN()}},
-		{"tokens": 8, "thresholds": []float64{math.Inf(1)}},
-	} {
-		if _, err := Run("receiver-density", v); err == nil || !strings.Contains(err.Error(), "must be finite") {
-			t.Errorf("receiver-density: %v accepted or unclear: %v", v, err)
 		}
 	}
 	// The sweep heuristic domain accepts the empty list (meaning all
 	// heuristics) that the chaos domain rejects.
 	spec, _ := Lookup("graph-size")
-	if _, err := spec.ResolveStrings(map[string]string{"heuristics": ""}); err != nil {
+	if _, err := spec.Resolve(map[string]string{"heuristics": ""}); err != nil {
 		t.Errorf("graph-size: empty heuristics (= all) rejected: %v", err)
 	}
 }
 
 func TestRegistryUnknownName(t *testing.T) {
-	_, err := RunStrings("nope", nil)
+	_, err := Run("nope", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("want unknown-experiment error, got %v", err)
 	}
@@ -154,14 +145,18 @@ func TestDescribeListsEverySpec(t *testing.T) {
 // TestSinksStreamRows runs one tiny experiment with both streaming sinks
 // attached and checks they observed the same rows as the canonical table.
 func TestSinksStreamRows(t *testing.T) {
-	var csv, jsonl bytes.Buffer
-	tab, err := RunStrings("theorem4", map[string]string{"decoys": "1,4"},
-		&CSVSink{W: &csv}, &JSONLSink{W: &jsonl})
+	var csvOut, jsonl bytes.Buffer
+	tab, err := Run("theorem4", map[string]string{"decoys": "1,4"}, nil,
+		&CSVSink{W: &csvOut}, &JSONLSink{W: &jsonl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := csv.String(); got != tab.CSV() {
-		t.Errorf("CSV sink diverged from Table.CSV():\n--- sink ---\n%s--- table ---\n%s", got, tab.CSV())
+	records, err := csv.NewReader(&csvOut).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV sink output does not parse: %v", err)
+	}
+	if want := append([][]string{tab.Columns}, tab.Rows...); !reflect.DeepEqual(records, want) {
+		t.Errorf("CSV sink streamed %q, table holds %q", records, want)
 	}
 	lines := strings.Split(strings.TrimRight(jsonl.String(), "\n"), "\n")
 	// One head line, one line per row, one per note.
@@ -216,7 +211,7 @@ func TestPaperSpecFiles(t *testing.T) {
 		args := make([]Args, len(invs))
 		for i, inv := range invs {
 			spec, _ := Lookup(inv.Experiment)
-			if args[i], err = spec.ResolveStrings(inv.Params); err != nil {
+			if args[i], err = spec.Resolve(inv.Params); err != nil {
 				t.Fatalf("%s entry %d: %v", name, i, err)
 			}
 		}
@@ -247,16 +242,5 @@ func TestPaperSpecFiles(t *testing.T) {
 				t.Errorf("entry %d: num-files drifted from the paper: %d tokens, files %v", i, a.Int("tokens"), files)
 			}
 		}
-	}
-}
-
-// TestRunValuesTypeMismatch ensures the typed Values surface the facade
-// uses rejects wrongly-typed injections instead of panicking downstream.
-func TestRunValuesTypeMismatch(t *testing.T) {
-	if _, err := Run("chaos", Values{"n": "twelve"}); err == nil {
-		t.Error("string for int param accepted")
-	}
-	if _, err := Run("chaos", Values{"intensities": 3}); err == nil {
-		t.Error("int for floats param accepted")
 	}
 }

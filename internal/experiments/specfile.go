@@ -24,7 +24,7 @@ type Invocation struct {
 
 // LoadSpecFile reads a spec file holding either a single invocation object
 // or an array of them, and validates every experiment name against the
-// registry (parameter values are validated at run time by ResolveStrings).
+// registry (parameter values are validated at run time by Spec.Resolve).
 func LoadSpecFile(path string) ([]Invocation, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

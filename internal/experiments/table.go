@@ -78,15 +78,16 @@ func (t *Table) ASCII() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values (cells are numeric or
-// simple identifiers, so no quoting is needed).
+// CSV renders the table exactly as a CSVSink streams it: RFC-4180 CSV,
+// the columns and then one line per row, notes dropped.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
+	sink := &CSVSink{W: &b}
+	// A strings.Builder never fails a write, so neither can the sink.
+	_ = sink.Head(t.Title, t.Columns)
 	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
+		_ = sink.Row(row)
 	}
+	_ = sink.Flush()
 	return b.String()
 }

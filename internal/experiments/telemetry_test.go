@@ -34,12 +34,12 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			off, err := RunStrings(tc.name, tc.params)
+			off, err := Run(tc.name, tc.params, nil)
 			if err != nil {
 				t.Fatalf("telemetry off: %v", err)
 			}
 			reg := telemetry.New()
-			on, err := RunStringsTelemetry(tc.name, tc.params, reg)
+			on, err := Run(tc.name, tc.params, reg)
 			if err != nil {
 				t.Fatalf("telemetry on: %v", err)
 			}
@@ -61,7 +61,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 	snapshot := func(parallelism int) []telemetry.Metric {
 		reg := telemetry.New()
-		if _, err := RunStringsTelemetry("graph-size", map[string]string{
+		if _, err := Run("graph-size", map[string]string{
 			"topology": "transit-stub", "sizes": "12,20", "tokens": "16",
 			"graph-seeds": "2", "repeats": "2", "seed": "7", "parallelism": strconv.Itoa(parallelism),
 		}, reg); err != nil {
@@ -93,7 +93,7 @@ func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 // solver.* counters.
 func TestSolverCountersRecorded(t *testing.T) {
 	reg := telemetry.New()
-	if _, err := RunStringsTelemetry("figure1", nil, reg); err != nil {
+	if _, err := Run("figure1", nil, reg); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"solver.nodes", "solver.simplex_iterations"} {

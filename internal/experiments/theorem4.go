@@ -18,9 +18,9 @@ func init() {
 		Doc:        "Theorem 4: unbounded competitive ratio on the adversarial decoy family",
 		SeedPolicy: SeedNone,
 		Params: []Param{
-			{Name: "path", Kind: Int, Default: 1, Doc: "length of the adversarial path", Check: checkPositive},
-			{Name: "decoys", Kind: Ints, Default: []int{1, 4, 16, 64}, Doc: "decoy token counts to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
-			{Name: "capacity", Kind: Int, Default: 1, Doc: "arc capacity on the path", Check: checkPositive},
+			{Name: "path", Kind: Int, Default: "1", Doc: "length of the adversarial path", Check: checkPositive},
+			{Name: "decoys", Kind: Ints, Default: "1,4,16,64", Doc: "decoy token counts to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
+			{Name: "capacity", Kind: Int, Default: "1", Doc: "arc capacity on the path", Check: checkPositive},
 		},
 		Smoke: map[string]string{"decoys": "1,4"},
 		Run: func(a Args, em *Emitter) error {
@@ -32,9 +32,9 @@ func init() {
 		Doc:        "§4.2: the propagate-then-plan oracle finishes within an additive graph diameter",
 		SeedPolicy: SeedDerived,
 		Params: []Param{
-			{Name: "sizes", Kind: Ints, Default: []int{20, 40, 80}, Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
-			{Name: "tokens", Kind: Int, Default: 20, Doc: "number of tokens in the file", Check: checkPositive},
-			{Name: "seed", Kind: Int64, Default: int64(1), Doc: "random seed"},
+			{Name: "sizes", Kind: Ints, Default: "20,40,80", Doc: "graph sizes to sweep", Check: checkAll(checkNonEmpty, checkPositive)},
+			{Name: "tokens", Kind: Int, Default: "20", Doc: "number of tokens in the file", Check: checkPositive},
+			{Name: "seed", Kind: Int64, Default: "1", Doc: "random seed"},
 		},
 		Smoke: map[string]string{"sizes": "12", "tokens": "6"},
 		Run: func(a Args, em *Emitter) error {

@@ -312,12 +312,15 @@ type streamHeader struct {
 // WriteJSONL writes the registry as a JSONL stream: one header line
 // {"telemetry":"ocd-telemetry/v1"}, then one Metric object per line in
 // Snapshot order.
-func (r *Registry) WriteJSONL(w io.Writer) error {
+func (r *Registry) WriteJSONL(w io.Writer) error { return encodeJSONL(w, r.Snapshot()) }
+
+// encodeJSONL writes the stream header, then one Metric object per line.
+func encodeJSONL(w io.Writer, ms []Metric) error {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(streamHeader{Telemetry: streamMagic}); err != nil {
 		return fmt.Errorf("telemetry: write header: %w", err)
 	}
-	for _, m := range r.Snapshot() {
+	for _, m := range ms {
 		if err := enc.Encode(m); err != nil {
 			return fmt.Errorf("telemetry: write %s: %w", m.Name, err)
 		}

@@ -18,12 +18,10 @@
 package ocd
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"ocd/internal/baselines"
 	"ocd/internal/competitive"
 	"ocd/internal/core"
 	"ocd/internal/exact"
@@ -33,7 +31,6 @@ import (
 	"ocd/internal/graph"
 	"ocd/internal/heuristics"
 	"ocd/internal/ilp"
-	"ocd/internal/protocol"
 	"ocd/internal/sim"
 	"ocd/internal/steiner"
 	"ocd/internal/tokenset"
@@ -154,9 +151,10 @@ func RandomPartitions(k int, startP float64, healAfter int, seed int64) Partitio
 // RunFaulted runs the named heuristic under the fault plan using the
 // crash/recovery-aware engine: it detects provably undeliverable receivers
 // via live-holder reachability and terminates gracefully with degradation
-// metrics instead of stalling.
+// metrics instead of stalling. "protocol-local" gossips over the plan's
+// Gossip model when it has one.
 func RunFaulted(inst *Instance, name string, plan FaultPlan, opts RunOptions) (*FaultResult, error) {
-	f, err := HeuristicFactory(name)
+	f, err := experiments.NamedStrategy(name, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +205,7 @@ func ExperimentNames() []string { return experiments.Names() }
 // every experiment, including the fault sweeps and §6 extensions that
 // have no typed function below.
 func RunExperiment(name string, params map[string]string) (*Table, error) {
-	return experiments.RunStrings(name, params)
+	return experiments.Run(name, params, nil)
 }
 
 // DefaultCaps is the paper's capacity range: 3..15 tokens per timestep.
@@ -270,38 +268,11 @@ func Heuristics() []string { return heuristics.Names() }
 // five heuristics plus the extensions — "tree" and "forest-K" (§2
 // architectures), "protocol-local" (§4.1 message passing),
 // "local-delayed-K" (§5.1 stale knowledge), and "retry-<name>" (any of the
-// above wrapped in the retry-with-backoff sender for faulted runs).
+// above wrapped in the retry-with-backoff sender for faulted runs). Run
+// protocol-local with IdlePatience of at least the graph diameter, and
+// local-delayed-K with IdlePatience ≥ K.
 func HeuristicFactory(name string) (StrategyFactory, error) {
-	if f, ok := heuristics.Named(name); ok {
-		return f, nil
-	}
-	if inner, ok := strings.CutPrefix(name, "retry-"); ok {
-		f, err := HeuristicFactory(inner)
-		if err != nil {
-			return nil, err
-		}
-		return fault.WithRetry(f, fault.RetryOptions{}), nil
-	}
-	switch {
-	case name == "tree":
-		return baselines.Tree, nil
-	case name == "protocol-local":
-		return protocol.Local, nil
-	case strings.HasPrefix(name, "forest-"):
-		k, err := strconv.Atoi(strings.TrimPrefix(name, "forest-"))
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("ocd: bad forest stripe count in %q", name)
-		}
-		return baselines.Forest(k), nil
-	case strings.HasPrefix(name, "local-delayed-"):
-		d, err := strconv.Atoi(strings.TrimPrefix(name, "local-delayed-"))
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("ocd: bad delay in %q", name)
-		}
-		return heuristics.LocalDelayed(d), nil
-	}
-	return nil, fmt.Errorf("ocd: unknown heuristic %q (have %v plus tree, forest-K, protocol-local, local-delayed-K, retry-<name>)",
-		name, heuristics.Names())
+	return experiments.NamedStrategy(name, fault.Plan{})
 }
 
 // RunHeuristic runs the named heuristic on the instance.
@@ -417,83 +388,62 @@ func SolveFOCDILP(inst *Instance) (*Schedule, int, error) {
 // ExperimentGraphSize reproduces Figure 2 (random) or Figure 3
 // (transit-stub) at the given sizes.
 func ExperimentGraphSize(transitStub bool, sizes []int, tokens, seeds, repeats int, baseSeed int64) (*Table, error) {
-	vals := sweepValues(tokens, seeds, repeats, baseSeed)
-	vals["topology"] = "random"
+	params := sweepParams(tokens, seeds, repeats, baseSeed)
+	params["topology"] = "random"
 	if transitStub {
-		vals["topology"] = "transit-stub"
+		params["topology"] = "transit-stub"
 	}
-	vals["sizes"] = sizes
-	return experiments.Run("graph-size", vals)
+	params["sizes"] = formatInts(sizes)
+	return experiments.Run("graph-size", params, nil)
 }
 
 // ExperimentReceiverDensity reproduces Figure 4.
 func ExperimentReceiverDensity(n int, thresholds []float64, tokens, seeds, repeats int, baseSeed int64) (*Table, error) {
-	vals := sweepValues(tokens, seeds, repeats, baseSeed)
-	vals["n"] = n
-	vals["thresholds"] = thresholds
-	return experiments.Run("receiver-density", vals)
+	params := sweepParams(tokens, seeds, repeats, baseSeed)
+	params["n"] = strconv.Itoa(n)
+	params["thresholds"] = formatFloats(thresholds)
+	return experiments.Run("receiver-density", params, nil)
 }
 
 // ExperimentNumFiles reproduces Figure 5 (multiSender=false) or Figure 6
 // (multiSender=true).
 func ExperimentNumFiles(n int, fileCounts []int, tokens, seeds, repeats int, multiSender bool, baseSeed int64) (*Table, error) {
-	vals := sweepValues(tokens, seeds, repeats, baseSeed)
-	vals["n"] = n
-	vals["files"] = fileCounts
-	vals["multi-sender"] = multiSender
-	return experiments.Run("num-files", vals)
+	params := sweepParams(tokens, seeds, repeats, baseSeed)
+	params["n"] = strconv.Itoa(n)
+	params["files"] = formatInts(fileCounts)
+	params["multi-sender"] = strconv.FormatBool(multiSender)
+	return experiments.Run("num-files", params, nil)
 }
 
 // ExperimentFigure1 certifies the Figure 1 tradeoff with both exact
 // solvers.
 func ExperimentFigure1() (*Table, error) {
-	return experiments.Run("figure1", nil)
+	return experiments.Run("figure1", nil, nil)
 }
 
 // ExperimentFigure7 validates the Theorem 5 reduction on random graphs.
 func ExperimentFigure7(graphs, n int, edgeP float64, seed int64) (*Table, error) {
-	return experiments.Run("figure7", experiments.Values{
-		"graphs": graphs, "n": n, "edge-p": edgeP, "seed": seed,
-	})
+	return experiments.Run("figure7", map[string]string{
+		"graphs": strconv.Itoa(graphs), "n": strconv.Itoa(n),
+		"edge-p": strconv.FormatFloat(edgeP, 'g', -1, 64), "seed": strconv.FormatInt(seed, 10),
+	}, nil)
 }
 
 // ExperimentTheorem4 measures the unbounded competitive ratio family.
 func ExperimentTheorem4(pathLen int, decoySweep []int, capacity int) (*Table, error) {
-	return experiments.Run("theorem4", experiments.Values{
-		"path": pathLen, "decoys": decoySweep, "capacity": capacity,
-	})
+	return experiments.Run("theorem4", map[string]string{
+		"path": strconv.Itoa(pathLen), "decoys": formatInts(decoySweep), "capacity": strconv.Itoa(capacity),
+	}, nil)
 }
 
 // ExperimentILPvsBnB cross-checks the two exact solvers on random tiny
 // instances.
 func ExperimentILPvsBnB(instances, n, m int, seed int64) (*Table, error) {
-	return experiments.Run("ilp-vs-bnb", experiments.Values{
-		"instances": instances, "n": n, "m": m, "seed": seed,
-	})
+	return experiments.Run("ilp-vs-bnb", map[string]string{
+		"instances": strconv.Itoa(instances), "n": strconv.Itoa(n), "m": strconv.Itoa(m),
+		"seed": strconv.FormatInt(seed, 10),
+	}, nil)
 }
-
-// Strategy extensions — the §2 architectures, the §4.1 message-passing
-// Local, and the §5.1 stale-knowledge Local as strategy factories.
-
-// LocalDelayedFactory returns the Local heuristic planning from peer
-// views that are `delay` turns stale. Run it with IdlePatience ≥ delay.
-func LocalDelayedFactory(delay int) StrategyFactory {
-	return heuristics.LocalDelayed(delay)
-}
-
-// ProtocolLocalFactory returns the message-passing realization of the
-// Local heuristic: knowledge spreads only via per-turn neighbor gossip
-// (§4.1). Run with IdlePatience of at least the graph diameter.
-func ProtocolLocalFactory() StrategyFactory { return protocol.Local }
-
-// TreeFactory returns the §2 single-tree (Overcast-style) architecture as
-// a strategy: bandwidth-optimal on all-want workloads, pipeline-bound on
-// speed.
-func TreeFactory() StrategyFactory { return baselines.Tree }
-
-// ForestFactory returns the §2 striped-forest (SplitStream-style)
-// architecture with k stripes.
-func ForestFactory(k int) StrategyFactory { return baselines.Forest(k) }
 
 // EncodeInstanceJSON / DecodeInstanceJSON and the schedule counterparts
 // serialize workloads for archival and replay.
@@ -536,19 +486,39 @@ func DecodeStepTraceJSONL(r io.Reader) ([]StepRecord, error) {
 	return trace.DecodeStepTraceJSONL(r)
 }
 
-// sweepValues normalizes the shared sweep parameters the way the facade
+// sweepParams spells the shared sweep parameters the way the facade
 // always has: non-positive tokens/seeds/repeats fall back to the spec
 // defaults (the paper's settings), and the base seed is passed through.
-func sweepValues(tokens, seeds, repeats int, baseSeed int64) experiments.Values {
-	vals := experiments.Values{"seed": baseSeed}
+func sweepParams(tokens, seeds, repeats int, baseSeed int64) map[string]string {
+	params := map[string]string{"seed": strconv.FormatInt(baseSeed, 10)}
 	if tokens > 0 {
-		vals["tokens"] = tokens
+		params["tokens"] = strconv.Itoa(tokens)
 	}
 	if seeds > 0 {
-		vals["graph-seeds"] = seeds
+		params["graph-seeds"] = strconv.Itoa(seeds)
 	}
 	if repeats > 0 {
-		vals["repeats"] = repeats
+		params["repeats"] = strconv.Itoa(repeats)
 	}
-	return vals
+	return params
+}
+
+// formatInts spells an integer list parameter: comma-separated decimals.
+func formatInts(xs []int) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = strconv.Itoa(x)
+	}
+	return strings.Join(parts, ",")
+}
+
+// formatFloats spells a float list parameter, each element in the
+// shortest form that parses back to the same float64, so the string path
+// loses no bit.
+func formatFloats(xs []float64) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
 }
