@@ -3,7 +3,6 @@ package exact
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
@@ -28,11 +27,18 @@ var errOptimal = errors.New("exact: incumbent meets global lower bound")
 // bounded below by the §5.1 remaining-bandwidth count, and the incumbent
 // enables branch-and-bound pruning.
 func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
+	sched, _, err := solveEOCD(inst, horizon, opts)
+	return sched, err
+}
+
+// solveEOCD is SolveEOCD that also reports the number of search nodes it
+// expanded, the count the budget is charged with.
+func solveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, int, error) {
 	if err := inst.Check(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !inst.Satisfiable() {
-		return nil, ErrUnsatisfiable
+		return nil, 0, ErrUnsatisfiable
 	}
 	if horizon <= 0 {
 		horizon = inst.TheoremOneHorizon()
@@ -49,18 +55,21 @@ func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, 
 		frames:   getFrames(),
 		useful:   tokenset.New(inst.NumTokens),
 		used:     make([]int, len(arcs)),
+		picks:    make([]int, inst.N()*inst.NumTokens),
 	}
 	defer framePool.Put(s.frames)
-	if core.Done(inst, s.possess) {
-		return &core.Schedule{}, nil
+	if s.globalLB == 0 { // no wanted pair is missing
+		return &core.Schedule{}, 0, nil
 	}
-	if err := s.dfs(horizon, 0); err != nil && !errors.Is(err, errOptimal) {
-		return nil, err
+	// The root is expanded like any other node; every budget admits it.
+	s.nodes = 1
+	if err := s.dfs(horizon, 0, s.globalLB); err != nil && !errors.Is(err, errOptimal) {
+		return nil, s.nodes, err
 	}
 	if s.best == nil {
-		return nil, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
+		return nil, s.nodes, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
 	}
-	return s.best, nil
+	return s.best, s.nodes, nil
 }
 
 type memoKey struct {
@@ -91,13 +100,17 @@ type eocdSearch struct {
 	arcs   []graph.Arc
 	frames *frames
 	// Enumeration scratch, consumed before the search descends: the
-	// candidate moves with the index in arcs of each, the subset being
-	// built, and per-arc usage of that subset.
+	// candidate moves with the index in arcs of each and whether its
+	// receiver wants its token, the subset being built, per-arc usage of
+	// that subset, and how many of its moves deliver each (vertex, token)
+	// pair, indexed v·NumTokens+t.
 	useful tokenset.Set
 	moves  []core.Move
 	arcOf  []int
+	wants  []bool
 	pick   []core.Move
 	used   []int
+	picks  []int
 }
 
 // relevanceSets computes, per token, the set of vertices that can still be
@@ -125,28 +138,20 @@ func relevanceSets(inst *core.Instance) []tokenset.Set {
 	return out
 }
 
-func (s *eocdSearch) dfs(left, cost int) error {
-	if core.Done(s.inst, s.possess) {
-		if s.best == nil || cost < s.bestLen {
-			s.best = s.cur.Clone()
-			s.bestLen = cost
-			if s.bestLen <= s.globalLB {
-				return errOptimal
-			}
-		}
-		return nil
-	}
-	if left == 0 {
-		return nil
-	}
-	s.nodes++
-	if s.nodes > s.budget {
-		return ErrBudget
-	}
-	lb := core.BandwidthLowerBound(s.inst, s.possess)
-	if s.best != nil && cost+lb >= s.bestLen {
-		return nil
-	}
+// dfs expands the node at the end of s.cur: cost moves so far, left ≥ 1
+// steps to go and lb > 0 wanted (vertex, token) pairs still missing. Its
+// parent has counted it against the budget and tested it against the
+// incumbent, so the node starts at the memo.
+//
+// Each child is decided from its subset's size and gain, the number of
+// missing wanted pairs it delivers, before possession is touched: the
+// child's bound is lb−gain, so it is done when gain = lb, and otherwise it
+// is out of steps at left = 1 or cut when cost+size+lb−gain ≥ bestLen. A
+// done child becomes the incumbent if it is cheaper; only a child that is
+// none of the three is applied and expanded. A cut child still counts as
+// a node, as it did when it was expanded only to prune itself, so node
+// counts and the point where a budget runs out do not change.
+func (s *eocdSearch) dfs(left, cost, lb int) error {
 	key := memoKey{hash: possessionHash(s.possess), left: left}
 	if seen, ok := s.memo[key]; ok && seen <= cost {
 		return nil
@@ -161,19 +166,39 @@ func (s *eocdSearch) dfs(left, cost int) error {
 	// largest subsets first so a good incumbent is found early. Empty
 	// subsets are excluded: an idle step is never cheaper than skipping it.
 	f := s.frames.at(len(s.cur.Steps))
-	s.enumerateSubsets(f, 0)
-	// sort.Sort over the spans runs the same pdqsort as sort.Slice over
-	// one slice per subset, so equal-size subsets come out in the order
-	// the allocate-per-node search gave them.
-	sort.Sort(f)
-	for _, sp := range f.spans {
+	s.enumerateSubsets(f, 0, 0)
+	f.sortBySize()
+	for _, k := range f.keys {
+		sp := f.spans[uint32(k)]
+		size, done := sp.hi-sp.lo, sp.gain == lb
+		switch {
+		case done:
+			if s.best != nil && cost+size >= s.bestLen {
+				continue
+			}
+		case left == 1:
+			continue
+		default:
+			s.nodes++
+			if s.nodes > s.budget {
+				return ErrBudget
+			}
+			if s.best != nil && cost+size+lb-sp.gain >= s.bestLen {
+				continue
+			}
+		}
 		st := f.arena[sp.lo:sp.hi:sp.hi]
-		f.undo = apply(s.possess, st, f.undo[:0])
 		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
 		s.cur.Append(st)
-		err := s.dfs(left-1, cost+len(st))
+		var err error
+		if done {
+			err = s.improve(cost + size)
+		} else {
+			f.undo = apply(s.possess, st, f.undo[:0])
+			err = s.dfs(left-1, cost+size, lb-sp.gain)
+			revert(s.possess, f.undo)
+		}
 		s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
-		revert(s.possess, f.undo)
 		if err != nil {
 			return err
 		}
@@ -181,16 +206,29 @@ func (s *eocdSearch) dfs(left, cost int) error {
 	return nil
 }
 
+// improve makes s.cur, a complete schedule of cost moves, the incumbent.
+// It returns errOptimal once the incumbent meets the global lower bound.
+func (s *eocdSearch) improve(cost int) error {
+	s.best = s.cur.Clone()
+	s.bestLen = cost
+	if cost <= s.globalLB {
+		return errOptimal
+	}
+	return nil
+}
+
 // usefulMoves lists in s.moves the moves (u,v,t) where u has t, v lacks
-// it, and v can still forward t toward (or is itself) a wanter.
+// it, and v can still forward t toward (or is itself) a wanter, and in
+// s.wants whether v itself wants t.
 func (s *eocdSearch) usefulMoves() {
-	s.moves, s.arcOf = s.moves[:0], s.arcOf[:0]
+	s.moves, s.arcOf, s.wants = s.moves[:0], s.arcOf[:0], s.wants[:0]
 	for i, a := range s.arcs {
 		s.useful.SetDifference(s.possess[a.From], s.possess[a.To])
 		for t := s.useful.First(); t >= 0; t = s.useful.NextAfter(t) {
 			if s.relSink[t].Has(a.To) {
 				s.moves = append(s.moves, core.Move{From: a.From, To: a.To, Token: t})
 				s.arcOf = append(s.arcOf, i)
+				s.wants = append(s.wants, s.inst.Want[a.To].Has(t))
 			}
 		}
 	}
@@ -198,22 +236,36 @@ func (s *eocdSearch) usefulMoves() {
 
 // enumerateSubsets appends to f every non-empty subset of s.moves that
 // extends the picked prefix with moves from index i on and respects
-// per-arc capacities, taking each move before leaving it out.
-func (s *eocdSearch) enumerateSubsets(f *frame, i int) {
+// per-arc capacities, taking each move before leaving it out. gain is the
+// number of distinct wanted (vertex, token) pairs the prefix delivers;
+// each span records its subset's.
+func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
 	if i == len(s.moves) {
 		if len(s.pick) > 0 {
 			lo := len(f.arena)
 			f.arena = append(f.arena, s.pick...)
-			f.spans = append(f.spans, span{lo, len(f.arena)})
+			f.spans = append(f.spans, span{lo: lo, hi: len(f.arena), gain: gain})
 		}
 		return
 	}
 	if a := s.arcOf[i]; s.used[a] < s.arcs[a].Cap {
+		mv, with := s.moves[i], gain
+		pair := -1
+		if s.wants[i] {
+			pair = mv.To*s.inst.NumTokens + mv.Token
+			if s.picks[pair] == 0 {
+				with++
+			}
+			s.picks[pair]++
+		}
 		s.used[a]++
-		s.pick = append(s.pick, s.moves[i])
-		s.enumerateSubsets(f, i+1)
+		s.pick = append(s.pick, mv)
+		s.enumerateSubsets(f, i+1, with)
 		s.pick = s.pick[:len(s.pick)-1]
 		s.used[a]--
+		if pair >= 0 {
+			s.picks[pair]--
+		}
 	}
-	s.enumerateSubsets(f, i+1)
+	s.enumerateSubsets(f, i+1, gain)
 }

@@ -15,12 +15,19 @@
 // reverted after its subtree, and candidates are enumerated into per-depth
 // frames that are refilled, not reallocated, at every node. The frames
 // come from a pool shared by all solves, and a returned schedule is copied
-// out of them before they go back.
+// out of them before they go back. SolveEOCD records with each candidate
+// step its size and its gain, the number of missing wanted (vertex,
+// token) pairs it delivers, and decides from those two numbers whether
+// the child is done, out of steps or cut by the bound before applying
+// it; only the children that survive are applied. A cut child is still
+// counted as a node, so node counts and budget errors are those of the
+// search that expanded every child.
 package exact
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ocd/internal/core"
@@ -75,24 +82,34 @@ func revert(possess []tokenset.Set, undo []bit) {
 }
 
 // frame holds one search depth's candidate steps back to back in one
-// arena, as [lo, hi) spans, and the undo log of the step being tried. A
-// node refills its depth's frame instead of allocating; the schedule on
-// the search path aliases the arenas until it is cloned out.
+// arena, as [lo, hi) spans, the order SolveEOCD tries them in, and the
+// undo log of the step being tried. A node refills its depth's frame
+// instead of allocating; the schedule on the search path aliases the
+// arenas until it is cloned out.
 type frame struct {
 	//ocd:scratch
 	arena []core.Move
 	spans []span
+	keys  []uint64
 	undo  []bit
 }
 
-type span struct{ lo, hi int }
+// span is one candidate step, arena[lo:hi]. SolveEOCD also records its
+// gain: how many missing wanted (vertex, token) pairs the step delivers.
+type span struct{ lo, hi, gain int }
 
-// A frame sorts its spans by size, largest first (SolveEOCD's order).
-func (f *frame) Len() int { return len(f.spans) }
-func (f *frame) Less(i, j int) bool {
-	return f.spans[i].hi-f.spans[i].lo > f.spans[j].hi-f.spans[j].lo
+// sortBySize fills f.keys with one size<<32|index key per span, largest
+// size first. slices.SortFunc comparing sizes alone runs the same pdqsort,
+// making the same comparisons, as sort.Sort over the spans or sort.Slice
+// over materialized subsets, so equal-size spans come out in the order the
+// allocate-per-node search gave them.
+func (f *frame) sortBySize() {
+	f.keys = f.keys[:0]
+	for i, sp := range f.spans {
+		f.keys = append(f.keys, uint64(sp.hi-sp.lo)<<32|uint64(i))
+	}
+	slices.SortFunc(f.keys, func(a, b uint64) int { return int(b>>32) - int(a>>32) })
 }
-func (f *frame) Swap(i, j int) { f.spans[i], f.spans[j] = f.spans[j], f.spans[i] }
 
 // frames holds one frame per depth, grown on first use.
 type frames []*frame
@@ -299,7 +316,7 @@ func (s *focdSearch) enumerateMaximalSteps(f *frame) {
 			o := c.lo + s.digit[i]*c.k
 			f.arena = append(f.arena, s.opts[o:o+c.k]...)
 		}
-		f.spans = append(f.spans, span{lo, len(f.arena)})
+		f.spans = append(f.spans, span{lo: lo, hi: len(f.arena)})
 		i := len(s.choices) - 1
 		for ; i >= 0; i-- {
 			c := s.choices[i]

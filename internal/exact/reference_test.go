@@ -3,9 +3,10 @@ package exact
 // The searches below are the allocation-per-node implementation that the
 // in-place searches replaced, kept verbatim under renamed identifiers as
 // the reference for TestSearchesMatchReference: it pins every schedule,
-// including the move order within each step, and the node-visit order
-// (through ErrBudget at small budgets). They share possessionHash,
-// relevanceSets, memoKey and errOptimal with the package.
+// including the move order within each step, every EOCD solve's node
+// count, and the node-visit order (through ErrBudget at small budgets).
+// They share possessionHash, relevanceSets, memoKey and errOptimal with
+// the package.
 
 import (
 	"errors"
@@ -196,11 +197,17 @@ func refCombinations(items []int, k int) [][]int {
 // EOCD: minimum bandwidth.
 
 func refSolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
+	sched, _, err := refSolveEOCDNodes(inst, horizon, opts)
+	return sched, err
+}
+
+// refSolveEOCDNodes is refSolveEOCD that also returns refEOCDSearch.nodes.
+func refSolveEOCDNodes(inst *core.Instance, horizon int, opts Options) (*core.Schedule, int, error) {
 	if err := inst.Check(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !inst.Satisfiable() {
-		return nil, ErrUnsatisfiable
+		return nil, 0, ErrUnsatisfiable
 	}
 	if horizon <= 0 {
 		horizon = inst.TheoremOneHorizon()
@@ -215,16 +222,16 @@ func refSolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedul
 	}
 	start := inst.InitialPossession()
 	if core.Done(inst, start) {
-		return &core.Schedule{}, nil
+		return &core.Schedule{}, 0, nil
 	}
 	s.cur = &core.Schedule{}
 	if err := s.dfs(start, horizon, 0); err != nil && !errors.Is(err, errOptimal) {
-		return nil, err
+		return nil, s.nodes, err
 	}
 	if s.best == nil {
-		return nil, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
+		return nil, s.nodes, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
 	}
-	return s.best, nil
+	return s.best, s.nodes, nil
 }
 
 type refEOCDSearch struct {
@@ -433,9 +440,13 @@ func TestSearchesMatchReference(t *testing.T) {
 			continue
 		}
 		h := c.horizon(fast.Makespan())
-		cheap, err := SolveEOCD(c.inst, h, Options{})
-		refCheap, refErr := refSolveEOCD(c.inst, h, Options{})
-		sameOutcome(t, fmt.Sprintf("%s eocd@%d", c.label, h), cheap, refCheap, err, refErr)
+		cheap, nodes, err := solveEOCD(c.inst, h, Options{})
+		refCheap, refNodes, refErr := refSolveEOCDNodes(c.inst, h, Options{})
+		label := fmt.Sprintf("%s eocd@%d", c.label, h)
+		sameOutcome(t, label, cheap, refCheap, err, refErr)
+		if nodes != refNodes {
+			t.Fatalf("%s: %d nodes, reference %d", label, nodes, refNodes)
+		}
 		if err == nil {
 			eocdSchedules++
 		}
@@ -476,4 +487,41 @@ func TestBudgetErrorsMatchReference(t *testing.T) {
 		t.Error("no budget was exhausted; the test no longer pins the visit order")
 	}
 	t.Logf("%d ErrBudget outcomes matched", budgetHits)
+}
+
+// bySize orders spans largest first through sort.Interface: the order
+// sortBySize must reproduce, ties included.
+type bySize []span
+
+func (b bySize) Len() int           { return len(b) }
+func (b bySize) Less(i, j int) bool { return b[i].hi-b[i].lo > b[j].hi-b[j].lo }
+func (b bySize) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// TestSizeOrderMatchesSortSort pins the equal-size tie order that
+// sortBySize relies on: slices.SortFunc over packed keys must permute
+// random span sequences exactly as sort.Sort over the spans does. Both
+// are the standard library's pdqsort; if a toolchain release makes them
+// diverge, this test names the cause before any schedule diff does.
+func TestSizeOrderMatchesSortSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var f frame
+	for trial := 0; trial < 5000; trial++ {
+		n, maxSize := rng.Intn(601), 1+rng.Intn(12)
+		f.spans = f.spans[:0]
+		lo := 0
+		for i := 0; i < n; i++ {
+			hi := lo + 1 + rng.Intn(maxSize)
+			f.spans = append(f.spans, span{lo: lo, hi: hi})
+			lo = hi
+		}
+		want := append(bySize(nil), f.spans...)
+		sort.Sort(want)
+		f.sortBySize()
+		for i, k := range f.keys {
+			if got := f.spans[uint32(k)]; got != want[i] {
+				t.Fatalf("trial %d (%d spans, sizes 1–%d): position %d holds span %v, sort.Sort put %v there",
+					trial, n, maxSize, i, got, want[i])
+			}
+		}
+	}
 }

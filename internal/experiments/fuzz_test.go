@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"sort"
+	"strings"
+	"testing"
+)
 
 // FuzzParseSpecFile hardens the -spec decoder: arbitrary bytes must parse
 // or fail with an error, every invocation it accepts must name a
@@ -43,4 +47,94 @@ func FuzzParseSpecFile(f *testing.F) {
 			_, _ = spec.Resolve(inv.Params)
 		}
 	})
+}
+
+// FuzzSpecResolve hardens the parameter resolver that every experiment
+// input goes through: a fuzzed set of name=value lines (a line without
+// "=" sets its name to ""; empty lines are skipped), resolved against
+// every registered spec, must give an error or Args in which every
+// declared parameter reads back through its kind's accessor, never a
+// panic. A set that names an Instance-kind parameter is not resolved,
+// since resolving one opens the named file.
+func FuzzSpecResolve(f *testing.F) {
+	for _, s := range Specs() {
+		names := make([]string, 0, len(s.Smoke))
+		for name := range s.Smoke {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var lines []string
+		for _, name := range names {
+			lines = append(lines, name+"="+s.Smoke[name])
+		}
+		f.Add(strings.Join(lines, "\n"))
+	}
+	f.Add("")
+	f.Add("n=abc")
+	f.Add("n=99999999999999999999")
+	f.Add("n=-3\ntokens=0")
+	f.Add("intensities=0,NaN\nheuristics=")
+	f.Add("leave=0,+Inf\nrejoin=-0.5")
+	f.Add("heuristics=local,,nope")
+	f.Add("seed=-1\nparallelism=0")
+	f.Add("no-such-param=1")
+	f.Add("n")
+	f.Fuzz(func(t *testing.T, body string) {
+		params := make(map[string]string)
+		for _, line := range strings.Split(body, "\n") {
+			if line == "" {
+				continue
+			}
+			name, value, _ := strings.Cut(line, "=")
+			params[name] = value
+		}
+		for _, s := range Specs() {
+			if setsInstance(s, params) {
+				continue
+			}
+			args, err := s.Resolve(params)
+			if err != nil {
+				continue
+			}
+			for _, p := range s.Params {
+				readParam(args, p)
+			}
+		}
+	})
+}
+
+// setsInstance reports whether params sets one of s's Instance-kind
+// parameters.
+func setsInstance(s *Spec, params map[string]string) bool {
+	for _, p := range s.Params {
+		if _, set := params[p.Name]; set && p.Kind == Instance {
+			return true
+		}
+	}
+	return false
+}
+
+// readParam reads p from args through the accessor of p's kind; the
+// accessors panic on a parameter that is missing or of another kind.
+func readParam(args Args, p Param) {
+	switch p.Kind {
+	case Int:
+		args.Int(p.Name)
+	case Int64:
+		args.Int64(p.Name)
+	case Float:
+		args.Float(p.Name)
+	case Bool:
+		args.Bool(p.Name)
+	case String:
+		args.String(p.Name)
+	case Ints:
+		args.Ints(p.Name)
+	case Floats:
+		args.Floats(p.Name)
+	case Strings:
+		args.Strings(p.Name)
+	case Instance:
+		args.Instance(p.Name)
+	}
 }

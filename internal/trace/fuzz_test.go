@@ -59,8 +59,10 @@ func FuzzDecodeSchedule(f *testing.F) {
 }
 
 // FuzzDecodeStepTraceJSONL hardens the step-trace read-back: arbitrary
-// bytes must decode or fail with an error, never panic, and every stream
-// the decoder accepts must re-encode and decode to the same records.
+// bytes must decode or fail with an error, never panic, every record the
+// decoder accepts must have a non-negative utilization and holder spread
+// with min_holders ≤ max_holders, and every stream it accepts must
+// re-encode and decode to the same records.
 func FuzzDecodeStepTraceJSONL(f *testing.F) {
 	// A real trace: a lossy Local run with a collector attached.
 	g, err := topology.Random(12, topology.DefaultCaps, 2)
@@ -83,10 +85,20 @@ func FuzzDecodeStepTraceJSONL(f *testing.F) {
 	f.Add(`{"step":1,"moves":2}` + "\n")
 	f.Add(`{"step":0,"kind":"capacity","moves":3,"utilization":0.5}` + "\n")
 	f.Add("")
+	f.Add("null\n")
+	f.Add("{}\n")
+	f.Add(`{"moves":3}` + "\n")
+	f.Add(`{"step":0,"min_holders":-4,"max_holders":-1,"mean_holders":-2,"utilization":-0.5}` + "\n")
+	f.Add(`{"step":0,"min_holders":3,"mean_holders":2,"max_holders":2}` + "\n")
 	f.Fuzz(func(t *testing.T, body string) {
 		recs, err := DecodeStepTraceJSONL(strings.NewReader(body))
 		if err != nil {
 			return
+		}
+		for _, rec := range recs {
+			if rec.Utilization < 0 || rec.MinHolders < 0 || rec.MeanHolders < 0 || rec.MinHolders > rec.MaxHolders {
+				t.Fatalf("decoder accepted an impossible holder spread or utilization: %+v", rec)
+			}
 		}
 		var buf bytes.Buffer
 		if err := EncodeStepTraceJSONL(&buf, recs); err != nil {

@@ -139,26 +139,49 @@ func EncodeStepTraceJSONL(w io.Writer, recs []StepRecord) error {
 	return nil
 }
 
+// stepLine is one decoded step-trace line. Its pointer-typed Step shadows
+// StepRecord's, so a line without "step" is told apart from step 0.
+type stepLine struct {
+	StepRecord
+	Step *int `json:"step"`
+}
+
 // DecodeStepTraceJSONL reads a step trace back, rejecting structurally
-// broken input: records must be contiguous from step 0 with non-negative
-// counters.
+// broken input: every line must be an object with a "step", records must
+// be contiguous from step 0, counters and holder statistics must be
+// non-negative, and min_holders must not exceed max_holders.
 func DecodeStepTraceJSONL(r io.Reader) ([]StepRecord, error) {
 	dec := json.NewDecoder(r)
 	var out []StepRecord
 	for {
-		var rec StepRecord
-		if err := dec.Decode(&rec); err != nil {
+		var line *stepLine
+		if err := dec.Decode(&line); err != nil {
 			if errors.Is(err, io.EOF) {
 				return out, nil
 			}
 			return nil, fmt.Errorf("trace: decode step trace: %w", err)
 		}
+		if line == nil {
+			return nil, fmt.Errorf("trace: step trace line %d is null", len(out))
+		}
+		if line.Step == nil {
+			return nil, fmt.Errorf("trace: step trace line %d has no step", len(out))
+		}
+		rec := line.StepRecord
+		rec.Step = *line.Step
 		if rec.Step != len(out) {
 			return nil, fmt.Errorf("trace: step trace line %d has step %d, want contiguous steps from 0",
 				len(out), rec.Step)
 		}
 		if rec.Moves < 0 || rec.Losses < 0 || rec.Rejects < 0 || rec.ArcsUsed < 0 || rec.MaxArcLoad < 0 {
 			return nil, fmt.Errorf("trace: step trace line %d has negative counters: %+v", len(out), rec)
+		}
+		if rec.Utilization < 0 || rec.MinHolders < 0 || rec.MeanHolders < 0 || rec.MaxHolders < 0 {
+			return nil, fmt.Errorf("trace: step trace line %d has a negative utilization or holder count: %+v", len(out), rec)
+		}
+		if rec.MinHolders > rec.MaxHolders {
+			return nil, fmt.Errorf("trace: step trace line %d has min_holders %d above max_holders %d",
+				len(out), rec.MinHolders, rec.MaxHolders)
 		}
 		out = append(out, rec)
 	}

@@ -156,6 +156,32 @@ func TestDecodeStepTraceJSONLRejectsBrokenInput(t *testing.T) {
 			t.Errorf("%s: decode accepted %q", name, input)
 		}
 	}
+	// Lines that decode as JSON but are not step records: each error must
+	// name the offending line. Line 0 is a valid record where the broken
+	// line is line 1.
+	const good = `{"step":0,"moves":1,"min_holders":1,"mean_holders":1.5,"max_holders":2}` + "\n"
+	for _, c := range []struct {
+		name, input, line string
+	}{
+		{"null", "null\n", "line 0"},
+		{"null after a record", good + "null\n", "line 1"},
+		{"empty object", "{}\n", "line 0"},
+		{"no step", `{"moves":3}` + "\n", "line 0"},
+		{"null step", good + `{"step":null}` + "\n", "line 1"},
+		{"negative min_holders", `{"step":0,"min_holders":-4,"max_holders":-1,"mean_holders":-2,"utilization":-0.5}` + "\n", "line 0"},
+		{"negative max_holders", good + `{"step":1,"max_holders":-1}` + "\n", "line 1"},
+		{"negative mean_holders", `{"step":0,"mean_holders":-2}` + "\n", "line 0"},
+		{"negative utilization", `{"step":0,"utilization":-0.5}` + "\n", "line 0"},
+		{"min above max", good + `{"step":1,"min_holders":3,"mean_holders":2,"max_holders":2}` + "\n", "line 1"},
+	} {
+		recs, err := DecodeStepTraceJSONL(strings.NewReader(c.input))
+		switch {
+		case err == nil:
+			t.Errorf("%s: decode accepted %q as %+v", c.name, c.input, recs)
+		case !strings.Contains(err.Error(), c.line):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.line)
+		}
+	}
 	// Empty input is a valid, empty trace.
 	if recs, err := DecodeStepTraceJSONL(strings.NewReader("")); err != nil || len(recs) != 0 {
 		t.Errorf("empty input: got %v, %v; want empty trace", recs, err)
