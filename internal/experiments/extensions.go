@@ -329,11 +329,17 @@ func knowledgeDelayImpl(n, tokens, maxDelay int, seed int64, em *Emitter) error 
 			Key:     fmt.Sprintf("delay%d", d),
 			SeedKey: "delay-workload",
 			Run: func(cellSeed int64) (delayCell, error) {
+				// A view d turns stale can need (d+1)·H + d steps, past
+				// the Theorem 1 horizon H that bounds a live view.
 				res, err := sim.Run(inst, heuristics.LocalDelayed(d), sim.Options{
 					Seed: cellSeed, Prune: true, IdlePatience: d + 1,
+					MaxSteps: (d+1)*inst.TheoremOneHorizon() + d,
 				})
 				if err != nil {
 					return delayCell{}, fmt.Errorf("delay %d: %w", d, err)
+				}
+				if !res.Completed {
+					return delayCell{}, fmt.Errorf("delay %d: incomplete after %d steps", d, res.Steps)
 				}
 				return delayCell{steps: res.Steps, moves: res.Moves, pruned: res.PrunedMoves}, nil
 			},

@@ -62,6 +62,38 @@ func TestKnowledgeDelaySmall(t *testing.T) {
 	}
 }
 
+// TestKnowledgeDelayRowsComplete checks that every row of the ablation is
+// a completed run. A stale view needs up to (d+1)·H + d steps, past the
+// Theorem 1 horizon H: stopped at H, the delays 2–6 of the four-vertex
+// instance below print as ordinary rows with bandwidth 2 where 3 deliveries
+// are needed.
+func TestKnowledgeDelayRowsComplete(t *testing.T) {
+	tab := mustRun(t, "knowledge-delay", map[string]string{"n": "4", "tokens": "1", "max-delay": "6", "seed": "3"})
+	if len(tab.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7 (delays 0..6)", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		// One token, three receivers: a completed run delivers 3 times
+		// and keeps all 3 moves after pruning.
+		if row[3] != "3" {
+			t.Errorf("delay %s: pruned bandwidth %s, want 3 (the run did not complete)", row[0], row[3])
+		}
+	}
+	for n := 3; n <= 6; n++ {
+		for seed := 1; seed <= 40; seed++ {
+			params := map[string]string{
+				"n": strconv.Itoa(n), "tokens": "1", "max-delay": "4", "seed": strconv.Itoa(seed),
+			}
+			tab := mustRun(t, "knowledge-delay", params)
+			for _, row := range tab.Rows {
+				if row[3] != strconv.Itoa(n-1) {
+					t.Errorf("n=%d seed=%d delay %s: pruned bandwidth %s, want %d", n, seed, row[0], row[3], n-1)
+				}
+			}
+		}
+	}
+}
+
 func TestTradeoffCurveFigure1(t *testing.T) {
 	tab := mustRun(t, "tradeoff-curve", map[string]string{"instance": "figure1"})
 	if len(tab.Rows) != 2 {

@@ -40,6 +40,7 @@ var goldenCases = []struct {
 	{"dynamic-conditions", map[string]string{
 		"n": "16", "tokens": "8", "seed": "3",
 	}},
+	{"protocol-comparison", nil},
 }
 
 func TestGoldenByteIdentity(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"ocd/internal/heuristics"
 	"ocd/internal/locd"
-	"ocd/internal/protocol"
 	"ocd/internal/runner"
 	"ocd/internal/sim"
 	"ocd/internal/telemetry"
@@ -63,7 +62,7 @@ func protocolComparisonImpl(sizes []int, tokens int, seed int64, em *Emitter) er
 				if err != nil {
 					return protoCell{}, fmt.Errorf("ideal n=%d: %w", n, err)
 				}
-				proto, err := sim.Run(inst, protocol.Local, sim.Options{
+				proto, err := sim.Run(inst, heuristics.ProtocolLocal(nil), sim.Options{
 					Seed: cellSeed, IdlePatience: locd.KnowledgeDiameter(g) + 2,
 				})
 				if err != nil {

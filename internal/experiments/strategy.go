@@ -8,7 +8,6 @@ import (
 	"ocd/internal/baselines"
 	"ocd/internal/fault"
 	"ocd/internal/heuristics"
-	"ocd/internal/protocol"
 	"ocd/internal/sim"
 )
 
@@ -34,9 +33,9 @@ func NamedStrategy(name string, plan fault.Plan) (sim.Factory, error) {
 		return baselines.Tree, nil
 	case "protocol-local":
 		if plan.Gossip != nil {
-			return protocol.LocalWithGossipLoss(plan.Gossip.Drop), nil
+			return heuristics.ProtocolLocal(plan.Gossip.Drop), nil
 		}
-		return protocol.Local, nil
+		return heuristics.ProtocolLocal(nil), nil
 	}
 	if inner, ok := strings.CutPrefix(name, "retry-"); ok {
 		f, err := NamedStrategy(inner, plan)

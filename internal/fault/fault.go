@@ -340,9 +340,9 @@ func (s StateLoss) String() string {
 }
 
 // GossipModel decides, deterministically, whether one per-turn knowledge
-// exchange between neighbors is lost. It is consumed by the protocol
-// strategies (internal/protocol), not by the engine: token moves and
-// gossip messages fail independently.
+// exchange between neighbors is lost. It is consumed by the
+// message-passing Local (heuristics.ProtocolLocal), not by the engine:
+// token moves and gossip messages fail independently.
 type GossipModel interface {
 	Name() string
 	// Drop reports whether the knowledge message from→to at step is lost.
@@ -383,8 +383,9 @@ type Plan struct {
 	// vertices and severed arcs override whatever the capacity model
 	// says — they carry nothing.
 	Capacity dynamic.Model
-	// Gossip is carried along for protocol strategies (see
-	// protocol.LocalWithGossipLoss); the engine itself does not consult it.
+	// Gossip is carried along for protocol-local, which
+	// experiments.NamedStrategy builds as heuristics.ProtocolLocal(Drop);
+	// the engine itself does not consult it.
 	Gossip GossipModel
 }
 

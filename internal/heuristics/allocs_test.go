@@ -39,6 +39,16 @@ var multisenderAllocCeilings = map[string]float64{
 	"global":     700,
 }
 
+// variantAllocCeilings guard Local's two other variants on the reference
+// single-file instance. Both rebuild their holder masks every Plan, from a
+// ring of possession snapshots refilled in place or from gossip tables
+// that share their rows; only protocol-local's own-row snapshots allocate
+// per step. Set ~50% above the measured values.
+var variantAllocCeilings = map[string]float64{
+	"local-delayed-3": 750,
+	"protocol-local":  850,
+}
+
 // BenchmarkHeuristicRun is the per-heuristic microbenchmark backing the
 // ceilings above: -benchmem reports allocs/op for the same fixed workload.
 // The <shape>/<heuristic> sub-benchmarks run the benchmark's three
@@ -91,7 +101,8 @@ func BenchmarkHeuristicRun(b *testing.B) {
 }
 
 // TestAllocationCeilings runs every heuristic end to end on a fixed
-// single-file and a fixed multi-sender instance and fails if its total
+// single-file and a fixed multi-sender instance, and Local's stale-view
+// and gossip variants on the single-file one, and fails if a run's total
 // allocations exceed the recorded ceiling.
 // The lossy kernel path runs through the fault engine and is guarded by
 // TestFaultEngineAllocationCeilings.
@@ -124,18 +135,33 @@ func TestAllocationCeilings(t *testing.T) {
 					t.Errorf("%s: no allocation ceiling recorded; add one", name)
 					continue
 				}
-				allocs := testing.AllocsPerRun(5, func() {
-					if _, err := sim.Run(c.inst, factory, sim.Options{Seed: 1, Prune: true}); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-				})
-				t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
-				if allocs > ceiling {
-					t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
-						name, allocs, ceiling)
-				}
+				checkAllocs(t, name, ceiling, c.inst, factory, sim.Options{Seed: 1, Prune: true})
 			}
 		})
+	}
+	t.Run("variants", func(t *testing.T) {
+		// protocol-local's first turn is idle while no table has been
+		// exchanged, and a view three turns stale idles up to three turns.
+		opts := sim.Options{Seed: 1, Prune: true, IdlePatience: 4}
+		inst := workload.SingleFile(g, 40)
+		checkAllocs(t, "local-delayed-3", variantAllocCeilings["local-delayed-3"], inst, LocalDelayed(3), opts)
+		checkAllocs(t, "protocol-local", variantAllocCeilings["protocol-local"], inst, ProtocolLocal(nil), opts)
+	})
+}
+
+// checkAllocs fails t if one sim.Run of factory on inst allocates more
+// than ceiling times.
+func checkAllocs(t *testing.T, name string, ceiling float64, inst *core.Instance, factory sim.Factory, opts sim.Options) {
+	t.Helper()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := sim.Run(inst, factory, opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	})
+	t.Logf("%s: %.0f allocs/run (ceiling %.0f)", name, allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("%s allocated %.0f times per run, ceiling %.0f — a per-step allocation crept back in",
+			name, allocs, ceiling)
 	}
 }
 

@@ -14,6 +14,11 @@
 //     maximizes diversity (the paper's large-scale greedy stand-in for
 //     exhaustive matching).
 //
+// Local's request rule has two more knowledge models, both planned by
+// Local's own planner: LocalDelayed reads peer possession k turns old
+// (the §5.1 relaxation), and ProtocolLocal reads each vertex's tables
+// gossiped with its neighbors once per turn (the §4.1 exchange).
+//
 // Every strategy is packaged as a sim.Factory; the engine in internal/sim
 // enforces the model constraints on whatever the strategies propose.
 package heuristics
@@ -84,8 +89,9 @@ func (r *residual) leftID(id int32) int { return r.rem[id] }
 
 // raritySorter holds the reusable scratch for the stable sort-by-count on
 // the per-vertex hot path: a counting-sort bucket array (have-counts are
-// bounded by the vertex count) and a staging buffer. One lives in each
-// rarest-random strategy so sorting allocates nothing in steady state.
+// bounded by the vertex count) and a staging buffer. One lives in the
+// rarest-random planner, which Local and its stale-view and gossip
+// variants share, so sorting allocates nothing in steady state.
 type raritySorter struct {
 	//ocd:scratch
 	bucket []int

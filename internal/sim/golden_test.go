@@ -92,9 +92,14 @@ func goldenEngineRuns(t *testing.T) string {
 		t.Fatal(err)
 	}
 
+	// The paper's five, then Local planning from peer views two turns
+	// stale, which shares Local's planner but not its delta path.
+	names := append(heuristics.Names(), "local-delayed-2")
+	factories := append(heuristics.All(), heuristics.LocalDelayed(2))
+
 	var b strings.Builder
-	for i, factory := range heuristics.All() {
-		name := heuristics.Names()[i]
+	for i, factory := range factories {
+		name := names[i]
 
 		res, err := sim.Run(inst, factory, sim.Options{Seed: 11, IdlePatience: 20, Prune: true})
 		fmt.Fprintf(&b, "base/%s: %s\n", name, summarize(res, err))
@@ -186,6 +191,9 @@ func TestGoldenEngineEquivalence(t *testing.T) {
 // The base-multisender and dynamic-link-multisender rows pin multi-file
 // instances, where tokens start at several sources; they were recorded
 // before the strategies began planning from each step's deliveries.
+// The local-delayed-2 rows pin stale-view planning under every engine;
+// they were recorded while the delayed variant still kept its own copy of
+// Local's request rule.
 const goldenEngineTable = `
 base/roundrobin: steps=12 moves=7999 rejected=0 lost=0 hash=deff66d945966b21 err=nil
 fault-bernoulli/roundrobin: steps=33 moves=24975 rejected=0 lost=3730 hash=cd5cba267784f3f2 err=nil graceful=false
@@ -237,4 +245,14 @@ fault-churn/global: steps=15 moves=1008 rejected=0 lost=0 hash=30d52281521eae2c 
 underlay/global: steps=8 moves=208 rejected=168 lost=0 hash=bec595151032bff4 err=nil
 base-multisender/global: steps=11 moves=2244 rejected=0 lost=0 hash=1ffc7a4d4b37ac5d err=nil
 dynamic-link-multisender/global: steps=14 moves=2258 rejected=0 lost=0 hash=a4b9ac4a28043830 err=nil
+base/local-delayed-2: steps=18 moves=936 rejected=0 lost=0 hash=d4c286202f7272c5 err=nil
+fault-bernoulli/local-delayed-2: steps=20 moves=1098 rejected=0 lost=162 hash=7fd65f52e7790f0a err=nil graceful=false
+dynamic-cross/local-delayed-2: steps=25 moves=936 rejected=0 lost=0 hash=3a01aa23b15dbf6c err=nil
+dynamic-adversary/local-delayed-2: steps=80 moves=936 rejected=0 lost=0 hash=6f5cbcba9f530625 err=nil
+fault-chaos/local-delayed-2: steps=184 moves=2799 rejected=7 lost=266 hash=24d6fcee43f60d53 err=nil graceful=false
+fault-crash/local-delayed-2: steps=18 moves=936 rejected=0 lost=0 hash=ad69a3358cd716e7 err=nil graceful=false
+fault-churn/local-delayed-2: steps=27 moves=1144 rejected=14 lost=0 hash=2ebc69f3838a2601 err=nil graceful=false
+underlay/local-delayed-2: steps=13 moves=208 rejected=132 lost=0 hash=ec3e0a76d5be9eb4 err=nil
+base-multisender/local-delayed-2: steps=21 moves=2411 rejected=0 lost=0 hash=8a381b7351ae60fb err=nil
+dynamic-link-multisender/local-delayed-2: steps=21 moves=2355 rejected=0 lost=0 hash=611d8ea780f8c7a1 err=nil
 `

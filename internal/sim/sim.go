@@ -58,18 +58,6 @@ type State struct {
 	executed, wipes int
 }
 
-// Missing returns w(v) \ p(v) for vertex v as a fresh set.
-func (s *State) Missing(v int) tokenset.Set {
-	return s.Inst.Want[v].Difference(s.Possess[v])
-}
-
-// Lacking returns T \ p(v): every token v does not yet possess.
-func (s *State) Lacking(v int) tokenset.Set {
-	full := tokenset.Full(s.Inst.NumTokens)
-	full.DifferenceWith(s.Possess[v])
-	return full
-}
-
 // MissingInto overwrites dst with w(v) \ p(v) without allocating. dst must
 // have universe NumTokens.
 func (s *State) MissingInto(v int, dst tokenset.Set) {

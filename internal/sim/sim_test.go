@@ -210,14 +210,19 @@ func TestStateHelpers(t *testing.T) {
 	inst := lineInstance(t, 3, 4, 1)
 	inst.Want[1].Add(2)
 	st := &State{Inst: inst, Possess: inst.InitialPossession()}
-	if got := st.Missing(1).Slice(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Missing(1) = %v", got)
+	// One buffer throughout: each call must overwrite what the last left.
+	dst := tokenset.New(inst.NumTokens)
+	st.MissingInto(1, dst)
+	if got := dst.Slice(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("MissingInto(1) = %v", got)
 	}
-	if got := st.Lacking(0).Count(); got != 0 {
-		t.Errorf("Lacking(source) = %d tokens", got)
+	st.LackingInto(0, dst)
+	if got := dst.Count(); got != 0 {
+		t.Errorf("LackingInto(source) = %d tokens", got)
 	}
-	if got := st.Lacking(2).Count(); got != 4 {
-		t.Errorf("Lacking(2) = %d, want 4", got)
+	st.LackingInto(2, dst)
+	if got := dst.Count(); got != 4 {
+		t.Errorf("LackingInto(2) = %d, want 4", got)
 	}
 }
 

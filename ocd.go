@@ -266,11 +266,13 @@ func Heuristics() []string { return heuristics.Names() }
 
 // HeuristicFactory returns the factory for a named strategy: the paper's
 // five heuristics plus the extensions — "tree" and "forest-K" (§2
-// architectures), "protocol-local" (§4.1 message passing),
-// "local-delayed-K" (§5.1 stale knowledge), and "retry-<name>" (any of the
-// above wrapped in the retry-with-backoff sender for faulted runs). Run
+// architectures), "protocol-local" (§4.1 message passing) and
+// "local-delayed-K" (§5.1 stale knowledge), which are Local's planner fed
+// gossiped or K-turn-old knowledge, and "retry-<name>" (any of the above
+// wrapped in the retry-with-backoff sender for faulted runs). Run
 // protocol-local with IdlePatience of at least the graph diameter, and
-// local-delayed-K with IdlePatience ≥ K.
+// local-delayed-K with IdlePatience ≥ K and MaxSteps (K+1)·H + K: a view
+// K turns stale can outlast the Theorem 1 horizon H of the default limit.
 func HeuristicFactory(name string) (StrategyFactory, error) {
 	return experiments.NamedStrategy(name, fault.Plan{})
 }
