@@ -422,6 +422,11 @@ func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 			}
 			if s.loss == 0 {
 				res, err = ocd.RunHeuristic(inst, name, opts)
+				if err == nil && !res.Completed {
+					// A run cut off at the step limit is incomplete, not
+					// invalid: only its moves must be legal.
+					validate = func(sched *ocd.Schedule) error { return ocd.ValidateConstraints(inst, sched) }
+				}
 			} else {
 				// -max-steps 0 keeps its static meaning; the fault engine's
 				// default would be four Theorem 1 horizons.

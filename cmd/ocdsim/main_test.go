@@ -62,6 +62,24 @@ func TestRunExtensionStrategies(t *testing.T) {
 	}
 }
 
+// TestRunCutOffAtStepLimit requires a single run that stops at its step
+// limit to print its row with completed=false and exit cleanly: its
+// schedule is incomplete, not invalid.
+func TestRunCutOffAtStepLimit(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		rows int
+	}{
+		{[]string{"-heuristic", "local", "-n", "12", "-tokens", "4", "-seed", "3", "-max-steps", "1"}, 1},
+		{[]string{"-heuristic", "all", "-n", "12", "-tokens", "4", "-seed", "3", "-max-steps", "1"}, 5},
+		{[]string{"-heuristic", "local-delayed-6", "-n", "4", "-tokens", "1", "-seed", "3", "-patience", "7"}, 1},
+	} {
+		if out := runOK(t, c.args...); strings.Count(out, "completed=false") != c.rows {
+			t.Errorf("args %v: want %d completed=false rows, got:\n%s", c.args, c.rows, out)
+		}
+	}
+}
+
 func TestRunWorkloadsAndTopologies(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topology", "transit-stub", "-n", "20", "-tokens", "6"},

@@ -11,7 +11,7 @@ import (
 // arc list, the makespan bound's table, EOCD's pick counts, memo growth,
 // the copied-out schedule), not per candidate step, and their frames come
 // from a pool that keeps them grown across solves. Each ceiling sits ~45%
-// above the measured count (65 and 6,224; 102 and 9,680 before the frame
+// above the measured count (65 and 6,163; 102 and 9,680 before the frame
 // pool); the per-node searches they replaced made 559 and 1,728,683
 // allocations on the same two cases.
 func TestExactAllocationCeilings(t *testing.T) {

@@ -34,17 +34,25 @@ func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, 
 // solveEOCD is SolveEOCD that also reports the number of search nodes it
 // expanded, the count the budget is charged with.
 func solveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, int, error) {
+	var s eocdSearch
+	sched, err := s.solve(inst, horizon, opts)
+	return sched, s.nodes, err
+}
+
+// solve runs the search for inst within horizon steps from a zero s,
+// leaving its counters in s.
+func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
 	if err := inst.Check(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if !inst.Satisfiable() {
-		return nil, 0, ErrUnsatisfiable
+		return nil, ErrUnsatisfiable
 	}
 	if horizon <= 0 {
 		horizon = inst.TheoremOneHorizon()
 	}
 	arcs := inst.G.Arcs()
-	s := &eocdSearch{
+	*s = eocdSearch{
 		inst:     inst,
 		budget:   opts.nodes(),
 		memo:     make(map[memoKey]int),
@@ -59,17 +67,17 @@ func solveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, 
 	}
 	defer framePool.Put(s.frames)
 	if s.globalLB == 0 { // no wanted pair is missing
-		return &core.Schedule{}, 0, nil
+		return &core.Schedule{}, nil
 	}
 	// The root is expanded like any other node; every budget admits it.
 	s.nodes = 1
 	if err := s.dfs(horizon, 0, s.globalLB); err != nil && !errors.Is(err, errOptimal) {
-		return nil, s.nodes, err
+		return nil, err
 	}
 	if s.best == nil {
-		return nil, s.nodes, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
+		return nil, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
 	}
-	return s.best, s.nodes, nil
+	return s.best, nil
 }
 
 type memoKey struct {
@@ -99,11 +107,16 @@ type eocdSearch struct {
 	// arcs is the arc list in (From, To) order, sorted once per solve.
 	arcs   []graph.Arc
 	frames *frames
+	// lastStep[k] counts the nodes with one step left that had k exact
+	// covers, k = 2 standing for two or more (see lastStepCovers).
+	lastStep [3]int
 	// Enumeration scratch, consumed before the search descends: the
 	// candidate moves with the index in arcs of each and whether its
 	// receiver wants its token, the subset being built, per-arc usage of
 	// that subset, and how many of its moves deliver each (vertex, token)
-	// pair, indexed v·NumTokens+t.
+	// pair, indexed v·NumTokens+t. The cover count reuses pick and used for
+	// its partial cover and picks as its pair marker; all three are empty
+	// or zero between uses.
 	useful tokenset.Set
 	moves  []core.Move
 	arcOf  []int
@@ -151,6 +164,13 @@ func relevanceSets(inst *core.Instance) []tokenset.Set {
 // none of the three is applied and expanded. A cut child still counts as
 // a node, as it did when it was expanded only to prune itself, so node
 // counts and the point where a budget runs out do not change.
+//
+// With one step left only done children act, and the incumbent the loop
+// leaves is the first smallest one in size order. The smallest done
+// children are the node's exact covers, so the node counts those first:
+// with none it is finished, and with one that cover is the incumbent.
+// Only with two or more, where the sort's tie order picks the winner, are
+// the subsets enumerated.
 func (s *eocdSearch) dfs(left, cost, lb int) error {
 	key := memoKey{hash: possessionHash(s.possess), left: left}
 	if seen, ok := s.memo[key]; ok && seen <= cost {
@@ -162,10 +182,26 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 	if len(s.moves) == 0 {
 		return nil
 	}
+	f := s.frames.at(len(s.cur.Steps))
+	if left == 1 {
+		covers := s.lastStepCovers(f, lb)
+		s.lastStep[covers]++
+		switch covers {
+		case 0:
+			return nil
+		case 1:
+			// The parent's cut test left cost+lb < bestLen.
+			//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
+			s.cur.Append(f.arena[:lb:lb])
+			err := s.improve(cost + lb)
+			s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
+			return err
+		}
+		f.arena = f.arena[:0]
+	}
 	// Enumerate subsets of candidate moves respecting arc capacities,
 	// largest subsets first so a good incumbent is found early. Empty
 	// subsets are excluded: an idle step is never cheaper than skipping it.
-	f := s.frames.at(len(s.cur.Steps))
 	s.enumerateSubsets(f, 0, 0)
 	f.sortBySize()
 	for _, k := range f.keys {
@@ -234,6 +270,80 @@ func (s *eocdSearch) usefulMoves() {
 	}
 }
 
+// lastStepCovers counts, stopping at two, the exact covers of the node's
+// lb missing wanted pairs: choices of one wanted candidate move per pair
+// that fit the arc capacities together. It writes the first cover found,
+// in candidate order, to f.arena.
+//
+// These are the smallest done children. A done child delivers every
+// pair, and dropping all its moves but one per pair leaves it done and
+// within capacity, so a done child exists only if a cover does, and every
+// smallest one is a cover of exactly lb moves.
+func (s *eocdSearch) lastStepCovers(f *frame, lb int) int {
+	pairs := 0
+	for i, w := range s.wants {
+		if w {
+			p := s.pairOf(i)
+			if s.picks[p] == 0 {
+				pairs++
+			}
+			s.picks[p]++
+		}
+	}
+	covers := 0
+	if pairs == lb { // otherwise some pair has no candidate
+		covers = s.cover(f, 0, lb, 0)
+	}
+	for i, w := range s.wants {
+		if w {
+			s.picks[s.pairOf(i)] = 0
+		}
+	}
+	return covers
+}
+
+// pairOf is the (vertex, token) pair candidate i delivers, indexed
+// v·NumTokens+t as in s.picks.
+func (s *eocdSearch) pairOf(i int) int {
+	return s.moves[i].To*s.inst.NumTokens + s.moves[i].Token
+}
+
+// cover extends the partial cover in s.pick with candidates from index i
+// on, need pairs still uncovered, and returns covers plus the covers it
+// finds, stopping at two. s.picks holds, for an uncovered pair, how many
+// of its candidates lie at i or later, and 0 for a covered one; s.used
+// holds the partial cover's per-arc usage. Both are restored on return.
+func (s *eocdSearch) cover(f *frame, i, need, covers int) int {
+	if need == 0 {
+		if covers == 0 {
+			f.arena = append(f.arena, s.pick...)
+		}
+		return covers + 1
+	}
+	// Skip to the next candidate of an uncovered pair; each such pair
+	// keeps one ahead, so i stays in range.
+	for !s.wants[i] || s.picks[s.pairOf(i)] == 0 {
+		i++
+	}
+	p := s.pairOf(i)
+	ahead := s.picks[p]
+	if a := s.arcOf[i]; s.used[a] < s.arcs[a].Cap {
+		s.used[a]++
+		s.picks[p] = 0
+		s.pick = append(s.pick, s.moves[i])
+		covers = s.cover(f, i+1, need-1, covers)
+		s.pick = s.pick[:len(s.pick)-1]
+		s.picks[p] = ahead
+		s.used[a]--
+	}
+	if covers < 2 && ahead > 1 {
+		s.picks[p] = ahead - 1
+		covers = s.cover(f, i+1, need, covers)
+		s.picks[p] = ahead
+	}
+	return covers
+}
+
 // enumerateSubsets appends to f every non-empty subset of s.moves that
 // extends the picked prefix with moves from index i on and respects
 // per-arc capacities, taking each move before leaving it out. gain is the
@@ -252,7 +362,7 @@ func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
 		mv, with := s.moves[i], gain
 		pair := -1
 		if s.wants[i] {
-			pair = mv.To*s.inst.NumTokens + mv.Token
+			pair = s.pairOf(i)
 			if s.picks[pair] == 0 {
 				with++
 			}

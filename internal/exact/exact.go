@@ -21,7 +21,12 @@
 // the child is done, out of steps or cut by the bound before applying
 // it; only the children that survive are applied. A cut child is still
 // counted as a node, so node counts and budget errors are those of the
-// search that expanded every child.
+// search that expanded every child. With one step left only a done child
+// can act, and the smallest done children are the exact covers of the
+// missing wanted pairs (one delivering move per pair, within capacity),
+// so such a node counts its covers before enumerating anything: with
+// none it is finished, with one that cover is the incumbent, and only
+// with two or more are its subsets enumerated and sorted.
 package exact
 
 import (

@@ -7,9 +7,10 @@ import (
 )
 
 // goldenCases map each committed fixture onto the Run overrides that
-// reproduce the facade call which generated it before the registry refactor.
-// Byte identity here is the refactor's acceptance bar: lowering an
-// experiment through spec → args → impl must not perturb a single cell.
+// reproduce it. Each fixture was recorded before a change that must not
+// move it, such as lowering experiments through spec → args → impl or a
+// faster exact solver, so byte identity here is that change's acceptance
+// bar: not a single cell may move.
 var goldenCases = []struct {
 	name   string
 	params map[string]string
@@ -41,6 +42,9 @@ var goldenCases = []struct {
 		"n": "16", "tokens": "8", "seed": "3",
 	}},
 	{"protocol-comparison", nil},
+	{"ilp-vs-bnb", map[string]string{"n": "6", "instances": "40", "seed": "1"}},
+	{"tradeoff-curve", nil},
+	{"bounds-quality", nil},
 }
 
 func TestGoldenByteIdentity(t *testing.T) {
