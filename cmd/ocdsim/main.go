@@ -44,6 +44,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 
 	"ocd"
@@ -371,8 +372,8 @@ func (s *singleRun) validate() error {
 // comparison, so a test for being out of range would let it through.
 func inUnit(x float64) bool { return x >= 0 && x <= 1 }
 
-// run executes the single run, recording the kernel's step-phase counters
-// into reg unless a step trace takes the observer seat.
+// run executes the single run, recording each heuristic's kernel
+// step-phase totals into reg.
 func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 	inst, err := s.instance()
 	if err != nil {
@@ -412,13 +413,9 @@ func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 				MaxSteps: s.maxSteps, Seed: s.seed, Prune: s.loss == 0, IdlePatience: s.patience,
 			}
 			if s.steptrace != "" {
-				// The kernel has one Observer seat; the explicit step trace
-				// wins over telemetry's step-phase counters.
 				col := ocd.NewStepCollector(inst)
 				opts.Observer = col
 				lastTrace = col
-			} else {
-				opts.Observer = telemetry.NewKernelObserver(reg, "sim").Observer()
 			}
 			if s.loss == 0 {
 				res, err = ocd.RunHeuristic(inst, name, opts)
@@ -435,20 +432,27 @@ func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 					opts.MaxSteps = inst.TheoremOneHorizon() + s.patience
 				}
 				var fres *ocd.FaultResult
-				if fres, err = ocd.RunFaulted(inst, name, plan, opts); err == nil {
+				if fres, err = ocd.RunFaulted(inst, name, plan, opts); fres != nil {
 					res = fres.Result
 				}
 				validate = func(sched *ocd.Schedule) error { return ocd.ValidateFaulted(inst, sched, plan) }
 			}
 		}
+		// A stalled run's result still holds the steps it executed.
+		telemetry.RecordRun(reg, "sim", res)
 		if err != nil {
 			return fmt.Errorf("heuristic %s: %w", name, err)
 		}
 		if verr := validate(res.Schedule); verr != nil {
 			return fmt.Errorf("heuristic %s produced invalid schedule: %w", name, verr)
 		}
-		fmt.Fprintf(stdout, "%-14s moves=%-5d bandwidth=%-8d pruned=%-8d lost=%-6d completed=%v\n",
-			res.Strategy, res.Steps, res.Moves, res.PrunedMoves, res.Lost, res.Completed)
+		// Only a lossless run that completed is pruned.
+		pruned := "-"
+		if s.loss == 0 && res.Completed {
+			pruned = strconv.Itoa(res.PrunedMoves)
+		}
+		fmt.Fprintf(stdout, "%-14s moves=%-5d bandwidth=%-8d pruned=%-8s lost=%-6d completed=%v\n",
+			res.Strategy, res.Steps, res.Moves, pruned, res.Lost, res.Completed)
 		last = res.Schedule
 	}
 	if s.timeline && last != nil {

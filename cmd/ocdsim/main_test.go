@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +77,29 @@ func TestRunCutOffAtStepLimit(t *testing.T) {
 	} {
 		if out := runOK(t, c.args...); strings.Count(out, "completed=false") != c.rows {
 			t.Errorf("args %v: want %d completed=false rows, got:\n%s", c.args, c.rows, out)
+		}
+	}
+}
+
+// TestRunRowReportsWhatRan: the row names local-delayed-K by its delay,
+// and its pruned column reads "-" for a run that was never pruned — a
+// lossy run, or one cut off at its step limit — rather than a bandwidth
+// of zero.
+func TestRunRowReportsWhatRan(t *testing.T) {
+	small := []string{"-n", "12", "-tokens", "4", "-seed", "3"}
+	for _, c := range []struct {
+		args []string
+		row  string
+	}{
+		{[]string{"-heuristic", "local-delayed-2", "-patience", "10"}, "local-delayed-2 moves=7 "},
+		{[]string{"-heuristic", "local-delayed-3", "-patience", "10"}, "local-delayed-3 moves=9 "},
+		{[]string{"-heuristic", "local"}, "pruned=44 "},
+		{[]string{"-heuristic", "local", "-loss", "0.2"}, "pruned=- "},
+		{[]string{"-heuristic", "local", "-max-steps", "1"}, "pruned=- "},
+	} {
+		args := append(small[:len(small):len(small)], c.args...)
+		if out := runOK(t, args...); !strings.Contains(out, c.row) {
+			t.Errorf("args %v: want a row containing %q, got:\n%s", args, c.row, out)
 		}
 	}
 }
@@ -651,6 +675,44 @@ func TestTelemetryLifecycle(t *testing.T) {
 	if !kernel || !runner {
 		t.Error("stream lacks kernel.*/runner.* metrics")
 	}
+}
+
+// TestSingleRunRecordsKernelCounters: a single run records its
+// kernel.sim.* totals whatever else it attaches — a -steptrace run records
+// the same totals as the run without it, lossless or lossy — and -oracle
+// runs are counted too.
+func TestSingleRunRecordsKernelCounters(t *testing.T) {
+	dir := t.TempDir()
+	kernel := func(args ...string) []telemetry.Metric {
+		t.Helper()
+		path := filepath.Join(dir, "tel.jsonl")
+		runOK(t, append(args, "-telemetry", path)...)
+		var out []telemetry.Metric
+		for _, m := range decodeTelemetry(t, path) {
+			if strings.HasPrefix(m.Name, "kernel.sim.") {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	base := []string{"-heuristic", "all", "-n", "30", "-tokens", "20", "-seed", "3"}
+	for _, extra := range [][]string{nil, {"-loss", "0.2"}} {
+		args := append(base[:len(base):len(base)], extra...)
+		plain := kernel(args...)
+		if len(plain) != 7 {
+			t.Fatalf("args %v: want the 7 kernel.sim.* counters, got %+v", args, plain)
+		}
+		traced := kernel(append(args, "-steptrace", filepath.Join(dir, "trace.jsonl"))...)
+		if !reflect.DeepEqual(traced, plain) {
+			t.Errorf("args %v: -steptrace changed the kernel counters:\n got %+v\nwant %+v", args, traced, plain)
+		}
+	}
+	for _, m := range kernel("-heuristic", "local", "-oracle", "-n", "12", "-tokens", "6") {
+		if m.Name == "kernel.sim.steps" && m.Value > 0 {
+			return
+		}
+	}
+	t.Error("an -oracle run recorded no kernel.sim.steps")
 }
 
 func decodeTelemetry(t *testing.T, path string) []telemetry.Metric {

@@ -53,7 +53,6 @@ func boundsQualityImpl(instances, n, m int, seed int64, em *Emitter) error {
 		optSteps, optBW, stepLB, flowLB, bwLB int
 		heur                                  []heurOutcome
 	}
-	obs := telemetry.NewKernelObserver(em.Telemetry(), "sim").Observer()
 	cells := make([]runner.Cell[boundsCell], instances)
 	for i := range insts {
 		i := i
@@ -81,7 +80,8 @@ func boundsQualityImpl(instances, n, m int, seed int64, em *Emitter) error {
 					heur:   make([]heurOutcome, len(heuristics.All())),
 				}
 				for h, factory := range heuristics.All() {
-					res, err := sim.Run(inst, factory, sim.Options{Seed: cellSeed, Prune: true, Observer: obs})
+					res, err := sim.Run(inst, factory, sim.Options{Seed: cellSeed, Prune: true})
+					telemetry.RecordRun(em.Telemetry(), "sim", res)
 					if err != nil || !res.Completed {
 						cell.heur[h] = heurOutcome{failed: true}
 						continue

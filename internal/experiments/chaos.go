@@ -1,42 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"ocd/internal/fault"
 	"ocd/internal/heuristics"
 	"ocd/internal/runner"
-	"ocd/internal/sim"
-	"ocd/internal/telemetry"
 	"ocd/internal/topology"
 	"ocd/internal/workload"
 )
-
-// chaosCell carries a faulted run's result through the runner; a stall is
-// row data ("stalled" outcome), not a cell failure.
-type chaosCell struct {
-	res *fault.Result
-	err error
-}
-
-// outcome folds a faulted run into one word for the table. Only a genuine
-// stall reads as "stalled"; any other error is the cell's failure and must
-// surface as one (see the drivers), never masquerade as a stall.
-func outcome(res *fault.Result, err error) string {
-	switch {
-	case errors.Is(err, sim.ErrStalled):
-		return "stalled"
-	case err != nil:
-		return "error"
-	case res.Completed:
-		return "completed"
-	case res.Graceful:
-		return "graceful"
-	default:
-		return "timeout"
-	}
-}
 
 func init() {
 	Register(Spec{
@@ -96,64 +68,58 @@ func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, se
 	// the baseline run exactly for the inflation column to read 1.00.
 	const chaosSeedKey = "chaos-workload"
 
+	opts := faultSweepOptions{Telemetry: em.Telemetry()}
+
 	// Fault-free baselines give the inflation denominator per heuristic.
-	baseCells := make([]runner.Cell[int], len(heuristicNames))
+	baseCells := make([]runner.Cell[faultRow], len(heuristicNames))
 	for i, name := range heuristicNames {
 		name := name
-		baseCells[i] = runner.Cell[int]{
+		baseCells[i] = runner.Cell[faultRow]{
 			Key:     "baseline/" + name,
 			SeedKey: chaosSeedKey,
-			Run: func(cellSeed int64) (int, error) {
-				f, err := NamedStrategy(name, fault.Plan{})
-				if err != nil {
-					return 0, err
+			Run: func(cellSeed int64) (faultRow, error) {
+				r, err := runFaultCell(sweepCell{
+					inst: inst, heuristic: name, seed: cellSeed, tel: opts.Telemetry,
+					plan: func() fault.Plan { return fault.Plan{} },
+				})
+				if err == nil && r.Outcome != "completed" {
+					err = fmt.Errorf("fault-free baseline did not complete (%s)", r.Outcome)
 				}
-				res, err := fault.Run(inst, f, fault.Plan{}, sim.Options{Seed: cellSeed, IdlePatience: 40})
-				if err != nil || !res.Completed {
-					return 0, fmt.Errorf("fault-free baseline did not complete (err=%v)", err)
-				}
-				return res.Steps, nil
+				return r, err
 			},
 		}
 	}
-	baseSteps, err := runner.Map(seed, baseCells, runner.Options{Metrics: telemetry.NewRunnerMetrics(em.Telemetry())})
+	baseRows, err := mapWithJournal(seed, baseCells, opts)
 	if err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}
 	baseline := make(map[string]int, len(heuristicNames))
 	for i, name := range heuristicNames {
-		baseline[name] = baseSteps[i]
+		baseline[name] = baseRows[i].Steps
 	}
 
 	// Grid cells: plans hold stateful loss/crash models (each owns a PRNG
 	// advanced during the run), so every cell constructs its own plan inside
 	// Run rather than sharing one per intensity.
-	var cells []runner.Cell[chaosCell]
+	var cells []runner.Cell[faultRow]
 	for xi, x := range intensities {
 		x := x
 		for _, name := range heuristicNames {
 			name := name
-			cells = append(cells, runner.Cell[chaosCell]{
+			cells = append(cells, runner.Cell[faultRow]{
 				Key:     fmt.Sprintf("x%d=%.2f/%s", xi, x, name),
 				SeedKey: chaosSeedKey,
-				Run: func(cellSeed int64) (chaosCell, error) {
-					plan := fault.AtIntensity(x, cellSeed, 0) // vertex 0 is the source: protect it
-					f, err := NamedStrategy(name, plan)
-					if err != nil {
-						return chaosCell{}, err
-					}
-					res, err := fault.Run(inst, f, plan, sim.Options{Seed: cellSeed, IdlePatience: 40})
-					// A stall is row data; anything else fails the cell so it
-					// reaches the process exit code.
-					if err != nil && !errors.Is(err, sim.ErrStalled) {
-						return chaosCell{}, fmt.Errorf("intensity %.2f: %w", x, err)
-					}
-					return chaosCell{res: res, err: err}, nil
+				Run: func(cellSeed int64) (faultRow, error) {
+					return runFaultCell(sweepCell{
+						inst: inst, heuristic: name, seed: cellSeed, tel: opts.Telemetry,
+						// vertex 0 is the source: protect it
+						plan: func() fault.Plan { return fault.AtIntensity(x, cellSeed, 0) },
+					})
 				},
 			})
 		}
 	}
-	results, err := runner.Map(seed, cells, runner.Options{Metrics: telemetry.NewRunnerMetrics(em.Telemetry())})
+	rows, err := mapWithJournal(seed, cells, opts)
 	if err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}
@@ -161,17 +127,15 @@ func chaosImpl(n, tokens int, intensities []float64, heuristicNames []string, se
 	idx := 0
 	for _, x := range intensities {
 		for _, name := range heuristicNames {
-			cell := results[idx]
+			r := rows[idx]
 			idx++
-			res := cell.res
 			inflation := "-"
-			if res.Completed && baseline[name] > 0 {
-				inflation = fmt.Sprintf("%.2f", float64(res.Steps)/float64(baseline[name]))
+			if r.Outcome == "completed" && baseline[name] > 0 {
+				inflation = fmt.Sprintf("%.2f", float64(r.Steps)/float64(baseline[name]))
 			}
-			em.Emit(fmt.Sprintf("%.2f", x), name, outcome(res, cell.err),
-				fmt.Sprintf("%.0f%%", res.DeliveredFraction*100),
-				res.Moves, res.Lost, res.Retransmissions, res.WastedMoves,
-				res.Crashes, inflation)
+			em.Emit(fmt.Sprintf("%.2f", x), name, r.Outcome,
+				fmt.Sprintf("%.0f%%", r.Delivered*100),
+				r.Moves, r.Lost, r.Retrans, r.Wasted, r.Departures, inflation)
 		}
 	}
 	em.Note("intensity x scales the canonical plan: Gilbert–Elliott loss, crash/recovery churn (source protected), download loss on crash, gossip loss")
@@ -196,40 +160,36 @@ func crashedSourceImpl(n, tokens, crashAt int, seed int64, em *Emitter) error {
 		crashAt, n, tokens, inst.TheoremOneHorizon()),
 		"heuristic", "outcome", "steps", "delivered",
 		"unsatisfiable", "moves", "lost")
+	opts := faultSweepOptions{Telemetry: em.Telemetry()}
 	names := heuristics.Names()
-	cells := make([]runner.Cell[chaosCell], len(names))
+	cells := make([]runner.Cell[faultRow], len(names))
 	for i, name := range names {
 		name := name
-		cells[i] = runner.Cell[chaosCell]{
+		cells[i] = runner.Cell[faultRow]{
 			Key:     "crash/" + name,
 			SeedKey: "crash-workload",
-			Run: func(cellSeed int64) (chaosCell, error) {
-				plan := fault.Plan{
-					Crashes: fault.CrashSchedule{Events: []fault.CrashEvent{
-						{V: 0, At: crashAt, RecoverAt: -1},
-					}},
-				}
-				f, err := NamedStrategy(name, plan)
-				if err != nil {
-					return chaosCell{}, err
-				}
-				res, err := fault.Run(inst, f, plan, sim.Options{Seed: cellSeed, IdlePatience: 40})
-				if err != nil && !errors.Is(err, sim.ErrStalled) {
-					return chaosCell{}, err
-				}
-				return chaosCell{res: res, err: err}, nil
+			Run: func(cellSeed int64) (faultRow, error) {
+				return runFaultCell(sweepCell{
+					inst: inst, heuristic: name, seed: cellSeed, tel: opts.Telemetry,
+					plan: func() fault.Plan {
+						return fault.Plan{
+							Crashes: fault.CrashSchedule{Events: []fault.CrashEvent{
+								{V: 0, At: crashAt, RecoverAt: -1},
+							}},
+						}
+					},
+				})
 			},
 		}
 	}
-	results, err := runner.Map(seed, cells, runner.Options{Metrics: telemetry.NewRunnerMetrics(em.Telemetry())})
+	rows, err := mapWithJournal(seed, cells, opts)
 	if err != nil {
 		return fmt.Errorf("crashed source: %w", err)
 	}
 	for i, name := range names {
-		res := results[i].res
-		em.Emit(name, outcome(res, results[i].err), res.Steps,
-			fmt.Sprintf("%.0f%%", res.DeliveredFraction*100),
-			len(res.Unsatisfiable), res.Moves, res.Lost)
+		r := rows[i]
+		em.Emit(name, r.Outcome, r.Steps, fmt.Sprintf("%.0f%%", r.Delivered*100),
+			r.Unsatisfiable, r.Moves, r.Lost)
 	}
 	em.Note("the source crash-stops holding every token not yet pushed out; those become provably undeliverable")
 	em.Note("'graceful' rows terminated via live-holder reachability detection, well before the m(n-1) horizon and without an IdlePatience stall")

@@ -32,10 +32,8 @@ type faultSweepOptions struct {
 	Monitor bool
 	// Parallelism is forwarded to the runner. Zero means GOMAXPROCS.
 	Parallelism int
-	// Telemetry, when non-nil, receives runner cell metrics from the
-	// sweep. Kernel step-phase counters are not collected here: the
-	// invariant monitor occupies the single kernel Observer seat when
-	// -monitor is set, and fault cells keep that seat free for it.
+	// Telemetry, when non-nil, receives runner cell metrics and every
+	// run's kernel.fault.* step-phase totals.
 	Telemetry *telemetry.Registry
 
 	// run is the journal's run identity (see journalRun).
@@ -81,24 +79,45 @@ func journalRun(a Args) string {
 	return b.String()
 }
 
-// faultRow is one sweep cell's outcome. Every field is JSON-round-trippable
-// so journaled cells resume to byte-identical tables. Departures counts the
-// run's crash transitions, which in the churn sweep are members leaving;
-// only that sweep prints it.
+// faultRow is one fault-engine cell's outcome. Every field is
+// JSON-round-trippable so journaled cells resume to byte-identical tables.
+// Departures counts the run's crash transitions, which in the churn sweep
+// are members leaving; Unsatisfiable counts the receivers reported
+// provably unsatisfiable.
 type faultRow struct {
-	Outcome    string  `json:"outcome"`
-	Liveness   string  `json:"liveness"`
-	Delivered  float64 `json:"delivered"`
-	Steps      int     `json:"steps"`
-	Moves      int     `json:"moves"`
-	Lost       int     `json:"lost"`
-	Retrans    int     `json:"retrans"`
-	Wasted     int     `json:"wasted"`
-	Departures int     `json:"departures"`
+	Outcome       string  `json:"outcome"`
+	Liveness      string  `json:"liveness"`
+	Delivered     float64 `json:"delivered"`
+	Steps         int     `json:"steps"`
+	Moves         int     `json:"moves"`
+	Lost          int     `json:"lost"`
+	Retrans       int     `json:"retrans"`
+	Wasted        int     `json:"wasted"`
+	Departures    int     `json:"departures"`
+	Unsatisfiable int     `json:"unsatisfiable"`
 }
 
-// runFaultCell executes one sweep cell: build the plan, optionally attach
-// the monitor, run, classify. Genuine failures (anything but a stall, plus
+// outcome folds a faulted run into one word for the table. Only a genuine
+// stall reads as "stalled"; any other error is the cell's failure and must
+// surface as one (runFaultCell returns it), never masquerade as a stall.
+func outcome(res *fault.Result, err error) string {
+	switch {
+	case errors.Is(err, sim.ErrStalled):
+		return "stalled"
+	case err != nil:
+		return "error"
+	case res.Completed:
+		return "completed"
+	case res.Graceful:
+		return "graceful"
+	default:
+		return "timeout"
+	}
+}
+
+// runFaultCell executes one fault-engine cell: build the plan, optionally
+// attach the monitor, run, record the run's kernel.fault.* totals,
+// classify. A stall is row data; genuine failures (any other error, plus
 // any invariant violation) fail the cell.
 func runFaultCell(c sweepCell) (faultRow, error) {
 	plan := c.plan()
@@ -118,21 +137,23 @@ func runFaultCell(c sweepCell) (faultRow, error) {
 	if err != nil && !errors.Is(err, sim.ErrStalled) {
 		return faultRow{}, err
 	}
+	telemetry.RecordRun(c.tel, "fault", res.Result)
 	if mon != nil {
 		if merr := mon.Err(); merr != nil {
 			return faultRow{}, merr
 		}
 	}
 	return faultRow{
-		Outcome:    outcome(res, err),
-		Liveness:   string(res.Liveness),
-		Delivered:  res.DeliveredFraction,
-		Steps:      res.Steps,
-		Moves:      res.Moves,
-		Lost:       res.Lost,
-		Retrans:    res.Retransmissions,
-		Wasted:     res.WastedMoves,
-		Departures: res.Crashes,
+		Outcome:       outcome(res, err),
+		Liveness:      string(res.Liveness),
+		Delivered:     res.DeliveredFraction,
+		Steps:         res.Steps,
+		Moves:         res.Moves,
+		Lost:          res.Lost,
+		Retrans:       res.Retransmissions,
+		Wasted:        res.WastedMoves,
+		Departures:    res.Crashes,
+		Unsatisfiable: len(res.Unsatisfiable),
 	}, nil
 }
 
@@ -142,6 +163,7 @@ type sweepCell struct {
 	heuristic string
 	seed      int64
 	monitor   bool
+	tel       *telemetry.Registry
 	plan      func() fault.Plan
 }
 
@@ -236,7 +258,7 @@ func partitionImpl(n, tokens, k int, healAfters []int, heuristicNames []string, 
 				SeedKey: "partition-workload",
 				Run: func(cellSeed int64) (faultRow, error) {
 					return runFaultCell(sweepCell{
-						inst: inst, heuristic: name, seed: cellSeed, monitor: opts.Monitor,
+						inst: inst, heuristic: name, seed: cellSeed, monitor: opts.Monitor, tel: opts.Telemetry,
 						plan: func() fault.Plan {
 							return fault.Plan{
 								Partitions: fault.NewRandomPartitions(k, partitionStartP, heal, cellSeed),
@@ -300,7 +322,7 @@ func churnImpl(n, tokens int, leaveRates []float64, rejoinP float64, heuristicNa
 				SeedKey: "churn-workload",
 				Run: func(cellSeed int64) (faultRow, error) {
 					return runFaultCell(sweepCell{
-						inst: inst, heuristic: name, seed: cellSeed, monitor: opts.Monitor,
+						inst: inst, heuristic: name, seed: cellSeed, monitor: opts.Monitor, tel: opts.Telemetry,
 						plan: func() fault.Plan {
 							return fault.Plan{
 								Crashes:   fault.NewRandomChurn(leave, rejoinP, cellSeed, 0),

@@ -122,9 +122,6 @@ func (c SweepConfig) runPoint(build func(seed int64) (*core.Instance, error)) (m
 		bwLBs = append(bwLBs, core.BandwidthLowerBound(inst, nil))
 	}
 
-	// One shared observer for every cell: the counters are atomic and the
-	// observer never touches per-run state, so concurrent cells may feed it.
-	obs := telemetry.NewKernelObserver(c.Telemetry, "sim").Observer()
 	var cells []runner.Cell[cellResult]
 	for gs := 0; gs < c.GraphSeeds; gs++ {
 		inst := insts[gs]
@@ -139,8 +136,8 @@ func (c SweepConfig) runPoint(build func(seed int64) (*core.Instance, error)) (m
 							MaxSteps: c.MaxSteps,
 							Seed:     seed,
 							Prune:    true,
-							Observer: obs,
 						})
+						telemetry.RecordRun(c.Telemetry, "sim", res)
 						if err != nil || !res.Completed {
 							return cellResult{failed: true}, nil
 						}

@@ -88,6 +88,38 @@ func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestTelemetryCountsFaultCells: every fault-engine sweep records its
+// runs' kernel.fault.* totals, and attaching the invariant monitor leaves
+// them unchanged.
+func TestTelemetryCountsFaultCells(t *testing.T) {
+	kernel := func(name string, params map[string]string) []telemetry.Metric {
+		t.Helper()
+		reg := telemetry.New()
+		if _, err := Run(name, params, reg); err != nil {
+			t.Fatalf("%s %v: %v", name, params, err)
+		}
+		var out []telemetry.Metric
+		for _, m := range reg.DeterministicSnapshot() {
+			if strings.HasPrefix(m.Name, "kernel.fault.") {
+				out = append(out, m)
+			}
+		}
+		if len(out) != 7 {
+			t.Fatalf("%s %v: want the 7 kernel.fault.* counters, got %+v", name, params, out)
+		}
+		return out
+	}
+	partition := map[string]string{"n": "16", "tokens": "8", "heal": "0,-1", "heuristics": "local", "seed": "3"}
+	plain := kernel("partition", partition)
+	partition["monitor"] = "true"
+	if monitored := kernel("partition", partition); !reflect.DeepEqual(monitored, plain) {
+		t.Errorf("-monitor changed the kernel counters:\n got %+v\nwant %+v", monitored, plain)
+	}
+	kernel("churn", map[string]string{"n": "12", "tokens": "6", "leave": "0,0.05", "heuristics": "local"})
+	kernel("chaos", map[string]string{"n": "12", "tokens": "6", "intensities": "0,0.5", "heuristics": "local"})
+	kernel("crashed-source", map[string]string{"n": "12", "tokens": "6", "crash-at": "1"})
+}
+
 // TestSolverCountersRecorded checks the ILP seam: an optimal-schedule
 // experiment must surface branch-and-bound and simplex work through the
 // solver.* counters.

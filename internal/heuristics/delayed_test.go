@@ -22,7 +22,7 @@ func TestLocalDelayedZeroMatchesName(t *testing.T) {
 	if strat.Name() != "local" {
 		t.Errorf("delay-0 name = %q", strat.Name())
 	}
-	if s, _ := LocalDelayed(3)(workload.SingleFile(g, 1), nil); s.Name() != "local-delayed" {
+	if s, _ := LocalDelayed(3)(workload.SingleFile(g, 1), nil); s.Name() != "local-delayed-3" {
 		t.Errorf("delayed name = %q", s.Name())
 	}
 }

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -149,7 +150,7 @@ func (l *localStrategy) Name() string {
 	case l.gossip != nil:
 		return "protocol-local"
 	case l.ring != nil:
-		return "local-delayed"
+		return fmt.Sprintf("local-delayed-%d", len(l.ring)-1)
 	}
 	return "local"
 }

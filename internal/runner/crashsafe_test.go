@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPanicBecomesStructuredError(t *testing.T) {
@@ -35,27 +34,6 @@ func TestPanicBecomesStructuredError(t *testing.T) {
 	want, _ = randomWalk(Seed(1, "ok2"))
 	if results[2] != want {
 		t.Error("healthy cell after the panic lost its result")
-	}
-}
-
-func TestCellDeadline(t *testing.T) {
-	cells := []Cell[int]{
-		{Key: "fast", Run: func(int64) (int, error) { return 7, nil }},
-		{Key: "stuck", Run: func(int64) (int, error) {
-			time.Sleep(10 * time.Second)
-			return 0, nil
-		}},
-	}
-	results, err := Map(1, cells, Options{Parallelism: 2, CellTimeout: 50 * time.Millisecond})
-	var de *DeadlineError
-	if !errors.As(err, &de) {
-		t.Fatalf("error %v is not a DeadlineError", err)
-	}
-	if de.Key != "stuck" || de.Timeout != 50*time.Millisecond {
-		t.Errorf("DeadlineError = %+v", de)
-	}
-	if results[0] != 7 {
-		t.Error("fast cell lost its result to the slow cell's deadline")
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ocd/internal/telemetry"
 )
@@ -54,12 +53,6 @@ type Options struct {
 	// Parallelism is the number of worker goroutines. Zero or negative
 	// means GOMAXPROCS. Parallelism 1 is exact serial execution.
 	Parallelism int
-	// CellTimeout, when positive, bounds each cell's wall-clock run time;
-	// a cell exceeding it fails with a DeadlineError instead of hanging
-	// the sweep. The overrunning cell's goroutine is abandoned (cells have
-	// no cancellation channel), so a timeout trades a leaked goroutine for
-	// a live sweep — acceptable for runaway cells that are genuinely stuck.
-	CellTimeout time.Duration
 	// Journal, when non-nil, records each completed cell's result as one
 	// JSONL line and skips cells the journal already holds, so a killed
 	// sweep resumes from its completed cells with byte-identical output.
@@ -85,16 +78,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("cell %q panicked: %v\n%s", e.Key, e.Value, e.Stack)
-}
-
-// DeadlineError reports a cell that exceeded Options.CellTimeout.
-type DeadlineError struct {
-	Key     string
-	Timeout time.Duration
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("cell %q exceeded its %v deadline", e.Key, e.Timeout)
 }
 
 // seedPrime/seedOffset are the FNV-1a 64-bit parameters used for seed
@@ -168,7 +151,7 @@ func Map[T any](base int64, cells []Cell[T], opts Options) ([]T, error) {
 	exec := func(i int) {
 		c := cells[i]
 		start := opts.Metrics.CellStart()
-		results[i], errs[i] = runCell(c, cellSeed(base, c), opts.CellTimeout)
+		results[i], errs[i] = runCell(c, cellSeed(base, c))
 		opts.Metrics.CellDone(start)
 		if errs[i] == nil && opts.Journal != nil {
 			errs[i] = opts.Journal.record(c.Key, results[i])
@@ -218,35 +201,12 @@ func cellSeed[T any](base int64, c Cell[T]) int64 {
 	return Seed(base, key)
 }
 
-// runCell executes one cell with panic isolation and the optional
-// per-cell deadline.
-func runCell[T any](c Cell[T], seed int64, timeout time.Duration) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	run := func() (out outcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out.err = &PanicError{Key: c.Key, Value: r, Stack: string(debug.Stack())}
-			}
-		}()
-		out.v, out.err = c.Run(seed)
-		return
-	}
-	if timeout <= 0 {
-		o := run()
-		return o.v, o.err
-	}
-	ch := make(chan outcome, 1)
-	go func() { ch <- run() }()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-timer.C:
-		var zero T
-		return zero, &DeadlineError{Key: c.Key, Timeout: timeout}
-	}
+// runCell executes one cell, turning a panic into the cell's PanicError.
+func runCell[T any](c Cell[T], seed int64) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Key: c.Key, Value: r, Stack: string(debug.Stack())}
+		}
+	}()
+	return c.Run(seed)
 }
