@@ -78,7 +78,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&s.work, "workload", "singlefile", "workload: singlefile | density | multifile | multisender")
 	fs.Float64Var(&s.density, "density", 0.5, "receiver density threshold (density workload)")
 	fs.IntVar(&s.files, "files", 4, "number of files (multifile workloads)")
-	fs.IntVar(&s.maxSteps, "max-steps", 0, "timestep limit (0 = Theorem 1 horizon)")
+	fs.IntVar(&s.maxSteps, "max-steps", 0, "timestep limit (0 = Theorem 1 horizon m·(n−1) plus -patience)")
 	fs.BoolVar(&s.oracle, "oracle", false, "wrap the heuristic in the §4.2 propagate-then-plan oracle")
 	fs.Float64Var(&s.loss, "loss", 0, "per-move loss probability (§6 lossy channels)")
 	fs.IntVar(&s.patience, "patience", 10, "idle turns tolerated before declaring a stall")

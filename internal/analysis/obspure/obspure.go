@@ -11,7 +11,7 @@
 //     evidence about the engine only if attaching an observer cannot
 //     change the run. Observers also must not retain the State or the
 //     delivered slice past the callback (the kernel reuses both).
-//   - sim.StepInterceptor (PreStep/StopEarly/OnDeliver/OnIdleLimit) is
+//   - sim.StepInterceptor (PreStep/StopEarly/OnIdleLimit) is
 //     the engine's trusted half: PreStep applies crash transitions by
 //     mutating possession through the sanctioned methods (tokenset
 //     mutators plus State.InvalidateCounts). Structural writes — storing
@@ -46,7 +46,7 @@ or the delivered slice anywhere that outlives the callback.
 
 For every type implementing sim.StepInterceptor, structural writes
 through the State (field stores, possession-element replacement) are
-forbidden in all four hooks, and mutating method calls are forbidden
+forbidden in all three hooks, and mutating method calls are forbidden
 outside PreStep — the one hook sanctioned to apply transitions.
 
 The -sim flag names the import path of the package defining State,
@@ -84,7 +84,7 @@ func init() {
 // are checked (only methods that receive a *State matter; the others
 // cannot touch it).
 var observerMethods = map[string]bool{"OnStep": true, "OnMove": true, "OnReject": true}
-var interceptorMethods = map[string]bool{"PreStep": true, "StopEarly": true, "OnDeliver": true, "OnIdleLimit": true}
+var interceptorMethods = map[string]bool{"PreStep": true, "StopEarly": true, "OnIdleLimit": true}
 
 // setMutators are method names that mutate their receiver on the
 // repository's token-set type (and any set-like value reached through the

@@ -78,8 +78,6 @@ func (f *cleanInterceptor) StopEarly(step int, st *sim.State) bool {
 	return settled(st.Possess)
 }
 
-func (f *cleanInterceptor) OnDeliver(step int, mv sim.Move) {}
-
 func (f *cleanInterceptor) OnIdleLimit(step int, st *sim.State) bool {
 	return settled(st.Possess)
 }
@@ -98,8 +96,6 @@ func (f *dirtyInterceptor) StopEarly(step int, st *sim.State) bool {
 	st.InvalidateCounts() // want `StopEarly calls State\.InvalidateCounts`
 	return false
 }
-
-func (f *dirtyInterceptor) OnDeliver(step int, mv sim.Move) {}
 
 func (f *dirtyInterceptor) OnIdleLimit(step int, st *sim.State) bool {
 	st.Possess[0].Clear() // want `OnIdleLimit mutates state through Clear`

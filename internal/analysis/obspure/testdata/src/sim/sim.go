@@ -45,6 +45,5 @@ type Observer interface {
 type StepInterceptor interface {
 	PreStep(step int, st *State)
 	StopEarly(step int, st *State) bool
-	OnDeliver(step int, mv Move)
 	OnIdleLimit(step int, st *State) bool
 }

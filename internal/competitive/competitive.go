@@ -119,9 +119,10 @@ func RunOracle(inst *core.Instance, inner sim.Factory, seed int64) (*sim.Result,
 }
 
 // knowledgeWait is the number of listening steps the oracle needs: the
-// §4.1 full-knowledge propagation time.
+// knowledge diameter, after which §4.1 exchange has given every vertex
+// full knowledge.
 func knowledgeWait(g *graph.Graph) int {
-	d := locd.FullKnowledgeStep(g)
+	d := locd.KnowledgeDiameter(g)
 	if d < 0 {
 		return g.N() // disconnected knowledge graph: trivial bound
 	}

@@ -61,6 +61,7 @@ func architectureComparisonImpl(n, tokens int, seed int64, em *Emitter) error {
 					return archCell{}, err
 				}
 				res, err := sim.Run(inst, f, sim.Options{Seed: cellSeed, Prune: true})
+				telemetry.RecordRun(em.Telemetry(), "sim", res)
 				if err != nil {
 					return archCell{}, fmt.Errorf("architecture %s: %w", name, err)
 				}

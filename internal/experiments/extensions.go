@@ -144,6 +144,10 @@ func dynamicConditionsImpl(n, tokens int, seed int64, em *Emitter) error {
 					res, err := fault.Run(inst, factory, c.plan(cellSeed), sim.Options{
 						Seed: cellSeed, IdlePatience: 30,
 					})
+					if res != nil {
+						// A stalled run's result still holds the steps it executed.
+						telemetry.RecordRun(em.Telemetry(), "fault", res.Result)
+					}
 					if err != nil {
 						return dynCell{failed: true}, nil
 					}
@@ -210,6 +214,7 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 			if err != nil {
 				return codedCell{}, fmt.Errorf("uncoded run: %w", err)
 			}
+			telemetry.RecordRun(em.Telemetry(), "fault", base.Result)
 			return codedCell{scheme: "uncoded", overhead: "1.00",
 				steps: base.Steps, moves: base.Moves, lost: base.Lost, completed: base.Completed}, nil
 		},
@@ -233,6 +238,7 @@ func lossCodingImpl(n, tokens int, lossRate float64, redundancies []float64, see
 				if err != nil {
 					return codedCell{}, fmt.Errorf("coded run r=%.2f: %w", r, err)
 				}
+				telemetry.RecordRun(em.Telemetry(), "fault", res.Result)
 				return codedCell{scheme: fmt.Sprintf("coded(%d/%d)", k, nCoded),
 					overhead: fmt.Sprintf("%.2f", coded.Overhead()),
 					steps:    res.Steps, moves: res.Moves, lost: res.Lost, completed: res.Completed}, nil
@@ -279,10 +285,12 @@ func underlayComparisonImpl(physN, hosts, tokens int, seed int64, em *Emitter) e
 			SeedKey: "underlay-workload",
 			Run: func(cellSeed int64) (underlayCell, error) {
 				logical, err := sim.Run(inst, factory, sim.Options{Seed: cellSeed})
+				telemetry.RecordRun(em.Telemetry(), "sim", logical)
 				if err != nil {
 					return underlayCell{}, fmt.Errorf("logical %s: %w", name, err)
 				}
 				physical, err := net.Run(inst, factory, sim.Options{Seed: cellSeed, IdlePatience: 20})
+				telemetry.RecordRun(em.Telemetry(), "underlay", physical)
 				if err != nil {
 					return underlayCell{}, fmt.Errorf("physical %s: %w", name, err)
 				}
@@ -335,6 +343,7 @@ func knowledgeDelayImpl(n, tokens, maxDelay int, seed int64, em *Emitter) error 
 					Seed: cellSeed, Prune: true, IdlePatience: d + 1,
 					MaxSteps: (d+1)*inst.TheoremOneHorizon() + d,
 				})
+				telemetry.RecordRun(em.Telemetry(), "sim", res)
 				if err != nil {
 					return delayCell{}, fmt.Errorf("delay %d: %w", d, err)
 				}

@@ -59,12 +59,14 @@ func protocolComparisonImpl(sizes []int, tokens int, seed int64, em *Emitter) er
 				}
 				inst := workload.SingleFile(g, tokens)
 				ideal, err := sim.Run(inst, heuristics.Local, sim.Options{Seed: cellSeed})
+				telemetry.RecordRun(em.Telemetry(), "sim", ideal)
 				if err != nil {
 					return protoCell{}, fmt.Errorf("ideal n=%d: %w", n, err)
 				}
 				proto, err := sim.Run(inst, heuristics.ProtocolLocal(nil), sim.Options{
 					Seed: cellSeed, IdlePatience: locd.KnowledgeDiameter(g) + 2,
 				})
+				telemetry.RecordRun(em.Telemetry(), "sim", proto)
 				if err != nil {
 					return protoCell{}, fmt.Errorf("protocol n=%d: %w", n, err)
 				}

@@ -88,22 +88,37 @@ func TestTelemetryCountersMatchAcrossParallelism(t *testing.T) {
 	}
 }
 
+// kernelCounters runs one experiment with a registry attached and returns
+// its deterministic kernel.* counters, keyed by the engine that recorded
+// them ("sim" for kernel.sim.*), failing unless each engine has all seven.
+func kernelCounters(t *testing.T, name string, params map[string]string) map[string][]telemetry.Metric {
+	t.Helper()
+	reg := telemetry.New()
+	if _, err := Run(name, params, reg); err != nil {
+		t.Fatalf("%s %v: %v", name, params, err)
+	}
+	out := make(map[string][]telemetry.Metric)
+	for _, m := range reg.DeterministicSnapshot() {
+		if rest, ok := strings.CutPrefix(m.Name, "kernel."); ok {
+			engine, _, _ := strings.Cut(rest, ".")
+			out[engine] = append(out[engine], m)
+		}
+	}
+	for engine, ms := range out {
+		if len(ms) != 7 {
+			t.Fatalf("%s %v: want the 7 kernel.%s.* counters, got %+v", name, params, engine, ms)
+		}
+	}
+	return out
+}
+
 // TestTelemetryCountsFaultCells: every fault-engine sweep records its
 // runs' kernel.fault.* totals, and attaching the invariant monitor leaves
 // them unchanged.
 func TestTelemetryCountsFaultCells(t *testing.T) {
 	kernel := func(name string, params map[string]string) []telemetry.Metric {
 		t.Helper()
-		reg := telemetry.New()
-		if _, err := Run(name, params, reg); err != nil {
-			t.Fatalf("%s %v: %v", name, params, err)
-		}
-		var out []telemetry.Metric
-		for _, m := range reg.DeterministicSnapshot() {
-			if strings.HasPrefix(m.Name, "kernel.fault.") {
-				out = append(out, m)
-			}
-		}
+		out := kernelCounters(t, name, params)["fault"]
 		if len(out) != 7 {
 			t.Fatalf("%s %v: want the 7 kernel.fault.* counters, got %+v", name, params, out)
 		}
@@ -118,6 +133,43 @@ func TestTelemetryCountsFaultCells(t *testing.T) {
 	kernel("churn", map[string]string{"n": "12", "tokens": "6", "leave": "0,0.05", "heuristics": "local"})
 	kernel("chaos", map[string]string{"n": "12", "tokens": "6", "intensities": "0,0.5", "heuristics": "local"})
 	kernel("crashed-source", map[string]string{"n": "12", "tokens": "6", "crash-at": "1"})
+}
+
+// TestTelemetryCountsEngineCells: every experiment that holds its engine
+// runs' results records their kernel totals at its smoke size, under the
+// engine that ran them: sim.Run and the §4.2 oracle as kernel.sim.*,
+// fault.Run and coded runs as kernel.fault.*, the shared underlay as
+// kernel.underlay.*.
+func TestTelemetryCountsEngineCells(t *testing.T) {
+	for name, engines := range map[string][]string{
+		"architectures":       {"sim"},
+		"dynamic-conditions":  {"fault"},
+		"loss-coding":         {"fault"},
+		"underlay":            {"sim", "underlay"},
+		"knowledge-delay":     {"sim"},
+		"protocol-comparison": {"sim"},
+		"oracle-additive":     {"sim"},
+	} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s: not registered", name)
+		}
+		got := kernelCounters(t, name, spec.Smoke)
+		if len(got) != len(engines) {
+			t.Errorf("%s: kernel counters of %d engines, want %v", name, len(got), engines)
+		}
+		for _, engine := range engines {
+			steps := int64(0)
+			for _, m := range got[engine] {
+				if m.Name == "kernel."+engine+".steps" {
+					steps = m.Value
+				}
+			}
+			if steps <= 0 {
+				t.Errorf("%s: kernel.%s.steps = %d, want > 0 (counters %+v)", name, engine, steps, got[engine])
+			}
+		}
+	}
 }
 
 // TestSolverCountersRecorded checks the ILP seam: an optimal-schedule

@@ -101,10 +101,12 @@ func oracleAdditiveImpl(sizes []int, tokens int, seed int64, em *Emitter) error 
 				}
 				inst := workload.SingleFile(g, tokens)
 				planned, err := sim.Run(inst, heuristics.Global, sim.Options{Seed: cellSeed})
+				telemetry.RecordRun(em.Telemetry(), "sim", planned)
 				if err != nil {
 					return oracleCell{}, fmt.Errorf("oracle additive n=%d planned: %w", n, err)
 				}
 				oracle, err := competitive.RunOracle(inst, heuristics.Global, cellSeed)
+				telemetry.RecordRun(em.Telemetry(), "sim", oracle)
 				if err != nil {
 					return oracleCell{}, fmt.Errorf("oracle additive n=%d oracle: %w", n, err)
 				}

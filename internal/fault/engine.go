@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ocd/internal/core"
 	"ocd/internal/dynamic"
@@ -79,84 +78,65 @@ type Result struct {
 // instead of stalling until IdlePatience expires, a run whose remaining
 // wants are provably undeliverable (sole holders crashed forever, receivers
 // permanently partitioned) terminates gracefully with the degradation
-// metrics filled in.
+// metrics filled in. A stalled run reports them too, beside ErrStalled.
 //
 // MaxSteps of 0 defaults to 4× the Theorem 1 horizon plus IdlePatience —
 // faults legitimately slow distribution down. Loss comes from plan.Loss.
 func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) (*Result, error) {
+	// The plan's hooks are sized from the instance, so it is checked first.
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
 	plan = plan.normalized()
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
-		if maxSteps < 1 {
-			maxSteps = 1
+	if opts.MaxSteps <= 0 {
+		opts.MaxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
+	}
+	fres := &Result{Plan: plan.Name()}
+	fk := newFaultKernel(inst, plan, fres)
+	res, possess, reason, err := sim.Exec(inst, factory, opts, sim.Engine{Capacity: fk, Loss: fk, Interceptor: fk})
+	if res == nil {
+		return nil, err
+	}
+	fres.Result = res
+	// StopEarly means every remaining want is proven undeliverable: the
+	// graceful outcome, reported well before the horizon.
+	fres.Graceful = reason == sim.StopEarly && !res.Completed
+	fres.DeliveredFraction = deliveredFraction(inst, possess)
+	if res.Completed {
+		fres.Liveness = LivenessComplete
+	} else {
+		// Classification needs the undeliverable sets current as of the
+		// final step: detection normally runs only on crash events, but
+		// permanent partitions shift reachability with no vertex
+		// transition to trigger it.
+		fk.detect(possess)
+		fres.Liveness = classifyLiveness(inst, possess, fk.unsat)
+	}
+	fres.Unsatisfiable = receiverReports(inst, possess, fk.unsat)
+	fres.Retransmissions = retransmissions(inst, res.Schedule)
+	return fres, err
+}
+
+// retransmissions counts the schedule's deliveries of a token to a vertex
+// that had already taken delivery of it once (retry traffic and crash
+// re-downloads). Lost moves are not in the schedule, so only deliveries
+// count.
+func retransmissions(inst *core.Instance, sched *core.Schedule) int {
+	delivered := make([]tokenset.Set, inst.N())
+	for v := range delivered {
+		delivered[v] = tokenset.New(inst.NumTokens)
+	}
+	n := 0
+	for _, st := range sched.Steps {
+		for _, mv := range st {
+			if delivered[mv.To].Has(mv.Token) {
+				n++
+			} else {
+				delivered[mv.To].Add(mv.Token)
+			}
 		}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	strat, err := factory(inst, rng)
-	if err != nil {
-		return nil, fmt.Errorf("fault: create strategy: %w", err)
-	}
-	done := opts.Done
-	if done == nil {
-		done = core.Done
-	}
-
-	st := &sim.State{Inst: inst, Possess: inst.InitialPossession(), Rand: rng}
-	res := &Result{
-		Result: &sim.Result{Strategy: strat.Name(), Schedule: &core.Schedule{}},
-		Plan:   plan.Name(),
-	}
-	fk := newFaultKernel(inst, plan, res)
-
-	finish := func(graceful bool) *Result {
-		res.Completed = done(inst, st.Possess)
-		res.Graceful = graceful && !res.Completed
-		res.Steps = res.Schedule.Makespan()
-		res.Moves = res.Schedule.Moves() + res.Lost
-		res.DeliveredFraction = deliveredFraction(inst, st.Possess)
-		if res.Completed {
-			res.Liveness = LivenessComplete
-		} else {
-			// Classification needs the undeliverable sets current as of
-			// the final step: detection normally runs only on crash
-			// events, but permanent partitions shift reachability with no
-			// vertex transition to trigger it.
-			fk.detect(st.Possess)
-			res.Liveness = classifyLiveness(inst, st.Possess, fk.unsat)
-		}
-		res.Unsatisfiable = receiverReports(inst, st.Possess, fk.unsat)
-		if opts.Prune && res.Completed {
-			res.PrunedMoves = core.Prune(inst, res.Schedule).Moves()
-		}
-		return res
-	}
-
-	eng := sim.Engine{
-		MaxSteps:     maxSteps,
-		IdlePatience: opts.IdlePatience,
-		Done:         done,
-		Capacity:     fk,
-		Loss:         fk,
-		Interceptor:  fk,
-		Observer:     opts.Observer,
-	}
-	reason, stepAt := eng.Run(inst, strat, st, res.Result)
-	switch reason {
-	case sim.StopEarly:
-		// Every remaining want is proven undeliverable: the graceful
-		// outcome, reported well before the horizon.
-		return finish(true), nil
-	case sim.StopStalled:
-		// Unlike the other engines, a faulted run finalizes its metrics
-		// even on a stall — partial degradation reports are the point.
-		return finish(false), sim.Stalled(strat, fmt.Sprintf("step %d under %s", stepAt, plan.Name()))
-	default:
-		return finish(false), nil
-	}
+	return n
 }
 
 // classifyLiveness folds the per-receiver undeliverable sets into the
@@ -185,8 +165,9 @@ func classifyLiveness(inst *core.Instance, possess []tokenset.Set, unsat []token
 // faultKernel is the fault plan's hook bundle: one value implements the
 // kernel's CapacityModel (crash- and plan-adjusted capacities),
 // StepInterceptor (crash transitions, reachability detection, graceful
-// settlement, retransmission accounting), and LossPolicy (the plan's
-// deterministic per-arc draws).
+// settlement), and LossPolicy (the plan's deterministic per-arc draws).
+// It writes the crash counters of res while the run is live; res.Result
+// is filled in once the run is over.
 type faultKernel struct {
 	inst  *core.Instance
 	plan  Plan
@@ -204,11 +185,9 @@ type faultKernel struct {
 	reach    reachability
 
 	prevDown, down, perm []bool
-	// everDelivered tracks first deliveries for the retransmission count;
 	// unsat accumulates each receiver's proven-undeliverable tokens.
-	everDelivered []tokenset.Set
-	unsat         []tokenset.Set
-	needDetect    bool
+	unsat      []tokenset.Set
+	needDetect bool
 	// step is the current timestep, recorded by PreStep so the
 	// permanently-severed closure handed to detect queries the partition
 	// model at the right moment (permanence is monotone in step).
@@ -231,27 +210,25 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
 	view := graph.NewView(inst.G)
 	fk := &faultKernel{
-		inst:          inst,
-		plan:          plan,
-		res:           res,
-		aware:         aware,
-		arcs:          arcs,
-		ids:           ids,
-		caps:          make([]int, inst.G.NumArcs()),
-		view:          view,
-		viewInst:      &core.Instance{G: view.Graph(), NumTokens: inst.NumTokens, Have: inst.Have, Want: inst.Want},
-		reach:         newReachability(inst),
-		prevDown:      make([]bool, n),
-		down:          make([]bool, n),
-		perm:          make([]bool, n),
-		everDelivered: make([]tokenset.Set, n),
-		unsat:         make([]tokenset.Set, n),
-		needDetect:    true, // always vet reachability before the first step
-		lossK:         make([]int, inst.G.NumArcs()),
-		lossStep:      -1,
+		inst:       inst,
+		plan:       plan,
+		res:        res,
+		aware:      aware,
+		arcs:       arcs,
+		ids:        ids,
+		caps:       make([]int, inst.G.NumArcs()),
+		view:       view,
+		viewInst:   &core.Instance{G: view.Graph(), NumTokens: inst.NumTokens, Have: inst.Have, Want: inst.Want},
+		reach:      newReachability(inst),
+		prevDown:   make([]bool, n),
+		down:       make([]bool, n),
+		perm:       make([]bool, n),
+		unsat:      make([]tokenset.Set, n),
+		needDetect: true, // always vet reachability before the first step
+		lossK:      make([]int, inst.G.NumArcs()),
+		lossStep:   -1,
 	}
 	for v := 0; v < n; v++ {
-		fk.everDelivered[v] = tokenset.New(inst.NumTokens)
 		fk.unsat[v] = tokenset.New(inst.NumTokens)
 	}
 	return fk
@@ -311,15 +288,6 @@ func (f *faultKernel) PreStep(step int, st *sim.State) {
 // StopEarly implements sim.StepInterceptor: the graceful-settlement check.
 func (f *faultKernel) StopEarly(_ int, st *sim.State) bool {
 	return settled(f.inst, st.Possess, f.unsat)
-}
-
-// OnDeliver implements sim.StepInterceptor: retransmission accounting.
-func (f *faultKernel) OnDeliver(_ int, mv core.Move) {
-	if f.everDelivered[mv.To].Has(mv.Token) {
-		f.res.Retransmissions++
-	} else {
-		f.everDelivered[mv.To].Add(mv.Token)
-	}
 }
 
 // OnIdleLimit implements sim.StepInterceptor: re-check reachability before

@@ -80,7 +80,6 @@ func (w wipeAt) PreStep(step int, st *sim.State) {
 	}
 }
 func (wipeAt) StopEarly(int, *sim.State) bool   { return false }
-func (wipeAt) OnDeliver(int, core.Move)         {}
 func (wipeAt) OnIdleLimit(int, *sim.State) bool { return false }
 
 // deltaCase is one engine run; run returns a comparable outcome.
@@ -204,23 +203,16 @@ func deltaCases(t *testing.T) []deltaCase {
 		}
 	}
 	cases = append(cases, deltaCase{"wipe", func(t *testing.T, f sim.Factory) any {
-		rng := rand.New(rand.NewSource(5))
-		strat, err := f(inst, rng)
-		if err != nil {
+		res, _, reason, err := sim.Exec(inst, f,
+			sim.Options{Seed: 5, MaxSteps: inst.TheoremOneHorizon(), IdlePatience: 20},
+			sim.Engine{Interceptor: wipeAt{v: wiped, steps: map[int]bool{2: true, 3: true, 5: true}}})
+		if res == nil {
 			t.Fatal(err)
 		}
-		st := &sim.State{Inst: inst, Possess: inst.InitialPossession(), Rand: rng}
-		res := &sim.Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
-		eng := sim.Engine{
-			MaxSteps:     inst.TheoremOneHorizon(),
-			IdlePatience: 20,
-			Interceptor:  wipeAt{v: wiped, steps: map[int]bool{2: true, 3: true, 5: true}},
-		}
-		reason, at := eng.Run(inst, strat, st, res)
 		if reason != sim.StopDone {
-			t.Errorf("wipe run stopped with reason %d at step %d, want done", reason, at)
+			t.Errorf("wipe run stopped with reason %d at step %d, want done", reason, len(res.Schedule.Steps))
 		}
-		return res
+		return result(res, err)
 	}})
 	return cases
 }

@@ -45,50 +45,11 @@ func Propagate(g *graph.Graph, steps int) [][]tokenset.Set {
 	return know
 }
 
-// FullKnowledgeStep returns the smallest number of timesteps after which
-// every vertex knows the initial state of every other vertex, or -1 if the
-// bidirectional knowledge graph is disconnected. This is the listening
-// delay of the §4.2 propagate-then-plan algorithm.
-func FullKnowledgeStep(g *graph.Graph) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	know := make([]tokenset.Set, n)
-	for v := 0; v < n; v++ {
-		know[v] = tokenset.New(n)
-		know[v].Add(v)
-	}
-	for step := 0; step <= n; step++ {
-		all := true
-		for v := 0; v < n; v++ {
-			if know[v].Count() != n {
-				all = false
-				break
-			}
-		}
-		if all {
-			return step
-		}
-		next := make([]tokenset.Set, n)
-		for v := 0; v < n; v++ {
-			s := know[v].Clone()
-			for _, a := range g.In(v) {
-				s.UnionWith(know[a.From])
-			}
-			for _, a := range g.Out(v) {
-				s.UnionWith(know[a.To])
-			}
-			next[v] = s
-		}
-		know = next
-	}
-	return -1
-}
-
 // KnowledgeDiameter returns the diameter of the bidirectional knowledge
-// graph (edges usable in both directions), the graph-theoretic value
-// FullKnowledgeStep realizes operationally.
+// graph (edges usable in both directions): the number of timesteps after
+// which Propagate gives every vertex the initial state of every other, and
+// so the listening delay of the §4.2 propagate-then-plan algorithm. It is
+// 0 for n ≤ 1 and −1 when the knowledge graph is disconnected.
 func KnowledgeDiameter(g *graph.Graph) int {
 	// Build the undirected closure and reuse the graph diameter.
 	u := graph.New(g.N())

@@ -32,13 +32,30 @@ func TestPropagateLine(t *testing.T) {
 	}
 }
 
+// fullKnowledgeStep is the first timestep at which Propagate has given
+// every vertex the initial state of every other, or -1 if that never
+// happens within n steps (a disconnected knowledge graph).
+func fullKnowledgeStep(g *graph.Graph) int {
+	n := g.N()
+	for step, know := range Propagate(g, n) {
+		full := true
+		for _, k := range know {
+			full = full && k.Count() == n
+		}
+		if full {
+			return step
+		}
+	}
+	return -1
+}
+
 func TestFullKnowledgeStepEqualsKnowledgeDiameter(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g, err := topology.Random(20, topology.DefaultCaps, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := FullKnowledgeStep(g)
+		full := fullKnowledgeStep(g)
 		diam := KnowledgeDiameter(g)
 		if full != diam {
 			t.Errorf("seed %d: full-knowledge step %d != knowledge diameter %d",
@@ -56,7 +73,10 @@ func TestFullKnowledgeStepOneWayLine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := FullKnowledgeStep(g); got != 4 {
+	if got := KnowledgeDiameter(g); got != 4 {
+		t.Errorf("knowledge diameter = %d, want 4", got)
+	}
+	if got := fullKnowledgeStep(g); got != 4 {
 		t.Errorf("full knowledge step = %d, want 4", got)
 	}
 }
@@ -66,7 +86,7 @@ func TestFullKnowledgeDisconnected(t *testing.T) {
 	if err := g.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := FullKnowledgeStep(g); got != -1 {
+	if got := fullKnowledgeStep(g); got != -1 {
 		t.Errorf("disconnected graph reported %d", got)
 	}
 	if got := KnowledgeDiameter(g); got != -1 {
@@ -75,10 +95,12 @@ func TestFullKnowledgeDisconnected(t *testing.T) {
 }
 
 func TestFullKnowledgeTrivial(t *testing.T) {
-	if got := FullKnowledgeStep(graph.New(1)); got != 0 {
-		t.Errorf("singleton graph needs %d steps", got)
-	}
-	if got := FullKnowledgeStep(graph.New(0)); got != 0 {
-		t.Errorf("empty graph needs %d steps", got)
+	for n := 0; n <= 1; n++ {
+		if got := KnowledgeDiameter(graph.New(n)); got != 0 {
+			t.Errorf("%d-vertex graph: knowledge diameter %d", n, got)
+		}
+		if got := fullKnowledgeStep(graph.New(n)); got != 0 {
+			t.Errorf("%d-vertex graph needs %d steps", n, got)
+		}
 	}
 }

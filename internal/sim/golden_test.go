@@ -151,8 +151,8 @@ func sumFault(res *fault.Result, err error) string {
 	if res == nil {
 		return fmt.Sprintf("err=%v", err)
 	}
-	// Faulted runs always finalize their metrics, even on a stall; the
-	// graceful flag is part of the pinned behavior.
+	// Every engine finalizes its metrics, even on a stall; the graceful
+	// flag is part of the pinned behavior.
 	return fmt.Sprintf("%s graceful=%v", summarize(res.Result, err), res.Graceful)
 }
 

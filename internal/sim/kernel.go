@@ -1,11 +1,12 @@
 package sim
 
-// The step-kernel: the one plan→admit→loss→deliver loop shared by all three
-// engines (baseline, fault, underlay). The kernel owns possession
-// state, dense arc-usage accounting, loss draws, idle/stall tracking, and
-// schedule assembly; everything engine-specific enters through the small
-// policy interfaces below. A correctness fix or allocation win in this loop
-// lands in every engine at once.
+// The step-kernel: the one plan→admit→loss→deliver loop every engine runs
+// through Exec, the one run entry. The kernel owns possession state, dense
+// arc-usage accounting, loss draws, idle/stall tracking, and schedule
+// assembly; Options supply the step limit, idle patience, completion
+// predicate and observer, and everything engine-specific enters through
+// the four hooks of Engine. A correctness fix or allocation win in this
+// loop lands in every engine at once.
 //
 // Per-move cost: admission looks an arc up once per run of proposals on
 // one (From, To) pair (graph.ArcRun), and a step touches two scratch
@@ -16,16 +17,15 @@ package sim
 // Equivalence contract: the kernel reproduces each pre-consolidation engine
 // byte for byte (see golden_test.go). The ordering facts that contract
 // depends on are called out inline — PreStep before the done check, loss
-// draws per accepted move in admission order, idle steps appending a nil
-// timestep, and metrics finalization left to the caller (the fault engine
-// finalizes even on a stall; the others do not).
+// draws per accepted move in admission order, and idle steps appending a
+// nil timestep. One stall contract holds for every engine: Exec finalizes
+// the result however the run stopped, a stall included.
 
 import (
 	"math/rand"
 	"slices"
 
 	"ocd/internal/core"
-	"ocd/internal/tokenset"
 )
 
 // CapacityModel supplies each timestep's effective arc capacities. StepView
@@ -48,7 +48,7 @@ type LossPolicy interface {
 // StepInterceptor hooks engine-specific semantics into fixed points of the
 // kernel's timestep. The fault engine is the canonical implementation:
 // crash transitions in PreStep, graceful settlement in StopEarly and
-// OnIdleLimit, retransmission accounting in OnDeliver.
+// OnIdleLimit.
 type StepInterceptor interface {
 	// PreStep runs first in every timestep, before the completion check —
 	// crash transitions apply even to a step that then terminates.
@@ -59,8 +59,6 @@ type StepInterceptor interface {
 	// StopEarly runs after the completion check; returning true stops the
 	// run with StopEarly (the fault engine's graceful settlement).
 	StopEarly(step int, st *State) bool
-	// OnDeliver observes each delivered move just before possession grows.
-	OnDeliver(step int, mv core.Move)
 	// OnIdleLimit is consulted when idle patience is exhausted; returning
 	// true stops the run with StopEarly instead of StopStalled.
 	OnIdleLimit(step int, st *State) bool
@@ -97,18 +95,9 @@ const (
 	StopEarly
 )
 
-// Engine parameterizes one kernel run. Zero-value fields select the
-// baseline behavior: static capacities, no loss, no interceptor, no extra
-// admission, no observer.
+// Engine supplies an engine's hooks to Exec. The zero Engine is the
+// baseline: static capacities, no loss, no interceptor, no extra admission.
 type Engine struct {
-	// MaxSteps bounds the run; callers compute their engine's default
-	// (Theorem 1 horizon multiples) before invoking the kernel.
-	MaxSteps int
-	// IdlePatience is the number of consecutive zero-move timesteps
-	// tolerated before the run stops with StopStalled.
-	IdlePatience int
-	// Done is the completion predicate; nil means core.Done.
-	Done func(inst *core.Instance, possess []tokenset.Set) bool
 	// Capacity supplies per-step effective capacities; nil means the base
 	// graph's static capacities.
 	Capacity CapacityModel
@@ -120,26 +109,20 @@ type Engine struct {
 	// kernel's own checks; it may commit side usage (the underlay engine
 	// charges physical links here).
 	Admit func(step int, mv core.Move, arcID int) bool
-	// Observer receives per-step callbacks; nil costs nothing.
-	Observer Observer
 }
 
-// Run executes the kernel loop over st, assembling the schedule and move
-// counters into res, and reports why it stopped along with the step index
-// at that moment. Metrics finalization (Completed, Steps, Moves, pruning)
-// is the caller's: engines differ on whether a stalled run finalizes.
+// run executes the kernel loop over st under eng's hooks and opts' step
+// limit, idle patience, completion predicate (non-nil; Exec defaults it)
+// and observer. It assembles the schedule and the Rejected and Lost counts
+// into res, and reports why it stopped along with the step index at that
+// moment; Exec finalizes the rest of the result.
 //
 // Admission enforces, in order: token range, arc existence in the base
 // graph, effective capacity, sender possession, then the Admit hook. Each
 // proposed move is rejected at most once regardless of how many checks it
 // fails.
-func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Result) (StopReason, int) {
-	done := eng.Done
-	if done == nil {
-		done = core.Done
-	}
-	ic := eng.Interceptor
-	obs := eng.Observer
+func (eng *Engine) run(inst *core.Instance, strat Strategy, st *State, res *Result, opts *Options) (StopReason, int) {
+	done, ic, obs := opts.Done, eng.Interceptor, opts.Observer
 
 	// Per-timestep arc usage and effective capacities are dense slices
 	// indexed by the base graph's arc IDs — no per-step map churn. eff is
@@ -160,7 +143,7 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 	idle := 0
 
 	step := 0
-	for ; step < eng.MaxSteps; step++ {
+	for ; step < opts.MaxSteps; step++ {
 		if ic != nil {
 			ic.PreStep(step, st)
 		}
@@ -206,7 +189,7 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 
 		if len(accepted) == 0 {
 			idle++
-			if idle > eng.IdlePatience {
+			if idle > opts.IdlePatience {
 				if ic != nil && ic.OnIdleLimit(step, st) {
 					return StopEarly, step
 				}
@@ -247,9 +230,6 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 			copy(out, accepted)
 		}
 		for _, mv := range out {
-			if ic != nil {
-				ic.OnDeliver(step, mv)
-			}
 			st.Deliver(mv)
 		}
 		res.Schedule.Append(out)
@@ -260,18 +240,6 @@ func (eng *Engine) Run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		}
 	}
 	return StopLimit, step
-}
-
-// Finalize fills the summary fields of a completed (non-stalled) run:
-// Completed, Steps, Moves (delivered plus lost), and the pruning post-pass.
-func (res *Result) Finalize(inst *core.Instance, possess []tokenset.Set,
-	done func(inst *core.Instance, possess []tokenset.Set) bool, prune bool) {
-	res.Completed = done(inst, possess)
-	res.Steps = res.Schedule.Makespan()
-	res.Moves = res.Schedule.Moves() + res.Lost
-	if prune && res.Completed {
-		res.PrunedMoves = core.Prune(inst, res.Schedule).Moves()
-	}
 }
 
 // WrapStrategy lifts a per-run strategy wrapper into a Factory: the inner

@@ -151,14 +151,15 @@ type Factory func(inst *core.Instance, rng *rand.Rand) (Strategy, error)
 
 // Failer is implemented by strategies that can fail internally and want
 // the cause surfaced when a run stalls (e.g. the fault package's retry
-// wrapper after exhausting MaxAttempts). Engines join a non-nil Err into
-// the stall error; a strategy that has not failed returns nil.
+// wrapper after exhausting MaxAttempts). Exec joins a non-nil Err into the
+// stall error; a strategy that has not failed returns nil.
 type Failer interface {
 	// Err reports why the strategy stopped proposing moves, or nil.
 	Err() error
 }
 
-// Result summarizes a completed run.
+// Result summarizes a run, however it stopped: completed, cut off at the
+// step limit, settled by an interceptor or stalled.
 type Result struct {
 	Strategy string
 	Schedule *core.Schedule
@@ -182,8 +183,10 @@ type Result struct {
 
 // Options configures a run.
 type Options struct {
-	// MaxSteps caps the schedule length. Zero means the Theorem 1 horizon
-	// m·(n−1).
+	// MaxSteps caps the schedule length. Zero means the engine's default:
+	// the Theorem 1 horizon H = m·(n−1) plus IdlePatience under Run, and
+	// 4H plus IdlePatience under the fault and underlay engines, which
+	// legitimately slow distribution down; never less than 1.
 	MaxSteps int
 	// Seed seeds the run's PRNG.
 	Seed int64
@@ -204,66 +207,67 @@ type Options struct {
 	Observer Observer
 }
 
-// ErrStalled is returned when a strategy makes no progress for a full
-// timestep while wants remain unsatisfied (the engine also stops at
-// MaxSteps without this error, reporting Completed=false).
+// ErrStalled is returned when a strategy proposes no admissible move for
+// more than IdlePatience consecutive timesteps while wants remain
+// unsatisfied. The run's result is finalized all the same. A run cut off at
+// MaxSteps returns no error and reports Completed=false.
 var ErrStalled = errors.New("sim: strategy stalled with unsatisfied wants")
 
 // Run executes the strategy produced by factory on inst until every want is
-// satisfied or the step limit is reached. It is the baseline composition
-// over the step-kernel: static capacities, no loss, no interceptor. The §6
-// lossy channels run through fault.Run with a plan's Loss model.
+// satisfied or the step limit is reached. It is Exec with the zero Engine:
+// static capacities, no loss, no interceptor. The §6 lossy channels run
+// through fault.Run with a plan's Loss model.
 func Run(inst *core.Instance, factory Factory, opts Options) (*Result, error) {
+	res, _, _, err := Exec(inst, factory, opts, Engine{})
+	return res, err
+}
+
+// Exec is the one run entry every engine shares. It checks inst, applies
+// the step-limit default when opts.MaxSteps is not positive (the Theorem 1
+// horizon plus IdlePatience, at least 1), seeds the run's PRNG and builds
+// the strategy, drives the kernel under eng's hooks, and finalizes the
+// result however the run stopped. It returns the result, the final
+// possession and why the run stopped. On a stall the error is ErrStalled,
+// joined with the strategy's own failure when it is a Failer that names
+// one. The result is nil, and the reason meaningless, only when the
+// instance check or the factory fails.
+func Exec(inst *core.Instance, factory Factory, opts Options, eng Engine) (*Result, []tokenset.Set, StopReason, error) {
 	if err := inst.Check(); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		// Theorem 1 horizon plus the permitted idle prefix.
-		maxSteps = inst.TheoremOneHorizon() + opts.IdlePatience
-		if maxSteps < 1 {
-			maxSteps = 1
-		}
+	if opts.MaxSteps <= 0 {
+		opts.MaxSteps = max(inst.TheoremOneHorizon()+opts.IdlePatience, 1)
+	}
+	if opts.Done == nil {
+		opts.Done = core.Done
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	strat, err := factory(inst, rng)
 	if err != nil {
-		return nil, fmt.Errorf("sim: create strategy: %w", err)
+		return nil, nil, 0, fmt.Errorf("sim: create strategy: %w", err)
 	}
-	done := opts.Done
-	if done == nil {
-		done = core.Done
-	}
-
-	st := &State{
-		Inst:    inst,
-		Possess: inst.InitialPossession(),
-		Rand:    rng,
-	}
+	st := &State{Inst: inst, Possess: inst.InitialPossession(), Rand: rng}
 	res := &Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
-	eng := Engine{
-		MaxSteps:     maxSteps,
-		IdlePatience: opts.IdlePatience,
-		Done:         done,
-		Observer:     opts.Observer,
+	reason, stepAt := eng.run(inst, strat, st, res, &opts)
+
+	res.Completed = opts.Done(inst, st.Possess)
+	res.Steps = res.Schedule.Makespan()
+	res.Moves = res.Schedule.Moves() + res.Lost
+	if opts.Prune && res.Completed {
+		res.PrunedMoves = core.Prune(inst, res.Schedule).Moves()
 	}
-	reason, stepAt := eng.Run(inst, strat, st, res)
 	if reason == StopStalled {
-		// A stalled run reports its partial schedule without finalized
-		// summary metrics, matching the engine's historical contract.
-		return res, Stalled(strat, fmt.Sprintf("step %d, strategy %s", stepAt, strat.Name()))
+		return res, st.Possess, reason, stalled(strat, stepAt)
 	}
-	res.Finalize(inst, st.Possess, done, opts.Prune)
-	return res, nil
+	return res, st.Possess, reason, nil
 }
 
-// Stalled is the error every engine returns when its run stalls:
-// ErrStalled with where the run stopped, joined with the strategy's own
-// failure when it is a Failer that names one (e.g. the retry wrapper
-// exhausted its attempts). ErrStalled stays the head error, so errors.Is
-// classification is unchanged.
-func Stalled(strat Strategy, where string) error {
-	err := fmt.Errorf("%w: %s", ErrStalled, where)
+// stalled is the error of a stalled run: ErrStalled with where the run
+// stopped, joined with the strategy's own failure when it is a Failer that
+// names one (e.g. the retry wrapper exhausted its attempts). ErrStalled
+// stays the head error, so errors.Is classification holds.
+func stalled(strat Strategy, step int) error {
+	err := fmt.Errorf("%w: step %d, strategy %s", ErrStalled, step, strat.Name())
 	if fs, ok := strat.(Failer); ok {
 		if ferr := fs.Err(); ferr != nil {
 			return errors.Join(err, ferr)

@@ -250,17 +250,14 @@ func TestRunLossModel(t *testing.T) {
 	// are recorded). sim.Run is lossless, so this drives the kernel's
 	// loss path directly, as fault.Run does with a plan's Loss model.
 	inst := lineInstance(t, 2, 20, 4)
-	strat, err := pusherFactory(inst, nil)
+	res, _, reason, err := Exec(inst, pusherFactory, Options{MaxSteps: 500, IdlePatience: 3},
+		Engine{Loss: &alternateLoss{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &State{Inst: inst, Possess: inst.InitialPossession()}
-	res := &Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
-	eng := Engine{MaxSteps: 500, IdlePatience: 3, Loss: &alternateLoss{}}
-	if reason, _ := eng.Run(inst, strat, st, res); reason != StopDone {
+	if reason != StopDone {
 		t.Fatalf("stop reason %d, want StopDone", reason)
 	}
-	res.Finalize(inst, st.Possess, core.Done, false)
 	if !res.Completed {
 		t.Fatal("lossy run incomplete")
 	}
@@ -341,10 +338,13 @@ func TestKernelArcRuns(t *testing.T) {
 		{"capacity across a split run", script{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2), mv(0, 1, 3)},
 			core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2)}},
 	} {
-		st := &State{Inst: inst, Possess: inst.InitialPossession()}
-		res := &Result{Schedule: &core.Schedule{}}
-		eng := Engine{MaxSteps: 1, IdlePatience: 1}
-		if reason, _ := eng.Run(inst, tc.proposed, st, res); reason != StopLimit {
+		proposed := tc.proposed
+		res, _, reason, err := Exec(inst, func(*core.Instance, *rand.Rand) (Strategy, error) { return proposed, nil },
+			Options{MaxSteps: 1, IdlePatience: 1}, Engine{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if reason != StopLimit {
 			t.Fatalf("%s: stop reason %d, want StopLimit", tc.name, reason)
 		}
 		if got, want := res.Rejected, len(tc.proposed)-len(tc.accepted); got != want {

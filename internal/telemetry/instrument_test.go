@@ -69,7 +69,7 @@ func TestNewKernelObserverNilRegistry(t *testing.T) {
 // Observer (one increment per OnStep, OnMove and OnReject callback)
 // counted on these same runs. They cover every paper heuristic under
 // sim.Run, a fault.Run that both loses and rejects moves and has idle
-// steps, and a sim.Run that stalls with an unfinalized result.
+// steps, and a sim.Run that stalls.
 func TestRecordRunMatchesObservedTotals(t *testing.T) {
 	g, err := topology.TransitStubN(36, topology.DefaultCaps, 7)
 	if err != nil {

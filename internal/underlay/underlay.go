@@ -14,7 +14,6 @@ package underlay
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
@@ -148,46 +147,23 @@ func (n *Network) SharingFactor() float64 {
 
 // Run executes a strategy over the overlay instance while charging every
 // move against the physical links its overlay arc traverses. The instance
-// must be built over n.Overlay.
+// must be built over n.Overlay. The kernel's own admission covers token
+// range, overlay arc existence, overlay capacity, and possession; the
+// Admit hook layers the shared physical-link charging on top. Completion
+// is the static predicate, so a custom Options.Done is rejected. MaxSteps
+// of 0 defaults to 4× the Theorem 1 horizon plus IdlePatience.
 func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options) (*sim.Result, error) {
 	if inst.G != n.Overlay {
 		return nil, errors.New("underlay: instance not built over this network's overlay")
 	}
-	if err := inst.Check(); err != nil {
-		return nil, err
-	}
 	if opts.Done != nil {
 		return nil, errors.New("underlay: Options.Done is not supported; completion on the shared underlay is the static predicate")
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
+	if opts.MaxSteps <= 0 {
+		opts.MaxSteps = 4*inst.TheoremOneHorizon() + opts.IdlePatience
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	strat, err := factory(inst, rng)
-	if err != nil {
-		return nil, fmt.Errorf("underlay: create strategy: %w", err)
-	}
-
-	st := &sim.State{Inst: inst, Possess: inst.InitialPossession(), Rand: rng}
-	res := &sim.Result{Strategy: strat.Name(), Schedule: &core.Schedule{}}
-	// The kernel's own admission covers token range, overlay arc existence,
-	// overlay capacity, and possession; the Admit hook layers the shared
-	// physical-link charging on top. Completion is the static predicate,
-	// so a custom Done was rejected above.
-	eng := sim.Engine{
-		MaxSteps:     maxSteps,
-		IdlePatience: opts.IdlePatience,
-		Done:         core.Done,
-		Admit:        n.newAdmitter().admit,
-		Observer:     opts.Observer,
-	}
-	reason, stepAt := eng.Run(inst, strat, st, res)
-	if reason == sim.StopStalled {
-		return res, sim.Stalled(strat, fmt.Sprintf("step %d on shared underlay", stepAt))
-	}
-	res.Finalize(inst, st.Possess, core.Done, opts.Prune)
-	return res, nil
+	res, _, _, err := sim.Exec(inst, factory, opts, sim.Engine{Admit: n.newAdmitter().admit})
+	return res, err
 }
 
 // admitter charges accepted moves against the physical links their overlay

@@ -182,8 +182,9 @@ func ValidateConstraints(inst *Instance, sched *Schedule) error {
 // Error sentinels, for errors.Is on run errors.
 var (
 	// ErrStalled marks a run that made no progress for a full IdlePatience
-	// window with wants unsatisfied. A FaultResult's Liveness says whether
-	// the stall was healable or the wants provably dead.
+	// window with wants unsatisfied. Every engine returns the run's result
+	// beside it, finalized like any other. A FaultResult's Liveness says
+	// whether the stall was healable or the wants provably dead.
 	ErrStalled = sim.ErrStalled
 	// ErrRetriesExhausted marks a delivery the retry wrapper abandoned
 	// after MaxAttempts; it is joined onto the stall error of a run that
