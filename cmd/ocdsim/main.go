@@ -405,6 +405,8 @@ func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 	var lastTrace *ocd.StepCollector
 	for _, name := range names {
 		var res *ocd.RunResult
+		// engine names the kernel counters: a lossy run is the fault engine's.
+		engine := "sim"
 		validate := func(sched *ocd.Schedule) error { return ocd.Validate(inst, sched) }
 		if s.oracle {
 			res, err = ocd.RunOracle(inst, name, s.seed)
@@ -435,11 +437,12 @@ func (s *singleRun) run(stdout io.Writer, reg *telemetry.Registry) error {
 				if fres, err = ocd.RunFaulted(inst, name, plan, opts); fres != nil {
 					res = fres.Result
 				}
+				engine = "fault"
 				validate = func(sched *ocd.Schedule) error { return ocd.ValidateFaulted(inst, sched, plan) }
 			}
 		}
 		// A stalled run's result still holds the steps it executed.
-		telemetry.RecordRun(reg, "sim", res)
+		telemetry.RecordRun(reg, engine, res)
 		if err != nil {
 			return fmt.Errorf("heuristic %s: %w", name, err)
 		}

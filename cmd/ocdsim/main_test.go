@@ -677,37 +677,46 @@ func TestTelemetryLifecycle(t *testing.T) {
 	}
 }
 
-// TestSingleRunRecordsKernelCounters: a single run records its
-// kernel.sim.* totals whatever else it attaches — a -steptrace run records
-// the same totals as the run without it, lossless or lossy — and -oracle
-// runs are counted too.
+// TestSingleRunRecordsKernelCounters: a single run records its kernel
+// totals under its engine's name whatever else it attaches — a -steptrace
+// run records the same totals as the run without it — as kernel.sim.* for
+// a lossless run and kernel.fault.* for a lossy one, which goes through
+// the fault engine; -oracle runs are counted too.
 func TestSingleRunRecordsKernelCounters(t *testing.T) {
 	dir := t.TempDir()
-	kernel := func(args ...string) []telemetry.Metric {
+	kernel := func(prefix string, args ...string) []telemetry.Metric {
 		t.Helper()
 		path := filepath.Join(dir, "tel.jsonl")
 		runOK(t, append(args, "-telemetry", path)...)
 		var out []telemetry.Metric
 		for _, m := range decodeTelemetry(t, path) {
-			if strings.HasPrefix(m.Name, "kernel.sim.") {
+			if strings.HasPrefix(m.Name, prefix) {
 				out = append(out, m)
+			} else if strings.HasPrefix(m.Name, "kernel.") {
+				t.Errorf("args %v: %s recorded beside the %s* counters", args, m.Name, prefix)
 			}
 		}
 		return out
 	}
 	base := []string{"-heuristic", "all", "-n", "30", "-tokens", "20", "-seed", "3"}
-	for _, extra := range [][]string{nil, {"-loss", "0.2"}} {
-		args := append(base[:len(base):len(base)], extra...)
-		plain := kernel(args...)
+	for _, tc := range []struct {
+		prefix string
+		extra  []string
+	}{
+		{"kernel.sim.", nil},
+		{"kernel.fault.", []string{"-loss", "0.2"}},
+	} {
+		args := append(base[:len(base):len(base)], tc.extra...)
+		plain := kernel(tc.prefix, args...)
 		if len(plain) != 7 {
-			t.Fatalf("args %v: want the 7 kernel.sim.* counters, got %+v", args, plain)
+			t.Fatalf("args %v: want the 7 %s* counters, got %+v", args, tc.prefix, plain)
 		}
-		traced := kernel(append(args, "-steptrace", filepath.Join(dir, "trace.jsonl"))...)
+		traced := kernel(tc.prefix, append(args, "-steptrace", filepath.Join(dir, "trace.jsonl"))...)
 		if !reflect.DeepEqual(traced, plain) {
 			t.Errorf("args %v: -steptrace changed the kernel counters:\n got %+v\nwant %+v", args, traced, plain)
 		}
 	}
-	for _, m := range kernel("-heuristic", "local", "-oracle", "-n", "12", "-tokens", "6") {
+	for _, m := range kernel("kernel.sim.", "-heuristic", "local", "-oracle", "-n", "12", "-tokens", "6") {
 		if m.Name == "kernel.sim.steps" && m.Value > 0 {
 			return
 		}

@@ -1,7 +1,9 @@
 // Package checkederr defines an analyzer that requires callers to
 // consume the results of the repository's validation functions.
 //
-// core.Validate, core.ValidateConstraints, and fault.Validate are the
+// The schedule replays — core.Replay and the validators built on it,
+// core.Validate, core.ValidateConstraints, fault.Validate and the
+// underlay's Network.Validate, with their facade spellings — are the
 // runtime half of the determinism contract: they certify that a schedule
 // obeys the §3.1 move constraints and that a faulted run replays its
 // plan byte-for-byte. Discarding their error silently converts a failed
@@ -23,11 +25,13 @@ import (
 const doc = `require the errors of schedule/plan validation functions to be consumed
 
 Calls to the configured validation functions (by default ocd.Validate,
-ocd/internal/core.Validate, ocd/internal/core.ValidateConstraints, and
-ocd/internal/fault.Validate) must not discard their error: using the
-call as a statement, assigning the error to the blank identifier, or
-launching it with go/defer all drop the only evidence that a schedule
-or fault replay failed certification.
+ocd.ValidateConstraints, ocd.ValidateFaulted, ocd/internal/core.Replay,
+ocd/internal/core.Validate, ocd/internal/core.ValidateConstraints,
+ocd/internal/fault.Validate, and the method
+(ocd/internal/underlay.Network).Validate) must not discard their error:
+using the call as a statement, assigning the error (the last result) to
+the blank identifier, or launching it with go/defer all drop the only
+evidence that a schedule or fault replay failed certification.
 
 The -funcs flag replaces the target list. Entries name package-level
 functions as "importpath.Func" and methods as "(importpath.Type).Method";
@@ -43,9 +47,13 @@ var Analyzer = &analysis.Analyzer{
 
 var defaultFuncs = []string{
 	"ocd.Validate",
+	"ocd.ValidateConstraints",
+	"ocd.ValidateFaulted",
+	"ocd/internal/core.Replay",
 	"ocd/internal/core.Validate",
 	"ocd/internal/core.ValidateConstraints",
 	"ocd/internal/fault.Validate",
+	"(ocd/internal/underlay.Network).Validate",
 }
 
 var funcsFlag string
@@ -111,8 +119,8 @@ func qualifiedName(fn *types.Func) string {
 	return "(" + fn.Pkg().Path() + "." + named.Obj().Name() + ")." + fn.Name()
 }
 
-// discarded reports whether the call's results are dropped: expression
-// statement, go/defer, or every result assigned to blank.
+// discarded reports whether the call's error is dropped: expression
+// statement, go/defer, or the last result, the error, assigned to blank.
 func discarded(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 	// stack ends with the CallExpr itself; the parent precedes it.
 	if len(stack) < 2 {
@@ -125,16 +133,12 @@ func discarded(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 		return true
 	case *ast.AssignStmt:
 		// Only the form `x, _ = f()` / `_ = f()` where the call is the
-		// sole RHS can drop results wholesale.
+		// sole RHS can drop the error, its last result.
 		if len(parent.Rhs) != 1 || parent.Rhs[0] != ast.Expr(call) {
 			return false
 		}
-		for _, lhs := range parent.Lhs {
-			if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
-				return false
-			}
-		}
-		return true
+		id, ok := parent.Lhs[len(parent.Lhs)-1].(*ast.Ident)
+		return ok && id.Name == "_"
 	}
 	return false
 }

@@ -9,7 +9,7 @@ import (
 
 func TestCheckedErr(t *testing.T) {
 	old := funcsFlag
-	if err := Analyzer.Flags.Set("funcs", "a.Validate,(a.Schedule).Check"); err != nil {
+	if err := Analyzer.Flags.Set("funcs", "a.Validate,(a.Schedule).Check,a.Replay"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { funcsFlag = old })
@@ -31,13 +31,18 @@ func TestNegativeFixture(t *testing.T) {
 }
 
 func TestDefaultTargets(t *testing.T) {
-	// The default set is the runtime half of the determinism contract;
-	// losing an entry silently un-guards its call sites.
+	// The default set is the runtime half of the determinism contract:
+	// every schedule replay and its facade spellings. Losing an entry
+	// silently un-guards its call sites.
 	for _, want := range []string{
 		"ocd.Validate",
+		"ocd.ValidateConstraints",
+		"ocd.ValidateFaulted",
+		"ocd/internal/core.Replay",
 		"ocd/internal/core.Validate",
 		"ocd/internal/core.ValidateConstraints",
 		"ocd/internal/fault.Validate",
+		"(ocd/internal/underlay.Network).Validate",
 	} {
 		if !strings.Contains(funcsFlag, want) {
 			t.Errorf("default -funcs misses %s", want)

@@ -1,6 +1,6 @@
 // Package a exercises the checkederr analyzer with fixture-local
 // stand-ins for the validation functions (the test sets
-// -funcs=a.Validate,(a.Schedule).Check).
+// -funcs=a.Validate,(a.Schedule).Check,a.Replay).
 package a
 
 import "errors"
@@ -13,6 +13,10 @@ func (s *Schedule) Check() error { return errors.New("invalid") }
 // Validate plays the role of a package-level validation function.
 func Validate() error { return nil }
 
+// Replay plays the role of a validation function with a result besides
+// its error.
+func Replay() (int, error) { return 0, nil }
+
 // Audit is NOT in the configured target set.
 func Audit() error { return nil }
 
@@ -24,6 +28,9 @@ func discards() {
 	go Validate()    // want `result of a\.Validate is discarded`
 	defer Validate() // want `result of a\.Validate is discarded`
 	Audit()          // untracked functions may be dropped
+	_, _ = Replay()  // want `result of a\.Replay is discarded`
+	n, _ := Replay() // want `result of a\.Replay is discarded`
+	_ = n
 }
 
 func consumes() error {
@@ -33,6 +40,9 @@ func consumes() error {
 	var s Schedule
 	err := s.Check()
 	if err != nil {
+		return err
+	}
+	if _, err := Replay(); err != nil {
 		return err
 	}
 	return Validate()

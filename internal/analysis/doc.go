@@ -12,8 +12,10 @@
 //   - maporder flags range-over-map loops whose bodies reach
 //     ordering-sensitive sinks (appends, writers, channel sends, float or
 //     string accumulation) unless annotated with //ocd:orderinvariant.
-//   - checkederr requires callers to consume the validation errors of
-//     core.Validate, core.ValidateConstraints, and fault.Validate.
+//   - checkederr requires callers to consume the errors of every schedule
+//     replay: core.Replay, core.Validate, core.ValidateConstraints,
+//     fault.Validate and the underlay's Network.Validate, and the facade's
+//     ocd.Validate, ocd.ValidateConstraints and ocd.ValidateFaulted.
 //   - scratchalias forbids references to designated reusable scratch
 //     buffers (//ocd:scratch, or "scratch"-prefixed names) from escaping
 //     the call that filled them; safe sites carry //ocd:scratchok.

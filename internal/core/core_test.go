@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ocd/internal/graph"
+	"ocd/internal/tokenset"
 )
 
 // lineInstance builds 0→1→…→(n−1) with capacity c; vertex 0 has all m
@@ -147,54 +150,6 @@ func TestValidateTokenRange(t *testing.T) {
 	}
 }
 
-// arcRunInstance has arcs 0→1 (capacity 3) and 0→3 (capacity 1) and no
-// arc 0→2; vertex 0 holds all four tokens.
-func arcRunInstance(t *testing.T) *Instance {
-	t.Helper()
-	g := graph.New(4)
-	for _, a := range []graph.Arc{{From: 0, To: 1, Cap: 3}, {From: 0, To: 3, Cap: 1}} {
-		if err := g.AddArc(a.From, a.To, a.Cap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inst := NewInstance(g, 4)
-	inst.Have[0].AddRange(0, 4)
-	return inst
-}
-
-// TestValidateArcRuns checks that looking an arc up once per run of moves
-// on one pair keeps every check: a missing arc after a run, a run broken
-// by an out-of-range token, a first move on no pair and capacity counted
-// across a run split by another arc all fail on the right move.
-func TestValidateArcRuns(t *testing.T) {
-	inst := arcRunInstance(t)
-	for _, tc := range []struct {
-		name   string
-		step   Step
-		bad    int // index of the failing move; -1 if the step is valid
-		reason string
-	}{
-		{"missing arc after a run", Step{{0, 1, 0}, {0, 1, 1}, {0, 2, 2}}, 2, "arc does not exist"},
-		{"run broken by a token", Step{{0, 1, 0}, {0, 1, 4}, {0, 1, 1}}, 1, "token out of range"},
-		{"first move (-1, -1)", Step{{-1, -1, 0}, {0, 1, 0}}, 0, "arc does not exist"},
-		{"first move (0, 0)", Step{{0, 0, 0}, {0, 1, 0}}, 0, "arc does not exist"},
-		{"capacity across a split run", Step{{0, 1, 0}, {0, 1, 1}, {0, 3, 0}, {0, 1, 2}, {0, 1, 3}}, 4, "capacity 3 exceeded"},
-		{"split run within capacity", Step{{0, 1, 0}, {0, 3, 0}, {0, 1, 1}, {0, 1, 2}}, -1, ""},
-	} {
-		err := ValidateConstraints(inst, &Schedule{Steps: []Step{tc.step}})
-		if tc.bad < 0 {
-			if err != nil {
-				t.Errorf("%s: %v", tc.name, err)
-			}
-			continue
-		}
-		var verr *ValidationError
-		if !errors.As(err, &verr) || verr.Move != tc.step[tc.bad] || verr.Reason != tc.reason {
-			t.Errorf("%s: err = %v, want move %v: %s", tc.name, err, tc.step[tc.bad], tc.reason)
-		}
-	}
-}
-
 func TestValidateUnsuccessful(t *testing.T) {
 	inst := lineInstance(t, 3, 1, 1)
 	sched := &Schedule{Steps: []Step{{{From: 0, To: 1, Token: 0}}}}
@@ -221,22 +176,88 @@ func TestScheduleMetrics(t *testing.T) {
 	}
 }
 
-func TestSimulateHistory(t *testing.T) {
+// TestReplayHistory: BeginStep sees each step's start-of-step possession,
+// before that step's deliveries, and Replay returns the possession after
+// the last step.
+func TestReplayHistory(t *testing.T) {
 	inst := lineInstance(t, 3, 1, 1)
 	sched := &Schedule{Steps: []Step{
 		{{From: 0, To: 1, Token: 0}},
 		{{From: 1, To: 2, Token: 0}},
 	}}
-	hist := Simulate(inst, sched)
-	if len(hist) != 3 {
+	var hist [][]tokenset.Set
+	final, err := Replay(inst, sched, Rules{BeginStep: func(_ int, possess []tokenset.Set) {
+		hist = append(hist, clonePossession(possess))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist = append(hist, final); len(hist) != 3 {
 		t.Fatalf("history length = %d, want 3", len(hist))
 	}
 	if hist[0][1].Has(0) {
 		t.Error("token present before delivery")
 	}
-	if !hist[1][1].Has(0) || !hist[2][2].Has(0) {
+	if !hist[1][1].Has(0) || hist[1][2].Has(0) || !hist[2][2].Has(0) {
 		t.Error("deliveries not reflected in history")
 	}
+}
+
+// TestReplayRules pins the hook contract: BeginStep may edit possession
+// before the step's moves are checked, CheckMove sees only moves on
+// existing arcs in range, its reason is reported for the move, and its
+// capacity replaces the arc's static one.
+func TestReplayRules(t *testing.T) {
+	inst := lineInstance(t, 3, 2, 2)
+	sched := &Schedule{Steps: []Step{
+		{{From: 0, To: 1, Token: 0}, {From: 0, To: 1, Token: 1}},
+		{{From: 1, To: 2, Token: 0}},
+	}}
+	var seen []Move
+	check := func(_ int, mv Move, _ int) (int, string) {
+		seen = append(seen, mv)
+		return 2, ""
+	}
+	for _, tc := range []struct {
+		name  string
+		rules Rules
+		sched *Schedule
+		want  string // the error as printed
+	}{
+		{"zero rules", Rules{}, sched, "<nil>"},
+		{"wipe before the step", Rules{BeginStep: func(step int, possess []tokenset.Set) {
+			if step == 1 {
+				possess[1].Clear()
+			}
+		}}, sched, "core: step 1 move 1-[0]->2: sender does not possess token at start of timestep"},
+		{"engine rule", Rules{CheckMove: func(step int, mv Move, _ int) (int, string) {
+			if step == 1 {
+				return 0, "vertex down"
+			}
+			return 2, ""
+		}}, sched, "core: step 1 move 1-[0]->2: vertex down"},
+		{"capacity override", Rules{CheckMove: func(int, Move, int) (int, string) { return 1, "" }},
+			sched, "core: step 0 move 0-[1]->1: capacity 1 exceeded"},
+		{"no hook call before the arc check", Rules{CheckMove: check},
+			&Schedule{Steps: []Step{{{From: 0, To: 1, Token: 0}, {From: 0, To: 2, Token: 0}}}},
+			"core: step 0 move 0-[0]->2: arc does not exist"},
+	} {
+		_, err := Replay(inst, tc.sched, tc.rules)
+		if got := fmt.Sprint(err); got != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if want := []Move{{From: 0, To: 1, Token: 0}}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("CheckMove saw %v, want %v", seen, want)
+	}
+}
+
+func clonePossession(p []tokenset.Set) []tokenset.Set {
+	c := make([]tokenset.Set, len(p))
+	for i := range p {
+		c[i] = p[i].Clone()
+	}
+	return c
 }
 
 func TestPruneRemovesDuplicateDeliveries(t *testing.T) {

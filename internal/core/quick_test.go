@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ocd/internal/graph"
+	"ocd/internal/tokenset"
 )
 
 // instSpec is a generatable instance description for property tests.
@@ -101,7 +102,7 @@ func TestQuickBoundsAdmissible(t *testing.T) {
 	f := func(spec instSpec) bool {
 		inst := spec.build()
 		sched := floodSchedule(inst)
-		if !Successful(inst, sched) {
+		if final, err := Replay(inst, sched, Rules{}); err != nil || !Done(inst, final) {
 			return true // vacuous (cannot happen on connected builds)
 		}
 		pruned := Prune(inst, sched)
@@ -115,11 +116,18 @@ func TestQuickBoundsAdmissible(t *testing.T) {
 	}
 }
 
-func TestQuickSimulateMonotone(t *testing.T) {
+func TestQuickReplayMonotone(t *testing.T) {
 	// Possession only ever grows along a schedule.
 	f := func(spec instSpec) bool {
 		inst := spec.build()
-		hist := Simulate(inst, floodSchedule(inst))
+		var hist [][]tokenset.Set
+		final, err := Replay(inst, floodSchedule(inst), Rules{BeginStep: func(_ int, possess []tokenset.Set) {
+			hist = append(hist, clonePossession(possess))
+		}})
+		if err != nil {
+			return false
+		}
+		hist = append(hist, final)
 		for i := 1; i < len(hist); i++ {
 			for v := range hist[i] {
 				if !hist[i-1][v].SubsetOf(hist[i][v]) {

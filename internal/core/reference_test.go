@@ -8,7 +8,9 @@ package core_test
 // them, is the Prune that the position buffer replaced, kept the same way
 // as the reference for TestPruneMatchesReference and FuzzPrune: it copied
 // every first delivery into a per-step slice, and every survivor into a
-// second one.
+// second one. refReplayConstraints is the replay that core.Validate and
+// core.ValidateConstraints ran before core.Replay, kept the same way as
+// the reference for TestReplayMatchesReference.
 
 import (
 	"fmt"
@@ -503,4 +505,43 @@ func TestPruneMatchesReference(t *testing.T) {
 			checkPrune(t, c.name+"/"+h, c.inst, res.Schedule)
 		}
 	}
+}
+
+func refReplayConstraints(inst *core.Instance, sched *core.Schedule) ([]tokenset.Set, error) {
+	if err := inst.Check(); err != nil {
+		return nil, err
+	}
+	cur := inst.InitialPossession()
+	used := make([]int, inst.G.NumArcs())
+	arcs := inst.G.ArcRun()
+	for i, st := range sched.Steps {
+		clear(used)
+		for _, mv := range st {
+			if mv.Token < 0 || mv.Token >= inst.NumTokens {
+				return nil, &core.ValidationError{Step: i, Move: mv, Reason: "token out of range"}
+			}
+			id := arcs.ID(mv.From, mv.To)
+			if id < 0 {
+				return nil, &core.ValidationError{Step: i, Move: mv, Reason: "arc does not exist"}
+			}
+			capacity := inst.G.CapByID(id)
+			used[id]++
+			if used[id] > capacity {
+				return nil, &core.ValidationError{
+					Step: i, Move: mv,
+					Reason: fmt.Sprintf("capacity %d exceeded", capacity),
+				}
+			}
+			if !cur[mv.From].Has(mv.Token) {
+				return nil, &core.ValidationError{
+					Step: i, Move: mv,
+					Reason: "sender does not possess token at start of timestep",
+				}
+			}
+		}
+		for _, mv := range st {
+			cur[mv.To].Add(mv.Token)
+		}
+	}
+	return cur, nil
 }

@@ -52,7 +52,8 @@ func (s *Schedule) Append(st Step) {
 	s.Steps = append(s.Steps, st)
 }
 
-// ValidationError describes a constraint violation found by Validate.
+// ValidationError describes the first move that Replay found breaking a
+// constraint.
 type ValidationError struct {
 	Step   int
 	Move   Move
@@ -67,64 +68,30 @@ func (e *ValidationError) Error() string {
 // constraints but leaves some want set unsatisfied.
 var ErrUnsuccessful = errors.New("core: schedule does not satisfy all wants")
 
-// Simulate plays the schedule from the instance's initial possession and
-// returns the possession sets after every timestep: result[i] is p_{i}
-// with result[0] = h. It does not check constraints; use Validate for that.
-func Simulate(inst *Instance, sched *Schedule) [][]tokenset.Set {
-	history := make([][]tokenset.Set, 0, len(sched.Steps)+1)
-	cur := inst.InitialPossession()
-	history = append(history, clonePossession(cur))
-	for _, st := range sched.Steps {
-		for _, mv := range st {
-			cur[mv.To].Add(mv.Token)
-		}
-		history = append(history, clonePossession(cur))
-	}
-	return history
+// Rules are what an engine adds to the §3.1 replay; the zero Rules is the
+// static model. Both hooks are optional.
+type Rules struct {
+	// BeginStep runs at the top of each timestep, before its moves are
+	// checked. It may edit possession (a crash wiping a vertex's state) or
+	// only observe it.
+	BeginStep func(step int, possess []tokenset.Set)
+	// CheckMove runs for each move on an existing arc, after the range and
+	// arc checks and before capacity and possession. It returns the arc's
+	// capacity at this step, which replaces the static c(u,v), and why the
+	// move breaks one of the engine's own rules, or "".
+	CheckMove func(step int, mv Move, arcID int) (capacity int, reason string)
 }
 
-func clonePossession(p []tokenset.Set) []tokenset.Set {
-	c := make([]tokenset.Set, len(p))
-	for i := range p {
-		c[i] = p[i].Clone()
-	}
-	return c
-}
-
-// Validate checks the schedule against the §3.1 constraints:
-//
-//   - every move uses an existing arc,
-//   - Capacity: at most c(u,v) tokens per arc per timestep,
-//   - Possession: a vertex only sends tokens it possesses at the start of
-//     the timestep,
-//
-// and finally that the schedule is successful (w(v) ⊆ p_t(v) for all v).
-// The first violated constraint is reported.
-func Validate(inst *Instance, sched *Schedule) error {
-	cur, err := replayConstraints(inst, sched)
-	if err != nil {
-		return err
-	}
-	if !Done(inst, cur) {
-		return ErrUnsuccessful
-	}
-	return nil
-}
-
-// ValidateConstraints checks the same move-level constraints as Validate
-// but does not require the schedule to satisfy every want. Partial
-// schedules — a faulted run that terminated gracefully with unsatisfiable
-// receivers, or a run cut off at a step limit — must still be legal move
-// sequences under the static model; this is the check they pass.
-func ValidateConstraints(inst *Instance, sched *Schedule) error {
-	_, err := replayConstraints(inst, sched)
-	return err
-}
-
-// replayConstraints replays the schedule checking arc existence, capacity,
-// and possession, returning the final possession. Capacity is counted per
-// arc ID; each run of moves on one arc is looked up once.
-func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) {
+// Replay plays the schedule from the instance's initial possession and
+// checks every move, in this order: token range; vertex range and arc
+// existence; rules.CheckMove; at most the arc's capacity per timestep;
+// and that the sender possessed the token at the start of the timestep.
+// A step's deliveries take effect once all its moves pass. Replay returns
+// the final possession, Instance.Check's error, or the first violation as
+// a *ValidationError. Arcs are looked up once per run of moves on one pair
+// and capacity is counted per arc ID, so a run split by another arc
+// cannot reset it.
+func Replay(inst *Instance, sched *Schedule, rules Rules) ([]tokenset.Set, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
@@ -132,6 +99,9 @@ func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) 
 	used := make([]int, inst.G.NumArcs())
 	arcs := inst.G.ArcRun()
 	for i, st := range sched.Steps {
+		if rules.BeginStep != nil {
+			rules.BeginStep(i, cur)
+		}
 		clear(used)
 		for _, mv := range st {
 			if mv.Token < 0 || mv.Token >= inst.NumTokens {
@@ -139,9 +109,19 @@ func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) 
 			}
 			id := arcs.ID(mv.From, mv.To)
 			if id < 0 {
-				return nil, &ValidationError{Step: i, Move: mv, Reason: "arc does not exist"}
+				reason := "arc does not exist"
+				if n := inst.N(); mv.From < 0 || mv.From >= n || mv.To < 0 || mv.To >= n {
+					reason = "vertex out of range"
+				}
+				return nil, &ValidationError{Step: i, Move: mv, Reason: reason}
 			}
 			capacity := inst.G.CapByID(id)
+			if rules.CheckMove != nil {
+				var reason string
+				if capacity, reason = rules.CheckMove(i, mv, id); reason != "" {
+					return nil, &ValidationError{Step: i, Move: mv, Reason: reason}
+				}
+			}
 			used[id]++
 			if used[id] > capacity {
 				return nil, &ValidationError{
@@ -163,14 +143,25 @@ func replayConstraints(inst *Instance, sched *Schedule) ([]tokenset.Set, error) 
 	return cur, nil
 }
 
-// Successful reports whether playing the schedule satisfies every want set,
-// without checking move-level constraints.
-func Successful(inst *Instance, sched *Schedule) bool {
-	cur := inst.InitialPossession()
-	for _, st := range sched.Steps {
-		for _, mv := range st {
-			cur[mv.To].Add(mv.Token)
-		}
+// Validate is Replay under the static §3.1 model, the zero Rules, plus the
+// success check: the final possession must satisfy every want set
+// (w(v) ⊆ p_t(v) for all v), or it returns ErrUnsuccessful.
+func Validate(inst *Instance, sched *Schedule) error {
+	final, err := Replay(inst, sched, Rules{})
+	if err != nil {
+		return err
 	}
-	return Done(inst, cur)
+	if !Done(inst, final) {
+		return ErrUnsuccessful
+	}
+	return nil
+}
+
+// ValidateConstraints is Replay under the static model without the success
+// check. Partial schedules — a faulted run that terminated gracefully with
+// unsatisfiable receivers, or a run cut off at a step limit — must still be
+// legal move sequences under the static model; this is the check they pass.
+func ValidateConstraints(inst *Instance, sched *Schedule) error {
+	_, err := Replay(inst, sched, Rules{})
+	return err
 }

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"fmt"
-
 	"ocd/internal/core"
 	"ocd/internal/dynamic"
 	"ocd/internal/graph"
@@ -453,73 +451,52 @@ func receiverReports(inst *core.Instance, possess []tokenset.Set, unsat []tokens
 	return out
 }
 
-// Validate replays a faulted schedule against the instance and plan,
-// checking that every recorded move used an existing arc within the step's
-// effective capacity (crashes and the capacity model applied), that no
-// move touched a crashed vertex or crossed a severed arc, and that every
-// sender possessed the token at the start of the timestep — with the
-// plan's crash transitions and state-loss policy replayed on possession.
-// The replay is written out here rather than shared with the engine, so
-// that it stays an independent check on it. Unlike core.Validate it does
-// not require the schedule to satisfy every want: faulted runs may
+// Validate replays a faulted schedule with core.Replay under the plan's
+// rules. At the top of each step it applies the plan's crash transitions,
+// with the state-loss policy wiping a crashing vertex's possession, and
+// shows the possession to a possession-aware capacity model. Per move it
+// rejects a crashed endpoint and an arc the partition model severs, and
+// takes the arc's capacity from the capacity model. These rules are
+// written here rather than shared with the engine's hooks, so that the
+// replay stays an independent check on the engine. Unlike core.Validate it
+// does not require the schedule to satisfy every want: faulted runs may
 // legitimately end partial. Lost moves are not recorded in the schedule,
-// so delivered traffic is a lower bound on each arc's usage.
+// so delivered traffic is a lower bound on each arc's usage. Build the
+// plan afresh for the replay: its models keep state.
 func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 	plan = plan.normalized()
-	n := inst.N()
-	possess := inst.InitialPossession()
-	prevDown := make([]bool, n)
-	down := make([]bool, n)
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
-	used := make([]int, inst.G.NumArcs())
-	arcs := inst.G.ArcRun()
-
-	for i, st := range sched.Steps {
-		for v := 0; v < n; v++ {
-			down[v] = plan.Crashes.Down(i, v)
-			if down[v] && !prevDown[v] {
-				switch plan.StateLoss {
-				case DropDownloads:
-					possess[v].CopyFrom(inst.Have[v])
-				case DropAll:
-					possess[v].Clear()
+	// Sized from Have so that an instance Replay rejects cannot panic here;
+	// one it accepts has len(Have) == n.
+	down := make([]bool, len(inst.Have))
+	wasDown := make([]bool, len(inst.Have))
+	_, err := core.Replay(inst, sched, core.Rules{
+		BeginStep: func(step int, possess []tokenset.Set) {
+			for v := range possess {
+				down[v] = plan.Crashes.Down(step, v)
+				if down[v] && !wasDown[v] {
+					switch plan.StateLoss {
+					case DropDownloads:
+						possess[v].CopyFrom(inst.Have[v])
+					case DropAll:
+						possess[v].Clear()
+					}
 				}
+				wasDown[v] = down[v]
 			}
-			prevDown[v] = down[v]
-		}
-		if aware != nil {
-			aware.Observe(i, possess)
-		}
-		clear(used)
-		for _, mv := range st {
-			if mv.From < 0 || mv.From >= n || mv.To < 0 || mv.To >= n {
-				return fmt.Errorf("fault: step %d move %v: vertex out of range", i, mv)
+			if aware != nil {
+				aware.Observe(step, possess)
 			}
-			if mv.Token < 0 || mv.Token >= inst.NumTokens {
-				return fmt.Errorf("fault: step %d move %v: token out of range", i, mv)
-			}
+		},
+		CheckMove: func(step int, mv core.Move, id int) (int, string) {
 			if down[mv.From] || down[mv.To] {
-				return fmt.Errorf("fault: step %d move %v: endpoint crashed", i, mv)
+				return 0, "endpoint crashed"
 			}
-			if plan.Partitions.Severed(i, mv.From, mv.To) {
-				return fmt.Errorf("fault: step %d move %v: arc severed by partition", i, mv)
+			if plan.Partitions.Severed(step, mv.From, mv.To) {
+				return 0, "arc severed by partition"
 			}
-			id := arcs.ID(mv.From, mv.To)
-			if id < 0 {
-				return fmt.Errorf("fault: step %d move %v: arc does not exist", i, mv)
-			}
-			capacity := plan.Capacity.Cap(i, graph.Arc{From: mv.From, To: mv.To, Cap: inst.G.CapByID(id)})
-			used[id]++
-			if used[id] > capacity {
-				return fmt.Errorf("fault: step %d move %v: effective capacity %d exceeded", i, mv, capacity)
-			}
-			if !possess[mv.From].Has(mv.Token) {
-				return fmt.Errorf("fault: step %d move %v: sender lacks token", i, mv)
-			}
-		}
-		for _, mv := range st {
-			possess[mv.To].Add(mv.Token)
-		}
-	}
-	return nil
+			return plan.Capacity.Cap(step, graph.Arc{From: mv.From, To: mv.To, Cap: inst.G.CapByID(id)}), ""
+		},
+	})
+	return err
 }

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -333,9 +332,9 @@ func TestCapacityModelsRunThroughEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			final := core.Simulate(inst, res.Schedule)[res.Steps]
-			if !res.Completed || !core.Done(inst, final) {
-				t.Fatal("run incomplete")
+			final, err := core.Replay(inst, res.Schedule, core.Rules{})
+			if err != nil || !res.Completed || !core.Done(inst, final) {
+				t.Fatalf("run incomplete: %v", err)
 			}
 			if err := Validate(inst, res.Schedule, tc.plan()); err != nil {
 				t.Fatalf("fresh-model replay validation: %v", err)
@@ -456,11 +455,10 @@ func TestValidateRejectsOutOfRangeMoves(t *testing.T) {
 // mv is the move from → to carrying tok.
 func mv(from, to, tok int) core.Move { return core.Move{From: from, To: to, Token: tok} }
 
-// TestValidateArcRuns checks that looking an arc up once per run of moves
-// on one pair keeps every check of the faulted replay: a missing arc
-// after a run, a run broken by an out-of-range token, a first move on no
-// pair and capacity counted across a run split by another arc all fail on
-// the right move.
+// TestValidateArcRuns checks that the faulted replay keeps every check of
+// core.Replay's per-run arc lookup: a missing arc after a run, a run
+// broken by an out-of-range token, a first move on no pair and capacity
+// counted across a run split by another arc all fail on the right move.
 func TestValidateArcRuns(t *testing.T) {
 	g := graph.New(4)
 	for _, a := range []graph.Arc{{From: 0, To: 1, Cap: 3}, {From: 0, To: 3, Cap: 1}} {
@@ -480,7 +478,7 @@ func TestValidateArcRuns(t *testing.T) {
 		{"run broken by a token", core.Step{mv(0, 1, 0), mv(0, 1, 4), mv(0, 1, 1)}, 1, "token out of range"},
 		{"first move (-1, -1)", core.Step{mv(-1, -1, 0), mv(0, 1, 0)}, 0, "vertex out of range"},
 		{"first move (0, 0)", core.Step{mv(0, 0, 0), mv(0, 1, 0)}, 0, "arc does not exist"},
-		{"capacity across a split run", core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2), mv(0, 1, 3)}, 4, "effective capacity 3 exceeded"},
+		{"capacity across a split run", core.Step{mv(0, 1, 0), mv(0, 1, 1), mv(0, 3, 0), mv(0, 1, 2), mv(0, 1, 3)}, 4, "capacity 3 exceeded"},
 		{"split run within capacity", core.Step{mv(0, 1, 0), mv(0, 3, 0), mv(0, 1, 1), mv(0, 1, 2)}, -1, ""},
 	} {
 		err := Validate(inst, &core.Schedule{Steps: []core.Step{tc.step}}, Plan{})
@@ -490,8 +488,9 @@ func TestValidateArcRuns(t *testing.T) {
 			}
 			continue
 		}
-		if want := fmt.Sprintf("move %v: %s", tc.step[tc.bad], tc.reason); err == nil || !strings.HasSuffix(err.Error(), want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		var verr *core.ValidationError
+		if !errors.As(err, &verr) || verr.Move != tc.step[tc.bad] || verr.Reason != tc.reason {
+			t.Errorf("%s: err = %v, want move %v: %s", tc.name, err, tc.step[tc.bad], tc.reason)
 		}
 	}
 }

@@ -39,6 +39,10 @@ type Network struct {
 // hosts.
 var ErrNoPath = errors.New("underlay: no physical path for overlay edge")
 
+// errForeignInstance rejects an instance that Run or Validate is given over
+// a graph other than the network's overlay.
+var errForeignInstance = errors.New("underlay: instance not built over this network's overlay")
+
 // Build constructs a network: each overlay edge (i, j) — indices into
 // hosts — is routed over the shortest physical path in both directions.
 func Build(phys *graph.Graph, hosts []int, overlayEdges [][2]int) (*Network, error) {
@@ -154,7 +158,7 @@ func (n *Network) SharingFactor() float64 {
 // of 0 defaults to 4× the Theorem 1 horizon plus IdlePatience.
 func (n *Network) Run(inst *core.Instance, factory sim.Factory, opts sim.Options) (*sim.Result, error) {
 	if inst.G != n.Overlay {
-		return nil, errors.New("underlay: instance not built over this network's overlay")
+		return nil, errForeignInstance
 	}
 	if opts.Done != nil {
 		return nil, errors.New("underlay: Options.Done is not supported; completion on the shared underlay is the static predicate")
@@ -217,52 +221,47 @@ func (a *admitter) admit(step int, _ core.Move, id int) bool {
 	return true
 }
 
-// admit checks one move against possession, overlay capacity, and the
-// shared physical capacities, committing its usage if accepted.
-func (n *Network) admit(inst *core.Instance, possess []tokenset.Set, physUsed, overlayUsed map[[2]int]int, mv core.Move) bool {
-	if mv.Token < 0 || mv.Token >= inst.NumTokens {
-		return false
-	}
-	key := [2]int{mv.From, mv.To}
-	path, ok := n.paths[key]
-	if !ok {
-		return false
-	}
-	if overlayUsed[key] >= n.Overlay.Cap(mv.From, mv.To) {
-		return false
-	}
-	if !possess[mv.From].Has(mv.Token) {
-		return false
-	}
-	for _, pa := range path {
-		if physUsed[pa]+1 > n.Phys.Cap(pa[0], pa[1]) {
-			return false
-		}
-	}
-	overlayUsed[key]++
-	for _, pa := range path {
-		physUsed[pa]++
-	}
-	return true
-}
-
-// Validate replays a schedule under the shared-physical-capacity
-// semantics.
+// Validate replays a schedule with core.Replay, which checks each move
+// against the overlay, and adds the shared physical links: every move is
+// charged to each link on its overlay arc's route in the route table, and
+// a move that would load a link beyond its capacity in one step is
+// rejected. The charge is written here rather than shared with the
+// engine's admitter, so that the replay stays an independent check on the
+// engine. As for Run, the instance must be built over n.Overlay. The
+// schedule must satisfy every want, or Validate returns
+// core.ErrUnsuccessful.
 func (n *Network) Validate(inst *core.Instance, sched *core.Schedule) error {
-	possess := inst.InitialPossession()
-	for i, st := range sched.Steps {
-		physUsed := make(map[[2]int]int)
-		overlayUsed := make(map[[2]int]int)
-		for _, mv := range st {
-			if !n.admit(inst, possess, physUsed, overlayUsed, mv) {
-				return fmt.Errorf("underlay: step %d move %v violates shared capacity or possession", i, mv)
-			}
-		}
-		for _, mv := range st {
-			possess[mv.To].Add(mv.Token)
-		}
+	if inst.G != n.Overlay {
+		return errForeignInstance
 	}
-	if !core.Done(inst, possess) {
+	// route holds the physical arc IDs of each overlay arc's route, filled
+	// on the arc's first move; used counts this step's moves per physical arc.
+	route := make([][]int, n.Overlay.NumArcs())
+	used := make([]int, n.Phys.NumArcs())
+	final, err := core.Replay(inst, sched, core.Rules{
+		BeginStep: func(int, []tokenset.Set) { clear(used) },
+		CheckMove: func(_ int, mv core.Move, id int) (int, string) {
+			if route[id] == nil {
+				for _, pa := range n.Path(mv.From, mv.To) {
+					route[id] = append(route[id], n.Phys.ArcID(pa[0], pa[1]))
+				}
+			}
+			for k, pid := range route[id] {
+				if c := n.Phys.CapByID(pid); used[pid] >= c {
+					pa := n.Path(mv.From, mv.To)[k]
+					return 0, fmt.Sprintf("physical link %d->%d capacity %d exceeded", pa[0], pa[1], c)
+				}
+			}
+			for _, pid := range route[id] {
+				used[pid]++
+			}
+			return n.Overlay.CapByID(id), ""
+		},
+	})
+	if err != nil {
+		return err
+	}
+	if !core.Done(inst, final) {
 		return core.ErrUnsuccessful
 	}
 	return nil
