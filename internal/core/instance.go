@@ -116,6 +116,25 @@ func (in *Instance) InitialPossession() []tokenset.Set {
 	return p
 }
 
+// WanterDistances returns, per token t, the hop distance from every vertex
+// to the nearest vertex that wants t, −1 where none is reachable: the
+// d_w(t,·) with which internal/ilp presolves and internal/exact filters
+// moves against the horizon.
+func (in *Instance) WanterDistances() [][]int {
+	dw := make([][]int, in.NumTokens)
+	wanters := make([]int, 0, in.N())
+	for t := range dw {
+		wanters = wanters[:0]
+		for v := 0; v < in.N(); v++ {
+			if in.Want[v].Has(t) {
+				wanters = append(wanters, v)
+			}
+		}
+		dw[t] = in.G.MultiSourceBFSTo(wanters)
+	}
+	return dw
+}
+
 // TheoremOneHorizon returns m·(n−1), the move (and hence timestep) horizon
 // within which any satisfiable instance completes (Theorem 1).
 func (in *Instance) TheoremOneHorizon() int {

@@ -7,13 +7,14 @@ import (
 )
 
 // TestExactAllocationCeilings fails if a search allocates per node again:
-// the in-place searches allocate per solve (possession, relevance sets,
+// the in-place searches allocate per solve (possession, wanter distances,
 // arc list, the makespan bound's table, EOCD's pick counts, memo growth,
 // the copied-out schedule), not per candidate step, and their frames come
 // from a pool that keeps them grown across solves. Each ceiling sits ~45%
-// above the measured count (65 and 6,163; 102 and 9,680 before the frame
-// pool); the per-node searches they replaced made 559 and 1,728,683
-// allocations on the same two cases.
+// above the count measured when it was set (65 and 6,163; 102 and 9,680
+// before the frame pool); the horizon filter, which shrinks the memo,
+// brought the counts to 62 and 5,410. The per-node searches they replaced
+// made 559 and 1,728,683 allocations on the same two cases.
 func TestExactAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")

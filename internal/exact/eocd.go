@@ -22,10 +22,11 @@ var errOptimal = errors.New("exact: incumbent meets global lower bound")
 // Figure 1 tension).
 //
 // The search branches per timestep over subsets of *useful and relevant*
-// moves: a move (u,v,t) is relevant only if some vertex that still needs t
-// is reachable from v (a static filter computed once per token). Cost is
-// bounded below by the §5.1 remaining-bandwidth count, and the incumbent
-// enables branch-and-bound pruning.
+// moves: a move (u,v,t) is relevant only if some wanter of t lies within
+// the steps left after it, counted in hops from v (the horizon test
+// internal/ilp presolves with), and a subset never delivers one (vertex,
+// token) pair twice. Cost is bounded below by the §5.1 remaining-bandwidth
+// count, and the incumbent enables branch-and-bound pruning.
 func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
 	sched, _, err := solveEOCD(inst, horizon, opts)
 	return sched, err
@@ -56,7 +57,7 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 		inst:     inst,
 		budget:   opts.nodes(),
 		memo:     make(map[memoKey]int),
-		relSink:  relevanceSets(inst),
+		toWanter: inst.WanterDistances(),
 		globalLB: core.BandwidthLowerBound(inst, nil),
 		possess:  inst.InitialPossession(),
 		arcs:     arcs,
@@ -95,9 +96,10 @@ type eocdSearch struct {
 	// memo maps (possession, stepsLeft) → best cost-so-far seen; states
 	// revisited with equal or higher cost are pruned.
 	memo map[memoKey]int
-	// relSink[t] is the set of vertices from which some wanter of t is
-	// reachable: moves delivering t elsewhere can never help.
-	relSink []tokenset.Set
+	// toWanter[t][v] is the hop distance from v to the nearest wanter of
+	// t, or −1 when none is reachable: a move delivering t to v with
+	// left steps to go can help only if that distance is 0 to left−1.
+	toWanter [][]int
 	// globalLB is the §5.1 bandwidth lower bound from the initial
 	// possession — a certificate of optimality for any incumbent that
 	// reaches it.
@@ -107,16 +109,17 @@ type eocdSearch struct {
 	// arcs is the arc list in (From, To) order, sorted once per solve.
 	arcs   []graph.Arc
 	frames *frames
-	// lastStep[k] counts the nodes with one step left that had k exact
-	// covers, k = 2 standing for two or more (see lastStepCovers).
-	lastStep [3]int
+	// lastStep[k] counts the nodes with one step left that had no exact
+	// cover (k = 0) and those that had one (k = 1); see lastStepCover.
+	lastStep [2]int
 	// Enumeration scratch, consumed before the search descends: the
 	// candidate moves with the index in arcs of each and whether its
 	// receiver wants its token, the subset being built, per-arc usage of
 	// that subset, and how many of its moves deliver each (vertex, token)
-	// pair, indexed v·NumTokens+t. The cover count reuses pick and used for
-	// its partial cover and picks as its pair marker; all three are empty
-	// or zero between uses.
+	// pair, indexed v·NumTokens+t (0 or 1, as a subset delivers a pair at
+	// most once). The cover search reuses pick and used for its partial
+	// cover and picks as its pair marker; all three are empty or zero
+	// between uses.
 	useful tokenset.Set
 	moves  []core.Move
 	arcOf  []int
@@ -126,51 +129,27 @@ type eocdSearch struct {
 	picks  []int
 }
 
-// relevanceSets computes, per token, the set of vertices that can still be
-// on a useful path: vertices from which at least one wanter of t is
-// reachable. (Bitsets indexed by vertex, reusing tokenset.Set.)
-func relevanceSets(inst *core.Instance) []tokenset.Set {
-	n := inst.N()
-	out := make([]tokenset.Set, inst.NumTokens)
-	for t := 0; t < inst.NumTokens; t++ {
-		set := tokenset.New(n)
-		var wanters []int
-		for v := 0; v < n; v++ {
-			if inst.Want[v].Has(t) {
-				wanters = append(wanters, v)
-			}
-		}
-		dist := inst.G.MultiSourceBFSTo(wanters)
-		for v := 0; v < n; v++ {
-			if dist[v] >= 0 {
-				set.Add(v)
-			}
-		}
-		out[t] = set
-	}
-	return out
-}
-
 // dfs expands the node at the end of s.cur: cost moves so far, left ≥ 1
 // steps to go and lb > 0 wanted (vertex, token) pairs still missing. Its
 // parent has counted it against the budget and tested it against the
 // incumbent, so the node starts at the memo.
 //
-// Each child is decided from its subset's size and gain, the number of
-// missing wanted pairs it delivers, before possession is touched: the
-// child's bound is lb−gain, so it is done when gain = lb, and otherwise it
-// is out of steps at left = 1 or cut when cost+size+lb−gain ≥ bestLen. A
-// done child becomes the incumbent if it is cheaper; only a child that is
-// none of the three is applied and expanded. A cut child still counts as
-// a node, as it did when it was expanded only to prune itself, so node
-// counts and the point where a budget runs out do not change.
+// The node's children are the non-empty subsets of its candidate moves
+// (see usefulMoves) that respect arc capacities and deliver no (vertex,
+// token) pair twice, tried largest first and, among equal sizes, in the
+// order enumerateSubsets lists them. Each is decided from its size and
+// gain, the number of missing wanted pairs it delivers, before possession
+// is touched: the child's bound is lb−gain, so it is done when gain = lb
+// and otherwise cut when cost+size+lb−gain ≥ bestLen. A done child
+// becomes the incumbent if it is cheaper; only a child that is neither is
+// applied and expanded. A cut child still counts as a node, as it did when
+// it was expanded only to prune itself, so node counts and the point
+// where a budget runs out do not change.
 //
-// With one step left only done children act, and the incumbent the loop
-// leaves is the first smallest one in size order. The smallest done
-// children are the node's exact covers, so the node counts those first:
-// with none it is finished, and with one that cover is the incumbent.
-// Only with two or more, where the sort's tie order picks the winner, are
-// the subsets enumerated.
+// With one step left every candidate delivers a missing wanted pair, so
+// the done children are exactly the node's exact covers, all of lb moves,
+// and the first in that order is the incumbent the loop would leave;
+// lastStepCover finds it without enumerating the rest.
 func (s *eocdSearch) dfs(left, cost, lb int) error {
 	key := memoKey{hash: possessionHash(s.possess), left: left}
 	if seen, ok := s.memo[key]; ok && seen <= cost {
@@ -178,43 +157,36 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 	}
 	s.memo[key] = cost
 
-	s.usefulMoves()
+	s.usefulMoves(left)
 	if len(s.moves) == 0 {
 		return nil
 	}
 	f := s.frames.at(len(s.cur.Steps))
 	if left == 1 {
-		covers := s.lastStepCovers(f, lb)
-		s.lastStep[covers]++
-		switch covers {
-		case 0:
+		if !s.lastStepCover(f, lb) {
+			s.lastStep[0]++
 			return nil
-		case 1:
-			// The parent's cut test left cost+lb < bestLen.
-			//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
-			s.cur.Append(f.arena[:lb:lb])
-			err := s.improve(cost + lb)
-			s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
-			return err
 		}
-		f.arena = f.arena[:0]
+		s.lastStep[1]++
+		// The parent's cut test left cost+lb < bestLen.
+		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
+		s.cur.Append(f.arena[:lb:lb])
+		err := s.improve(cost + lb)
+		s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
+		return err
 	}
 	// Enumerate subsets of candidate moves respecting arc capacities,
 	// largest subsets first so a good incumbent is found early. Empty
 	// subsets are excluded: an idle step is never cheaper than skipping it.
 	s.enumerateSubsets(f, 0, 0)
 	f.sortBySize()
-	for _, k := range f.keys {
-		sp := f.spans[uint32(k)]
+	for _, sp := range f.sorted {
 		size, done := sp.hi-sp.lo, sp.gain == lb
-		switch {
-		case done:
+		if done {
 			if s.best != nil && cost+size >= s.bestLen {
 				continue
 			}
-		case left == 1:
-			continue
-		default:
+		} else {
 			s.nodes++
 			if s.nodes > s.budget {
 				return ErrBudget
@@ -253,53 +225,51 @@ func (s *eocdSearch) improve(cost int) error {
 	return nil
 }
 
-// usefulMoves lists in s.moves the moves (u,v,t) where u has t, v lacks
-// it, and v can still forward t toward (or is itself) a wanter, and in
-// s.wants whether v itself wants t.
-func (s *eocdSearch) usefulMoves() {
+// usefulMoves lists in s.moves the candidate moves of a node with left
+// steps to go: the moves (u,v,t) where u has t, v lacks it, and some
+// wanter of t is at most left−1 hops from v, so that t can still reach it
+// within the horizon; s.wants records whether v itself wants t.
+//
+// No optimal schedule makes any other move. If v is further than that
+// from every wanter, so is every vertex t reaches from v in the steps
+// left, so the move and every later move of t that only it enables serve
+// no wanter, and dropping them all leaves a valid, still successful
+// schedule with fewer moves.
+func (s *eocdSearch) usefulMoves(left int) {
 	s.moves, s.arcOf, s.wants = s.moves[:0], s.arcOf[:0], s.wants[:0]
 	for i, a := range s.arcs {
 		s.useful.SetDifference(s.possess[a.From], s.possess[a.To])
 		for t := s.useful.First(); t >= 0; t = s.useful.NextAfter(t) {
-			if s.relSink[t].Has(a.To) {
+			if d := s.toWanter[t][a.To]; d >= 0 && d < left {
 				s.moves = append(s.moves, core.Move{From: a.From, To: a.To, Token: t})
 				s.arcOf = append(s.arcOf, i)
-				s.wants = append(s.wants, s.inst.Want[a.To].Has(t))
+				s.wants = append(s.wants, d == 0)
 			}
 		}
 	}
 }
 
-// lastStepCovers counts, stopping at two, the exact covers of the node's
-// lb missing wanted pairs: choices of one wanted candidate move per pair
-// that fit the arc capacities together. It writes the first cover found,
-// in candidate order, to f.arena.
-//
-// These are the smallest done children. A done child delivers every
-// pair, and dropping all its moves but one per pair leaves it done and
-// within capacity, so a done child exists only if a cover does, and every
-// smallest one is a cover of exactly lb moves.
-func (s *eocdSearch) lastStepCovers(f *frame, lb int) int {
+// lastStepCover writes to f.arena the first exact cover, in candidate
+// order, of the node's lb missing wanted pairs: a choice of one candidate
+// move per pair that fits the arc capacities. It reports whether one
+// exists. With one step left every candidate delivers a missing wanted
+// pair (usefulMoves admits only receivers that want the token), so the
+// covers are the node's done children.
+func (s *eocdSearch) lastStepCover(f *frame, lb int) bool {
 	pairs := 0
-	for i, w := range s.wants {
-		if w {
-			p := s.pairOf(i)
-			if s.picks[p] == 0 {
-				pairs++
-			}
-			s.picks[p]++
+	for i := range s.moves {
+		p := s.pairOf(i)
+		if s.picks[p] == 0 {
+			pairs++
 		}
+		s.picks[p]++
 	}
-	covers := 0
-	if pairs == lb { // otherwise some pair has no candidate
-		covers = s.cover(f, 0, lb, 0)
+	// Otherwise some pair has no candidate.
+	found := pairs == lb && s.cover(f, 0, lb)
+	for i := range s.moves {
+		s.picks[s.pairOf(i)] = 0
 	}
-	for i, w := range s.wants {
-		if w {
-			s.picks[s.pairOf(i)] = 0
-		}
-	}
-	return covers
+	return found
 }
 
 // pairOf is the (vertex, token) pair candidate i delivers, indexed
@@ -309,46 +279,50 @@ func (s *eocdSearch) pairOf(i int) int {
 }
 
 // cover extends the partial cover in s.pick with candidates from index i
-// on, need pairs still uncovered, and returns covers plus the covers it
-// finds, stopping at two. s.picks holds, for an uncovered pair, how many
-// of its candidates lie at i or later, and 0 for a covered one; s.used
-// holds the partial cover's per-arc usage. Both are restored on return.
-func (s *eocdSearch) cover(f *frame, i, need, covers int) int {
+// on, need pairs still uncovered, and reports whether it completes one,
+// writing the first it completes to f.arena. s.picks holds, for an
+// uncovered pair, how many of its candidates lie at i or later, and 0 for
+// a covered one; s.used holds the partial cover's per-arc usage. Both are
+// restored on return.
+func (s *eocdSearch) cover(f *frame, i, need int) bool {
 	if need == 0 {
-		if covers == 0 {
-			f.arena = append(f.arena, s.pick...)
-		}
-		return covers + 1
+		f.arena = append(f.arena, s.pick...)
+		return true
 	}
 	// Skip to the next candidate of an uncovered pair; each such pair
 	// keeps one ahead, so i stays in range.
-	for !s.wants[i] || s.picks[s.pairOf(i)] == 0 {
+	for s.picks[s.pairOf(i)] == 0 {
 		i++
 	}
 	p := s.pairOf(i)
 	ahead := s.picks[p]
+	found := false
 	if a := s.arcOf[i]; s.used[a] < s.arcs[a].Cap {
 		s.used[a]++
 		s.picks[p] = 0
 		s.pick = append(s.pick, s.moves[i])
-		covers = s.cover(f, i+1, need-1, covers)
+		found = s.cover(f, i+1, need-1)
 		s.pick = s.pick[:len(s.pick)-1]
 		s.picks[p] = ahead
 		s.used[a]--
 	}
-	if covers < 2 && ahead > 1 {
+	if !found && ahead > 1 {
 		s.picks[p] = ahead - 1
-		covers = s.cover(f, i+1, need, covers)
+		found = s.cover(f, i+1, need)
 		s.picks[p] = ahead
 	}
-	return covers
+	return found
 }
 
 // enumerateSubsets appends to f every non-empty subset of s.moves that
-// extends the picked prefix with moves from index i on and respects
-// per-arc capacities, taking each move before leaving it out. gain is the
-// number of distinct wanted (vertex, token) pairs the prefix delivers;
-// each span records its subset's.
+// extends the picked prefix with moves from index i on, respects per-arc
+// capacities and delivers no (vertex, token) pair twice, taking each move
+// before leaving it out. gain is the number of wanted pairs the prefix
+// delivers; each span records its subset's.
+//
+// A subset that delivers a pair twice reaches the same possession as the
+// one without its second delivery, at one move more, so no optimal
+// schedule contains it.
 func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
 	if i == len(s.moves) {
 		if len(s.pick) > 0 {
@@ -358,24 +332,19 @@ func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
 		}
 		return
 	}
-	if a := s.arcOf[i]; s.used[a] < s.arcs[a].Cap {
-		mv, with := s.moves[i], gain
-		pair := -1
+	p := s.pairOf(i)
+	if a := s.arcOf[i]; s.picks[p] == 0 && s.used[a] < s.arcs[a].Cap {
+		with := gain
 		if s.wants[i] {
-			pair = s.pairOf(i)
-			if s.picks[pair] == 0 {
-				with++
-			}
-			s.picks[pair]++
+			with++
 		}
+		s.picks[p] = 1
 		s.used[a]++
-		s.pick = append(s.pick, mv)
+		s.pick = append(s.pick, s.moves[i])
 		s.enumerateSubsets(f, i+1, with)
 		s.pick = s.pick[:len(s.pick)-1]
 		s.used[a]--
-		if pair >= 0 {
-			s.picks[pair]--
-		}
+		s.picks[p] = 0
 	}
 	s.enumerateSubsets(f, i+1, gain)
 }

@@ -87,33 +87,47 @@ func revert(possess []tokenset.Set, undo []bit) {
 }
 
 // frame holds one search depth's candidate steps back to back in one
-// arena, as [lo, hi) spans, the order SolveEOCD tries them in, and the
-// undo log of the step being tried. A node refills its depth's frame
-// instead of allocating; the schedule on the search path aliases the
-// arenas until it is cloned out.
+// arena, as [lo, hi) spans in the order they were enumerated, SolveEOCD's
+// copy of those spans in the size order it tries them in, and the undo
+// log of the step being tried. A node refills its depth's frame instead of
+// allocating; the schedule on the search path aliases the arenas until it
+// is cloned out.
 type frame struct {
 	//ocd:scratch
-	arena []core.Move
-	spans []span
-	keys  []uint64
-	undo  []bit
+	arena  []core.Move
+	spans  []span
+	sorted []span
+	counts []int
+	undo   []bit
 }
 
 // span is one candidate step, arena[lo:hi]. SolveEOCD also records its
 // gain: how many missing wanted (vertex, token) pairs the step delivers.
 type span struct{ lo, hi, gain int }
 
-// sortBySize fills f.keys with one size<<32|index key per span, largest
-// size first. slices.SortFunc comparing sizes alone runs the same pdqsort,
-// making the same comparisons, as sort.Sort over the spans or sort.Slice
-// over materialized subsets, so equal-size spans come out in the order the
-// allocate-per-node search gave them.
+// sortBySize fills f.sorted with f.spans, largest size first and equal
+// sizes in enumeration order: a stable counting sort on size, which is at
+// most the node's candidate count.
 func (f *frame) sortBySize() {
-	f.keys = f.keys[:0]
-	for i, sp := range f.spans {
-		f.keys = append(f.keys, uint64(sp.hi-sp.lo)<<32|uint64(i))
+	f.counts = f.counts[:0]
+	for _, sp := range f.spans {
+		size := sp.hi - sp.lo
+		for len(f.counts) <= size {
+			f.counts = append(f.counts, 0)
+		}
+		f.counts[size]++
 	}
-	slices.SortFunc(f.keys, func(a, b uint64) int { return int(b>>32) - int(a>>32) })
+	// counts[size] becomes the position of the first span of that size.
+	at := 0
+	for size := len(f.counts) - 1; size >= 0; size-- {
+		at, f.counts[size] = at+f.counts[size], at
+	}
+	f.sorted = slices.Grow(f.sorted[:0], len(f.spans))[:len(f.spans)]
+	for _, sp := range f.spans {
+		size := sp.hi - sp.lo
+		f.sorted[f.counts[size]] = sp
+		f.counts[size]++
+	}
 }
 
 // frames holds one frame per depth, grown on first use.

@@ -10,7 +10,8 @@ import (
 // to agree with the reference search at horizons 0 (the Theorem 1
 // horizon), τ* and τ*+1 under node budgets 5, 20, 50 and the default: the
 // same error text or the same schedule move for move, and the same node
-// count.
+// count. Under the default budget it must also agree with the unpruned
+// oracle on the error class and the move count.
 func FuzzSolveEOCDMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2))
 	f.Add(int64(2), uint8(2), uint8(1))
@@ -30,6 +31,10 @@ func FuzzSolveEOCDMatchesReference(f *testing.F) {
 				sameOutcome(t, label, got, want, err, refErr)
 				if nodes != refNodes {
 					t.Fatalf("%s: %d nodes, reference %d", label, nodes, refNodes)
+				}
+				if budget == 0 {
+					oracle, oracleErr := oracleSolveEOCD(inst, h, opts)
+					sameValue(t, label, got, oracle, err, oracleErr)
 				}
 			}
 		}

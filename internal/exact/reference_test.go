@@ -1,17 +1,21 @@
 package exact
 
-// The searches below are the allocation-per-node implementation that the
-// in-place searches replaced, kept verbatim under renamed identifiers as
-// the reference for TestSearchesMatchReference: it pins every schedule,
-// including the move order within each step, every EOCD solve's node
-// count, and the node-visit order (through ErrBudget at small budgets).
-// They share possessionHash, relevanceSets, memoKey and errOptimal with
+// The searches below are allocation-per-node references for the in-place
+// searches, checked by TestSearchesMatchReference: they pin every
+// schedule, including the move order within each step, every EOCD
+// solve's node count, and the node-visit order (through ErrBudget at
+// small budgets). The FOCD search is the implementation the in-place one
+// replaced, kept verbatim under renamed identifiers; the EOCD search
+// states SolveEOCD's candidate rules from their definitions (see its
+// section), and oracle_test.go keeps the unpruned search it replaced as a
+// value oracle. They share possessionHash, memoKey and errOptimal with
 // the package.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -195,6 +199,14 @@ func refCombinations(items []int, k int) [][]int {
 
 // ----------------------------------------------------------------------
 // EOCD: minimum bandwidth.
+//
+// The reference tries, at every node, the capacity-respecting subsets of
+// the useful moves that can still reach a wanter in time, leaving out
+// those that deliver a (vertex, token) pair twice, largest first with
+// ties in enumeration order. It states each rule from the definitions:
+// distances come from the all-pairs table, the horizon test is made on
+// the steps the schedule has left after the move, and the delivered
+// pairs of a subset are kept in a map.
 
 func refSolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
 	sched, _, err := refSolveEOCDNodes(inst, horizon, opts)
@@ -217,7 +229,7 @@ func refSolveEOCDNodes(inst *core.Instance, horizon int, opts Options) (*core.Sc
 		budget:   opts.nodes(),
 		best:     nil,
 		memo:     make(map[memoKey]int),
-		relSink:  relevanceSets(inst),
+		hops:     inst.G.AllPairs(),
 		globalLB: core.BandwidthLowerBound(inst, nil),
 	}
 	start := inst.InitialPossession()
@@ -244,9 +256,9 @@ type refEOCDSearch struct {
 	// memo maps (possession, stepsLeft) → best cost-so-far seen; states
 	// revisited with equal or higher cost are pruned.
 	memo map[memoKey]int
-	// relSink[t] is the set of vertices from which some wanter of t is
-	// reachable: moves delivering t elsewhere can never help.
-	relSink []tokenset.Set
+	// hops[u][v] is the hop distance from u to v, −1 when v is
+	// unreachable.
+	hops [][]int
 	// globalLB is the §5.1 bandwidth lower bound from the initial
 	// possession — a certificate of optimality for any incumbent that
 	// reaches it.
@@ -281,15 +293,12 @@ func (s *refEOCDSearch) dfs(possess []tokenset.Set, left, cost int) error {
 	}
 	s.memo[key] = cost
 
-	moves := s.usefulMoves(possess)
+	moves := s.usefulMoves(possess, left)
 	if len(moves) == 0 {
 		return nil
 	}
-	// Enumerate subsets of candidate moves respecting arc capacities,
-	// largest subsets first so a good incumbent is found early. Empty
-	// subsets are excluded: an idle step is never cheaper than skipping it.
 	subsets := refCapacitySubsets(s.inst, moves)
-	sort.Slice(subsets, func(i, j int) bool { return len(subsets[i]) > len(subsets[j]) })
+	sort.SliceStable(subsets, func(i, j int) bool { return len(subsets[i]) > len(subsets[j]) })
 	for _, st := range subsets {
 		next := refApplyStep(possess, st)
 		s.cur.Append(st)
@@ -302,14 +311,15 @@ func (s *refEOCDSearch) dfs(possess []tokenset.Set, left, cost int) error {
 	return nil
 }
 
-// usefulMoves lists moves (u,v,t) where u has t, v lacks it, and v can
-// still forward t toward (or is itself) a wanter.
-func (s *refEOCDSearch) usefulMoves(possess []tokenset.Set) []core.Move {
+// usefulMoves lists the moves (u,v,t) of the current step, left steps
+// before the horizon, where u has t, v lacks it, and some vertex wanting
+// t can be reached from v in the left−1 steps after this one.
+func (s *refEOCDSearch) usefulMoves(possess []tokenset.Set, left int) []core.Move {
 	var out []core.Move
 	for _, a := range s.inst.G.Arcs() {
 		useful := possess[a.From].Difference(possess[a.To])
 		useful.ForEach(func(t int) bool {
-			if s.relSink[t].Has(a.To) {
+			if s.reachesWanter(a.To, t, left-1) {
 				out = append(out, core.Move{From: a.From, To: a.To, Token: t})
 			}
 			return true
@@ -318,11 +328,24 @@ func (s *refEOCDSearch) usefulMoves(possess []tokenset.Set) []core.Move {
 	return out
 }
 
-// refCapacitySubsets enumerates every non-empty subset of moves that respects
-// per-arc capacities.
+// reachesWanter reports whether some vertex that wants t is at most
+// steps hops from v.
+func (s *refEOCDSearch) reachesWanter(v, t, steps int) bool {
+	for w, d := range s.hops[v] {
+		if d >= 0 && d <= steps && s.inst.Want[w].Has(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// refCapacitySubsets enumerates every non-empty subset of moves that
+// respects per-arc capacities and delivers each (vertex, token) pair at
+// most once.
 func refCapacitySubsets(inst *core.Instance, moves []core.Move) []core.Step {
 	var out []core.Step
 	used := make(map[[2]int]int)
+	delivered := make(map[[2]int]bool)
 	cur := make(core.Step, 0, len(moves))
 	var rec func(i int)
 	rec = func(i int) {
@@ -333,12 +356,14 @@ func refCapacitySubsets(inst *core.Instance, moves []core.Move) []core.Step {
 			return
 		}
 		mv := moves[i]
-		key := [2]int{mv.From, mv.To}
-		if used[key] < inst.G.Cap(mv.From, mv.To) {
+		key, pair := [2]int{mv.From, mv.To}, [2]int{mv.To, mv.Token}
+		if used[key] < inst.G.Cap(mv.From, mv.To) && !delivered[pair] {
 			used[key]++
+			delivered[pair] = true
 			cur = append(cur, mv)
 			rec(i + 1)
 			cur = cur[:len(cur)-1]
+			delivered[pair] = false
 			used[key]--
 		}
 		rec(i + 1)
@@ -401,21 +426,28 @@ func sameOutcome(t *testing.T, label string, got, want *core.Schedule, gotErr, w
 	}
 }
 
+// TestSearchesMatchReference pins both in-place searches against their
+// references, schedule for schedule and (for EOCD) node count for node
+// count, and checks every EOCD optimum against the unpruned oracle: the
+// same error class and, on success, the same move count. On the n5m3
+// mix, whose horizons run from τ* to τ*+2, the pruned search must also
+// expand fewer nodes in total than the oracle.
 func TestSearchesMatchReference(t *testing.T) {
 	type horizonCase struct {
 		label   string
 		inst    *core.Instance
 		horizon func(tau int) int // EOCD horizon from the FOCD optimum
+		mix     bool              // part of the n5m3 node total
 	}
 	var cases []horizonCase
 	for i, inst := range tinyInstances(1, 400, 5, 3) {
-		for _, plus := range []int{0, 1} {
+		for _, plus := range []int{0, 1, 2} {
 			cases = append(cases, horizonCase{fmt.Sprintf("n5m3/%d@tau*+%d", i, plus), inst,
-				func(tau int) int { return tau + plus }})
+				func(tau int) int { return tau + plus }, true})
 		}
 	}
 	for i, inst := range tinyInstances(2, 100, 4, 2) {
-		cases = append(cases, horizonCase{fmt.Sprintf("n4m2/%d@0", i), inst, func(int) int { return 0 }})
+		cases = append(cases, horizonCase{fmt.Sprintf("n4m2/%d@0", i), inst, func(int) int { return 0 }, false})
 	}
 	fixtures := map[string]*core.Instance{
 		"figure1":   workload.Figure1(),
@@ -427,11 +459,11 @@ func TestSearchesMatchReference(t *testing.T) {
 	}
 	for _, name := range []string{"figure1", "line5x1c1", "line3x3c1", "line2x6c2", "line3x2c2", "line4x1c1"} {
 		for _, h := range []func(int) int{func(int) int { return 0 }, func(tau int) int { return tau }, func(tau int) int { return tau - 1 }} {
-			cases = append(cases, horizonCase{name, fixtures[name], h})
+			cases = append(cases, horizonCase{name, fixtures[name], h, false})
 		}
 	}
 
-	eocdSchedules := 0
+	eocdSchedules, mixNodes, mixOracleNodes := 0, 0, 0
 	for _, c := range cases {
 		fast, err := SolveFOCD(c.inst, Options{})
 		refFast, refErr := refSolveFOCD(c.inst, Options{})
@@ -447,6 +479,12 @@ func TestSearchesMatchReference(t *testing.T) {
 		if nodes != refNodes {
 			t.Fatalf("%s: %d nodes, reference %d", label, nodes, refNodes)
 		}
+		oracle, oracleNodes, oracleErr := oracleSolveEOCDNodes(c.inst, h, Options{})
+		sameValue(t, label, cheap, oracle, err, oracleErr)
+		if c.mix {
+			mixNodes += nodes
+			mixOracleNodes += oracleNodes
+		}
 		if err == nil {
 			eocdSchedules++
 		}
@@ -454,7 +492,10 @@ func TestSearchesMatchReference(t *testing.T) {
 	if eocdSchedules < 500 {
 		t.Errorf("only %d EOCD schedules compared; the instance mix has drifted", eocdSchedules)
 	}
-	t.Logf("%d cases, %d EOCD schedules matched", len(cases), eocdSchedules)
+	if mixNodes >= mixOracleNodes {
+		t.Errorf("n5m3 mix: SolveEOCD expanded %d nodes, the unpruned oracle %d", mixNodes, mixOracleNodes)
+	}
+	t.Logf("%d cases, %d EOCD schedules matched; n5m3 mix %d nodes, oracle %d", len(cases), eocdSchedules, mixNodes, mixOracleNodes)
 }
 
 // TestBudgetErrorsMatchReference pins the node-visit order: under a
@@ -489,20 +530,10 @@ func TestBudgetErrorsMatchReference(t *testing.T) {
 	t.Logf("%d ErrBudget outcomes matched", budgetHits)
 }
 
-// bySize orders spans largest first through sort.Interface: the order
-// sortBySize must reproduce, ties included.
-type bySize []span
-
-func (b bySize) Len() int           { return len(b) }
-func (b bySize) Less(i, j int) bool { return b[i].hi-b[i].lo > b[j].hi-b[j].lo }
-func (b bySize) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
-
-// TestSizeOrderMatchesSortSort pins the equal-size tie order that
-// sortBySize relies on: slices.SortFunc over packed keys must permute
-// random span sequences exactly as sort.Sort over the spans does. Both
-// are the standard library's pdqsort; if a toolchain release makes them
-// diverge, this test names the cause before any schedule diff does.
-func TestSizeOrderMatchesSortSort(t *testing.T) {
+// TestSizeOrderMatchesSortStableFunc pins the order sortBySize tries a
+// node's children in: largest first, equal sizes in enumeration order,
+// which is slices.SortStableFunc's order by size.
+func TestSizeOrderMatchesSortStableFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var f frame
 	for trial := 0; trial < 5000; trial++ {
@@ -511,15 +542,18 @@ func TestSizeOrderMatchesSortSort(t *testing.T) {
 		lo := 0
 		for i := 0; i < n; i++ {
 			hi := lo + 1 + rng.Intn(maxSize)
-			f.spans = append(f.spans, span{lo: lo, hi: hi})
+			f.spans = append(f.spans, span{lo: lo, hi: hi, gain: i})
 			lo = hi
 		}
-		want := append(bySize(nil), f.spans...)
-		sort.Sort(want)
+		want := slices.Clone(f.spans)
+		slices.SortStableFunc(want, func(a, b span) int { return (b.hi - b.lo) - (a.hi - a.lo) })
 		f.sortBySize()
-		for i, k := range f.keys {
-			if got := f.spans[uint32(k)]; got != want[i] {
-				t.Fatalf("trial %d (%d spans, sizes 1–%d): position %d holds span %v, sort.Sort put %v there",
+		if len(f.sorted) != len(want) {
+			t.Fatalf("trial %d: %d sorted spans, want %d", trial, len(f.sorted), len(want))
+		}
+		for i, got := range f.sorted {
+			if got != want[i] {
+				t.Fatalf("trial %d (%d spans, sizes 1–%d): position %d holds span %v, SortStableFunc put %v there",
 					trial, n, maxSize, i, got, want[i])
 			}
 		}

@@ -158,3 +158,18 @@ func TestILPvsBnBAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestILPvsBnBReachesN7 requires both exact solvers to certify, and agree
+// on, every one of the first 40 seeded n=7 instances within their default
+// node budgets: the reach of the differential cross-check.
+func TestILPvsBnBReachesN7(t *testing.T) {
+	tab := mustRun(t, "ilp-vs-bnb", map[string]string{"instances": "40", "n": "7", "seed": "1"})
+	if len(tab.Rows) != 40 {
+		t.Fatalf("%d rows, want 40", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if row[len(row)-1] != "true" {
+			t.Errorf("solver disagreement: %v", row)
+		}
+	}
+}

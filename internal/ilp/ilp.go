@@ -290,22 +290,18 @@ func (p *Program) liveCount(col []int32, a, i int) int {
 // no path exists.
 func distances(inst *core.Instance) (dh, dw [][]int) {
 	n, m := inst.N(), inst.NumTokens
-	dh, dw = make([][]int, m), make([][]int, m)
-	holders, wanters := make([]int, 0, n), make([]int, 0, n)
+	dh = make([][]int, m)
+	holders := make([]int, 0, n)
 	for t := 0; t < m; t++ {
-		holders, wanters = holders[:0], wanters[:0]
+		holders = holders[:0]
 		for v := 0; v < n; v++ {
 			if inst.Have[v].Has(t) {
 				holders = append(holders, v)
 			}
-			if inst.Want[v].Has(t) {
-				wanters = append(wanters, v)
-			}
 		}
 		dh[t] = inst.G.MultiSourceBFSFrom(holders)
-		dw[t] = inst.G.MultiSourceBFSTo(wanters)
 	}
-	return dh, dw
+	return dh, inst.WanterDistances()
 }
 
 // NumVariables returns the number of 0/1 variables in the program.

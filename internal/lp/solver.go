@@ -35,6 +35,8 @@ type Solver struct {
 	rowOf []int // column → row, or -1 when nonbasic
 	//ocd:scratch
 	atUp []bool // nonbasic column rests at its upper bound
+	//ocd:scratch
+	nz []int // the pivot row's nonzero columns, refilled by each pivot
 
 	// dualDeficient marks columns with negative cost and no finite upper
 	// bound: no nonbasic status makes them dual feasible, so a fresh
@@ -89,6 +91,7 @@ func NewSolver(p *Problem) (*Solver, error) {
 		basis: make([]int, m),
 		rowOf: make([]int, n+m),
 		atUp:  make([]bool, n+m),
+		nz:    make([]int, 0, n+m),
 		rows:  make([][]float64, m),
 	}
 	copy(s.c, p.C)
@@ -223,29 +226,39 @@ func (s *Solver) recomputeCost() {
 // coefficient columns and the cost row but not the value column (the
 // callers maintain values explicitly, which keeps the two concerns from
 // contaminating each other numerically).
+//
+// The update of a row at column q subtracts a multiple of the pivot row's
+// entry there, so it changes nothing where that entry is zero. The pivot
+// gathers the pivot row's nonzero columns once into s.nz and updates each
+// other row and the cost row only there; on 3,000 random n=5 §3.4
+// programs a pivot row averages 44 nonzeros among 195 columns.
 func (s *Solver) structuralPivot(r, enter int) {
 	row := s.rows[r]
 	pv := row[enter]
-	for q := 0; q < s.ncols; q++ {
-		row[q] /= pv
+	s.nz = s.nz[:0]
+	for q, v := range row[:s.ncols] {
+		if v != 0 {
+			row[q] = v / pv
+			s.nz = append(s.nz, q)
+		}
 	}
 	row[enter] = 1
 	for i := 0; i < s.m; i++ {
 		if i == r {
 			continue
 		}
-		f := s.rows[i][enter]
+		ri := s.rows[i]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		ri := s.rows[i]
-		for q := 0; q < s.ncols; q++ {
+		for _, q := range s.nz {
 			ri[q] -= f * row[q]
 		}
 		ri[enter] = 0
 	}
 	if f := s.cost[enter]; f != 0 {
-		for q := 0; q < s.ncols; q++ {
+		for _, q := range s.nz {
 			s.cost[q] -= f * row[q]
 		}
 		s.cost[enter] = 0
