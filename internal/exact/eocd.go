@@ -3,6 +3,7 @@ package exact
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
@@ -59,6 +60,7 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 		memo:     make(map[memoKey]int),
 		toWanter: inst.WanterDistances(),
 		globalLB: core.BandwidthLowerBound(inst, nil),
+		bestLen:  noIncumbent,
 		possess:  inst.InitialPossession(),
 		arcs:     arcs,
 		frames:   getFrames(),
@@ -75,11 +77,15 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 	if err := s.dfs(horizon, 0, s.globalLB); err != nil && !errors.Is(err, errOptimal) {
 		return nil, err
 	}
-	if s.best == nil {
+	if s.bestLen == noIncumbent {
 		return nil, fmt.Errorf("%w within %d steps", ErrUnsatisfiable, horizon)
 	}
-	return s.best, nil
+	return s.incumbent(), nil
 }
+
+// noIncumbent is bestLen before the search finds a schedule: no cost
+// reaches it, so every cut test passes while there is none.
+const noIncumbent = math.MaxInt
 
 type memoKey struct {
 	hash uint64
@@ -87,12 +93,17 @@ type memoKey struct {
 }
 
 type eocdSearch struct {
-	inst    *core.Instance
-	budget  int
-	nodes   int
-	cur     core.Schedule // the path to the current node; steps alias the frames
-	best    *core.Schedule
-	bestLen int
+	inst   *core.Instance
+	budget int
+	nodes  int
+	cur    core.Schedule // the path to the current node; steps alias the frames
+	// bestMoves and bestEnds hold the incumbent, overwritten at each
+	// improvement: its moves in schedule order, and where in bestMoves
+	// each of its steps ends. bestLen is its cost, noIncumbent until
+	// there is one.
+	bestMoves []core.Move
+	bestEnds  []int
+	bestLen   int
 	// memo maps (possession, stepsLeft) → best cost-so-far seen; states
 	// revisited with equal or higher cost are pruned.
 	memo map[memoKey]int
@@ -169,7 +180,7 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 		}
 		s.lastStep[1]++
 		// The parent's cut test left cost+lb < bestLen.
-		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
+		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is copied out
 		s.cur.Append(f.arena[:lb:lb])
 		err := s.improve(cost + lb)
 		s.cur.Steps = s.cur.Steps[:len(s.cur.Steps)-1]
@@ -183,7 +194,7 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 	for _, sp := range f.sorted {
 		size, done := sp.hi-sp.lo, sp.gain == lb
 		if done {
-			if s.best != nil && cost+size >= s.bestLen {
+			if cost+size >= s.bestLen {
 				continue
 			}
 		} else {
@@ -191,12 +202,12 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 			if s.nodes > s.budget {
 				return ErrBudget
 			}
-			if s.best != nil && cost+size+lb-sp.gain >= s.bestLen {
+			if cost+size+lb-sp.gain >= s.bestLen {
 				continue
 			}
 		}
 		st := f.arena[sp.lo:sp.hi:sp.hi]
-		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is cloned
+		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is copied out
 		s.cur.Append(st)
 		var err error
 		if done {
@@ -214,15 +225,31 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 	return nil
 }
 
-// improve makes s.cur, a complete schedule of cost moves, the incumbent.
-// It returns errOptimal once the incumbent meets the global lower bound.
+// improve makes s.cur, a complete schedule of cost moves, the incumbent,
+// copying it over the previous one. It returns errOptimal once the
+// incumbent meets the global lower bound.
 func (s *eocdSearch) improve(cost int) error {
-	s.best = s.cur.Clone()
+	s.bestMoves, s.bestEnds = s.bestMoves[:0], s.bestEnds[:0]
+	for _, st := range s.cur.Steps {
+		s.bestMoves = append(s.bestMoves, st...)
+		s.bestEnds = append(s.bestEnds, len(s.bestMoves))
+	}
 	s.bestLen = cost
 	if cost <= s.globalLB {
 		return errOptimal
 	}
 	return nil
+}
+
+// incumbent returns a schedule of its own holding the incumbent.
+func (s *eocdSearch) incumbent() *core.Schedule {
+	sched := &core.Schedule{Steps: make([]core.Step, len(s.bestEnds))}
+	lo := 0
+	for i, hi := range s.bestEnds {
+		sched.Steps[i] = append(core.Step(nil), s.bestMoves[lo:hi]...)
+		lo = hi
+	}
+	return sched
 }
 
 // usefulMoves lists in s.moves the candidate moves of a node with left

@@ -134,11 +134,11 @@ func (f *frame) sortBySize() {
 type frames []*frame
 
 // framePool recycles frames across solves, as internal/lp recycles its
-// tableau: a solve takes one frames value, grows each depth's arena to
+// workspace: a solve takes one frames value, grows each depth's arena to
 // what its nodes need, and puts it back when it returns, so the next
 // solve refills arenas that are already large enough. A solve owns its
 // frames until it returns, and every schedule it returns or keeps as an
-// incumbent is cloned out of them.
+// incumbent is copied out of them.
 var framePool sync.Pool
 
 // getFrames takes a frames value from the pool, or makes an empty one.

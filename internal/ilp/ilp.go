@@ -138,7 +138,8 @@ func (p *Program) unslot(s int32) (a, t, i int) {
 //
 // The rows drop what the bounds already say: a step-1 possession row is
 // x ≤ 1 (a live step-1 variable's tail holds t), and a capacity row with
-// no more live variables than the arc's capacity cannot bind.
+// no more live variables than the arc's capacity cannot bind. Each row
+// keeps only its nonzero coefficients, the sparse form lp.Problem takes.
 func Build(inst *core.Instance, tau int) (*Program, error) {
 	if err := inst.Check(); err != nil {
 		return nil, err
@@ -178,29 +179,40 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 		}
 	}
 
-	// Row count, so that every row is carved from one backing array.
-	rows := 0
+	// Row and nonzero counts, so that the rows' column indices and values
+	// are each carved from one backing array of exactly that size.
+	rows, nnz := 0, 0
 	for _, s := range p.slots {
-		if int(s)%(tau+1) > 0 { // step ≥ 2: a possession row
+		if a, t, i := p.unslot(s); i > 1 { // step ≥ 2: a possession row
 			rows++
+			nnz++
+			p.supporters(col, a, t, i, func(int32) { nnz++ })
 		}
 	}
 	for a := 0; a < na; a++ {
 		for i := 1; i <= tau; i++ {
-			if p.liveCount(col, a, i) > p.arcs[a].Cap {
+			if live := p.liveCount(col, a, i); live > p.arcs[a].Cap {
 				rows++
+				nnz += live
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		rows += inst.Want[v].Count()
+		for t := 0; t < m; t++ {
+			if inst.Want[v].Has(t) {
+				rows++
+				if col[p.slot(na+v, t, tau+1)] >= 0 {
+					nnz++
+				}
+			}
+		}
 	}
 
 	nv := len(p.slots)
 	prob := &lp.Problem{
 		C:  make([]float64, nv),
 		Up: make([]float64, nv),
-		A:  make([][]float64, 0, rows),
+		A:  make([]lp.Row, 0, rows),
 		B:  make([]float64, 0, rows),
 	}
 	for j, s := range p.slots {
@@ -209,37 +221,28 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 		}
 		prob.Up[j] = 1 // binary relaxation: x ∈ [0, 1] as implicit bounds
 	}
-	backing := make([]float64, rows*nv)
-	addRow := func(rhs float64) []float64 {
-		r := len(prob.A)
-		row := backing[r*nv : (r+1)*nv : (r+1)*nv]
-		prob.A = append(prob.A, row)
+	cols, vals := make([]int, 0, nnz), make([]float64, 0, nnz)
+	lo := 0
+	// endRow makes the entries added since the last row a row of its own.
+	endRow := func(rhs float64) {
+		hi := len(cols)
+		prob.A = append(prob.A, lp.Row{Cols: cols[lo:hi:hi], Vals: vals[lo:hi:hi]})
 		prob.B = append(prob.B, rhs)
-		return row
+		lo = hi
 	}
 
 	// Possession rows: x^i_{(u,v),t} − Σ_{w:(w,u)∈E'} x^{i−1}_{(w,u),t} ≤ 0
-	// for i ≥ 2, over the live supporters only. Scanning the arc list for
-	// u's in-arcs costs less than the dense row it fills.
+	// for i ≥ 2, over the live supporters only.
 	for j, s := range p.slots {
 		a, t, i := p.unslot(s)
 		if i == 1 {
 			continue
 		}
-		u := a - na
-		if a < na {
-			u = p.arcs[a].From
-		}
-		row := addRow(0)
-		row[j] = 1
-		for k, b := range p.arcs {
-			if c := col[p.slot(k, t, i-1)]; b.To == u && c >= 0 {
-				row[c] = -1
-			}
-		}
-		if c := col[p.slot(na+u, t, i-1)]; c >= 0 {
-			row[c] = -1
-		}
+		cols, vals = append(cols, j), append(vals, 1)
+		p.supporters(col, a, t, i, func(c int32) {
+			cols, vals = append(cols, int(c)), append(vals, -1)
+		})
+		endRow(0)
 	}
 
 	// Capacity rows: real arcs only, where the live variables can exceed c.
@@ -248,12 +251,13 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 			if p.liveCount(col, a, i) <= p.arcs[a].Cap {
 				continue
 			}
-			row := addRow(float64(p.arcs[a].Cap))
 			for t := 0; t < m; t++ {
 				if c := col[p.slot(a, t, i)]; c >= 0 {
-					row[c] = 1
+					cols = append(cols, int(c))
+					vals = append(vals, 1)
 				}
 			}
+			endRow(float64(p.arcs[a].Cap))
 		}
 	}
 
@@ -263,15 +267,35 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 			if !inst.Want[v].Has(t) {
 				continue
 			}
-			row := addRow(-1)
 			if c := col[p.slot(na+v, t, tau+1)]; c >= 0 {
-				row[c] = -1
+				cols = append(cols, int(c))
+				vals = append(vals, -1)
 			}
+			endRow(-1)
 		}
 	}
 
 	p.prob = prob
 	return p, nil
+}
+
+// supporters calls f with each column that feeds the possession row of
+// x^i on arc position a for token t: the live x^{i−1}_{(w,u),t} of the
+// arc's tail u, its in-arcs in arc order and then its self-arc.
+func (p *Program) supporters(col []int32, a, t, i int, f func(c int32)) {
+	na := len(p.arcs)
+	u := a - na
+	if a < na {
+		u = p.arcs[a].From
+	}
+	for k, b := range p.arcs {
+		if c := col[p.slot(k, t, i-1)]; b.To == u && c >= 0 {
+			f(c)
+		}
+	}
+	if c := col[p.slot(na+u, t, i-1)]; c >= 0 {
+		f(c)
+	}
 }
 
 // liveCount counts the live variables of real arc a at step i.
@@ -310,6 +334,11 @@ func (p *Program) NumVariables() int { return len(p.slots) }
 // NumConstraints returns the number of inequality rows. The x ≤ 1 bounds
 // are implicit in the simplex and add no rows.
 func (p *Program) NumConstraints() int { return len(p.prob.A) }
+
+// Relaxation returns the program's LP relaxation, the problem SolveStats
+// hands the simplex: sparse rows, unit costs on real arcs and [0, 1]
+// bounds. It is the program's own, not a copy; callers must not modify it.
+func (p *Program) Relaxation() *lp.Problem { return p.prob }
 
 // Solve runs branch-and-bound on the LP relaxation and returns a schedule
 // of length ≤ τ with the minimum number of moves, along with that optimum.

@@ -4,7 +4,8 @@ package ilp
 // program, kept verbatim under renamed identifiers as the reference for
 // TestPresolveMatchesReference and FuzzPresolve: the presolved program
 // must have the same root LP status and value, the same integer optimum
-// (or the same infeasibility) and no more variables.
+// (or the same infeasibility) and no more variables. It still fills each
+// row densely; addRow keeps the row's nonzeros, the form lp.Problem takes.
 
 import (
 	"errors"
@@ -87,7 +88,14 @@ func refBuild(inst *core.Instance, tau int) (*refProgram, error) {
 	}
 
 	addRow := func(row []float64, rhs float64) {
-		prob.A = append(prob.A, row)
+		var sparse lp.Row
+		for j, v := range row {
+			if v != 0 {
+				sparse.Cols = append(sparse.Cols, j)
+				sparse.Vals = append(sparse.Vals, v)
+			}
+		}
+		prob.A = append(prob.A, sparse)
 		prob.B = append(prob.B, rhs)
 	}
 

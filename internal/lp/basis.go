@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Basis is an immutable snapshot of a Solver's basis: which column is
@@ -38,47 +39,60 @@ func (s *Solver) Restore(bs Basis) error {
 		return fmt.Errorf("%w: basis for %d rows/%d cols restored into %d/%d",
 			ErrDimensions, len(bs.cols), len(bs.atUp), s.m, s.ncols)
 	}
-	target := make([]bool, s.ncols)
-	for _, c := range bs.cols {
+	target := s.mark
+	for k, c := range bs.cols {
 		if c < 0 || c >= s.ncols || target[c] {
+			for _, c := range bs.cols[:k] {
+				target[c] = false
+			}
 			return fmt.Errorf("%w: basis names column %d twice or out of range", ErrSingular, c)
 		}
 		target[c] = true
 	}
+	// The k rows whose basic column the target drops and the k target
+	// columns not yet basic, both ascending: the only places a pivot can
+	// go.
+	leaving, entering := s.leaving[:0], s.entering[:0]
+	for i, c := range s.basis {
+		if !target[c] {
+			leaving = append(leaving, i)
+		}
+	}
+	for j, want := range target {
+		if want && s.rowOf[j] < 0 {
+			entering = append(entering, j)
+		}
+	}
+	for _, c := range bs.cols {
+		target[c] = false
+	}
 
 	// Pivot target columns in one at a time, each time kicking out a
 	// current basic column the target does not want. Choosing the largest
-	// available pivot element keeps the elimination stable.
-	for {
-		bestR, bestJ := -1, -1
+	// available pivot element keeps the elimination stable; scanning the
+	// lists row-major keeps the first of equal elements, as a scan of
+	// the whole tableau would.
+	for len(leaving) > 0 {
+		bestL, bestE := -1, -1
 		bestA := 1e-7
-		for i := 0; i < s.m; i++ {
-			if target[s.basis[i]] {
-				continue
-			}
+		for l, i := range leaving {
 			row := s.rows[i]
-			for j := 0; j < s.ncols; j++ {
-				if !target[j] || s.rowOf[j] >= 0 {
-					continue
-				}
+			for e, j := range entering {
 				if a := math.Abs(row[j]); a > bestA {
-					bestR, bestJ, bestA = i, j, a
+					bestL, bestE, bestA = l, e, a
 				}
 			}
 		}
-		if bestR == -1 {
-			for i := 0; i < s.m; i++ {
-				if !target[s.basis[i]] {
-					return ErrSingular
-				}
-			}
-			break
+		if bestL == -1 {
+			return ErrSingular
 		}
-		old := s.basis[bestR]
-		s.structuralPivot(bestR, bestJ)
-		s.rowOf[old] = -1
-		s.basis[bestR] = bestJ
-		s.rowOf[bestJ] = bestR
+		r, enter := leaving[bestL], entering[bestE]
+		s.structuralPivot(r, enter, false, 0)
+		s.rowOf[s.basis[r]] = -1
+		s.basis[r] = enter
+		s.rowOf[enter] = r
+		leaving = slices.Delete(leaving, bestL, bestL+1)
+		entering = slices.Delete(entering, bestE, bestE+1)
 	}
 
 	for j := 0; j < s.ncols; j++ {

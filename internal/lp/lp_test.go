@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestSolveSimpleMin(t *testing.T) {
 	// on x+y=4 with obj −4.
 	sol := solveOK(t, &Problem{
 		C: []float64{-1, -1},
-		A: [][]float64{{1, 0}, {0, 1}, {1, 1}},
+		A: rowsOf([][]float64{{1, 0}, {0, 1}, {1, 1}}),
 		B: []float64{2, 3, 4},
 	})
 	if sol.Status != Optimal {
@@ -39,7 +40,7 @@ func TestSolveWithNegativeRHS(t *testing.T) {
 	// min x  s.t. x ≥ 3 (written −x ≤ −3) → x = 3. Exercises phase one.
 	sol := solveOK(t, &Problem{
 		C: []float64{1},
-		A: [][]float64{{-1}},
+		A: rowsOf([][]float64{{-1}}),
 		B: []float64{-3},
 	})
 	if sol.Status != Optimal {
@@ -54,7 +55,7 @@ func TestSolveInfeasible(t *testing.T) {
 	// x ≤ 1 and x ≥ 2.
 	sol := solveOK(t, &Problem{
 		C: []float64{1},
-		A: [][]float64{{1}, {-1}},
+		A: rowsOf([][]float64{{1}, {-1}}),
 		B: []float64{1, -2},
 	})
 	if sol.Status != Infeasible {
@@ -66,7 +67,7 @@ func TestSolveUnbounded(t *testing.T) {
 	// min −x with only x ≥ 0: unbounded below.
 	sol := solveOK(t, &Problem{
 		C: []float64{-1},
-		A: [][]float64{{0}},
+		A: rowsOf([][]float64{{0}}),
 		B: []float64{1},
 	})
 	if sol.Status != Unbounded {
@@ -78,7 +79,7 @@ func TestSolveEqualityViaPair(t *testing.T) {
 	// x + y = 2 expressed as ≤ and ≥; min x → x=0, y=2.
 	sol := solveOK(t, &Problem{
 		C: []float64{1, 0},
-		A: [][]float64{{1, 1}, {-1, -1}, {0, 1}},
+		A: rowsOf([][]float64{{1, 1}, {-1, -1}, {0, 1}}),
 		B: []float64{2, -2, 5},
 	})
 	if sol.Status != Optimal {
@@ -93,7 +94,7 @@ func TestSolveDegenerate(t *testing.T) {
 	// Redundant constraints sharing a vertex; Bland's rule must terminate.
 	sol := solveOK(t, &Problem{
 		C: []float64{-1, -1},
-		A: [][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 1}},
+		A: rowsOf([][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 1}}),
 		B: []float64{1, 1, 1, 2, 2},
 	})
 	if sol.Status != Optimal || !approx(sol.Objective, -2) {
@@ -108,12 +109,12 @@ func TestSolveTransportation(t *testing.T) {
 	// x22=2 (2) total 8; or x11=2, x21=0, x12=1, x22=2 → 8. LP optimum 8.
 	sol := solveOK(t, &Problem{
 		C: []float64{1, 4, 2, 1},
-		A: [][]float64{
+		A: rowsOf([][]float64{
 			{1, 1, 0, 0},   // supplier 1 cap
 			{0, 0, 1, 1},   // supplier 2 cap
 			{-1, 0, -1, 0}, // consumer 1 demand ≥ 2
 			{0, -1, 0, -1}, // consumer 2 demand ≥ 3
-		},
+		}),
 		B: []float64{3, 2, -2, -3},
 	})
 	if sol.Status != Optimal {
@@ -124,12 +125,35 @@ func TestSolveTransportation(t *testing.T) {
 	}
 }
 
+// TestSolveDimensionErrors feeds NewSolver malformed problems: each must
+// fail with its error, never panic and never solve.
 func TestSolveDimensionErrors(t *testing.T) {
-	if _, err := Solve(&Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {
-		t.Error("ragged row accepted")
-	}
-	if _, err := Solve(&Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{}}); err == nil {
-		t.Error("missing rhs accepted")
+	row := func(cols []int, vals ...float64) Row { return Row{Cols: cols, Vals: vals} }
+	for _, c := range []struct {
+		name string
+		p    Problem
+		want error
+	}{
+		{"missing rhs", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{}}, ErrDimensions},
+		{"short lower bounds", Problem{C: []float64{1, 1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{0}}, ErrDimensions},
+		{"long upper bounds", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Up: []float64{1, 1}}, ErrDimensions},
+		{"more columns than values", Problem{C: []float64{1, 1}, A: []Row{row([]int{0, 1}, 1)}, B: []float64{1}}, ErrDimensions},
+		{"more values than columns", Problem{C: []float64{1, 1}, A: []Row{row([]int{0}, 1, 2)}, B: []float64{1}}, ErrDimensions},
+		{"column past the last", Problem{C: []float64{1}, A: []Row{row([]int{1}, 2)}, B: []float64{1}}, ErrDimensions},
+		{"negative column", Problem{C: []float64{1}, A: []Row{row([]int{-1}, 2)}, B: []float64{1}}, ErrDimensions},
+		{"column twice", Problem{C: []float64{1, 1}, A: []Row{row([]int{1, 0, 1}, 1, 1, 1)}, B: []float64{1}}, ErrDimensions},
+		{"column twice, zero values", Problem{C: []float64{1}, A: []Row{row([]int{0, 0}, 0, 0)}, B: []float64{1}}, ErrDimensions},
+		{"NaN coefficient", Problem{C: []float64{1}, A: []Row{row([]int{0}, math.NaN())}, B: []float64{1}}, ErrNotFinite},
+		{"infinite coefficient", Problem{C: []float64{1}, A: []Row{row([]int{0}, math.Inf(-1))}, B: []float64{1}}, ErrNotFinite},
+		{"NaN rhs", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{math.NaN()}}, ErrNotFinite},
+		{"infinite rhs", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{math.Inf(1)}}, ErrNotFinite},
+		{"NaN cost", Problem{C: []float64{math.NaN()}, A: []Row{row([]int{0}, 1)}, B: []float64{1}}, ErrNotFinite},
+		{"infinite lower bound", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{math.Inf(-1)}}, ErrBounds},
+		{"crossed bounds", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{2}, Up: []float64{1}}, ErrBounds},
+	} {
+		if sol, err := Solve(&c.p); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %+v, %v; want %v", c.name, sol, err, c.want)
+		}
 	}
 }
 

@@ -18,9 +18,12 @@ func poolProblem(seed int64, m, n int) *Problem {
 		p.Up[j] = float64(1 + rng.Intn(3))
 	}
 	for i := 0; i < m; i++ {
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = float64(rng.Intn(4))
+		var row Row
+		for j := 0; j < n; j++ {
+			if v := float64(rng.Intn(4)); v != 0 {
+				row.Cols = append(row.Cols, j)
+				row.Vals = append(row.Vals, v)
+			}
 		}
 		p.A = append(p.A, row)
 		p.B[i] = float64(2 + rng.Intn(8))
@@ -28,11 +31,12 @@ func poolProblem(seed int64, m, n int) *Problem {
 	return p
 }
 
-// poolRun is what one solver produced: a cold solve, then a warm resolve
-// with the first variable fixed at zero.
+// poolRun is what one solver produced: a cold solve; a warm resolve
+// with the first variable fixed at zero; and, with that variable free
+// again, a resolve from the cold optimum's basis restored.
 type poolRun struct {
-	cold, warm *Solution
-	tableau    *[]float64
+	cold, warm, restored *Solution
+	ws                   *workspace
 }
 
 func solveAndRelease(p *Problem) (poolRun, error) {
@@ -41,16 +45,58 @@ func solveAndRelease(p *Problem) (poolRun, error) {
 		return poolRun{}, err
 	}
 	defer s.Release()
-	//ocd:scratchok the test keeps the backing to detect its reuse and to poison it once released
-	r := poolRun{tableau: s.tableau}
+	// The test keeps the workspace to detect its reuse and to poison it
+	// once released.
+	r := poolRun{ws: s.workspace}
 	if r.cold, err = s.Solve(); err != nil {
 		return r, err
 	}
+	snap := s.Snapshot()
 	if err := s.SetBounds(0, 0, 0); err != nil {
 		return r, err
 	}
-	r.warm, err = s.Resolve()
+	if r.warm, err = s.Resolve(); err != nil {
+		return r, err
+	}
+	if err := s.SetBounds(0, 0, p.Up[0]); err != nil {
+		return r, err
+	}
+	if err := s.Restore(snap); err != nil {
+		return r, err
+	}
+	r.restored, err = s.Resolve()
 	return r, err
+}
+
+// poison overwrites every array of a released workspace, to its full
+// capacity, with values no solver may start from: NaN, out-of-range
+// indices, true marks and nil rows. A NewSolver that read any of them
+// before writing it could not reproduce a fresh solver's results.
+func poison(ws *workspace) {
+	nan, bad := math.NaN(), math.MaxInt32
+	fill(ws.tableau, nan)
+	fill(ws.c, nan)
+	fill(ws.lo, nan)
+	fill(ws.up, nan)
+	fill(ws.b, nan)
+	fill(ws.cost, nan)
+	fill(ws.rhsRows, bad)
+	fill(ws.basis, bad)
+	fill(ws.rowOf, bad)
+	fill(ws.nz, bad)
+	fill(ws.leaving, bad)
+	fill(ws.entering, bad)
+	fill(ws.atUp, true)
+	fill(ws.mark, true)
+	fill(ws.rows, nil)
+}
+
+// fill sets every element of buf, up to its capacity, to v.
+func fill[T any](buf []T, v T) {
+	buf = buf[:cap(buf)]
+	for k := range buf {
+		buf[k] = v
+	}
 }
 
 // sameSolution reports how got differs from want, or "" if it does not:
@@ -69,21 +115,22 @@ func sameSolution(got, want *Solution) string {
 	return ""
 }
 
-func drainTableaus() {
-	for tableaus.Get() != nil {
+func drainWorkspaces() {
+	for workspaces.Get() != nil {
 	}
 }
 
 // TestPooledTableauSolvesLikeFresh solves a larger LP, a smaller one and
-// the larger one again, each on a tableau released by the solve before,
-// and checks every solve against a solver built on a fresh tableau. A
-// released tableau is poisoned with NaN, so a reuse that skipped clearing
-// it could not reproduce the fresh results.
+// the larger one again, each in a workspace released by the solve
+// before, and checks every solve, resolve and restore against a solver
+// built in a fresh workspace. Every array of a released workspace is
+// poisoned, so a reuse that read one before overwriting it could not
+// reproduce the fresh results.
 func TestPooledTableauSolvesLikeFresh(t *testing.T) {
 	large, small := poolProblem(1, 14, 20), poolProblem(2, 5, 7)
 	fresh := map[*Problem]poolRun{}
 	for _, p := range []*Problem{large, small} {
-		drainTableaus()
+		drainWorkspaces()
 		r, err := solveAndRelease(p)
 		if err != nil {
 			t.Fatal(err)
@@ -95,40 +142,46 @@ func TestPooledTableauSolvesLikeFresh(t *testing.T) {
 	}
 
 	reused := 0
-	var last *[]float64
+	var last *workspace
 	for round := 0; round < 10; round++ {
 		for i, p := range []*Problem{large, small, large} {
 			if last != nil {
-				for k := range *last {
-					(*last)[k] = math.NaN()
-				}
+				poison(last)
 			}
 			r, err := solveAndRelease(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.tableau == last {
+			if r.ws == last {
 				reused++
 			}
-			last = r.tableau
-			for _, c := range []struct {
-				name      string
-				got, want *Solution
-			}{{"cold", r.cold, fresh[p].cold}, {"warm", r.warm, fresh[p].warm}} {
-				if diff := sameSolution(c.got, c.want); diff != "" {
-					t.Fatalf("round %d solve %d %s: %s", round, i, c.name, diff)
-				}
+			last = r.ws
+			if diff := sameRun(r, fresh[p]); diff != "" {
+				t.Fatalf("round %d solve %d %s", round, i, diff)
 			}
 		}
 	}
 	if reused == 0 {
-		t.Error("no solver reused a released tableau")
+		t.Error("no solver reused a released workspace")
 	}
 }
 
+// sameRun reports how two runs' solutions differ, or "" if they do not.
+func sameRun(got, want poolRun) string {
+	for _, c := range []struct {
+		name      string
+		got, want *Solution
+	}{{"cold", got.cold, want.cold}, {"warm", got.warm, want.warm}, {"restored", got.restored, want.restored}} {
+		if diff := sameSolution(c.got, c.want); diff != "" {
+			return c.name + ": " + diff
+		}
+	}
+	return ""
+}
+
 // TestPooledTableauConcurrent runs the same sequence from several
-// goroutines sharing the pool; under -race it checks that a tableau is
-// never handed to a second solver while the first still uses it.
+// goroutines sharing the pool; under -race it checks that no array of a
+// workspace is handed to a second solver while the first still uses it.
 func TestPooledTableauConcurrent(t *testing.T) {
 	large, small := poolProblem(1, 14, 20), poolProblem(2, 5, 7)
 	want := map[*Problem]poolRun{}
@@ -152,11 +205,7 @@ func TestPooledTableauConcurrent(t *testing.T) {
 						errs <- err.Error()
 						return
 					}
-					if diff := sameSolution(r.cold, want[p].cold); diff != "" {
-						errs <- diff
-						return
-					}
-					if diff := sameSolution(r.warm, want[p].warm); diff != "" {
+					if diff := sameRun(r, want[p]); diff != "" {
 						errs <- diff
 						return
 					}
@@ -178,7 +227,7 @@ func TestReleaseTwiceIsNoop(t *testing.T) {
 	}
 	s.Release()
 	s.Release()
-	if s.rows != nil || s.tableau != nil {
-		t.Error("a released solver still holds its tableau")
+	if s.workspace != nil {
+		t.Error("a released solver still holds its workspace")
 	}
 }

@@ -142,7 +142,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		}
 
 		wantObj, wantFeasible := bruteForceLP(c, a, b, lo, up)
-		sol, err := Solve(&Problem{C: c, A: a, B: b, Lo: lo, Up: up})
+		sol, err := Solve(&Problem{C: c, A: rowsOf(a), B: b, Lo: lo, Up: up})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -194,10 +194,10 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 func TestBealeCyclingTerminates(t *testing.T) {
 	sol := solveOK(t, &Problem{
 		C: []float64{-0.75, 150, -0.02, 6},
-		A: [][]float64{
+		A: rowsOf([][]float64{
 			{0.25, -60, -0.04, 9},
 			{0.5, -90, -0.02, 3},
-		},
+		}),
 		B:  []float64{0, 0},
 		Up: []float64{math.Inf(1), math.Inf(1), 1, math.Inf(1)},
 	})
@@ -238,7 +238,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 			}
 			b[i] = float64(1 + rng.Intn(5))
 		}
-		p := &Problem{C: c, A: a, B: b, Lo: lo, Up: up}
+		p := &Problem{C: c, A: rowsOf(a), B: b, Lo: lo, Up: up}
 		s, err := NewSolver(p)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 			lo2 := append([]float64(nil), lo...)
 			up2 := append([]float64(nil), up...)
 			lo2[j], up2[j] = v, v
-			cold, err := Solve(&Problem{C: c, A: a, B: b, Lo: lo2, Up: up2})
+			cold, err := Solve(&Problem{C: c, A: rowsOf(a), B: b, Lo: lo2, Up: up2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := &Problem{
 		C:  []float64{-2, -3, -1},
-		A:  [][]float64{{1, 1, 1}, {2, 1, 0}},
+		A:  rowsOf([][]float64{{1, 1, 1}, {2, 1, 0}}),
 		B:  []float64{4, 5},
 		Up: []float64{3, 3, 3},
 	}

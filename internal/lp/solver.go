@@ -16,27 +16,10 @@ type Solver struct {
 	n, m  int // structural variables, rows
 	ncols int // n + m coefficient columns; the value column is ncols
 
-	c  []float64 // objective per column (slack columns are 0)
-	lo []float64 // lower bound per column (slacks: 0)
-	up []float64 // upper bound per column (slacks: +∞)
-	b  []float64 // original right-hand side (for value recomputation)
-
-	// The tableau and basis bookkeeping are reused across every solve,
-	// resolve, and restore on this Solver — pivots mutate them in place.
-	//ocd:scratch
-	rows [][]float64 // m × (ncols+1), carved from tableau
-	//ocd:scratch
-	tableau *[]float64 // pooled backing of rows; nil once released
-	//ocd:scratch
-	cost []float64 // ncols reduced costs
-	//ocd:scratch
-	basis []int // row → basic column
-	//ocd:scratch
-	rowOf []int // column → row, or -1 when nonbasic
-	//ocd:scratch
-	atUp []bool // nonbasic column rests at its upper bound
-	//ocd:scratch
-	nz []int // the pivot row's nonzero columns, refilled by each pivot
+	// The workspace holds the problem data and every array the solves,
+	// resolves and restores on this Solver work in; pivots mutate it in
+	// place. It comes from a pool, and Release hands it back.
+	*workspace
 
 	// dualDeficient marks columns with negative cost and no finite upper
 	// bound: no nonbasic status makes them dual feasible, so a fresh
@@ -50,29 +33,65 @@ type Solver struct {
 	bland    bool
 }
 
+// workspace is the memory one Solver works in. NewSolver takes it from
+// workspaces, sizes it, clears the tableau and the marks and overwrites
+// every other array before reading it, so nothing an earlier solver left
+// behind is ever read; Release puts it back.
+type workspace struct {
+	//ocd:scratch
+	tableau []float64 // backing of rows
+	//ocd:scratch
+	rows [][]float64 // m × (ncols+1), carved from tableau
+	//ocd:scratch
+	c []float64 // objective per column (slack columns are 0)
+	//ocd:scratch
+	lo []float64 // lower bound per column (slacks: 0)
+	//ocd:scratch
+	up []float64 // upper bound per column (slacks: +∞)
+	//ocd:scratch
+	b []float64 // original right-hand side (for value recomputation)
+	//ocd:scratch
+	rhsRows []int // the rows whose right-hand side is nonzero, ascending
+	//ocd:scratch
+	cost []float64 // ncols reduced costs
+	//ocd:scratch
+	basis []int // row → basic column
+	//ocd:scratch
+	rowOf []int // column → row, or -1 when nonbasic
+	//ocd:scratch
+	atUp []bool // nonbasic column rests at its upper bound
+	//ocd:scratch
+	nz []int // the pivot row's nonzero columns, refilled by each pivot
+	//ocd:scratch
+	mark []bool // per-column marks, all false between uses
+	//ocd:scratch
+	leaving []int // Restore: the rows whose basic column the target drops
+	//ocd:scratch
+	entering []int // Restore: the target's columns that are not yet basic
+}
+
 // stallLimit is the degenerate-pivot run length that switches pricing
 // from Dantzig's rule to Bland's anti-cycling rule. Any strict progress
 // switches back.
 const stallLimit = 24
 
-// tableaus recycles tableau backings between solvers: a branch-and-bound
-// run builds one solver per program, and on the §3.4 programs the dense
+// workspaces recycles workspaces between solvers: a branch-and-bound run
+// builds one solver per program, and on the §3.4 programs the dense
 // tableau is most of the memory a solve allocates.
-var tableaus sync.Pool
+var workspaces sync.Pool
 
 // NewSolver validates the problem and builds a solver positioned at the
 // all-slack basis. The problem data is copied; the caller may reuse p.
-// The tableau comes from a pool; Release returns it.
+// The workspace comes from a pool; Release returns it.
+//
+// A row whose Cols and Vals differ in length, or that names a column
+// outside [0, n) or one column twice, fails with ErrDimensions; a NaN or
+// infinite coefficient or right-hand side with ErrNotFinite.
 func NewSolver(p *Problem) (*Solver, error) {
 	n := len(p.C)
 	m := len(p.A)
 	if len(p.B) != m {
 		return nil, fmt.Errorf("%w: %d rows but %d rhs entries", ErrDimensions, m, len(p.B))
-	}
-	for i, row := range p.A {
-		if len(row) != n {
-			return nil, fmt.Errorf("%w: row %d has %d cols, want %d", ErrDimensions, i, len(row), n)
-		}
 	}
 	if p.Lo != nil && len(p.Lo) != n {
 		return nil, fmt.Errorf("%w: %d lower bounds for %d variables", ErrDimensions, len(p.Lo), n)
@@ -80,74 +99,127 @@ func NewSolver(p *Problem) (*Solver, error) {
 	if p.Up != nil && len(p.Up) != n {
 		return nil, fmt.Errorf("%w: %d upper bounds for %d variables", ErrDimensions, len(p.Up), n)
 	}
-
-	s := &Solver{
-		n: n, m: m, ncols: n + m,
-		c:     make([]float64, n+m),
-		lo:    make([]float64, n+m),
-		up:    make([]float64, n+m),
-		b:     append([]float64(nil), p.B...),
-		cost:  make([]float64, n+m),
-		basis: make([]int, m),
-		rowOf: make([]int, n+m),
-		atUp:  make([]bool, n+m),
-		nz:    make([]int, 0, n+m),
-		rows:  make([][]float64, m),
-	}
-	copy(s.c, p.C)
-	for j := 0; j < n; j++ {
-		if p.Lo != nil {
-			s.lo[j] = p.Lo[j]
-		}
-		if p.Up != nil {
-			s.up[j] = p.Up[j]
-		} else {
-			s.up[j] = math.Inf(1)
-		}
-		if math.IsInf(s.lo[j], 0) || math.IsNaN(s.lo[j]) || math.IsNaN(s.up[j]) || s.up[j] < s.lo[j] {
-			return nil, fmt.Errorf("%w: variable %d has [%v, %v]", ErrBounds, j, s.lo[j], s.up[j])
-		}
-	}
-	w := s.ncols + 1
-	s.tableau = getTableau(m * w)
-	for i := 0; i < m; i++ {
-		s.up[n+i] = math.Inf(1) // slack bounds [0, ∞)
-		row := (*s.tableau)[i*w : (i+1)*w : (i+1)*w]
-		copy(row, p.A[i])
-		row[n+i] = 1
-		s.rows[i] = row
+	s := &Solver{n: n, m: m, ncols: n + m, workspace: getWorkspace(n, m)}
+	if err := s.load(p); err != nil {
+		s.Release()
+		return nil, err
 	}
 	s.reset()
 	return s, nil
 }
 
-// getTableau returns a zeroed backing of the given size, reusing a
-// released one when it is large enough.
-func getTableau(size int) *[]float64 {
-	t, _ := tableaus.Get().(*[]float64)
-	if t == nil || cap(*t) < size {
-		buf := make([]float64, size)
-		return &buf
+// load copies p into the workspace: the rows of [A I], scattered into
+// the cleared tableau, then the right-hand side and the list of its
+// nonzero rows, then the objective and the bounds.
+func (s *Solver) load(p *Problem) error {
+	n, w := s.n, s.ncols+1
+	for i, r := range p.A {
+		if len(r.Cols) != len(r.Vals) {
+			return fmt.Errorf("%w: row %d has %d columns but %d values", ErrDimensions, i, len(r.Cols), len(r.Vals))
+		}
+		row := s.tableau[i*w : (i+1)*w : (i+1)*w]
+		for k, j := range r.Cols {
+			if j < 0 || j >= n || s.mark[j] {
+				return fmt.Errorf("%w: row %d names column %d, out of range or twice", ErrDimensions, i, j)
+			}
+			v := r.Vals[k]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: row %d has %v at column %d", ErrNotFinite, i, v, j)
+			}
+			s.mark[j] = true
+			row[j] = v
+		}
+		for _, j := range r.Cols {
+			s.mark[j] = false
+		}
+		row[n+i] = 1
+		s.rows[i] = row
 	}
-	*t = (*t)[:size]
-	clear(*t)
-	return t
+	s.rhsRows = s.rhsRows[:0]
+	for i, v := range p.B {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: row %d has right-hand side %v", ErrNotFinite, i, v)
+		}
+		s.b[i] = v
+		if v != 0 {
+			s.rhsRows = append(s.rhsRows, i)
+		}
+	}
+	for j := 0; j < n; j++ {
+		c, lo, up := p.C[j], 0.0, math.Inf(1)
+		if p.Lo != nil {
+			lo = p.Lo[j]
+		}
+		if p.Up != nil {
+			up = p.Up[j]
+		}
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("%w: variable %d has cost %v", ErrNotFinite, j, c)
+		}
+		if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(up) || up < lo {
+			return fmt.Errorf("%w: variable %d has [%v, %v]", ErrBounds, j, lo, up)
+		}
+		s.c[j], s.lo[j], s.up[j] = c, lo, up
+	}
+	for j := n; j < s.ncols; j++ {
+		s.c[j], s.lo[j], s.up[j] = 0, 0, math.Inf(1) // slack bounds [0, ∞)
+	}
+	return nil
 }
 
-// Release returns the solver's tableau to the pool for the next
+// getWorkspace returns a workspace for n structural variables and m
+// rows, reusing a released one's arrays where they are large enough. Its
+// tableau and marks are cleared and its lists empty.
+func getWorkspace(n, m int) *workspace {
+	ws, _ := workspaces.Get().(*workspace)
+	if ws == nil {
+		ws = new(workspace)
+	}
+	ncols := n + m
+	ws.tableau = resize(ws.tableau, m*(ncols+1))
+	clear(ws.tableau)
+	ws.rows = resize(ws.rows, m)
+	ws.c = resize(ws.c, ncols)
+	ws.lo = resize(ws.lo, ncols)
+	ws.up = resize(ws.up, ncols)
+	ws.b = resize(ws.b, m)
+	ws.rhsRows = resize(ws.rhsRows, m)[:0]
+	ws.cost = resize(ws.cost, ncols)
+	ws.basis = resize(ws.basis, m)
+	ws.rowOf = resize(ws.rowOf, ncols)
+	ws.atUp = resize(ws.atUp, ncols)
+	ws.nz = resize(ws.nz, ncols)[:0]
+	ws.mark = resize(ws.mark, ncols)
+	clear(ws.mark)
+	ws.leaving = resize(ws.leaving, m)[:0]
+	ws.entering = resize(ws.entering, m)[:0]
+	return ws
+}
+
+// resize returns buf with length size, reallocated only when its
+// capacity is short. The contents are whatever buf held.
+func resize[T any](buf []T, size int) []T {
+	if cap(buf) < size {
+		return make([]T, size)
+	}
+	return buf[:size]
+}
+
+// Release returns the solver's workspace to the pool for the next
 // NewSolver. Solutions already returned stay valid, but the solver must
 // not be used afterwards. Releasing twice is a no-op.
 func (s *Solver) Release() {
-	if s.tableau == nil {
+	if s.workspace == nil {
 		return
 	}
-	tableaus.Put(s.tableau)
-	s.tableau, s.rows = nil, nil
+	workspaces.Put(s.workspace)
+	s.workspace = nil
 }
 
 // reset positions the solver at the all-slack basis with every
 // structural variable nonbasic at the bound that makes it dual feasible
-// where one exists (negative cost prefers the upper bound).
+// where one exists (negative cost prefers the upper bound). It is called
+// only from NewSolver, where the tableau rows are the original [A I].
 func (s *Solver) reset() {
 	s.dualDeficient = false
 	for j := 0; j < s.ncols; j++ {
@@ -164,9 +236,6 @@ func (s *Solver) reset() {
 		s.rowOf[col] = i
 		s.atUp[col] = false
 	}
-	// The tableau rows for the identity basis are the original [A I].
-	// Re-pivoting may have scrambled them, so recompute is not enough —
-	// but reset is only called from NewSolver where rows are pristine.
 	s.recomputeValues()
 }
 
@@ -183,14 +252,17 @@ func (s *Solver) fixed(j int) bool { return s.up[j]-s.lo[j] <= eps }
 
 // recomputeValues rebuilds the basic-value column from the invariant
 // x_B = B⁻¹b − Σ_{j nonbasic} (B⁻¹A_j)·x_j, using the slack block of the
-// tableau as B⁻¹.
+// tableau as B⁻¹. B⁻¹b sums only over the rows whose right-hand side is
+// nonzero. A zero right-hand side's term is ±0, and adding ±0 changes no
+// bit of a sum that starts at +0: a nonzero sum stays as it is, and +0
+// stays +0 (x + y rounds to −0 only when both are −0).
 func (s *Solver) recomputeValues() {
-	for i := 0; i < s.m; i++ {
+	for _, row := range s.rows {
 		v := 0.0
-		for k := 0; k < s.m; k++ {
-			v += s.rows[i][s.n+k] * s.b[k]
+		for _, k := range s.rhsRows {
+			v += row[s.n+k] * s.b[k]
 		}
-		s.rows[i][s.ncols] = v
+		row[s.ncols] = v
 	}
 	for j := 0; j < s.ncols; j++ {
 		if s.rowOf[j] >= 0 {
@@ -200,8 +272,8 @@ func (s *Solver) recomputeValues() {
 		if x == 0 {
 			continue
 		}
-		for i := 0; i < s.m; i++ {
-			s.rows[i][s.ncols] -= s.rows[i][j] * x
+		for _, row := range s.rows {
+			row[s.ncols] -= row[j] * x
 		}
 	}
 }
@@ -223,52 +295,62 @@ func (s *Solver) recomputeCost() {
 }
 
 // structuralPivot makes column enter basic in row r, updating the
-// coefficient columns and the cost row but not the value column (the
-// callers maintain values explicitly, which keeps the two concerns from
-// contaminating each other numerically).
+// coefficient columns and the cost row. With shift set it also moves
+// every other row's basic value by −α·delta, α being the row's entry in
+// the entering column before the pivot: the value update of a primal or
+// dual step, made in the pivot's one pass over the rows. Each row gets
+// exactly the subtraction a separate pass would give it, zero entries
+// included. The pivot row's value is the caller's to set, and Restore's
+// pivots shift nothing (it recomputes the values afterwards).
 //
 // The update of a row at column q subtracts a multiple of the pivot row's
 // entry there, so it changes nothing where that entry is zero. The pivot
 // gathers the pivot row's nonzero columns once into s.nz and updates each
 // other row and the cost row only there; on 3,000 random n=5 §3.4
 // programs a pivot row averages 44 nonzeros among 195 columns.
-func (s *Solver) structuralPivot(r, enter int) {
+func (s *Solver) structuralPivot(r, enter int, shift bool, delta float64) {
 	row := s.rows[r]
 	pv := row[enter]
-	s.nz = s.nz[:0]
+	nz := s.nz[:0]
 	for q, v := range row[:s.ncols] {
 		if v != 0 {
 			row[q] = v / pv
-			s.nz = append(s.nz, q)
+			nz = append(nz, q)
 		}
 	}
+	s.nz = nz
 	row[enter] = 1
-	for i := 0; i < s.m; i++ {
+	val := s.ncols
+	for i, ri := range s.rows {
 		if i == r {
 			continue
 		}
-		ri := s.rows[i]
 		f := ri[enter]
+		if shift {
+			ri[val] -= f * delta
+		}
 		if f == 0 {
 			continue
 		}
-		for _, q := range s.nz {
+		for _, q := range nz {
 			ri[q] -= f * row[q]
 		}
 		ri[enter] = 0
 	}
 	if f := s.cost[enter]; f != 0 {
-		for _, q := range s.nz {
-			s.cost[q] -= f * row[q]
+		cost := s.cost
+		for _, q := range nz {
+			cost[q] -= f * row[q]
 		}
-		s.cost[enter] = 0
+		cost[enter] = 0
 	}
 }
 
-// installBasic moves column enter into the basis at row r after the
-// value column has been shifted; enterVal is its post-move value.
-func (s *Solver) installBasic(r, enter int, enterVal float64) {
-	s.structuralPivot(r, enter)
+// installBasic moves column enter into the basis at row r, shifting the
+// other rows' values by the step delta (see structuralPivot); enterVal is
+// the entering column's post-move value.
+func (s *Solver) installBasic(r, enter int, enterVal, delta float64) {
+	s.structuralPivot(r, enter, true, delta)
 	s.rows[r][s.ncols] = enterVal
 	leave := s.basis[r]
 	s.rowOf[leave] = -1
@@ -380,12 +462,10 @@ func (s *Solver) primal() error {
 		if leave == -1 {
 			return errUnbounded
 		}
+		// d = ±1, so the shift α·(d·t) rounds exactly as (α·d)·t.
 		enterVal := s.boundVal(enter) + d*bestT
-		for i := 0; i < s.m; i++ {
-			s.rows[i][s.ncols] -= s.rows[i][enter] * d * bestT
-		}
 		s.atUp[s.basis[leave]] = leaveToUpper
-		s.installBasic(leave, enter, enterVal)
+		s.installBasic(leave, enter, enterVal, d*bestT)
 		s.progress(bestT)
 	}
 	return ErrIterLimit
@@ -430,12 +510,10 @@ func (s *Solver) dual() error {
 		enter := -1
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
-		for j := 0; j < s.ncols; j++ {
-			if s.rowOf[j] >= 0 || s.fixed(j) {
-				continue
-			}
-			alpha := s.rows[r][j]
-			if math.Abs(alpha) <= eps {
+		row := s.rows[r]
+		for j, alpha := range row[:s.ncols] {
+			// Most pivot-row entries are zero: test that first.
+			if math.Abs(alpha) <= eps || s.rowOf[j] >= 0 || s.fixed(j) {
 				continue
 			}
 			// Moving off a lower bound means Δx_j ≥ 0; off an upper bound
@@ -466,14 +544,10 @@ func (s *Solver) dual() error {
 		if enter == -1 {
 			return errInfeasible
 		}
-		alpha := s.rows[r][enter]
-		dx := (v - target) / alpha
+		dx := (v - target) / row[enter]
 		enterVal := s.boundVal(enter) + dx
-		for i := 0; i < s.m; i++ {
-			s.rows[i][s.ncols] -= s.rows[i][enter] * dx
-		}
 		s.atUp[bi] = !toLower
-		s.installBasic(r, enter, enterVal)
+		s.installBasic(r, enter, enterVal, dx)
 		s.progress(bestRatio) // dual progress: a zero ratio is degenerate
 	}
 	return ErrIterLimit
