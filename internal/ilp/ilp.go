@@ -11,7 +11,7 @@
 //
 // with initial conditions x^0_{(v,v),t} = [t ∈ h(v)] folded into the i = 1
 // possession rows. The x ≤ 1 bounds are NOT constraint rows: they ride as
-// implicit variable bounds of the bounded-variable simplex in internal/lp,
+// implicit variable bounds of the bounded dual simplex in internal/lp,
 // which removes T·|A| dense rows from every relaxation.
 //
 // Build presolves: it creates only the variables a token can reach in
@@ -67,18 +67,18 @@ type Stats struct {
 	// expanded branch-and-bound node; nodes pruned by bound before their
 	// LP is touched are free and not counted).
 	Nodes int
-	// SimplexIterations is the total pivot count across all relaxations
-	// (primal, dual, and bound flips).
+	// SimplexIterations is the total dual simplex pivot count across all
+	// relaxations.
 	SimplexIterations int
 	// WarmStarts counts node LPs re-solved from a restored parent basis
 	// (every node except the root).
 	WarmStarts int
-	// BoundFlips is the subset of SimplexIterations where the entering
-	// variable reached its other bound without a basis change — the
-	// bounded-variable simplex's cheap pivot.
+	// BoundFlips is always 0: the dual simplex never moves a variable
+	// from bound to bound without a pivot. It stays while the benchmark
+	// reads it.
 	BoundFlips int
-	// DualRestorations counts dual-simplex warm-start restorations
-	// (Resolve calls on the shared solver).
+	// DualRestorations equals WarmStarts: every warm start restores
+	// optimality by dual simplex. It stays while the benchmark reads it.
 	DualRestorations int
 }
 
@@ -395,13 +395,11 @@ type solver struct {
 }
 
 func (s *solver) stats() Stats {
-	st := s.sv.Stats()
 	return Stats{
 		Nodes:             s.nodes,
-		SimplexIterations: st.Iterations,
+		SimplexIterations: s.sv.Iterations(),
 		WarmStarts:        s.warm,
-		BoundFlips:        st.BoundFlips,
-		DualRestorations:  st.DualRestorations,
+		DualRestorations:  s.warm,
 	}
 }
 
@@ -477,12 +475,12 @@ func (s *solver) run() error {
 			return fmt.Errorf("ilp: warm start: %w", err)
 		}
 		s.warm++
-		sol, err := s.sv.Resolve()
+		sol, err := s.sv.Solve()
 		if err != nil {
 			return fmt.Errorf("ilp: lp relaxation: %w", err)
 		}
 		if sol.Status != lp.Optimal {
-			continue // infeasible subproblem (unbounded cannot occur: c ≥ 0, x bounded)
+			continue // infeasible subproblem
 		}
 		s.expand(sol, node, node.depth)
 	}

@@ -33,7 +33,7 @@ func (s *Solver) Snapshot() Basis {
 // bound nodes is cheap — then rebuilds the value and reduced-cost rows
 // under the solver's *current* bounds. Reduced costs depend only on the
 // basis, so a snapshot taken at an optimum stays dual feasible no matter
-// how the bounds have moved since; a subsequent Resolve finishes the job.
+// how the bounds have moved since; the next Solve finishes the job.
 func (s *Solver) Restore(bs Basis) error {
 	if len(bs.cols) != s.m || len(bs.atUp) != s.ncols {
 		return fmt.Errorf("%w: basis for %d rows/%d cols restored into %d/%d",

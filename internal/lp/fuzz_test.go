@@ -99,6 +99,7 @@ func FuzzNewSolverRows(f *testing.F) {
 	f.Add([]byte{0x06, 0x00, 0x01, 0x60})                               // a NaN coefficient
 	f.Add([]byte{0x06, 0x00, 0x01, 0x09})                               // a column past the last
 	f.Add([]byte{0x06, 0x01, 0x01, 0x0b, 0x01, 0x01, 0x01, 0x01, 0x0e}) // an infinite lower bound
+	f.Add([]byte{0x00, 0x02, 0x01, 0x0d})                               // an infinite upper bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeRowsInput(data)
 		s, err := NewSolver(p)

@@ -1,15 +1,24 @@
-// Package lp implements a bounded-variable simplex solver for linear
+// Package lp implements a bounded dual simplex solver for linear
 // programs of the form
 //
 //	min cᵀx  subject to  Ax ≤ b,  lo ≤ x ≤ up
 //
-// (lo defaults to 0 and up to +∞; ≥ and = constraints can be expressed
-// by negation or row pairs). Variable bounds are handled implicitly by
-// the pivoting rules rather than as explicit rows, which matters for the
+// with every bound finite (≥ and = constraints can be expressed by
+// negation or row pairs). Variable bounds are handled implicitly by the
+// pivoting rules rather than as explicit rows, which matters for the
 // time-indexed integer program of paper §3.4: its T·|A| binary variables
 // each carry an x ≤ 1 bound, and folding those into the basis logic
 // removes that many tableau rows outright. Go has no ILP ecosystem, so
 // internal/ilp branches and bounds on top of this solver.
+//
+// Because every variable is bounded, the all-slack basis with each
+// variable resting at the bound its cost prefers is dual feasible, and
+// the dual simplex alone solves every problem: from that basis at the
+// start, and from the basis bound changes or a restored snapshot leave,
+// which stay dual feasible too. It pivots on the row with the largest
+// bound violation and switches to Bland's rule after a run of
+// degenerate pivots, which restores the termination guarantee on
+// cycling-prone instances.
 //
 // The input is sparse: each constraint row lists only its nonzero
 // coefficients, a few per row on the presolved §3.4 programs. The
@@ -20,16 +29,12 @@
 //
 // The solver is warm-startable: a Solver retains its tableau between
 // solves, bounds can be tightened or relaxed in place with SetBounds,
-// and Resolve re-establishes optimality by dual simplex from the current
-// basis instead of a phase-1 from scratch — the branch-and-bound loop in
-// internal/ilp leans on exactly this. Basis snapshots (Snapshot /
-// Restore) let callers return to an earlier basis cheaply. Release hands
-// a finished solver's workspace, the tableau and every per-column and
-// per-row array, to a pool that the next NewSolver draws on.
-//
-// Pricing is Dantzig's rule (most violating reduced cost) with an
-// automatic switch to Bland's rule after a run of degenerate pivots,
-// which restores the termination guarantee on cycling-prone instances.
+// and the next Solve re-establishes optimality from the current basis —
+// the branch-and-bound loop in internal/ilp leans on exactly this. Basis
+// snapshots (Snapshot / Restore) let callers return to an earlier basis
+// cheaply. Release hands a finished solver's workspace, the tableau and
+// every per-column and per-row array, to a pool that the next NewSolver
+// draws on.
 package lp
 
 import (
@@ -45,8 +50,6 @@ const (
 	Optimal Status = iota + 1
 	// Infeasible means no lo ≤ x ≤ up satisfies Ax ≤ b.
 	Infeasible
-	// Unbounded means the objective decreases without bound.
-	Unbounded
 )
 
 func (s Status) String() string {
@@ -55,14 +58,12 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
 }
 
-// Problem is a linear program in inequality standard form with optional
+// Problem is a linear program in inequality standard form with finite
 // variable bounds. Its constraint matrix comes in sparse rows; NewSolver
 // scatters them into the dense tableau it pivots on.
 type Problem struct {
@@ -75,8 +76,9 @@ type Problem struct {
 	// Lo holds per-variable lower bounds; nil means all zero. Entries
 	// must be finite.
 	Lo []float64
-	// Up holds per-variable upper bounds; nil means all +∞. Entries of
-	// math.Inf(1) leave a variable unbounded above.
+	// Up holds per-variable upper bounds, each finite. nil reads as all
+	// +∞, which NewSolver rejects with ErrBounds like an infinite or NaN
+	// entry.
 	Up []float64
 }
 
@@ -95,8 +97,7 @@ type Solution struct {
 	X []float64
 	// Objective is cᵀx at the optimum.
 	Objective float64
-	// Iterations counts the simplex pivots (primal and dual, including
-	// bound flips) this solve performed.
+	// Iterations counts the dual simplex pivots this solve performed.
 	Iterations int
 }
 
@@ -114,7 +115,8 @@ var ErrDimensions = errors.New("lp: inconsistent dimensions")
 // constraint coefficient or right-hand side.
 var ErrNotFinite = errors.New("lp: coefficient not finite")
 
-// ErrBounds indicates an invalid variable bound pair.
+// ErrBounds indicates a variable bound pair that is not finite with
+// lo ≤ up.
 var ErrBounds = errors.New("lp: invalid bounds")
 
 // ErrIterLimit indicates the simplex iteration safety cap was hit; it
@@ -125,8 +127,8 @@ var ErrIterLimit = errors.New("lp: iteration limit exceeded")
 // columns are (numerically) linearly dependent.
 var ErrSingular = errors.New("lp: singular basis")
 
-// Solve runs bounded-variable simplex on the problem. It is the one-shot
-// entry point; use NewSolver for warm-started resolves.
+// Solve runs the dual simplex on the problem. It is the one-shot entry
+// point; use NewSolver to solve again after changing bounds.
 func Solve(p *Problem) (*Solution, error) {
 	s, err := NewSolver(p)
 	if err != nil {

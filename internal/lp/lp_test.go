@@ -21,9 +21,10 @@ func TestSolveSimpleMin(t *testing.T) {
 	// min −x − y  s.t. x ≤ 2, y ≤ 3, x + y ≤ 4  → x=2, y=2? Either corner
 	// on x+y=4 with obj −4.
 	sol := solveOK(t, &Problem{
-		C: []float64{-1, -1},
-		A: rowsOf([][]float64{{1, 0}, {0, 1}, {1, 1}}),
-		B: []float64{2, 3, 4},
+		C:  []float64{-1, -1},
+		A:  rowsOf([][]float64{{1, 0}, {0, 1}, {1, 1}}),
+		B:  []float64{2, 3, 4},
+		Up: []float64{10, 10},
 	})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -37,11 +38,13 @@ func TestSolveSimpleMin(t *testing.T) {
 }
 
 func TestSolveWithNegativeRHS(t *testing.T) {
-	// min x  s.t. x ≥ 3 (written −x ≤ −3) → x = 3. Exercises phase one.
+	// min x  s.t. x ≥ 3 (written −x ≤ −3) → x = 3. The all-slack basis
+	// is infeasible, so the dual simplex must pivot.
 	sol := solveOK(t, &Problem{
-		C: []float64{1},
-		A: rowsOf([][]float64{{-1}}),
-		B: []float64{-3},
+		C:  []float64{1},
+		A:  rowsOf([][]float64{{-1}}),
+		B:  []float64{-3},
+		Up: []float64{10},
 	})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -54,33 +57,23 @@ func TestSolveWithNegativeRHS(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	// x ≤ 1 and x ≥ 2.
 	sol := solveOK(t, &Problem{
-		C: []float64{1},
-		A: rowsOf([][]float64{{1}, {-1}}),
-		B: []float64{1, -2},
+		C:  []float64{1},
+		A:  rowsOf([][]float64{{1}, {-1}}),
+		B:  []float64{1, -2},
+		Up: []float64{10},
 	})
 	if sol.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", sol.Status)
 	}
 }
 
-func TestSolveUnbounded(t *testing.T) {
-	// min −x with only x ≥ 0: unbounded below.
-	sol := solveOK(t, &Problem{
-		C: []float64{-1},
-		A: rowsOf([][]float64{{0}}),
-		B: []float64{1},
-	})
-	if sol.Status != Unbounded {
-		t.Errorf("status = %v, want unbounded", sol.Status)
-	}
-}
-
 func TestSolveEqualityViaPair(t *testing.T) {
 	// x + y = 2 expressed as ≤ and ≥; min x → x=0, y=2.
 	sol := solveOK(t, &Problem{
-		C: []float64{1, 0},
-		A: rowsOf([][]float64{{1, 1}, {-1, -1}, {0, 1}}),
-		B: []float64{2, -2, 5},
+		C:  []float64{1, 0},
+		A:  rowsOf([][]float64{{1, 1}, {-1, -1}, {0, 1}}),
+		B:  []float64{2, -2, 5},
+		Up: []float64{10, 10},
 	})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -91,11 +84,13 @@ func TestSolveEqualityViaPair(t *testing.T) {
 }
 
 func TestSolveDegenerate(t *testing.T) {
-	// Redundant constraints sharing a vertex; Bland's rule must terminate.
+	// Redundant constraints sharing a vertex: degenerate pivots must
+	// still terminate.
 	sol := solveOK(t, &Problem{
-		C: []float64{-1, -1},
-		A: rowsOf([][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 1}}),
-		B: []float64{1, 1, 1, 2, 2},
+		C:  []float64{-1, -1},
+		A:  rowsOf([][]float64{{1, 0}, {1, 0}, {0, 1}, {1, 1}, {1, 1}}),
+		B:  []float64{1, 1, 1, 2, 2},
+		Up: []float64{10, 10},
 	})
 	if sol.Status != Optimal || !approx(sol.Objective, -2) {
 		t.Errorf("status=%v obj=%f, want optimal −2", sol.Status, sol.Objective)
@@ -115,7 +110,8 @@ func TestSolveTransportation(t *testing.T) {
 			{-1, 0, -1, 0}, // consumer 1 demand ≥ 2
 			{0, -1, 0, -1}, // consumer 2 demand ≥ 3
 		}),
-		B: []float64{3, 2, -2, -3},
+		B:  []float64{3, 2, -2, -3},
+		Up: []float64{10, 10, 10, 10},
 	})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -126,7 +122,9 @@ func TestSolveTransportation(t *testing.T) {
 }
 
 // TestSolveDimensionErrors feeds NewSolver malformed problems: each must
-// fail with its error, never panic and never solve.
+// fail with its error, never panic and never solve. A variable without a
+// finite upper bound is malformed: the dual simplex needs every bound
+// finite to start dual feasible.
 func TestSolveDimensionErrors(t *testing.T) {
 	row := func(cols []int, vals ...float64) Row { return Row{Cols: cols, Vals: vals} }
 	for _, c := range []struct {
@@ -148,8 +146,11 @@ func TestSolveDimensionErrors(t *testing.T) {
 		{"NaN rhs", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{math.NaN()}}, ErrNotFinite},
 		{"infinite rhs", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{math.Inf(1)}}, ErrNotFinite},
 		{"NaN cost", Problem{C: []float64{math.NaN()}, A: []Row{row([]int{0}, 1)}, B: []float64{1}}, ErrNotFinite},
-		{"infinite lower bound", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{math.Inf(-1)}}, ErrBounds},
+		{"infinite lower bound", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{math.Inf(-1)}, Up: []float64{1}}, ErrBounds},
 		{"crossed bounds", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Lo: []float64{2}, Up: []float64{1}}, ErrBounds},
+		{"no upper bounds", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}}, ErrBounds},
+		{"infinite upper bound", Problem{C: []float64{1, 1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Up: []float64{1, math.Inf(1)}}, ErrBounds},
+		{"NaN upper bound", Problem{C: []float64{1}, A: []Row{row([]int{0}, 1)}, B: []float64{1}, Up: []float64{math.NaN()}}, ErrBounds},
 	} {
 		if sol, err := Solve(&c.p); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %+v, %v; want %v", c.name, sol, err, c.want)
@@ -157,17 +158,45 @@ func TestSolveDimensionErrors(t *testing.T) {
 	}
 }
 
+// TestSetBoundsErrors checks that SetBounds fails closed as NewSolver
+// does, and that a rejected call leaves the solver's optimum in place.
+func TestSetBoundsErrors(t *testing.T) {
+	s, err := NewSolver(&Problem{C: []float64{1, -1}, A: rowsOf([][]float64{{1, 1}}), B: []float64{1}, Up: []float64{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	for _, c := range []struct {
+		name   string
+		j      int
+		lo, up float64
+		want   error
+	}{
+		{"infinite upper bound", 0, 0, math.Inf(1), ErrBounds},
+		{"NaN upper bound", 1, 0, math.NaN(), ErrBounds},
+		{"infinite lower bound", 0, math.Inf(-1), 1, ErrBounds},
+		{"crossed bounds", 1, 1, 0, ErrBounds},
+		{"variable past the last", 2, 0, 1, ErrDimensions},
+	} {
+		if err := s.SetBounds(c.j, c.lo, c.up); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
+		}
+	}
+	if sol, err := s.Solve(); err != nil || sol.Status != Optimal || sol.Objective != -1 {
+		t.Errorf("solve after rejected bounds: %+v, %v; want optimal −1", sol, err)
+	}
+}
+
 func TestSolveZeroConstraints(t *testing.T) {
 	// min x with no constraints: x = 0 at the origin.
-	sol := solveOK(t, &Problem{C: []float64{1}, A: nil, B: nil})
+	sol := solveOK(t, &Problem{C: []float64{1}, A: nil, B: nil, Up: []float64{1}})
 	if sol.Status != Optimal || !approx(sol.X[0], 0) {
 		t.Errorf("unconstrained min: %+v", sol)
 	}
 }
 
 func TestStatusString(t *testing.T) {
-	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" ||
-		Unbounded.String() != "unbounded" {
+	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" {
 		t.Error("status strings wrong")
 	}
 	if Status(99).String() == "" {

@@ -40,11 +40,13 @@ func densePivot(s *Solver, r, enter int) {
 
 // sparseProblem draws an LP whose rows are mostly zero, as the §3.4
 // programs' are, with coefficients of both signs. About a third of the
-// right-hand sides are zero, as the possession rows' are.
+// right-hand sides are zero, as the possession rows' are. Every upper
+// bound is 1, as the §3.4 variables' are; it takes no draw.
 func sparseProblem(rng *rand.Rand, m, n int) *Problem {
-	p := &Problem{C: make([]float64, n), B: make([]float64, m)}
+	p := &Problem{C: make([]float64, n), B: make([]float64, m), Up: make([]float64, n)}
 	for j := range p.C {
 		p.C[j] = float64(rng.Intn(7) - 3)
+		p.Up[j] = 1
 	}
 	for i := 0; i < m; i++ {
 		var row Row

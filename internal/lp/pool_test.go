@@ -31,9 +31,9 @@ func poolProblem(seed int64, m, n int) *Problem {
 	return p
 }
 
-// poolRun is what one solver produced: a cold solve; a warm resolve
-// with the first variable fixed at zero; and, with that variable free
-// again, a resolve from the cold optimum's basis restored.
+// poolRun is what one solver produced: a cold solve; a warm solve with
+// the first variable fixed at zero; and, with that variable free again,
+// a solve from the cold optimum's basis restored.
 type poolRun struct {
 	cold, warm, restored *Solution
 	ws                   *workspace
@@ -55,7 +55,7 @@ func solveAndRelease(p *Problem) (poolRun, error) {
 	if err := s.SetBounds(0, 0, 0); err != nil {
 		return r, err
 	}
-	if r.warm, err = s.Resolve(); err != nil {
+	if r.warm, err = s.Solve(); err != nil {
 		return r, err
 	}
 	if err := s.SetBounds(0, 0, p.Up[0]); err != nil {
@@ -64,7 +64,7 @@ func solveAndRelease(p *Problem) (poolRun, error) {
 	if err := s.Restore(snap); err != nil {
 		return r, err
 	}
-	r.restored, err = s.Resolve()
+	r.restored, err = s.Solve()
 	return r, err
 }
 
@@ -122,7 +122,7 @@ func drainWorkspaces() {
 
 // TestPooledTableauSolvesLikeFresh solves a larger LP, a smaller one and
 // the larger one again, each in a workspace released by the solve
-// before, and checks every solve, resolve and restore against a solver
+// before, and checks every cold, warm and restored solve against a solver
 // built in a fresh workspace. Every array of a released workspace is
 // poisoned, so a reuse that read one before overwriting it could not
 // reproduce the fresh results.

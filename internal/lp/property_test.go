@@ -111,13 +111,25 @@ func solveSquare(eqs []eq, idx []int, n int) ([]float64, bool) {
 	return x, true
 }
 
+// solveBland solves p by the dual simplex in Bland mode from its first
+// pivot, the mode Solve reaches only after a run of degenerate pivots.
+func solveBland(p *Problem) (*Solution, error) {
+	s, err := NewSolver(p)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	return s.finish(0, s.dual(-1))
+}
+
 // TestSolveMatchesBruteForce cross-checks the simplex against exhaustive
-// vertex enumeration on seeded random small LPs with finite bounds:
-// statuses agree, objectives agree within 1e-9, and the returned point is
-// feasible and consistent with its reported objective.
+// vertex enumeration on seeded random small LPs with finite bounds, each
+// solved twice: by Solve, and by the dual simplex in Bland mode from the
+// first pivot. Statuses agree, objectives agree within 1e-9, and the
+// returned point is feasible and consistent with its reported objective.
 func TestSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	infeasibleSeen, optimalSeen := 0, 0
+	infeasibleSeen, optimalSeen, blandDiffers := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(2) // 2..3 variables
 		m := 1 + rng.Intn(3) // 1..3 rows
@@ -142,55 +154,72 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		}
 
 		wantObj, wantFeasible := bruteForceLP(c, a, b, lo, up)
-		sol, err := Solve(&Problem{C: c, A: rowsOf(a), B: b, Lo: lo, Up: up})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !wantFeasible {
+		if wantFeasible {
+			optimalSeen++
+		} else {
 			infeasibleSeen++
-			if sol.Status != Infeasible {
-				t.Fatalf("trial %d: brute force says infeasible, simplex says %v (obj %v)",
-					trial, sol.Status, sol.Objective)
+		}
+		p := &Problem{C: c, A: rowsOf(a), B: b, Lo: lo, Up: up}
+		var iters [2]int
+		for k, solve := range []func(*Problem) (*Solution, error){Solve, solveBland} {
+			mode := [2]string{"solve", "bland"}[k]
+			sol, err := solve(p)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, mode, err)
 			}
-			continue
-		}
-		optimalSeen++
-		if sol.Status != Optimal {
-			t.Fatalf("trial %d: brute force optimum %v, simplex says %v", trial, wantObj, sol.Status)
-		}
-		if math.Abs(sol.Objective-wantObj) > 1e-9 {
-			t.Fatalf("trial %d: objective %v, brute force %v", trial, sol.Objective, wantObj)
-		}
-		// The returned point must itself be feasible and match the objective.
-		dot := 0.0
-		for j := 0; j < n; j++ {
-			if sol.X[j] < lo[j]-1e-7 || sol.X[j] > up[j]+1e-7 {
-				t.Fatalf("trial %d: x[%d]=%v outside [%v,%v]", trial, j, sol.X[j], lo[j], up[j])
+			iters[k] = sol.Iterations
+			if !wantFeasible {
+				if sol.Status != Infeasible {
+					t.Fatalf("trial %d %s: brute force says infeasible, simplex says %v (obj %v)",
+						trial, mode, sol.Status, sol.Objective)
+				}
+				continue
 			}
-			dot += c[j] * sol.X[j]
-		}
-		for i := 0; i < m; i++ {
-			row := 0.0
+			if sol.Status != Optimal {
+				t.Fatalf("trial %d %s: brute force optimum %v, simplex says %v", trial, mode, wantObj, sol.Status)
+			}
+			if math.Abs(sol.Objective-wantObj) > 1e-9 {
+				t.Fatalf("trial %d %s: objective %v, brute force %v", trial, mode, sol.Objective, wantObj)
+			}
+			// The returned point must itself be feasible and match the objective.
+			dot := 0.0
 			for j := 0; j < n; j++ {
-				row += a[i][j] * sol.X[j]
+				if sol.X[j] < lo[j]-1e-7 || sol.X[j] > up[j]+1e-7 {
+					t.Fatalf("trial %d %s: x[%d]=%v outside [%v,%v]", trial, mode, j, sol.X[j], lo[j], up[j])
+				}
+				dot += c[j] * sol.X[j]
 			}
-			if row > b[i]+1e-7 {
-				t.Fatalf("trial %d: row %d violated: %v > %v", trial, i, row, b[i])
+			for i := 0; i < m; i++ {
+				row := 0.0
+				for j := 0; j < n; j++ {
+					row += a[i][j] * sol.X[j]
+				}
+				if row > b[i]+1e-7 {
+					t.Fatalf("trial %d %s: row %d violated: %v > %v", trial, mode, i, row, b[i])
+				}
+			}
+			if math.Abs(dot-sol.Objective) > 1e-9 {
+				t.Fatalf("trial %d %s: reported objective %v but c·x = %v", trial, mode, sol.Objective, dot)
 			}
 		}
-		if math.Abs(dot-sol.Objective) > 1e-9 {
-			t.Fatalf("trial %d: reported objective %v but c·x = %v", trial, sol.Objective, dot)
+		if iters[0] != iters[1] {
+			blandDiffers++
 		}
 	}
-	// The generator must actually exercise both outcomes.
-	if infeasibleSeen < 10 || optimalSeen < 100 {
-		t.Fatalf("generator drifted: %d infeasible / %d optimal trials", infeasibleSeen, optimalSeen)
+	// The generator must actually exercise both outcomes, and Bland's
+	// choices must differ from Solve's somewhere.
+	if infeasibleSeen < 10 || optimalSeen < 100 || blandDiffers == 0 {
+		t.Fatalf("generator drifted: %d infeasible / %d optimal trials, %d solved in a different pivot count by Bland's rule",
+			infeasibleSeen, optimalSeen, blandDiffers)
 	}
+	t.Logf("%d infeasible / %d optimal trials, %d solved in a different pivot count by Bland's rule",
+		infeasibleSeen, optimalSeen, blandDiffers)
 }
 
 // TestBealeCyclingTerminates runs Beale's classic degenerate LP, on which
-// textbook Dantzig-rule simplex cycles forever. The stall counter must
-// hand over to Bland's rule and reach the optimum −0.05 at (1/25, 0, 1, 0).
+// textbook Dantzig-rule primal simplex cycles forever, with upper bounds
+// that leave its optimum feasible. The dual simplex must reach the
+// optimum −0.05 at (1/25, 0, 1, 0).
 func TestBealeCyclingTerminates(t *testing.T) {
 	sol := solveOK(t, &Problem{
 		C: []float64{-0.75, 150, -0.02, 6},
@@ -199,7 +228,7 @@ func TestBealeCyclingTerminates(t *testing.T) {
 			{0.5, -90, -0.02, 3},
 		}),
 		B:  []float64{0, 0},
-		Up: []float64{math.Inf(1), math.Inf(1), 1, math.Inf(1)},
+		Up: []float64{1, 1, 1, 1},
 	})
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -216,7 +245,7 @@ func TestBealeCyclingTerminates(t *testing.T) {
 }
 
 // TestWarmStartMatchesColdSolve fixes variables one at a time via
-// SetBounds+Resolve and checks each warm-started optimum equals a cold
+// SetBounds+Solve and checks each warm-started optimum equals a cold
 // solve of the equivalently-bounded problem.
 func TestWarmStartMatchesColdSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -254,7 +283,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 			if err := s.SetBounds(j, v, v); err != nil {
 				t.Fatal(err)
 			}
-			warm, err := s.Resolve()
+			warm, err := s.Solve()
 			if err != nil {
 				t.Fatalf("trial %d fix x%d=%v: %v", trial, j, v, err)
 			}
@@ -277,7 +306,7 @@ func TestWarmStartMatchesColdSolve(t *testing.T) {
 			if err := s.SetBounds(j, lo[j], up[j]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Resolve(); err != nil {
+			if _, err := s.Solve(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,7 +338,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err := s.SetBounds(j, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Resolve(); err != nil {
+		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SetBounds(j, 0, 3); err != nil {
@@ -320,7 +349,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := s.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Resolve()
+	again, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package lp
 
 // This file keeps, as test references, the code that the solver's sparse
 // levers replaced: the dense set-up NewSolver did from a dense matrix,
-// the dense B⁻¹b of recomputeValues, the value-shift loops that ran
-// beside each primal and dual pivot, and Restore's scan of the whole
+// the dense B⁻¹b of recomputeValues, the value-shift loop that ran
+// beside each pivot of a simplex step, and Restore's scan of the whole
 // tableau for each pivot. checkLevers drives a solver and a reference
 // twin through the same pivots and restores and requires == state after
 // each; TestSparsePivotMatchesDense runs it on sparseProblem draws and
@@ -38,8 +38,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // NewSolver checks, in the same order — the right-hand side's and the
 // bounds' lengths, then row by row and entry by entry a column in range
 // and not seen before and a finite value, then the right-hand side, then
-// column by column a finite cost and a valid bound pair — with a map
-// where NewSolver uses marks.
+// column by column a finite cost and a finite bound pair with lo ≤ up,
+// a missing Up reading as +∞ — with a map where NewSolver uses marks.
 func denseOf(p *Problem) ([][]float64, error) {
 	n, m := len(p.C), len(p.A)
 	if len(p.B) != m || (p.Lo != nil && len(p.Lo) != n) || (p.Up != nil && len(p.Up) != n) {
@@ -79,7 +79,7 @@ func denseOf(p *Problem) ([][]float64, error) {
 		if p.Up != nil {
 			up = p.Up[j]
 		}
-		if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(up) || up < lo {
+		if !finite(lo) || !finite(up) || up < lo {
 			return nil, ErrBounds
 		}
 	}
@@ -112,16 +112,8 @@ func denseNewSolver(p *Problem) (*Solver, error) {
 		},
 	}
 	copy(s.c, p.C)
-	for j := 0; j < n; j++ {
-		if p.Lo != nil {
-			s.lo[j] = p.Lo[j]
-		}
-		if p.Up != nil {
-			s.up[j] = p.Up[j]
-		} else {
-			s.up[j] = math.Inf(1)
-		}
-	}
+	copy(s.lo, p.Lo)
+	copy(s.up, p.Up)
 	w := s.ncols + 1
 	s.tableau = make([]float64, m*w)
 	for i := 0; i < m; i++ {
@@ -160,7 +152,7 @@ func denseRecomputeValues(s *Solver) {
 	}
 }
 
-// refInstallBasic is a primal or dual step as it stood before the value
+// refInstallBasic is a simplex step as it stood before the value
 // shift moved into the pivot: a separate pass subtracts α·delta from
 // every row's value, the pivot row's included, then the dense pivot runs
 // and the entering column's value is set.
@@ -286,9 +278,6 @@ func stateDiff(s, ref *Solver) string {
 			return fmt.Sprintf("row %d: basic %d rhs %v, reference basic %d rhs %v",
 				i, s.basis[i], s.b[i], ref.basis[i], ref.b[i])
 		}
-	}
-	if s.dualDeficient != ref.dualDeficient {
-		return fmt.Sprintf("dual deficient %v, reference %v", s.dualDeficient, ref.dualDeficient)
 	}
 	return ""
 }

@@ -16,21 +16,12 @@ type Solver struct {
 	n, m  int // structural variables, rows
 	ncols int // n + m coefficient columns; the value column is ncols
 
-	// The workspace holds the problem data and every array the solves,
-	// resolves and restores on this Solver work in; pivots mutate it in
-	// place. It comes from a pool, and Release hands it back.
+	// The workspace holds the problem data and every array the solves
+	// and restores on this Solver work in; pivots mutate it in place. It
+	// comes from a pool, and Release hands it back.
 	*workspace
 
-	// dualDeficient marks columns with negative cost and no finite upper
-	// bound: no nonbasic status makes them dual feasible, so a fresh
-	// solve needs a feasibility pass before pricing with the real costs.
-	dualDeficient bool
-
-	iters    int // lifetime pivot count (primal + dual + bound flips)
-	flips    int // lifetime bound flips (subset of iters)
-	resolves int // lifetime Resolve calls (dual-simplex warm-start restorations)
-	stall    int // consecutive degenerate pivots; triggers Bland's rule
-	bland    bool
+	iters int // lifetime pivot count
 }
 
 // workspace is the memory one Solver works in. NewSolver takes it from
@@ -70,8 +61,8 @@ type workspace struct {
 	entering []int // Restore: the target's columns that are not yet basic
 }
 
-// stallLimit is the degenerate-pivot run length that switches pricing
-// from Dantzig's rule to Bland's anti-cycling rule. Any strict progress
+// stallLimit is the degenerate-pivot run length after which the dual
+// simplex chooses by Bland's anti-cycling rule. Any strict progress
 // switches back.
 const stallLimit = 24
 
@@ -86,7 +77,9 @@ var workspaces sync.Pool
 //
 // A row whose Cols and Vals differ in length, or that names a column
 // outside [0, n) or one column twice, fails with ErrDimensions; a NaN or
-// infinite coefficient or right-hand side with ErrNotFinite.
+// infinite coefficient or right-hand side with ErrNotFinite; a bound
+// pair that is not finite with lo ≤ up, a missing Up included, with
+// ErrBounds.
 func NewSolver(p *Problem) (*Solver, error) {
 	n := len(p.C)
 	m := len(p.A)
@@ -156,7 +149,7 @@ func (s *Solver) load(p *Problem) error {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return fmt.Errorf("%w: variable %d has cost %v", ErrNotFinite, j, c)
 		}
-		if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(up) || up < lo {
+		if !validBounds(lo, up) {
 			return fmt.Errorf("%w: variable %d has [%v, %v]", ErrBounds, j, lo, up)
 		}
 		s.c[j], s.lo[j], s.up[j] = c, lo, up
@@ -217,18 +210,15 @@ func (s *Solver) Release() {
 }
 
 // reset positions the solver at the all-slack basis with every
-// structural variable nonbasic at the bound that makes it dual feasible
-// where one exists (negative cost prefers the upper bound). It is called
-// only from NewSolver, where the tableau rows are the original [A I].
+// structural variable nonbasic at the bound its cost prefers (a negative
+// cost, the upper one). Every bound is finite, so that cost row is dual
+// feasible. It is called only from NewSolver, where the tableau rows are
+// the original [A I].
 func (s *Solver) reset() {
-	s.dualDeficient = false
 	for j := 0; j < s.ncols; j++ {
 		s.rowOf[j] = -1
 		s.cost[j] = s.c[j]
-		s.atUp[j] = s.c[j] < -eps && !math.IsInf(s.up[j], 1)
-		if s.c[j] < -eps && math.IsInf(s.up[j], 1) {
-			s.dualDeficient = true
-		}
+		s.atUp[j] = s.c[j] < -eps
 	}
 	for i := 0; i < s.m; i++ {
 		col := s.n + i
@@ -297,8 +287,8 @@ func (s *Solver) recomputeCost() {
 // structuralPivot makes column enter basic in row r, updating the
 // coefficient columns and the cost row. With shift set it also moves
 // every other row's basic value by −α·delta, α being the row's entry in
-// the entering column before the pivot: the value update of a primal or
-// dual step, made in the pivot's one pass over the rows. Each row gets
+// the entering column before the pivot: the value update of a dual
+// step, made in the pivot's one pass over the rows. Each row gets
 // exactly the subtraction a separate pass would give it, zero entries
 // included. The pivot row's value is the caller's to set, and Restore's
 // pivots shift nothing (it recomputes the values afterwards).
@@ -358,124 +348,24 @@ func (s *Solver) installBasic(r, enter int, enterVal, delta float64) {
 	s.rowOf[enter] = r
 }
 
-// progress records whether a pivot moved the solution and manages the
-// Dantzig→Bland anti-cycling switch.
-func (s *Solver) progress(step float64) {
-	s.iters++
-	if step > eps {
-		s.stall = 0
-		s.bland = false
-		return
-	}
-	s.stall++
-	if s.stall > stallLimit {
-		s.bland = true
-	}
-}
-
 func (s *Solver) maxIter() int { return 200*(s.m+s.ncols) + 1000 }
 
-var errUnbounded = fmt.Errorf("lp: unbounded")
 var errInfeasible = fmt.Errorf("lp: infeasible")
 
-// primal runs bounded-variable primal simplex to optimality. It requires
-// a primal-feasible tableau and returns errUnbounded when the objective
-// is unbounded below.
-func (s *Solver) primal() error {
-	for iter := 0; iter < s.maxIter(); iter++ {
-		enter := -1
-		score := eps
-		for j := 0; j < s.ncols; j++ {
-			if s.rowOf[j] >= 0 || s.fixed(j) {
-				continue
-			}
-			var sc float64
-			if s.atUp[j] {
-				sc = s.cost[j] // decreasing from the upper bound pays when rc > 0
-			} else {
-				sc = -s.cost[j] // increasing from the lower bound pays when rc < 0
-			}
-			if sc > score {
-				enter = j
-				if s.bland {
-					break // Bland: first eligible index
-				}
-				score = sc
-			}
-		}
-		if enter == -1 {
-			return nil // optimal
-		}
-		d := 1.0
-		if s.atUp[enter] {
-			d = -1
-		}
-
-		// Ratio test: the entering variable moves by t ≥ 0 in direction d
-		// until a basic variable hits a bound or it hits its own opposite
-		// bound. Ties break toward the smallest basic column (Bland).
-		limit := s.up[enter] - s.lo[enter]
-		leave := -1
-		leaveToUpper := false
-		bestT := math.Inf(1)
-		for i := 0; i < s.m; i++ {
-			alpha := s.rows[i][enter] * d
-			bi := s.basis[i]
-			v := s.rows[i][s.ncols]
-			var t float64
-			var toUpper bool
-			switch {
-			case alpha > eps:
-				t = (v - s.lo[bi]) / alpha
-			case alpha < -eps:
-				if math.IsInf(s.up[bi], 1) {
-					continue
-				}
-				t = (v - s.up[bi]) / alpha
-				toUpper = true
-			default:
-				continue
-			}
-			if t < 0 {
-				t = 0 // degeneracy dust must not reverse the move
-			}
-			if leave == -1 || t < bestT-eps || (t <= bestT+eps && bi < s.basis[leave]) {
-				leave = i
-				leaveToUpper = toUpper
-				if t < bestT {
-					bestT = t
-				}
-			}
-		}
-
-		if !math.IsInf(limit, 1) && limit <= bestT {
-			// The entering variable reaches its other bound first: a
-			// bound flip, no basis change.
-			for i := 0; i < s.m; i++ {
-				s.rows[i][s.ncols] -= s.rows[i][enter] * d * limit
-			}
-			s.atUp[enter] = !s.atUp[enter]
-			s.flips++
-			s.progress(limit)
-			continue
-		}
-		if leave == -1 {
-			return errUnbounded
-		}
-		// d = ±1, so the shift α·(d·t) rounds exactly as (α·d)·t.
-		enterVal := s.boundVal(enter) + d*bestT
-		s.atUp[s.basis[leave]] = leaveToUpper
-		s.installBasic(leave, enter, enterVal, d*bestT)
-		s.progress(bestT)
-	}
-	return ErrIterLimit
-}
-
 // dual runs dual simplex until every basic variable is inside its
-// bounds. It requires a dual-feasible cost row and returns errInfeasible
-// when a violated row admits no entering column (a Farkas certificate).
-func (s *Solver) dual() error {
+// bounds. It requires a dual-feasible cost row and keeps it so, which
+// makes the basis it stops at optimal; it returns errInfeasible when a
+// violated row admits no entering column (a Farkas certificate). It
+// leaves the row with the largest violation on the entering column of
+// least ratio, the largest pivot among ties, until more than blandAfter
+// pivots in a row have been degenerate; from then until a pivot makes
+// progress it takes the first violated row and the first column of least
+// ratio (Bland's rule). Solve passes stallLimit; a negative blandAfter
+// applies Bland's rule from the first pivot on.
+func (s *Solver) dual(blandAfter int) error {
+	stall := 0 // consecutive degenerate pivots
 	for iter := 0; iter < s.maxIter(); iter++ {
+		bland := stall > blandAfter
 		r := -1
 		worst := feasTol
 		for i := 0; i < s.m; i++ {
@@ -487,14 +377,14 @@ func (s *Solver) dual() error {
 			}
 			if viol > worst {
 				r = i
-				if s.bland {
+				if bland {
 					break // Bland: first violated row
 				}
 				worst = viol
 			}
 		}
 		if r == -1 {
-			return nil // primal feasible
+			return nil // primal feasible, so optimal
 		}
 		bi := s.basis[r]
 		v := s.rows[r][s.ncols]
@@ -532,7 +422,7 @@ func (s *Solver) dual() error {
 			// Scanning ascending j, ties keep the earlier (smaller) index
 			// in Bland mode and prefer the larger |α| pivot otherwise.
 			better := ratio < bestRatio-eps ||
-				(!s.bland && ratio <= bestRatio+eps && math.Abs(alpha) > math.Abs(bestAlpha))
+				(!bland && ratio <= bestRatio+eps && math.Abs(alpha) > math.Abs(bestAlpha))
 			if enter == -1 || better {
 				enter = j
 				if ratio < bestRatio {
@@ -548,72 +438,25 @@ func (s *Solver) dual() error {
 		enterVal := s.boundVal(enter) + dx
 		s.atUp[bi] = !toLower
 		s.installBasic(r, enter, enterVal, dx)
-		s.progress(bestRatio) // dual progress: a zero ratio is degenerate
+		s.iters++
+		if bestRatio > eps { // a zero ratio is a degenerate pivot
+			stall = 0
+		} else {
+			stall++
+		}
 	}
 	return ErrIterLimit
 }
 
-// primalFeasible reports whether every basic value is inside its bounds.
-func (s *Solver) primalFeasible() bool {
-	for i := 0; i < s.m; i++ {
-		bi := s.basis[i]
-		v := s.rows[i][s.ncols]
-		if v < s.lo[bi]-feasTol || v > s.up[bi]+feasTol {
-			return false
-		}
-	}
-	return true
-}
-
-// Solve optimizes from the solver's current state. On a fresh solver
-// that is the all-slack basis; after SetBounds / Restore it continues
-// from wherever the tableau stands (see Resolve for the warm-start
-// contract). The returned Iterations counts only this call's pivots.
+// Solve optimizes from wherever the tableau stands: the all-slack basis
+// on a fresh solver, or the basis SetBounds and Restore left. The cost
+// row is dual feasible at each of them (see reset, SetBounds and
+// Restore), so one dual simplex run reaches the optimum or proves the
+// problem infeasible. The returned Iterations counts only this call's
+// pivots.
 func (s *Solver) Solve() (*Solution, error) {
-	startIters := s.iters
-	s.stall, s.bland = 0, false
-
-	var err error
-	switch {
-	case s.primalFeasible():
-		err = s.primal()
-	case !s.dualDeficient:
-		if err = s.dual(); err == nil {
-			err = s.primal()
-		}
-	default:
-		// No nonbasic status makes the cost row dual feasible (some
-		// negative-cost column is unbounded above). Run a feasibility
-		// pass: dual simplex against a zero cost row accepts any pivot
-		// and terminates at a primal-feasible basis without artificial
-		// variables, then the real costs take over.
-		for j := range s.cost {
-			s.cost[j] = 0
-		}
-		if err = s.dual(); err == nil {
-			s.recomputeCost()
-			err = s.primal()
-		} else {
-			s.recomputeCost()
-		}
-	}
-	return s.finish(startIters, err)
-}
-
-// Resolve re-optimizes after bound changes via dual simplex from the
-// current basis. The cost row stays dual feasible across SetBounds
-// calls, so this is the warm start: typically a handful of pivots where
-// a fresh Solve would need a full phase. The returned Iterations counts
-// only this call's pivots.
-func (s *Solver) Resolve() (*Solution, error) {
-	startIters := s.iters
-	s.resolves++
-	s.stall, s.bland = 0, false
-	err := s.dual()
-	if err == nil {
-		err = s.primal()
-	}
-	return s.finish(startIters, err)
+	start := s.iters
+	return s.finish(start, s.dual(stallLimit))
 }
 
 func (s *Solver) finish(startIters int, err error) (*Solution, error) {
@@ -622,8 +465,6 @@ func (s *Solver) finish(startIters int, err error) (*Solution, error) {
 	case nil:
 	case errInfeasible:
 		return &Solution{Status: Infeasible, Iterations: iters}, nil
-	case errUnbounded:
-		return &Solution{Status: Unbounded, Iterations: iters}, nil
 	default:
 		return nil, err
 	}
@@ -653,31 +494,17 @@ func (s *Solver) finish(startIters int, err error) (*Solution, error) {
 // Iterations returns the lifetime pivot count across all solves.
 func (s *Solver) Iterations() int { return s.iters }
 
-// Stats breaks down the solver's lifetime work: total pivots, the
-// bound-flip subset (entering variable reached its other bound — no
-// basis change), and dual-simplex warm-start restorations (Resolve
-// calls). All three are deterministic functions of the solve sequence.
-type Stats struct {
-	Iterations       int
-	BoundFlips       int
-	DualRestorations int
-}
-
-// Stats returns the solver's lifetime work breakdown.
-func (s *Solver) Stats() Stats {
-	return Stats{Iterations: s.iters, BoundFlips: s.flips, DualRestorations: s.resolves}
-}
-
-// SetBounds replaces variable j's bounds in place. The tableau stays
-// consistent and dual feasible: a nonbasic variable is snapped to
-// whichever new bound its reduced cost admits (shifting the basic
-// values), a basic variable is left to the next Resolve's dual simplex
-// to pull back inside the new range.
+// SetBounds replaces variable j's bounds in place; both must be finite,
+// with lo ≤ up (ErrBounds otherwise). The tableau stays consistent and
+// dual feasible: a nonbasic variable is snapped to whichever new bound
+// its reduced cost admits (shifting the basic values), a basic variable
+// is left to the next Solve's dual simplex to pull back inside the new
+// range.
 func (s *Solver) SetBounds(j int, lo, up float64) error {
 	if j < 0 || j >= s.n {
 		return fmt.Errorf("%w: variable %d of %d", ErrDimensions, j, s.n)
 	}
-	if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(up) || up < lo {
+	if !validBounds(lo, up) {
 		return fmt.Errorf("%w: variable %d gets [%v, %v]", ErrBounds, j, lo, up)
 	}
 	oldVal := s.boundVal(j)
@@ -693,7 +520,7 @@ func (s *Solver) SetBounds(j int, lo, up float64) error {
 	case target >= up-eps:
 		s.atUp[j] = true
 		target = up
-	case s.cost[j] >= 0 || math.IsInf(up, 1):
+	case s.cost[j] >= 0:
 		s.atUp[j] = false
 		target = lo
 	default:
@@ -703,7 +530,7 @@ func (s *Solver) SetBounds(j int, lo, up float64) error {
 	if !s.fixed(j) {
 		// Keep the resting bound dual feasible: rc < 0 belongs at the
 		// upper bound, rc > 0 at the lower.
-		if !s.atUp[j] && s.cost[j] < -eps && !math.IsInf(up, 1) {
+		if !s.atUp[j] && s.cost[j] < -eps {
 			s.atUp[j] = true
 			target = up
 		} else if s.atUp[j] && s.cost[j] > eps {
@@ -717,4 +544,9 @@ func (s *Solver) SetBounds(j int, lo, up float64) error {
 		}
 	}
 	return nil
+}
+
+// validBounds reports whether lo and up are finite with lo ≤ up.
+func validBounds(lo, up float64) bool {
+	return lo <= up && !math.IsInf(lo, 0) && !math.IsInf(up, 0)
 }
