@@ -1,5 +1,5 @@
-// Command ocdsim runs the reproduction from the command line, in one of two
-// modes.
+// Command ocdsim runs the reproduction from the command line, in one of
+// three modes.
 //
 // A single run executes one of the distribution strategies on a generated
 // or loaded topology and workload, printing makespan ("moves" in the
@@ -17,7 +17,12 @@
 // -parallelism set the experiment parameter of the same name in every
 // invocation that declares it.
 //
-// Both modes take -seed, -telemetry and the pprof profile flags. A flag
+// Graph mode, -graph dot|arcs|stats, prints the graph that -topology, -n
+// and -seed generate and exits, with no workload and no run: as Graphviz
+// DOT, as one "from to capacity" line per arc, or as one line of vertex
+// and arc counts, diameter and strong connectivity.
+//
+// Every mode takes -seed, -telemetry and the pprof profile flags. A flag
 // the selected mode does not read fails the run by name.
 //
 // Examples:
@@ -32,6 +37,8 @@
 //	ocdsim -experiment partition -param k=2 -param heal=0,4,16,-1 -monitor
 //	ocdsim -experiment churn -param leave=0.01,0.05,0.1 -journal sweep.jsonl
 //	ocdsim -spec paper-figures.json -jsonl rows.jsonl
+//	ocdsim -graph dot -topology transit-stub -n 50 > g.dot
+//	ocdsim -graph stats -n 20
 package main
 
 import (
@@ -59,7 +66,8 @@ func main() {
 	}
 }
 
-// singleRun holds the flags only a single run reads, plus the seed.
+// singleRun holds the flags only a single run reads, plus the seed. Graph
+// mode reads its topo, n and seed.
 type singleRun struct {
 	topo, work, heuristic, instPath, dumpInst, dumpSched, steptrace string
 	n, tokens, files, maxSteps, patience                            int
@@ -101,12 +109,17 @@ func run(args []string, stdout io.Writer) error {
 	csv := fs.Bool("csv", false, "write experiment tables as CSV instead of ASCII")
 	var params paramFlag
 	fs.Var(&params, "param", "override one experiment parameter as name=value (repeatable)")
+	graphFormat := fs.String("graph", "", "print the -topology/-n/-seed graph and exit: dot | arcs | stats")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	specMode := *list || *experiment != "" || *specFile != "" || len(params) > 0
-	if err := checkFlags(fs, specMode, s.oracle, s.instPath != ""); err != nil {
+	// Graph mode is chosen by setting -graph at all, so that -graph "" fails
+	// as a format instead of falling through to a single run.
+	graphMode := false
+	fs.Visit(func(f *flag.Flag) { graphMode = graphMode || f.Name == "graph" })
+	if err := checkFlags(fs, specMode, graphMode, s.oracle, s.instPath != ""); err != nil {
 		return err
 	}
 	if *parallelism < 0 {
@@ -115,12 +128,16 @@ func run(args []string, stdout io.Writer) error {
 	// Flag, parameter and spec-file errors fail here, before any file is
 	// created or any cell runs.
 	var invs []experiments.Invocation
-	if specMode {
-		var err error
-		if invs, err = invocations(fs, *list, *experiment, *specFile, params); err != nil {
-			return err
-		}
-	} else if err := s.validate(); err != nil {
+	var err error
+	switch {
+	case specMode:
+		invs, err = invocations(fs, *list, *experiment, *specFile, params)
+	case graphMode && !slices.Contains(graphFormats, *graphFormat):
+		err = fmt.Errorf("-graph must be one of %s, got %q", strings.Join(graphFormats, ", "), *graphFormat)
+	default:
+		err = s.validate()
+	}
+	if err != nil {
 		return err
 	}
 
@@ -137,6 +154,8 @@ func run(args []string, stdout io.Writer) error {
 		err = experiments.Describe(stdout)
 	case specMode:
 		err = runSpecs(stdout, invs, *jsonl, *csv, reg)
+	case graphMode:
+		err = s.printGraph(stdout, *graphFormat)
 	default:
 		err = s.run(stdout, reg)
 	}
@@ -156,11 +175,13 @@ func run(args []string, stdout io.Writer) error {
 	return errors.Join(errs...)
 }
 
-// Which flags each mode reads: spec mode reads specFlags and bothFlags, a
-// single run reads every flag outside specFlags, and a single run of a
-// loaded instance reads none of the generatorFlags.
+// Which flags each mode reads: spec mode reads specFlags and bothFlags,
+// graph mode reads graphFlags and bothFlags, a single run reads every flag
+// outside specFlags and -graph, and a single run of a loaded instance reads
+// none of the generatorFlags.
 var (
 	specFlags      = []string{"experiment", "list", "spec", "param", "jsonl", "csv", "journal", "monitor", "parallelism"}
+	graphFlags     = []string{"graph", "topology", "n"}
 	bothFlags      = []string{"seed", "telemetry", "cpuprofile", "memprofile"}
 	generatorFlags = []string{"topology", "n", "tokens", "workload", "density", "files"}
 	// The §4.2 oracle runs lossless to completion from the seed alone, with
@@ -168,15 +189,21 @@ var (
 	oracleIgnores = []string{"loss", "max-steps", "patience", "steptrace"}
 )
 
+// graphFormats are the values -graph takes.
+var graphFormats = []string{"dot", "arcs", "stats"}
+
 // checkFlags fails an invocation that explicitly sets a flag its mode does
-// not read, naming the flag, instead of ignoring it and exiting 0.
-func checkFlags(fs *flag.FlagSet, specMode, oracle, loaded bool) error {
+// not read, naming the flag, instead of ignoring it and exiting 0. Spec
+// mode wins over graph mode, so -experiment with -graph fails on -graph.
+func checkFlags(fs *flag.FlagSet, specMode, graphMode, oracle, loaded bool) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		switch {
 		case err != nil:
 		case specMode && !slices.Contains(specFlags, f.Name) && !slices.Contains(bothFlags, f.Name):
 			err = fmt.Errorf("-%s is not read by -experiment, -spec or -list; set experiment parameters with -param", f.Name)
+		case graphMode && !specMode && !slices.Contains(graphFlags, f.Name) && !slices.Contains(bothFlags, f.Name):
+			err = fmt.Errorf("-%s is not read by -graph, which prints the -topology/-n/-seed graph and exits", f.Name)
 		case !specMode && slices.Contains(specFlags, f.Name):
 			err = fmt.Errorf("-%s must be used with -experiment or -spec; a single run ignores it", f.Name)
 		case oracle && slices.Contains(oracleIgnores, f.Name):
@@ -489,16 +516,7 @@ func (s *singleRun) instance() (*ocd.Instance, error) {
 		return ocd.DecodeInstanceJSON(f)
 	}
 
-	var g *ocd.Graph
-	var err error
-	switch s.topo {
-	case "random":
-		g, err = ocd.RandomTopology(s.n, ocd.DefaultCaps, s.seed)
-	case "transit-stub":
-		g, err = ocd.TransitStubTopology(s.n, ocd.DefaultCaps, s.seed)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", s.topo)
-	}
+	g, err := s.graph()
 	if err != nil {
 		return nil, err
 	}
@@ -515,6 +533,46 @@ func (s *singleRun) instance() (*ocd.Instance, error) {
 	default:
 		return nil, fmt.Errorf("unknown workload %q", s.work)
 	}
+}
+
+// graph generates the -topology graph for -n and -seed (transit-stub
+// rounds -n up to whole domains).
+func (s *singleRun) graph() (*ocd.Graph, error) {
+	switch s.topo {
+	case "random":
+		return ocd.RandomTopology(s.n, ocd.DefaultCaps, s.seed)
+	case "transit-stub":
+		return ocd.TransitStubTopology(s.n, ocd.DefaultCaps, s.seed)
+	}
+	return nil, fmt.Errorf("unknown topology %q", s.topo)
+}
+
+// printGraph writes the generated graph in format, one of graphFormats:
+// DOT named after the topology, one "from to capacity" line per arc, or a
+// stats line.
+func (s *singleRun) printGraph(w io.Writer, format string) error {
+	g, err := s.graph()
+	if err != nil {
+		return err
+	}
+	var out string
+	switch format {
+	case "dot":
+		out = g.DOT(s.topo)
+	case "arcs":
+		var b strings.Builder
+		for _, a := range g.Arcs() {
+			fmt.Fprintf(&b, "%d %d %d\n", a.From, a.To, a.Cap)
+		}
+		out = b.String()
+	case "stats":
+		out = fmt.Sprintf("vertices=%d arcs=%d diameter=%d strongly-connected=%v\n",
+			g.N(), g.NumArcs(), g.Diameter(), g.StronglyConnected())
+	}
+	if _, err := io.WriteString(w, out); err != nil {
+		return fmt.Errorf("writing graph: %w", err)
+	}
+	return nil
 }
 
 // writeFile creates path and streams enc into it. The close error is

@@ -217,6 +217,100 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestGraphFormats: -graph prints the generated topology in each format;
+// the stats line of the seed-1 random graph on 20 vertices is pinned, and
+// the arc list has one line per arc it counts.
+func TestGraphFormats(t *testing.T) {
+	const stats = "vertices=20 arcs=118 diameter=3 strongly-connected=true\n"
+	if out := runOK(t, "-graph", "stats", "-n", "20", "-seed", "1"); out != stats {
+		t.Errorf("-graph stats printed %q, want %q", out, stats)
+	}
+	arcs := runOK(t, "-graph", "arcs", "-n", "20", "-seed", "1")
+	lines := strings.Split(strings.TrimSuffix(arcs, "\n"), "\n")
+	if len(lines) != 118 {
+		t.Errorf("-graph arcs printed %d lines, want 118", len(lines))
+	}
+	for _, line := range lines {
+		if len(strings.Fields(line)) != 3 {
+			t.Errorf("-graph arcs line %q is not \"from to capacity\"", line)
+		}
+	}
+	dot := runOK(t, "-graph", "dot", "-n", "20", "-seed", "1")
+	if !strings.HasPrefix(dot, "digraph \"random\" {\n") || !strings.HasSuffix(dot, "}\n") ||
+		strings.Count(dot, " -> ") != 118 {
+		t.Errorf("-graph dot output malformed:\n%s", dot)
+	}
+}
+
+// TestGraphTransitStub: the DOT name is quoted, since an unquoted DOT ID
+// cannot hold the hyphen of "transit-stub".
+func TestGraphTransitStub(t *testing.T) {
+	stats := runOK(t, "-graph", "stats", "-topology", "transit-stub", "-n", "30")
+	if !strings.HasPrefix(stats, "vertices=") || !strings.Contains(stats, "strongly-connected=true") {
+		t.Errorf("stats malformed: %s", stats)
+	}
+	dot := runOK(t, "-graph", "dot", "-topology", "transit-stub", "-n", "30")
+	if first, _, _ := strings.Cut(dot, "\n"); first != `digraph "transit-stub" {` {
+		t.Errorf("DOT starts with %q", first)
+	}
+}
+
+// TestGraphErrors: a topology that cannot be generated, or an empty
+// format, fails before any output (TestFlagValidation covers -graph nope).
+func TestGraphErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-graph", "dot", "-topology", "nope"},
+		{"-graph", ""},
+		{"-graph", "dot", "-n", "1"},
+		{"-graph", "stats", "-topology", "transit-stub", "-n", "-3"},
+		{"-graph", "stats", "-topology", "transit-stub", "-n", "0"},
+		{"-graph", "stats", "-topology", "transit-stub", "-n", "1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("args %v printed output before failing:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestTradeoffCurveAlreadySatisfied: an instance whose only wanter already
+// holds the token needs no move, so the curve is the single row tau=0, at
+// both optima.
+func TestTradeoffCurveAlreadySatisfied(t *testing.T) {
+	g := ocd.NewGraph(2)
+	if err := g.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	inst := ocd.NewInstance(g, 1)
+	inst.Have[1].Add(0)
+	inst.Want[1].Add(0)
+	path := filepath.Join(t.TempDir(), "inst.json")
+	if err := writeFile(path, func(w io.Writer) error { return ocd.EncodeInstanceJSON(w, inst) }); err != nil {
+		t.Fatal(err)
+	}
+	const want = "tau,min-bandwidth,at-focd-optimum,at-eocd-optimum\n0,0,true,true\n"
+	if out := runOK(t, append(experimentArgs("tradeoff-curve", "instance="+path), "-csv")...); out != want {
+		t.Errorf("tradeoff-curve printed %q, want %q", out, want)
+	}
+}
+
+// TestFigure1Experiment: -experiment figure1 prints the gadget's certified
+// optima — τ*=2 at 6 moves and 4 moves at 3 steps by branch and bound, and
+// the time-indexed ILP's 6 and 4 at those horizons.
+func TestFigure1Experiment(t *testing.T) {
+	const want = "objective,solver,timesteps,bandwidth\n" +
+		"min time,branch&bound,2,6\n" +
+		"min bandwidth,branch&bound,3,4\n" +
+		"min bandwidth @ tau=2,time-indexed ILP,2,6\n" +
+		"min bandwidth @ tau=3,time-indexed ILP,3,4\n"
+	if out := runOK(t, "-experiment", "figure1", "-csv"); out != want {
+		t.Errorf("figure1 printed %q, want %q", out, want)
+	}
+}
+
 func TestParamsFlag(t *testing.T) {
 	var p paramFlag
 	for _, kv := range []string{"n=12", "heuristics=local,bandwidth", "journal="} {
@@ -848,6 +942,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-list", "-topology", "transit-stub"}, "-topology"},
 		{[]string{"-experiment", "theorem4", "-param", "decoys=1", "-timeline"}, "-timeline"},
 		{[]string{"-experiment", "figure1", "-dump-schedule", filepath.Join(dir, "s.json")}, "-dump-schedule"},
+		{[]string{"-experiment", "figure1", "-graph", "dot"}, "-graph"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
@@ -862,6 +957,26 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) printed output before failing:\n%s", tc.args, out.String())
 		}
 	}
+	// -graph reads only -topology, -n and the flags every mode reads.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "dot", "-heuristic", "all"}, "-heuristic is not read by -graph"},
+		{[]string{"-graph", "dot", "-tokens", "3"}, "-tokens is not read by -graph"},
+		{[]string{"-graph", "nope"}, "-graph must be one of dot, arcs, stats"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): want an error containing %q, got %v", tc.args, tc.want, err)
+		}
+		if out.Len() > 0 {
+			t.Errorf("run(%v) printed output before failing:\n%s", tc.args, out.String())
+		}
+	}
+	runOK(t, "-graph", "stats", "-seed", "3", "-telemetry", filepath.Join(dir, "graph-tel.jsonl"),
+		"-cpuprofile", filepath.Join(dir, "graph-cpu.pprof"), "-memprofile", filepath.Join(dir, "graph-mem.pprof"))
 	// graph-size declares no monitor parameter, so -monitor fails there.
 	if err := run([]string{"-experiment", "graph-size", "-monitor"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-monitor is not read by") {

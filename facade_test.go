@@ -28,20 +28,6 @@ func TestFacadeFlowBounds(t *testing.T) {
 	if flowLB != 2 {
 		t.Errorf("flow bound = %d, want 2 (ceil(4/2) = dist)", flowLB)
 	}
-	combined, err := ocd.CombinedMakespanLowerBound(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined < flowLB || combined < ocd.MakespanLowerBound(inst) {
-		t.Errorf("combined bound %d below components", combined)
-	}
-	value, cut, err := ocd.MaxFlow(g, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if value != 2 || len(cut) == 0 {
-		t.Errorf("max flow = %d cut=%v", value, cut)
-	}
 }
 
 func TestFacadeSolveFOCDILP(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ocd/internal/core"
-	"ocd/internal/experiments"
 	"ocd/internal/heuristics"
 	"ocd/internal/sim"
 	"ocd/internal/topology"
@@ -30,7 +29,7 @@ func TestArrivalsAllocationCeilings(t *testing.T) {
 		name string
 		inst *core.Instance
 	}{
-		{"tiny n5m3", experiments.RandomTinyInstances(1, 1, 5, 3)[0]},
+		{"tiny n5m3", workload.RandomTinyInstances(1, 1, 5, 3)[0]},
 		{"multisender n200", multisender},
 	} {
 		a := core.NewArrivals(c.inst, nil)

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"ocd/internal/core"
-	"ocd/internal/experiments"
 	"ocd/internal/flow"
 	"ocd/internal/graph"
 	"ocd/internal/heuristics"
@@ -395,7 +394,7 @@ func TestArrivalsMatchReference(t *testing.T) {
 	}
 
 	for _, n := range []int{5, 7} {
-		for i, inst := range experiments.RandomTinyInstances(3, 60, n, 3) {
+		for i, inst := range workload.RandomTinyInstances(3, 60, n, 3) {
 			name := fmt.Sprintf("tiny/n%d/i%d", n, i)
 			reused := core.NewArrivals(inst, nil)
 			checkBounds(t, name, inst, nil, reused, true)

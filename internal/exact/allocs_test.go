@@ -20,7 +20,7 @@ func TestExactAllocationCeilings(t *testing.T) {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
 	fig1 := workload.Figure1()
-	insts := tinyInstances(1, 40, 5, 3)
+	insts := workload.RandomTinyInstances(1, 40, 5, 3)
 	for _, c := range []struct {
 		name    string
 		ceiling float64

@@ -1,6 +1,10 @@
 package exact
 
-import "testing"
+import (
+	"testing"
+
+	"ocd/internal/workload"
+)
 
 // TestLastStepOutcomes requires both ways dfs decides a node with one step
 // left to occur on the n5m3 ×400 mix that TestSearchesMatchReference
@@ -10,7 +14,7 @@ import "testing"
 // test still passes.
 func TestLastStepOutcomes(t *testing.T) {
 	var total [2]int
-	for _, inst := range tinyInstances(1, 400, 5, 3) {
+	for _, inst := range workload.RandomTinyInstances(1, 400, 5, 3) {
 		fast, err := SolveFOCD(inst, Options{})
 		if err != nil {
 			continue

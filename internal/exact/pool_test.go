@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"ocd/internal/core"
+	"ocd/internal/workload"
 )
 
 // TestConcurrentSolvesMatchSerial runs both searches from 4 goroutines at
 // once, so that solves hand pooled frames to one another mid-run, and
 // checks every schedule, move order included, against a serial run.
 func TestConcurrentSolvesMatchSerial(t *testing.T) {
-	insts := tinyInstances(3, 12, 5, 3)
+	insts := workload.RandomTinyInstances(3, 12, 5, 3)
 	type result struct{ fast, cheap string }
 	solve := func(inst *core.Instance) (result, error) {
 		fast, err := SolveFOCD(inst, Options{})

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"ocd/internal/core"
-	"ocd/internal/graph"
 	"ocd/internal/tokenset"
 	"ocd/internal/workload"
 )
@@ -375,36 +374,6 @@ func refCapacitySubsets(inst *core.Instance, moves []core.Move) []core.Step {
 // ----------------------------------------------------------------------
 // Byte-identity of the in-place searches against the reference.
 
-// tinyInstances draws count seeded connected instances from one RNG
-// stream, the way experiments.RandomTinyInstances does (that package
-// imports this one, so it cannot be used here).
-func tinyInstances(seed int64, count, n, m int) []*core.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*core.Instance, count)
-	for i := range out {
-		g := graph.New(n)
-		perm := rng.Perm(n)
-		for j := 1; j < n; j++ {
-			_ = g.AddEdge(perm[j], perm[rng.Intn(j)], 1+rng.Intn(2))
-		}
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasArc(u, v) {
-				_ = g.AddEdge(u, v, 1+rng.Intn(2))
-			}
-		}
-		inst := core.NewInstance(g, m)
-		for t := 0; t < m; t++ {
-			inst.Have[rng.Intn(n)].Add(t)
-			for w := 0; w < 1+rng.Intn(2); w++ {
-				inst.Want[rng.Intn(n)].Add(t)
-			}
-		}
-		out[i] = inst
-	}
-	return out
-}
-
 // sameOutcome fails the test unless the two solver results are identical:
 // the same error text, or schedules with the same moves in the same order
 // within every step.
@@ -440,13 +409,13 @@ func TestSearchesMatchReference(t *testing.T) {
 		mix     bool              // part of the n5m3 node total
 	}
 	var cases []horizonCase
-	for i, inst := range tinyInstances(1, 400, 5, 3) {
+	for i, inst := range workload.RandomTinyInstances(1, 400, 5, 3) {
 		for _, plus := range []int{0, 1, 2} {
 			cases = append(cases, horizonCase{fmt.Sprintf("n5m3/%d@tau*+%d", i, plus), inst,
 				func(tau int) int { return tau + plus }, true})
 		}
 	}
-	for i, inst := range tinyInstances(2, 100, 4, 2) {
+	for i, inst := range workload.RandomTinyInstances(2, 100, 4, 2) {
 		cases = append(cases, horizonCase{fmt.Sprintf("n4m2/%d@0", i), inst, func(int) int { return 0 }, false})
 	}
 	fixtures := map[string]*core.Instance{
@@ -502,7 +471,7 @@ func TestSearchesMatchReference(t *testing.T) {
 // budget small enough to run out, both implementations must give up at
 // the same node, so their errors (and any schedule found first) agree.
 func TestBudgetErrorsMatchReference(t *testing.T) {
-	insts := tinyInstances(1, 400, 5, 3)
+	insts := workload.RandomTinyInstances(1, 400, 5, 3)
 	budgetHits := 0
 	for _, budget := range []int{5, 20, 50} {
 		opts := Options{MaxNodes: budget}

@@ -10,6 +10,7 @@ import (
 	"ocd/internal/runner"
 	"ocd/internal/sim"
 	"ocd/internal/telemetry"
+	"ocd/internal/workload"
 )
 
 func init() {
@@ -44,7 +45,7 @@ func boundsQualityImpl(instances, n, m int, seed int64, em *Emitter) error {
 	// The tiny instances are drawn serially from one RNG stream (each draw
 	// depends on the previous); the expensive exact solves and heuristic
 	// runs then fan out with one cell per instance.
-	insts := RandomTinyInstances(seed, instances, n, m)
+	insts := workload.RandomTinyInstances(seed, instances, n, m)
 	type heurOutcome struct {
 		steps, pruned int
 		failed        bool

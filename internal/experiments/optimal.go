@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ocd/internal/core"
 	"ocd/internal/exact"
-	"ocd/internal/graph"
 	"ocd/internal/ilp"
 	"ocd/internal/runner"
 	"ocd/internal/telemetry"
@@ -18,7 +16,7 @@ import (
 // atomic additions are order-free, so cells running concurrently record
 // the same totals as a serial run. A nil *solverCtrs records nothing.
 type solverCtrs struct {
-	nodes, iters, warm, flips, restor *telemetry.Counter
+	nodes, iters, warm *telemetry.Counter
 }
 
 func newSolverCtrs(reg *telemetry.Registry) *solverCtrs {
@@ -26,11 +24,9 @@ func newSolverCtrs(reg *telemetry.Registry) *solverCtrs {
 		return nil
 	}
 	return &solverCtrs{
-		nodes:  reg.Counter("solver.nodes"),
-		iters:  reg.Counter("solver.simplex_iterations"),
-		warm:   reg.Counter("solver.warm_starts"),
-		flips:  reg.Counter("solver.bound_flips"),
-		restor: reg.Counter("solver.dual_restorations"),
+		nodes: reg.Counter("solver.nodes"),
+		iters: reg.Counter("solver.simplex_iterations"),
+		warm:  reg.Counter("solver.warm_starts"),
 	}
 }
 
@@ -41,8 +37,6 @@ func (c *solverCtrs) record(st ilp.Stats) {
 	c.nodes.Add(int64(st.Nodes))
 	c.iters.Add(int64(st.SimplexIterations))
 	c.warm.Add(int64(st.WarmStarts))
-	c.flips.Add(int64(st.BoundFlips))
-	c.restor.Add(int64(st.DualRestorations))
 }
 
 func init() {
@@ -124,7 +118,7 @@ func ilpVsBnBImpl(instances, n, m int, seed int64, em *Emitter) error {
 		"instance", "n", "tokens", "tau", "ilp-bw", "bnb-bw", "agree")
 	// Instances are drawn serially from one RNG stream; the two exact
 	// solves per instance (deterministic, seed-free) fan out as cells.
-	insts := RandomTinyInstances(seed, instances, n, m)
+	insts := workload.RandomTinyInstances(seed, instances, n, m)
 	type crossCell struct {
 		n, tokens, tau, ilpBW, bnbBW int
 	}
@@ -168,43 +162,8 @@ func ilpVsBnBImpl(instances, n, m int, seed int64, em *Emitter) error {
 	return nil
 }
 
-// RandomTinyInstances draws count seeded instances from a single RNG
-// stream. The benchmark's solver workload, the ILP↔exact parity tests and
-// the ilp package's solver work ceilings share this generator, so "the
-// pinned solver set" names the same instances everywhere; changing it
-// changes the benchmark's output digest and the ceilings' pinned optimum.
+// RandomTinyInstances forwards to workload.RandomTinyInstances for the
+// benchmark's solver workload, which still calls it here.
 func RandomTinyInstances(seed int64, count, n, m int) []*core.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*core.Instance, count)
-	for i := range out {
-		out[i] = randomTinyInstance(rng, n, m)
-	}
-	return out
-}
-
-// randomTinyInstance builds a connected random instance small enough for
-// both exact solvers.
-func randomTinyInstance(rng *rand.Rand, n, m int) *core.Instance {
-	g := graph.New(n)
-	// Random spanning tree plus a few extra arcs, capacities 1..2.
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		u, v := perm[i], perm[rng.Intn(i)]
-		_ = g.AddEdge(u, v, 1+rng.Intn(2))
-	}
-	for e := 0; e < n/2; e++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasArc(u, v) {
-			_ = g.AddEdge(u, v, 1+rng.Intn(2))
-		}
-	}
-	inst := core.NewInstance(g, m)
-	for t := 0; t < m; t++ {
-		inst.Have[rng.Intn(n)].Add(t)
-		// Each token is wanted by one or two vertices.
-		for w := 0; w < 1+rng.Intn(2); w++ {
-			inst.Want[rng.Intn(n)].Add(t)
-		}
-	}
-	return inst
+	return workload.RandomTinyInstances(seed, count, n, m)
 }

@@ -190,16 +190,3 @@ func FlowMakespanLowerBound(inst *core.Instance) (int, error) {
 	}
 	return best, nil
 }
-
-// CombinedMakespanLowerBound returns the max of the §5.1 radius bound and
-// the flow bound.
-func CombinedMakespanLowerBound(inst *core.Instance) (int, error) {
-	flowLB, err := FlowMakespanLowerBound(inst)
-	if err != nil {
-		return 0, err
-	}
-	if radius := core.MakespanLowerBound(inst, nil); radius > flowLB {
-		return radius, nil
-	}
-	return flowLB, nil
-}

@@ -167,13 +167,6 @@ func TestFlowBoundSometimesBeatsRadiusBound(t *testing.T) {
 		t.Errorf("expected the flow bound (%d) to beat the radius bound (%d) here",
 			flowLB, radius)
 	}
-	combined, err := CombinedMakespanLowerBound(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined != 4 {
-		t.Errorf("combined bound = %d, want 4", combined)
-	}
 }
 
 func TestFlowBoundAdmissible(t *testing.T) {

@@ -437,10 +437,11 @@ func (g *Graph) StronglyConnected() bool {
 	return true
 }
 
-// DOT renders the graph in Graphviz DOT format with capacities as labels.
+// DOT renders the graph in Graphviz DOT format under the quoted name, with
+// capacities as labels.
 func (g *Graph) DOT(name string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %s {\n", name)
+	fmt.Fprintf(&b, "digraph %q {\n", name)
 	for _, a := range g.Arcs() {
 		fmt.Fprintf(&b, "  %d -> %d [label=%d];\n", a.From, a.To, a.Cap)
 	}

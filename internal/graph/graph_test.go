@@ -215,9 +215,13 @@ func TestArcsSortedAndClone(t *testing.T) {
 func TestDOT(t *testing.T) {
 	g := New(2)
 	mustAdd(t, g, 0, 1, 9)
-	dot := g.DOT("test")
-	if !strings.Contains(dot, "digraph test") || !strings.Contains(dot, "0 -> 1 [label=9]") {
-		t.Errorf("DOT output malformed:\n%s", dot)
+	// The name is quoted: an unquoted DOT ID admits only letters, digits
+	// and underscores, so "transit-stub" would not parse bare.
+	for _, name := range []string{"test", "transit-stub"} {
+		dot := g.DOT(name)
+		if !strings.HasPrefix(dot, "digraph \""+name+"\" {\n") || !strings.Contains(dot, "0 -> 1 [label=9]") {
+			t.Errorf("DOT output malformed:\n%s", dot)
+		}
 	}
 }
 

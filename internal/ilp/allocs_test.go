@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ocd/internal/exact"
+	"ocd/internal/workload"
 )
 
 // TestILPAllocationCeilings fails if building or solving the program
@@ -22,7 +23,7 @@ func TestILPAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
-	insts := tinyInstances(1, 40, 5, 3)
+	insts := workload.RandomTinyInstances(1, 40, 5, 3)
 	taus := make([]int, len(insts))
 	for i, inst := range insts {
 		fast, err := exact.SolveFOCD(inst, exact.Options{})

@@ -5,8 +5,8 @@ import (
 
 	"ocd/internal/core"
 	"ocd/internal/exact"
-	"ocd/internal/experiments"
 	"ocd/internal/ilp"
+	"ocd/internal/workload"
 )
 
 // TestParityWithExactSolvers is the ILP↔exact cross-check on a seeded
@@ -27,7 +27,7 @@ func TestParityWithExactSolvers(t *testing.T) {
 		{seed: 9, count: 2, n: 6, m: 3},
 	}
 	for _, g := range grid {
-		insts := experiments.RandomTinyInstances(g.seed, g.count, g.n, g.m)
+		insts := workload.RandomTinyInstances(g.seed, g.count, g.n, g.m)
 		for i, inst := range insts {
 			fast, err := exact.SolveFOCD(inst, exact.Options{})
 			if err != nil {
@@ -88,7 +88,7 @@ func TestSolverWorkCeilings(t *testing.T) {
 		t.Helper()
 		objective := 0
 		var work ilp.Stats
-		for i, inst := range experiments.RandomTinyInstances(7, 8, 6, 3) {
+		for i, inst := range workload.RandomTinyInstances(7, 8, 6, 3) {
 			fast, err := exact.SolveFOCD(inst, exact.Options{})
 			if err != nil {
 				t.Fatalf("inst %d: exact focd: %v", i, err)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"ocd/internal/core"
@@ -174,36 +173,6 @@ func (r *refProgram) program() *Program {
 	return p
 }
 
-// tinyInstances draws count seeded connected instances from one RNG
-// stream, the way experiments.RandomTinyInstances does (that package
-// imports this one, so it cannot be used here).
-func tinyInstances(seed int64, count, n, m int) []*core.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*core.Instance, count)
-	for i := range out {
-		g := graph.New(n)
-		perm := rng.Perm(n)
-		for j := 1; j < n; j++ {
-			_ = g.AddEdge(perm[j], perm[rng.Intn(j)], 1+rng.Intn(2))
-		}
-		for e := 0; e < n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasArc(u, v) {
-				_ = g.AddEdge(u, v, 1+rng.Intn(2))
-			}
-		}
-		inst := core.NewInstance(g, m)
-		for t := 0; t < m; t++ {
-			inst.Have[rng.Intn(n)].Add(t)
-			for w := 0; w < 1+rng.Intn(2); w++ {
-				inst.Want[rng.Intn(n)].Add(t)
-			}
-		}
-		out[i] = inst
-	}
-	return out
-}
-
 // presolveOutcome is what comparePresolve learned about one input.
 type presolveOutcome int
 
@@ -309,7 +278,7 @@ func TestPresolveMatchesReference(t *testing.T) {
 		if testing.Short() {
 			size.count = size.short
 		}
-		for i, inst := range tinyInstances(int64(size.n), size.count, size.n, 3) {
+		for i, inst := range workload.RandomTinyInstances(int64(size.n), size.count, size.n, 3) {
 			fast, err := exact.SolveFOCD(inst, exact.Options{})
 			if err != nil {
 				t.Fatalf("n%d/%d: focd: %v", size.n, i, err)

@@ -4,19 +4,19 @@ import (
 	"testing"
 
 	"ocd/internal/exact"
-	"ocd/internal/experiments"
 	"ocd/internal/ilp"
 	"ocd/internal/lp"
+	"ocd/internal/workload"
 )
 
 // TestLeversOnILPPrograms runs the lever check of TestSparsePivotMatchesDense
 // on the programs the solver is built for: the §3.4 relaxations
 // ilp.Build makes for 30 seeded n=5, m=3 instances, the stream
-// experiments.RandomTinyInstances draws the bench's solver cells from, at
-// the FOCD optimum τ* and at τ*+1.
+// workload.RandomTinyInstances draws the bench's solver cells from, at the
+// FOCD optimum τ* and at τ*+1.
 func TestLeversOnILPPrograms(t *testing.T) {
 	pivots, restores := 0, 0
-	for i, inst := range experiments.RandomTinyInstances(1, 30, 5, 3) {
+	for i, inst := range workload.RandomTinyInstances(1, 30, 5, 3) {
 		fast, err := exact.SolveFOCD(inst, exact.Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package trace serializes OCD instances and schedules to a stable JSON
 // format, so generated workloads can be archived, diffed, and replayed
-// across runs and tools (ocdgen → ocdsim → analysis).
+// across runs and tools.
 package trace
 
 import (

@@ -1,7 +1,8 @@
 // Package workload constructs the OCD instances used in the paper's
 // evaluation (§5.2–5.3): single-source single-file distribution to all or a
 // density-chosen subset of receivers, and the multi-file subdivision
-// scenarios with single or random multiple senders.
+// scenarios with single or random multiple senders. It also draws the
+// seeded tiny instances that the exact solvers certify.
 package workload
 
 import (
@@ -105,5 +106,48 @@ func PointToPoint(g *graph.Graph, m, src, dst int) *core.Instance {
 	inst := core.NewInstance(g, m)
 	inst.Have[src].AddRange(0, m)
 	inst.Want[dst].AddRange(0, m)
+	return inst
+}
+
+// RandomTinyInstances draws count seeded instances from a single RNG
+// stream. The benchmark's solver workload, ilp-vs-bnb, bounds-quality and
+// the solver packages' reference tests and work ceilings share this
+// generator, so "the pinned solver set" names the same instances
+// everywhere; changing the stream changes the benchmark's output digest
+// and every pinned solver count.
+func RandomTinyInstances(seed int64, count, n, m int) []*core.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*core.Instance, count)
+	for i := range out {
+		out[i] = randomTinyInstance(rng, n, m)
+	}
+	return out
+}
+
+// randomTinyInstance builds a connected random instance small enough for
+// both exact solvers.
+func randomTinyInstance(rng *rand.Rand, n, m int) *core.Instance {
+	g := graph.New(n)
+	// Random spanning tree plus a few extra arcs, capacities 1..2.
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		u, v := perm[i], perm[rng.Intn(i)]
+		_ = g.AddEdge(u, v, 1+rng.Intn(2))
+	}
+	for e := 0; e < n/2; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v && !g.HasArc(u, v) {
+			_ = g.AddEdge(u, v, 1+rng.Intn(2))
+		}
+	}
+	inst := core.NewInstance(g, m)
+	for t := 0; t < m; t++ {
+		inst.Have[rng.Intn(n)].Add(t)
+		// Each token is wanted by one or two vertices. The loop bound is
+		// drawn again on every test, and the stream depends on those draws.
+		for w := 0; w < 1+rng.Intn(2); w++ {
+			inst.Want[rng.Intn(n)].Add(t)
+		}
+	}
 	return inst
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"ocd/internal/core"
@@ -187,5 +189,69 @@ func TestFigure1CertifiedOptima(t *testing.T) {
 	}
 	if err := core.Validate(inst, cheap); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomTinyInstancesShape holds the generator to the shape the exact
+// solvers rely on, over seeds 1–10, n = 2–7 and m = 1–3: every instance
+// passes Check, is strongly connected and has arc capacities 1–2, and
+// every token has one holder and one or two wanters.
+func TestRandomTinyInstancesShape(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		for n := 2; n <= 7; n++ {
+			for m := 1; m <= 3; m++ {
+				for i, inst := range RandomTinyInstances(seed, 20, n, m) {
+					label := fmt.Sprintf("seed %d n=%d m=%d #%d", seed, n, m, i)
+					if err := inst.Check(); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if inst.N() != n || inst.NumTokens != m {
+						t.Fatalf("%s: %d vertices and %d tokens", label, inst.N(), inst.NumTokens)
+					}
+					if !inst.G.StronglyConnected() {
+						t.Fatalf("%s: not strongly connected", label)
+					}
+					for _, a := range inst.G.Arcs() {
+						if a.Cap < 1 || a.Cap > 2 {
+							t.Fatalf("%s: arc %d->%d has capacity %d", label, a.From, a.To, a.Cap)
+						}
+					}
+					for tok := 0; tok < m; tok++ {
+						holders, wanters := 0, 0
+						for v := 0; v < n; v++ {
+							if inst.Have[v].Has(tok) {
+								holders++
+							}
+							if inst.Want[v].Has(tok) {
+								wanters++
+							}
+						}
+						if holders != 1 || wanters < 1 || wanters > 2 {
+							t.Fatalf("%s: token %d has %d holders and %d wanters", label, tok, holders, wanters)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRandomTinyInstancesStream pins the first 3,000 instances at n=5,
+// m=3, seed 1, the stream the benchmark's solver cells and most pinned
+// solver counts come from: the digest folds every arc and every vertex's
+// have and want sets, so any change to the draws fails here first.
+func TestRandomTinyInstancesStream(t *testing.T) {
+	h := fnv.New64a()
+	for _, inst := range RandomTinyInstances(1, 3000, 5, 3) {
+		fmt.Fprintf(h, "n=%d m=%d\n", inst.N(), inst.NumTokens)
+		for _, a := range inst.G.Arcs() {
+			fmt.Fprintf(h, "%d>%d:%d\n", a.From, a.To, a.Cap)
+		}
+		for v := 0; v < inst.N(); v++ {
+			fmt.Fprintf(h, "%d have%v want%v\n", v, inst.Have[v].Slice(), inst.Want[v].Slice())
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xd4dd6b7d7c02aec8); got != want {
+		t.Errorf("stream digest %016x, want %016x", got, want)
 	}
 }

@@ -39,9 +39,6 @@ import (
 	"ocd/internal/workload"
 )
 
-// NewTokenSet returns an empty token set over [0, universe).
-func NewTokenSet(universe int) TokenSet { return tokenset.New(universe) }
-
 // Core model types (§3.1).
 type (
 	// Instance is an OCD problem instance (G, T, h, w).
@@ -331,15 +328,6 @@ func MakespanLowerBound(inst *Instance) int { return core.MakespanLowerBound(ins
 func FlowMakespanLowerBound(inst *Instance) (int, error) {
 	return flow.FlowMakespanLowerBound(inst)
 }
-
-// CombinedMakespanLowerBound is the max of the radius and flow bounds.
-func CombinedMakespanLowerBound(inst *Instance) (int, error) {
-	return flow.CombinedMakespanLowerBound(inst)
-}
-
-// MaxFlow computes the Edmonds–Karp maximum flow between two vertices of a
-// graph, returning the value and the source side of a minimum cut.
-func MaxFlow(g *Graph, s, t int) (int, []int, error) { return flow.MaxFlow(g, s, t) }
 
 // BandwidthLowerBound returns the §5.1 remaining-bandwidth bound from the
 // initial possession.

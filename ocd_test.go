@@ -67,12 +67,6 @@ func TestPublicAPIManualInstance(t *testing.T) {
 	if got := sched.Makespan(); got != 3 {
 		t.Errorf("optimum = %d steps, want 3 (2 hops + pipeline)", got)
 	}
-
-	set := ocd.NewTokenSet(5)
-	set.Add(3)
-	if !set.Has(3) || set.Count() != 1 {
-		t.Error("NewTokenSet misbehaves")
-	}
 }
 
 func TestPublicAPIFigure1(t *testing.T) {
