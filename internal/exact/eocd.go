@@ -7,13 +7,15 @@ import (
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
+	"ocd/internal/steiner"
 	"ocd/internal/tokenset"
 )
 
-// errOptimal is an internal sentinel: the incumbent has met the global
-// §5.1 bandwidth lower bound, so the rest of the search tree cannot
-// improve on it and the whole search stops early. internal/ilp applies
-// the same certificate to its branch-and-bound loop.
+// errOptimal is an internal sentinel: the incumbent has met the §3.3
+// Steiner-forest bound of the initial possession (steiner.ForestBound),
+// which no schedule beats, so the rest of the search tree cannot improve
+// on it and the whole search stops early. internal/ilp applies the same
+// certificate to its branch-and-bound loop.
 var errOptimal = errors.New("exact: incumbent meets global lower bound")
 
 // SolveEOCD returns a successful schedule using the minimum number of moves
@@ -26,8 +28,12 @@ var errOptimal = errors.New("exact: incumbent meets global lower bound")
 // moves: a move (u,v,t) is relevant only if some wanter of t lies within
 // the steps left after it, counted in hops from v (the horizon test
 // internal/ilp presolves with), and a subset never delivers one (vertex,
-// token) pair twice. Cost is bounded below by the §5.1 remaining-bandwidth
-// count, and the incumbent enables branch-and-bound pruning.
+// token) pair twice. Cost is bounded below by the §3.3 Steiner-forest
+// bound (steiner.ForestBound): from the initial possession it certifies
+// an incumbent optimal, and from a child's possession it prunes the
+// child. The §5.1 count of missing wanted pairs, which the forest bound
+// never falls below, decides the cheaper tests made before a child is
+// applied.
 func SolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
 	sched, _, err := solveEOCD(inst, horizon, opts)
 	return sched, err
@@ -47,7 +53,9 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 	if err := inst.Check(); err != nil {
 		return nil, err
 	}
-	if !inst.Satisfiable() {
+	forest := steiner.NewForestBound(inst)
+	globalLB, ok := forest.Bound(inst.Have)
+	if !ok {
 		return nil, ErrUnsatisfiable
 	}
 	if horizon <= 0 {
@@ -59,7 +67,8 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 		budget:   opts.nodes(),
 		memo:     make(map[memoKey]int),
 		toWanter: inst.WanterDistances(),
-		globalLB: core.BandwidthLowerBound(inst, nil),
+		forest:   forest,
+		globalLB: globalLB,
 		bestLen:  noIncumbent,
 		possess:  inst.InitialPossession(),
 		arcs:     arcs,
@@ -74,7 +83,7 @@ func (s *eocdSearch) solve(inst *core.Instance, horizon int, opts Options) (*cor
 	}
 	// The root is expanded like any other node; every budget admits it.
 	s.nodes = 1
-	if err := s.dfs(horizon, 0, s.globalLB); err != nil && !errors.Is(err, errOptimal) {
+	if err := s.dfs(horizon, 0, core.BandwidthLowerBound(inst, nil)); err != nil && !errors.Is(err, errOptimal) {
 		return nil, err
 	}
 	if s.bestLen == noIncumbent {
@@ -111,9 +120,10 @@ type eocdSearch struct {
 	// t, or −1 when none is reachable: a move delivering t to v with
 	// left steps to go can help only if that distance is 0 to left−1.
 	toWanter [][]int
-	// globalLB is the §5.1 bandwidth lower bound from the initial
-	// possession — a certificate of optimality for any incumbent that
-	// reaches it.
+	// forest computes the §3.3 Steiner-forest bound of a possession;
+	// globalLB is its value at the initial possession, a certificate of
+	// optimality for any incumbent that reaches it.
+	forest   *steiner.ForestBound
 	globalLB int
 	// possess is the possession at the current node, mutated in place.
 	possess []tokenset.Set
@@ -150,12 +160,14 @@ type eocdSearch struct {
 // token) pair twice, tried largest first and, among equal sizes, in the
 // order enumerateSubsets lists them. Each is decided from its size and
 // gain, the number of missing wanted pairs it delivers, before possession
-// is touched: the child's bound is lb−gain, so it is done when gain = lb
-// and otherwise cut when cost+size+lb−gain ≥ bestLen. A done child
-// becomes the incumbent if it is cheaper; only a child that is neither is
-// applied and expanded. A cut child still counts as a node, as it did when
-// it was expanded only to prune itself, so node counts and the point
-// where a budget runs out do not change.
+// is touched: the child's count bound is lb−gain, so it is done when
+// gain = lb and otherwise cut when cost+size+lb−gain ≥ bestLen. A done
+// child becomes the incumbent if it is cheaper. Any other child counts
+// as a node, and one that the count does not cut is applied and then cut
+// when cost+size plus its Steiner-forest bound reaches bestLen; only a
+// child that survives both cuts is expanded. enumerateSubsets leaves out
+// the subsets the count would cut against the incumbent the node starts
+// with, so those count no node.
 //
 // With one step left every candidate delivers a missing wanted pair, so
 // the done children are exactly the node's exact covers, all of lb moves,
@@ -189,7 +201,8 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 	// Enumerate subsets of candidate moves respecting arc capacities,
 	// largest subsets first so a good incumbent is found early. Empty
 	// subsets are excluded: an idle step is never cheaper than skipping it.
-	s.enumerateSubsets(f, 0, 0)
+	// The parent's cut test left cost+lb < bestLen, so relays ≥ 0.
+	s.enumerateSubsets(f, 0, 0, s.bestLen-cost-lb-1)
 	f.sortBySize()
 	for _, sp := range f.sorted {
 		size, done := sp.hi-sp.lo, sp.gain == lb
@@ -207,13 +220,20 @@ func (s *eocdSearch) dfs(left, cost, lb int) error {
 			}
 		}
 		st := f.arena[sp.lo:sp.hi:sp.hi]
+		if !done {
+			f.undo = apply(s.possess, st, f.undo[:0])
+			// The child's possession is reachable from a satisfiable one.
+			if rest, _ := s.forest.Bound(s.possess); cost+size+rest >= s.bestLen {
+				revert(s.possess, f.undo)
+				continue
+			}
+		}
 		//ocd:scratchok the step leaves the schedule before this frame is refilled; an incumbent is copied out
 		s.cur.Append(st)
 		var err error
 		if done {
 			err = s.improve(cost + size)
 		} else {
-			f.undo = apply(s.possess, st, f.undo[:0])
 			err = s.dfs(left-1, cost+size, lb-sp.gain)
 			revert(s.possess, f.undo)
 		}
@@ -343,14 +363,20 @@ func (s *eocdSearch) cover(f *frame, i, need int) bool {
 
 // enumerateSubsets appends to f every non-empty subset of s.moves that
 // extends the picked prefix with moves from index i on, respects per-arc
-// capacities and delivers no (vertex, token) pair twice, taking each move
-// before leaving it out. gain is the number of wanted pairs the prefix
-// delivers; each span records its subset's.
+// capacities, delivers no (vertex, token) pair twice and takes at most
+// relays more relay moves, those that deliver no wanted pair, taking each
+// move before leaving it out. gain is the number of wanted pairs the
+// prefix delivers; each span records its subset's.
 //
 // A subset that delivers a pair twice reaches the same possession as the
 // one without its second delivery, at one move more, so no optimal
-// schedule contains it.
-func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
+// schedule contains it. A subset of size moves and gain wanted pairs
+// leaves a child whose count bound is lb−gain, so the child's cost plus
+// bound is cost+lb plus its size−gain relay moves; dfs passes the relays
+// that keep that below bestLen. Each move adds a relay or a gain, so once
+// a prefix has used its relays every extension is cut as well, done
+// children included, and none is listed.
+func (s *eocdSearch) enumerateSubsets(f *frame, i, gain, relays int) {
 	if i == len(s.moves) {
 		if len(s.pick) > 0 {
 			lo := len(f.arena)
@@ -360,18 +386,18 @@ func (s *eocdSearch) enumerateSubsets(f *frame, i, gain int) {
 		return
 	}
 	p := s.pairOf(i)
-	if a := s.arcOf[i]; s.picks[p] == 0 && s.used[a] < s.arcs[a].Cap {
-		with := gain
-		if s.wants[i] {
-			with++
-		}
+	with, spare := gain+1, relays
+	if !s.wants[i] {
+		with, spare = gain, relays-1
+	}
+	if a := s.arcOf[i]; s.picks[p] == 0 && s.used[a] < s.arcs[a].Cap && spare >= 0 {
 		s.picks[p] = 1
 		s.used[a]++
 		s.pick = append(s.pick, s.moves[i])
-		s.enumerateSubsets(f, i+1, with)
+		s.enumerateSubsets(f, i+1, with, spare)
 		s.pick = s.pick[:len(s.pick)-1]
 		s.used[a]--
 		s.picks[p] = 0
 	}
-	s.enumerateSubsets(f, i+1, gain)
+	s.enumerateSubsets(f, i+1, gain, relays)
 }

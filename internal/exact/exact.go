@@ -18,15 +18,21 @@
 // out of them before they go back. SolveEOCD records with each candidate
 // step its size and its gain, the number of missing wanted (vertex,
 // token) pairs it delivers, and decides from those two numbers whether
-// the child is done, out of steps or cut by the bound before applying
-// it; only the children that survive are applied. A cut child is still
-// counted as a node, so node counts and budget errors are those of the
-// search that expanded every child. With one step left only a done child
-// can act, and the smallest done children are the exact covers of the
-// missing wanted pairs (one delivering move per pair, within capacity),
-// so such a node counts its covers before enumerating anything: with
-// none it is finished, with one that cover is the incumbent, and only
-// with two or more are its subsets enumerated and sorted.
+// the child is done, out of steps or cut by the count of missing pairs
+// before applying it. A child that survives is applied and cut again
+// when its cost plus the §3.3 Steiner-forest bound of its possession
+// (steiner.ForestBound) reaches the incumbent; only the children that
+// survive both are expanded. A cut child is still counted as a node,
+// while a subset the count would cut against the incumbent the node
+// started with is not enumerated at all, so node counts and budget
+// errors are those of the reference search in reference_test.go that
+// states these rules from their definitions. With one step left only a
+// done child can act, and the smallest done children are the exact
+// covers of the missing wanted pairs (one delivering move per pair,
+// within capacity), so such a node counts its covers before enumerating
+// anything: with none it is finished, with one that cover is the
+// incumbent, and only with two or more are its subsets enumerated and
+// sorted.
 package exact
 
 import (

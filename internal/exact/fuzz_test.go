@@ -28,13 +28,15 @@ func FuzzSolveEOCDMatchesReference(f *testing.F) {
 			for _, budget := range []int{5, 20, 50, 0} {
 				opts := Options{MaxNodes: budget}
 				got, nodes, err := solveEOCD(inst, h, opts)
-				want, refNodes, refErr := refSolveEOCDNodes(inst, h, opts)
+				want, refNodes, refErr := refSolveEOCD(inst, h, opts, true)
 				label := fmt.Sprintf("seed %d n %d m %d eocd@%d budget %d", seed, inst.N(), inst.NumTokens, h, budget)
 				sameOutcome(t, label, got, want, err, refErr)
 				if nodes != refNodes {
 					t.Fatalf("%s: %d nodes, reference %d", label, nodes, refNodes)
 				}
 				if budget == 0 {
+					plain, _, plainErr := refSolveEOCD(inst, h, opts, false)
+					sameOutcome(t, label+" without the forest rules", got, plain, err, plainErr)
 					oracle, oracleErr := oracleSolveEOCD(inst, h, opts)
 					sameValue(t, label, got, oracle, err, oracleErr)
 				}

@@ -6,20 +6,22 @@ package exact
 // solve's node count, and the node-visit order (through ErrBudget at
 // small budgets). The FOCD search is the implementation the in-place one
 // replaced, kept verbatim under renamed identifiers; the EOCD search
-// states SolveEOCD's candidate rules from their definitions (see its
-// section), and oracle_test.go keeps the unpruned search it replaced as a
-// value oracle. They share possessionHash, memoKey and errOptimal with
-// the package.
+// states SolveEOCD's candidate rules and, when asked, its Steiner-forest
+// rules from their definitions (see its section), and oracle_test.go
+// keeps the unpruned search it replaced as a value oracle. They share
+// possessionHash, memoKey and errOptimal with the package.
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"ocd/internal/core"
+	"ocd/internal/graph"
 	"ocd/internal/tokenset"
 	"ocd/internal/workload"
 )
@@ -206,14 +208,22 @@ func refCombinations(items []int, k int) [][]int {
 // distances come from the all-pairs table, the horizon test is made on
 // the steps the schedule has left after the move, and the delivered
 // pairs of a subset are kept in a map.
+//
+// Its bound is the §5.1 count of missing wanted pairs. With forest set it
+// also applies SolveEOCD's three Steiner-forest rules, with forest costs
+// from refForest:
+//   - the certificate is the forest of the initial possession;
+//   - a node whose cost plus forest reaches the incumbent, tested right
+//     after the count, is cut;
+//   - a node does not try a subset whose child's cost plus count reaches
+//     the incumbent it had when it listed its subsets.
+//
+// Without them it is the search SolveEOCD's schedules came from before
+// the rules, which keep every schedule and cut only nodes.
 
-func refSolveEOCD(inst *core.Instance, horizon int, opts Options) (*core.Schedule, error) {
-	sched, _, err := refSolveEOCDNodes(inst, horizon, opts)
-	return sched, err
-}
-
-// refSolveEOCDNodes is refSolveEOCD that also returns refEOCDSearch.nodes.
-func refSolveEOCDNodes(inst *core.Instance, horizon int, opts Options) (*core.Schedule, int, error) {
+// refSolveEOCD returns the reference's schedule or error and its node
+// count, with or without the forest rules.
+func refSolveEOCD(inst *core.Instance, horizon int, opts Options, forest bool) (*core.Schedule, int, error) {
 	if err := inst.Check(); err != nil {
 		return nil, 0, err
 	}
@@ -230,10 +240,14 @@ func refSolveEOCDNodes(inst *core.Instance, horizon int, opts Options) (*core.Sc
 		memo:     make(map[memoKey]int),
 		hops:     inst.G.AllPairs(),
 		globalLB: core.BandwidthLowerBound(inst, nil),
+		forest:   forest,
 	}
 	start := inst.InitialPossession()
 	if core.Done(inst, start) {
 		return &core.Schedule{}, 0, nil
+	}
+	if forest {
+		s.globalLB = refForest(inst, start)
 	}
 	s.cur = &core.Schedule{}
 	if err := s.dfs(start, horizon, 0); err != nil && !errors.Is(err, errOptimal) {
@@ -259,9 +273,11 @@ type refEOCDSearch struct {
 	// unreachable.
 	hops [][]int
 	// globalLB is the §5.1 bandwidth lower bound from the initial
-	// possession — a certificate of optimality for any incumbent that
-	// reaches it.
+	// possession, or its forest bound with the forest rules — a
+	// certificate of optimality for any incumbent that reaches it.
 	globalLB int
+	// forest turns the forest rules on.
+	forest bool
 }
 
 func (s *refEOCDSearch) dfs(possess []tokenset.Set, left, cost int) error {
@@ -286,6 +302,9 @@ func (s *refEOCDSearch) dfs(possess []tokenset.Set, left, cost int) error {
 	if s.best != nil && cost+lb >= s.bestLen {
 		return nil
 	}
+	if s.forest && s.best != nil && cost+refForest(s.inst, possess) >= s.bestLen {
+		return nil
+	}
 	key := memoKey{hash: possessionHash(possess), left: left}
 	if seen, ok := s.memo[key]; ok && seen <= cost {
 		return nil
@@ -297,6 +316,12 @@ func (s *refEOCDSearch) dfs(possess []tokenset.Set, left, cost int) error {
 		return nil
 	}
 	subsets := refCapacitySubsets(s.inst, moves)
+	if s.forest && s.best != nil {
+		bestLen := s.bestLen
+		subsets = slices.DeleteFunc(subsets, func(st core.Step) bool {
+			return cost+len(st)+core.BandwidthLowerBound(s.inst, refApplyStep(possess, st)) >= bestLen
+		})
+	}
 	sort.SliceStable(subsets, func(i, j int) bool { return len(subsets[i]) > len(subsets[j]) })
 	for _, st := range subsets {
 		next := refApplyStep(possess, st)
@@ -336,6 +361,55 @@ func (s *refEOCDSearch) reachesWanter(v, t, steps int) bool {
 		}
 	}
 	return false
+}
+
+// refForest is the §3.3 Steiner-forest bound of possess from its
+// definition: for each token t, the least |S| over the vertex sets S that
+// contain every wanter lacking t, no holder of t, and only vertices the
+// holders reach inside S, that is, along arcs into S. Each vertex of S
+// needs a delivering move of t of its own. The searches call it only on
+// possessions from which every wanter can be served, so such an S exists.
+func refForest(inst *core.Instance, possess []tokenset.Set) int {
+	n, arcs, total := inst.N(), inst.G.Arcs(), 0
+	for t := 0; t < inst.NumTokens; t++ {
+		holders, lacking := 0, 0
+		for v := 0; v < n; v++ {
+			switch {
+			case possess[v].Has(t):
+				holders |= 1 << v
+			case inst.Want[v].Has(t):
+				lacking |= 1 << v
+			}
+		}
+		best := n
+		free := (1<<n - 1) &^ (holders | lacking)
+		for extra := free; ; extra = (extra - 1) & free {
+			if s := lacking | extra; bits.OnesCount(uint(s)) < best && refReachedInside(arcs, holders, s) {
+				best = bits.OnesCount(uint(s))
+			}
+			if extra == 0 {
+				break
+			}
+		}
+		total += best
+	}
+	return total
+}
+
+// refReachedInside reports whether the vertices of from reach every
+// vertex of s along arcs whose heads lie in s; both are bitmasks.
+func refReachedInside(arcs []graph.Arc, from, s int) bool {
+	reached := from
+	for grown := true; grown; {
+		grown = false
+		for _, a := range arcs {
+			if reached>>a.From&1 == 1 && s>>a.To&1 == 1 && reached>>a.To&1 == 0 {
+				reached |= 1 << a.To
+				grown = true
+			}
+		}
+	}
+	return reached&s == s
 }
 
 // refCapacitySubsets enumerates every non-empty subset of moves that
@@ -396,11 +470,13 @@ func sameOutcome(t *testing.T, label string, got, want *core.Schedule, gotErr, w
 }
 
 // TestSearchesMatchReference pins both in-place searches against their
-// references, schedule for schedule and (for EOCD) node count for node
-// count, and checks every EOCD optimum against the unpruned oracle: the
-// same error class and, on success, the same move count. On the n5m3
-// mix, whose horizons run from τ* to τ*+2, the pruned search must also
-// expand fewer nodes in total than the oracle.
+// references, schedule for schedule and (for EOCD, against the reference
+// with the forest rules) node count for node count. Every EOCD schedule
+// must also equal the reference's without the forest rules, and every
+// EOCD optimum must agree with the unpruned oracle: the same error class
+// and, on success, the same move count. On the n5m3 mix, whose horizons
+// run from τ* to τ*+2, the node totals must fall from the oracle to the
+// search without the forest rules to SolveEOCD.
 func TestSearchesMatchReference(t *testing.T) {
 	type horizonCase struct {
 		label   string
@@ -432,7 +508,8 @@ func TestSearchesMatchReference(t *testing.T) {
 		}
 	}
 
-	eocdSchedules, mixNodes, mixOracleNodes := 0, 0, 0
+	eocdSchedules, mixOracleNodes := 0, 0
+	var mixNodes, mixPlainNodes [3]int // per horizon τ*+0 … τ*+2
 	for _, c := range cases {
 		fast, err := SolveFOCD(c.inst, Options{})
 		refFast, refErr := refSolveFOCD(c.inst, Options{})
@@ -442,29 +519,35 @@ func TestSearchesMatchReference(t *testing.T) {
 		}
 		h := c.horizon(fast.Makespan())
 		cheap, nodes, err := solveEOCD(c.inst, h, Options{})
-		refCheap, refNodes, refErr := refSolveEOCDNodes(c.inst, h, Options{})
+		refCheap, refNodes, refErr := refSolveEOCD(c.inst, h, Options{}, true)
 		label := fmt.Sprintf("%s eocd@%d", c.label, h)
 		sameOutcome(t, label, cheap, refCheap, err, refErr)
 		if nodes != refNodes {
 			t.Fatalf("%s: %d nodes, reference %d", label, nodes, refNodes)
 		}
+		plain, plainNodes, plainErr := refSolveEOCD(c.inst, h, Options{}, false)
+		sameOutcome(t, label+" without the forest rules", cheap, plain, err, plainErr)
 		oracle, oracleNodes, oracleErr := oracleSolveEOCDNodes(c.inst, h, Options{})
 		sameValue(t, label, cheap, oracle, err, oracleErr)
 		if c.mix {
-			mixNodes += nodes
+			mixNodes[h-fast.Makespan()] += nodes
+			mixPlainNodes[h-fast.Makespan()] += plainNodes
 			mixOracleNodes += oracleNodes
 		}
 		if err == nil {
 			eocdSchedules++
 		}
 	}
+	total := func(n [3]int) int { return n[0] + n[1] + n[2] }
 	if eocdSchedules < 500 {
 		t.Errorf("only %d EOCD schedules compared; the instance mix has drifted", eocdSchedules)
 	}
-	if mixNodes >= mixOracleNodes {
-		t.Errorf("n5m3 mix: SolveEOCD expanded %d nodes, the unpruned oracle %d", mixNodes, mixOracleNodes)
+	if total(mixNodes) >= total(mixPlainNodes) || total(mixPlainNodes) >= mixOracleNodes {
+		t.Errorf("n5m3 mix: SolveEOCD expanded %d nodes, %d without the forest rules, the unpruned oracle %d",
+			total(mixNodes), total(mixPlainNodes), mixOracleNodes)
 	}
-	t.Logf("%d cases, %d EOCD schedules matched; n5m3 mix %d nodes, oracle %d", len(cases), eocdSchedules, mixNodes, mixOracleNodes)
+	t.Logf("%d cases, %d EOCD schedules matched; n5m3 mix %d nodes %v, %d without the forest rules %v, oracle %d",
+		len(cases), eocdSchedules, total(mixNodes), mixNodes, total(mixPlainNodes), mixPlainNodes, mixOracleNodes)
 }
 
 // TestBudgetErrorsMatchReference pins the node-visit order: under a
@@ -485,7 +568,7 @@ func TestBudgetErrorsMatchReference(t *testing.T) {
 			}
 			for _, h := range []int{0, 2, 3} {
 				cheap, err := SolveEOCD(inst, h, opts)
-				refCheap, refErr := refSolveEOCD(inst, h, opts)
+				refCheap, _, refErr := refSolveEOCD(inst, h, opts, true)
 				sameOutcome(t, fmt.Sprintf("%s eocd@%d", label, h), cheap, refCheap, err, refErr)
 				if errors.Is(err, ErrBudget) {
 					budgetHits++

@@ -24,8 +24,8 @@
 // node re-solves its LP by dual simplex from the parent's optimal basis
 // (a Basis snapshot, not a phase-1 from scratch), branching fixes a
 // variable of the earliest fractional step by tightening its bounds in
-// place, and the incumbent is pruned against the §5.1 bandwidth lower
-// bound from internal/core — once the incumbent meets that certified
+// place, and the incumbent is pruned against the §3.3 Steiner-forest
+// bound from internal/steiner — once the incumbent meets that certified
 // bound the search stops early.
 package ilp
 
@@ -39,6 +39,7 @@ import (
 	"ocd/internal/core"
 	"ocd/internal/graph"
 	"ocd/internal/lp"
+	"ocd/internal/steiner"
 )
 
 // ErrInfeasible is returned when no schedule of length τ exists.
@@ -179,6 +180,17 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 		}
 	}
 
+	// in[v] lists the positions in p.arcs of v's in-arcs, in arc order,
+	// each list carved from one backing array.
+	in, backing := make([][]int, n), make([]int, na)
+	for v, lo := 0, 0; v < n; v++ {
+		hi := lo + inst.G.InDegree(v)
+		in[v], lo = backing[lo:lo:hi], hi
+	}
+	for k, a := range p.arcs {
+		in[a.To] = append(in[a.To], k)
+	}
+
 	// Row and nonzero counts, so that the rows' column indices and values
 	// are each carved from one backing array of exactly that size.
 	rows, nnz := 0, 0
@@ -186,7 +198,7 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 		if a, t, i := p.unslot(s); i > 1 { // step ≥ 2: a possession row
 			rows++
 			nnz++
-			p.supporters(col, a, t, i, func(int32) { nnz++ })
+			p.supporters(col, in, a, t, i, func(int32) { nnz++ })
 		}
 	}
 	for a := 0; a < na; a++ {
@@ -239,7 +251,7 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 			continue
 		}
 		cols, vals = append(cols, j), append(vals, 1)
-		p.supporters(col, a, t, i, func(c int32) {
+		p.supporters(col, in, a, t, i, func(c int32) {
 			cols, vals = append(cols, int(c)), append(vals, -1)
 		})
 		endRow(0)
@@ -281,15 +293,16 @@ func Build(inst *core.Instance, tau int) (*Program, error) {
 
 // supporters calls f with each column that feeds the possession row of
 // x^i on arc position a for token t: the live x^{i−1}_{(w,u),t} of the
-// arc's tail u, its in-arcs in arc order and then its self-arc.
-func (p *Program) supporters(col []int32, a, t, i int, f func(c int32)) {
+// arc's tail u, its in-arcs in arc order (listed in in[u]) and then its
+// self-arc.
+func (p *Program) supporters(col []int32, in [][]int, a, t, i int, f func(c int32)) {
 	na := len(p.arcs)
 	u := a - na
 	if a < na {
 		u = p.arcs[a].From
 	}
-	for k, b := range p.arcs {
-		if c := col[p.slot(k, t, i-1)]; b.To == u && c >= 0 {
+	for _, k := range in[u] {
+		if c := col[p.slot(k, t, i-1)]; c >= 0 {
 			f(c)
 		}
 	}
@@ -356,16 +369,18 @@ func (p *Program) SolveStats(opts Options) (*core.Schedule, int, Stats, error) {
 	// Every return below has copied the solution out (bestX is a copy)
 	// and read the counters before the deferred release runs.
 	defer sv.Release()
+	// The §3.3 forest bound certifies optimality early: no schedule can
+	// use fewer moves, so an incumbent that reaches it ends the search
+	// without draining the node queue. When a wanter is unreachable the
+	// program has no feasible point, so no incumbent meets the bound.
+	globalLB, _ := steiner.NewForestBound(p.inst).Bound(p.inst.Have)
 	s := &solver{
-		p:       p,
-		sv:      sv,
-		budget:  opts.nodes(),
-		bestObj: math.Inf(1),
-		cur:     map[int]int{},
-		// The §5.1 bandwidth bound certifies optimality early: no schedule
-		// can use fewer moves, so an incumbent that reaches it ends the
-		// search without draining the node queue.
-		globalLB: float64(core.BandwidthLowerBound(p.inst, nil)),
+		p:        p,
+		sv:       sv,
+		budget:   opts.nodes(),
+		bestObj:  math.Inf(1),
+		cur:      map[int]int{},
+		globalLB: float64(globalLB),
 	}
 	if err := s.run(); err != nil {
 		return nil, 0, s.stats(), err

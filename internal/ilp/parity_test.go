@@ -76,14 +76,15 @@ func TestParityWithExactSolvers(t *testing.T) {
 // TestSolverWorkCeilings pins the solver's deterministic work on a set:
 // seed 7, 8 instances, n=6, m=3, each solved at horizon FOCD optimum + 1.
 // Every schedule validates and the optima sum to exactly 48; two passes
-// count identical work, and that work is exactly 83 branch-and-bound
-// nodes, 500 simplex iterations, 75 warm starts, 75 dual restorations
+// count identical work, and that work is exactly 74 branch-and-bound
+// nodes, 473 simplex iterations, 66 warm starts, 66 dual restorations
 // and 0 bound flips. A change that moves a pivot re-pins these totals
-// and says why in DESIGN.md. The full program with most-fractional
+// and says why in DESIGN.md. The §5.1 count as the early-stop bound took
+// 83 nodes and 500 iterations; the full program with most-fractional
 // branching took 183 nodes and 1,359 iterations.
 func TestSolverWorkCeilings(t *testing.T) {
 	const wantObjective = 48
-	wantWork := ilp.Stats{Nodes: 83, SimplexIterations: 500, WarmStarts: 75, DualRestorations: 75}
+	wantWork := ilp.Stats{Nodes: 74, SimplexIterations: 473, WarmStarts: 66, DualRestorations: 66}
 	pass := func() (int, ilp.Stats) {
 		t.Helper()
 		objective := 0

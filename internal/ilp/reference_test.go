@@ -6,11 +6,17 @@ package ilp
 // must have the same root LP status and value, the same integer optimum
 // (or the same infeasibility) and no more variables. It still fills each
 // row densely; addRow keeps the row's nonzeros, the form lp.Problem takes.
+//
+// scanRows is Build's row writing as it was before Build listed each
+// vertex's in-arcs: it finds the supporters of every possession row by
+// scanning the whole arc list. Build's rows must equal its rows
+// (TestBuildRowsMatchFullScan, and comparePresolve on every input).
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ocd/internal/core"
@@ -173,6 +179,116 @@ func (r *refProgram) program() *Program {
 	return p
 }
 
+// scanRows rebuilds the rows of p from its live columns the way Build
+// wrote them while it scanned the whole arc list for each possession
+// row's supporters, and returns them with their right-hand sides.
+func scanRows(p *Program) ([]lp.Row, []float64) {
+	inst, tau := p.inst, p.tau
+	n, m, na := inst.N(), inst.NumTokens, len(p.arcs)
+	col := make([]int32, (na+n)*m*(tau+1))
+	for s := range col {
+		col[s] = -1
+	}
+	for j, s := range p.slots {
+		col[s] = int32(j)
+	}
+	var rows []lp.Row
+	var b []float64
+	add := func(row *lp.Row, c int, v float64) {
+		row.Cols, row.Vals = append(row.Cols, c), append(row.Vals, v)
+	}
+
+	// Possession rows: the arc's tail u is fed by its in-arcs, found by
+	// a scan of every arc, and then by its self-arc.
+	for j, s := range p.slots {
+		a, t, i := p.unslot(s)
+		if i == 1 {
+			continue
+		}
+		row := lp.Row{Cols: []int{j}, Vals: []float64{1}}
+		u := a - na
+		if a < na {
+			u = p.arcs[a].From
+		}
+		for k, arc := range p.arcs {
+			if c := col[p.slot(k, t, i-1)]; arc.To == u && c >= 0 {
+				add(&row, int(c), -1)
+			}
+		}
+		if c := col[p.slot(na+u, t, i-1)]; c >= 0 {
+			add(&row, int(c), -1)
+		}
+		rows, b = append(rows, row), append(b, 0)
+	}
+	// Capacity rows where the live variables can exceed the capacity.
+	for a := 0; a < na; a++ {
+		for i := 1; i <= tau; i++ {
+			var row lp.Row
+			for t := 0; t < m; t++ {
+				if c := col[p.slot(a, t, i)]; c >= 0 {
+					add(&row, int(c), 1)
+				}
+			}
+			if len(row.Cols) > p.arcs[a].Cap {
+				rows, b = append(rows, row), append(b, float64(p.arcs[a].Cap))
+			}
+		}
+	}
+	// Final rows.
+	for v := 0; v < n; v++ {
+		for t := 0; t < m; t++ {
+			if !inst.Want[v].Has(t) {
+				continue
+			}
+			var row lp.Row
+			if c := col[p.slot(na+v, t, tau+1)]; c >= 0 {
+				add(&row, int(c), -1)
+			}
+			rows, b = append(rows, row), append(b, -1)
+		}
+	}
+	return rows, b
+}
+
+// sameRowsAsScan fails the test unless every row of prog's relaxation
+// and its right-hand side equal scanRows'.
+func sameRowsAsScan(t *testing.T, label string, prog *Program) {
+	t.Helper()
+	rows, b := scanRows(prog)
+	relax := prog.Relaxation()
+	if len(relax.A) != len(rows) || !slices.Equal(relax.B, b) {
+		t.Fatalf("%s: %d rows with right-hand sides %v, the full scan %d with %v", label, len(relax.A), relax.B, len(rows), b)
+	}
+	for r, row := range rows {
+		if !slices.Equal(relax.A[r].Cols, row.Cols) || !slices.Equal(relax.A[r].Vals, row.Vals) {
+			t.Fatalf("%s: row %d is %v, the full scan's %v", label, r, relax.A[r], row)
+		}
+	}
+}
+
+// TestBuildRowsMatchFullScan compares every row Build writes with the
+// full scan's on the n5m3 ×400 instances at τ*, τ*+1 and τ*+2.
+// comparePresolve makes the same check on every TestPresolveMatchesReference
+// and FuzzPresolve input.
+func TestBuildRowsMatchFullScan(t *testing.T) {
+	programs := 0
+	for i, inst := range workload.RandomTinyInstances(1, 400, 5, 3) {
+		fast, err := exact.SolveFOCD(inst, exact.Options{})
+		if err != nil {
+			t.Fatalf("n5m3/%d: focd: %v", i, err)
+		}
+		for tau := fast.Makespan(); tau <= fast.Makespan()+2; tau++ {
+			prog, err := Build(inst, tau)
+			if err != nil {
+				t.Fatalf("n5m3/%d@%d: %v", i, tau, err)
+			}
+			sameRowsAsScan(t, fmt.Sprintf("n5m3/%d@%d", i, tau), prog)
+			programs++
+		}
+	}
+	t.Logf("%d programs' rows match the full scan", programs)
+}
+
 // presolveOutcome is what comparePresolve learned about one input.
 type presolveOutcome int
 
@@ -208,6 +324,7 @@ func comparePresolve(t *testing.T, label string, inst *core.Instance, tau int) p
 	if prog.NumVariables() > ref.NumVariables() {
 		t.Errorf("%s: %d live variables, full program has %d", label, prog.NumVariables(), ref.NumVariables())
 	}
+	sameRowsAsScan(t, label, prog)
 
 	root, err := lp.Solve(prog.prob)
 	if err != nil {

@@ -4,19 +4,26 @@
 // unit-cost arcs (multiple sources are handled with the paper's 0-cost
 // merge trick, realized here as a virtual root).
 //
-// The package provides the classical metric-closure 2-approximation and a
-// serial per-token schedule builder that realizes §3.3's observation that
-// optimal bandwidth is achievable by distributing each token serially over
-// its tree (at the price of many timesteps).
+// The package provides both sides of that tree. ForestBound is the lower
+// side: per token, the fewest arcs of a forest rooted at the token's
+// holders that reaches every wanter lacking it, computed exactly by the
+// Dreyfus–Wagner dynamic program. internal/exact and internal/ilp certify
+// and prune their EOCD searches with it. The upper side is the classical
+// metric-closure 2-approximation and a serial per-token schedule builder
+// that realizes §3.3's observation that optimal bandwidth is achievable by
+// distributing each token serially over its tree (at the price of many
+// timesteps).
 package steiner
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"ocd/internal/core"
 	"ocd/internal/graph"
+	"ocd/internal/tokenset"
 )
 
 // ErrUnreachable indicates some terminal cannot be reached from any source.
@@ -222,38 +229,218 @@ func appendTreeSchedule(sched *core.Schedule, inst *core.Instance, tree *Tree, t
 	}
 }
 
-// TokenBandwidthLB sums, over all tokens, the merged-source BFS distance
-// based lower bound on tree cost: a Steiner tree for k terminals costs at
-// least max(farthest terminal distance, k). This is a quick certified
-// lower bound on EOCD used to sanity-check the approximation.
-func TokenBandwidthLB(inst *core.Instance) int {
-	total := 0
+// exactTerminals is the most lacking wanters a token may have for
+// ForestBound to run Dreyfus–Wagner on it, whose table has 2^k rows.
+// Above it the bound falls back to max(k, farthest terminal).
+const exactTerminals = 10
+
+// unreached stands for an infinite distance or forest cost; three of them
+// still add up without overflow.
+const unreached = math.MaxInt / 4
+
+// ForestBound computes the §3.3 lower bound on the moves that remain from
+// a possession: for each token t, the fewest arcs in a forest rooted at
+// t's holders that reaches every wanter lacking t, summed over tokens.
+//
+// The bound is admissible at any horizon and any capacity. Trace each
+// such wanter's delivering move back to a vertex that held t, and the
+// first move into each vertex on the way forms a forest of that kind,
+// one in-arc per vertex it reaches, so every schedule that completes
+// makes at least as many moves. It is never below the §5.1 count
+// (core.BandwidthLowerBound), since each lacking wanter needs its own
+// in-arc.
+//
+// A token with k ≥ 2 lacking wanters costs one Dreyfus–Wagner table
+// (Networks 1971) over a virtual root joined to every holder by a
+// zero-cost arc: O(3^k·n + 2^k·n²). One lacking wanter costs its distance
+// from the nearest holder. Above exactTerminals lacking wanters the token
+// costs max(k, farthest terminal), which is admissible but not exact.
+//
+// A ForestBound holds the hop-distance table of its instance and the
+// scratch of the table, sized once, so Bound does not allocate. It is not
+// safe for concurrent use.
+type ForestBound struct {
+	inst *core.Instance
+	n    int
+	// hops[u·n+v] is the hop distance from u to v, −1 when unreachable.
+	hops []int
+	// Scratch for one token: its lacking wanters, the hops from its
+	// nearest holder to each vertex, the Dreyfus–Wagner table (one row of
+	// n+1 costs per terminal subset, the virtual root last) and one row of
+	// split costs.
+	terms []int
+	near  []int
+	table []int
+	split []int
+}
+
+// NewForestBound returns a ForestBound for inst, with its hop-distance
+// table and scratch.
+func NewForestBound(inst *core.Instance) *ForestBound {
+	n := inst.N()
+	f := &ForestBound{
+		inst:  inst,
+		n:     n,
+		hops:  make([]int, n*n),
+		terms: make([]int, 0, n),
+		near:  make([]int, n),
+		split: make([]int, n+1),
+	}
+	// No token has more lacking wanters than wanters.
+	k := 0
 	for t := 0; t < inst.NumTokens; t++ {
-		var sources []int
-		var terminals []int
-		for v := 0; v < inst.N(); v++ {
-			if inst.Have[v].Has(t) {
-				sources = append(sources, v)
-			}
-			if inst.Want[v].Has(t) && !inst.Have[v].Has(t) {
-				terminals = append(terminals, v)
+		wanters := 0
+		for v := 0; v < n; v++ {
+			if inst.Want[v].Has(t) {
+				wanters++
 			}
 		}
-		if len(terminals) == 0 || len(sources) == 0 {
+		k = max(k, wanters)
+	}
+	if k = min(k, exactTerminals); k >= 2 {
+		f.table = make([]int, (1<<k)*(n+1))
+	}
+	queue := make([]int, n)
+	for u := 0; u < n; u++ {
+		dist := f.hops[u*n : (u+1)*n]
+		for v := range dist {
+			dist[v] = -1
+		}
+		dist[u] = 0
+		queue[0] = u
+		for head, tail := 0, 1; head < tail; head++ {
+			x := queue[head]
+			for _, a := range inst.G.Out(x) {
+				if dist[a.To] == -1 {
+					dist[a.To] = dist[x] + 1
+					queue[tail] = a.To
+					tail++
+				}
+			}
+		}
+	}
+	return f
+}
+
+// Bound returns the forest bound from possess, the possession of every
+// vertex. It reports false when some wanter lacking a token cannot be
+// reached from any holder of it: then no schedule completes.
+func (f *ForestBound) Bound(possess []tokenset.Set) (int, bool) {
+	total := 0
+	for t := 0; t < f.inst.NumTokens; t++ {
+		cost, ok := f.token(possess, t)
+		if !ok {
+			return 0, false
+		}
+		total += cost
+	}
+	return total, true
+}
+
+// token returns the cost of token t's minimum forest from possess, and
+// false if a lacking wanter is unreachable.
+func (f *ForestBound) token(possess []tokenset.Set, t int) (int, bool) {
+	n := f.n
+	f.terms = f.terms[:0]
+	for v := 0; v < n; v++ {
+		if f.inst.Want[v].Has(t) && !possess[v].Has(t) {
+			f.terms = append(f.terms, v)
+		}
+	}
+	k := len(f.terms)
+	if k == 0 {
+		return 0, true
+	}
+	for v := range f.near {
+		f.near[v] = unreached
+	}
+	for h := 0; h < n; h++ {
+		if !possess[h].Has(t) {
 			continue
 		}
-		dist, _ := multiSourceBFS(inst.G, sources)
-		far := 0
-		for _, term := range terminals {
-			if dist[term] > far {
-				far = dist[term]
+		for v, d := range f.hops[h*n : (h+1)*n] {
+			if d >= 0 && d < f.near[v] {
+				f.near[v] = d
 			}
 		}
-		lb := len(terminals)
-		if far > lb {
-			lb = far
-		}
-		total += lb
 	}
-	return total
+	far := 0
+	for _, w := range f.terms {
+		if f.near[w] == unreached {
+			return 0, false
+		}
+		far = max(far, f.near[w])
+	}
+	switch {
+	case k == 1:
+		return far, true
+	case k > exactTerminals:
+		return max(k, far), true
+	}
+	return f.dreyfusWagner(), true
+}
+
+// dreyfusWagner returns the cost of the cheapest forest rooted at the
+// holders that reaches every terminal in f.terms, from f.near. Row S of
+// the table holds, for each vertex v, the cheapest tree rooted at v that
+// reaches the terminal subset S, and in column n the cheapest forest
+// rooted at the holders, that is, a tree from the virtual root r whose
+// arcs to the holders cost nothing, so that d(r, u) = near[u]. A singleton
+// costs the distance to its terminal. A larger S branches somewhere: the
+// tree runs from its root along a path to the first vertex u that is a
+// terminal or has two children, and splits S there into two non-empty
+// parts, each reached by a tree rooted at u.
+func (f *ForestBound) dreyfusWagner() int {
+	n, k := f.n, len(f.terms)
+	w, full := n+1, 1<<k-1
+	row := func(s int) []int { return f.table[s*w : (s+1)*w] }
+	for i, term := range f.terms {
+		r := row(1 << i)
+		for v := 0; v < n; v++ {
+			r[v] = unreached
+			if d := f.hops[v*n+term]; d >= 0 {
+				r[v] = d
+			}
+		}
+		r[n] = f.near[term]
+	}
+	for s := 3; s <= full; s++ {
+		if s&(s-1) == 0 {
+			continue // a singleton
+		}
+		// split[u]: the cheapest two trees rooted at u that together
+		// reach s, each split listed once by the part holding s's
+		// lowest terminal.
+		for u := range f.split {
+			f.split[u] = unreached
+		}
+		low := s & -s
+		for part := (s - 1) & s; part > 0; part = (part - 1) & s {
+			if part&low == 0 {
+				continue
+			}
+			a, b := row(part), row(s^part)
+			for u, c := range a {
+				f.split[u] = min(f.split[u], c+b[u])
+			}
+		}
+		r := row(s)
+		if s < full { // only the root's forest of the full set is read
+			for v := 0; v < n; v++ {
+				best := unreached
+				for u, d := range f.hops[v*n : (v+1)*n] {
+					if d >= 0 {
+						best = min(best, d+f.split[u])
+					}
+				}
+				r[v] = best
+			}
+		}
+		best := f.split[n]
+		for u := 0; u < n; u++ {
+			best = min(best, f.near[u]+f.split[u])
+		}
+		r[n] = best
+	}
+	return row(full)[n]
 }

@@ -130,33 +130,13 @@ func TestSerialScheduleValidAndCheap(t *testing.T) {
 		t.Fatalf("serial schedule invalid: %v", err)
 	}
 	// §3.3: bandwidth is near-optimal. The 2-approximation guarantee means
-	// pruned moves ≤ 2 × the per-token lower bound.
+	// pruned moves ≤ 2 × the minimum forest of each token.
 	pruned := core.Prune(inst, sched)
-	if lb := TokenBandwidthLB(inst); pruned.Moves() > 2*lb {
+	lb, ok := NewForestBound(inst).Bound(inst.Have)
+	if !ok {
+		t.Fatal("forest bound: a wanter is unreachable on a connected graph")
+	}
+	if pruned.Moves() > 2*lb {
 		t.Errorf("serial schedule pruned bandwidth %d exceeds 2×LB %d", pruned.Moves(), 2*lb)
-	}
-}
-
-func TestTokenBandwidthLB(t *testing.T) {
-	// Line of 4, one token at 0 wanted by 3: the farthest distance (3)
-	// dominates the terminal count (1).
-	g, err := topology.Line(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := core.NewInstance(g, 1)
-	inst.Have[0].Add(0)
-	inst.Want[3].Add(0)
-	if got := TokenBandwidthLB(inst); got != 3 {
-		t.Errorf("LB = %d, want 3", got)
-	}
-	// Star: 5 terminals at distance 1 → terminal count dominates.
-	s, err := topology.Star(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst2 := workload.SingleFile(s, 1)
-	if got := TokenBandwidthLB(inst2); got != 5 {
-		t.Errorf("star LB = %d, want 5", got)
 	}
 }
