@@ -91,7 +91,13 @@ func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) 
 	}
 	fres := &Result{Plan: plan.Name()}
 	fk := newFaultKernel(inst, plan, fres)
-	res, possess, reason, err := sim.Exec(inst, factory, opts, sim.Engine{Capacity: fk, Loss: fk, Interceptor: fk})
+	eng := sim.Engine{Capacity: fk, Interceptor: fk}
+	// NoLoss drops nothing and keeps no draw state, so a lossless plan
+	// runs the kernel's lossless step.
+	if _, lossless := plan.Loss.(NoLoss); !lossless {
+		eng.Loss = fk
+	}
+	res, possess, reason, err := sim.Exec(inst, factory, opts, eng)
 	if res == nil {
 		return nil, err
 	}
@@ -456,20 +462,27 @@ func receiverReports(inst *core.Instance, possess []tokenset.Set, unsat []tokens
 // with the state-loss policy wiping a crashing vertex's possession, and
 // shows the possession to a possession-aware capacity model. Per move it
 // rejects a crashed endpoint and an arc the partition model severs, and
-// takes the arc's capacity from the capacity model. These rules are
-// written here rather than shared with the engine's hooks, so that the
-// replay stays an independent check on the engine. Unlike core.Validate it
-// does not require the schedule to satisfy every want: faulted runs may
-// legitimately end partial. Lost moves are not recorded in the schedule,
-// so delivered traffic is a lower bound on each arc's usage. Build the
-// plan afresh for the replay: its models keep state.
+// takes the arc's capacity from the capacity model. That verdict depends
+// only on the step and the arc, so the models are asked once per (step,
+// arc): the first move on an arc in a step stores the answer under the
+// step's stamp, and the arc's later moves in that step reuse it. These
+// rules are written here rather than shared with the engine's hooks, so
+// that the replay stays an independent check on the engine. Unlike
+// core.Validate it does not require the schedule to satisfy every want:
+// faulted runs may legitimately end partial. Lost moves are not recorded
+// in the schedule, so delivered traffic is a lower bound on each arc's
+// usage. Build the plan afresh for the replay: its models keep state.
 func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 	plan = plan.normalized()
 	aware, _ := plan.Capacity.(dynamic.PossessionAware)
-	// Sized from Have so that an instance Replay rejects cannot panic here;
-	// one it accepts has len(Have) == n.
+	// Sized from Have and G so that an instance Replay rejects cannot panic
+	// here; one it accepts has len(Have) == n and a graph.
 	down := make([]bool, len(inst.Have))
 	wasDown := make([]bool, len(inst.Have))
+	var verdicts []arcVerdict
+	if inst.G != nil {
+		verdicts = make([]arcVerdict, inst.G.NumArcs())
+	}
 	_, err := core.Replay(inst, sched, core.Rules{
 		BeginStep: func(step int, possess []tokenset.Set) {
 			for v := range possess {
@@ -489,14 +502,27 @@ func Validate(inst *core.Instance, sched *core.Schedule, plan Plan) error {
 			}
 		},
 		CheckMove: func(step int, mv core.Move, id int) (int, string) {
-			if down[mv.From] || down[mv.To] {
-				return 0, "endpoint crashed"
+			v := &verdicts[id]
+			if v.stamp != step+1 {
+				*v = arcVerdict{stamp: step + 1}
+				switch {
+				case down[mv.From] || down[mv.To]:
+					v.reason = "endpoint crashed"
+				case plan.Partitions.Severed(step, mv.From, mv.To):
+					v.reason = "arc severed by partition"
+				default:
+					v.capacity = plan.Capacity.Cap(step, graph.Arc{From: mv.From, To: mv.To, Cap: inst.G.CapByID(id)})
+				}
 			}
-			if plan.Partitions.Severed(step, mv.From, mv.To) {
-				return 0, "arc severed by partition"
-			}
-			return plan.Capacity.Cap(step, graph.Arc{From: mv.From, To: mv.To, Cap: inst.G.CapByID(id)}), ""
+			return v.capacity, v.reason
 		},
 	})
 	return err
+}
+
+// arcVerdict is Validate's answer for one arc at the step stamp − 1: its
+// capacity, or why no move may use it.
+type arcVerdict struct {
+	stamp, capacity int
+	reason          string
 }

@@ -494,3 +494,45 @@ func TestValidateArcRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestLosslessPlanMatchesZeroLoss: a NoLoss plan runs the kernel without
+// the loss hook, and Bernoulli{P: 0} with it, drawing for every accepted
+// move and dropping none. Every heuristic, under a capacity model and
+// under crash-recovery, must return the same schedule and counters both
+// ways.
+func TestLosslessPlanMatchesZeroLoss(t *testing.T) {
+	g, err := topology.TransitStubN(36, topology.DefaultCaps, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := workload.SingleFile(g, 24)
+	for _, base := range []struct {
+		name string
+		plan func(LossModel) Plan
+	}{
+		{"cross-traffic", func(l LossModel) Plan {
+			return Plan{Loss: l, Capacity: dynamic.CrossTraffic{MaxShare: 0.5, Seed: 2}}
+		}},
+		{"crash-drop", func(l LossModel) Plan {
+			return Plan{Loss: l, Crashes: NewRandomCrashes(0.02, 0.5, 3, 0), StateLoss: DropDownloads}
+		}},
+	} {
+		for i, f := range heuristics.All() {
+			name := base.name + "/" + heuristics.Names()[i]
+			lossless, err := Run(inst, f, base.plan(NoLoss{}), sim.Options{Seed: 4, IdlePatience: 40})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			zero, err := Run(inst, f, base.plan(Bernoulli{P: 0, Seed: 8}), sim.Options{Seed: 4, IdlePatience: 40})
+			if err != nil {
+				t.Fatalf("%s under zero loss: %v", name, err)
+			}
+			zero.Plan = lossless.Plan
+			if !reflect.DeepEqual(lossless, zero) {
+				t.Errorf("%s: NoLoss gives %d steps, %d moves, %d rejected, %d lost, %d retransmissions; Bernoulli{P: 0} %d, %d, %d, %d, %d (or the schedules differ)",
+					name, lossless.Steps, lossless.Moves, lossless.Rejected, lossless.Lost, lossless.Retransmissions,
+					zero.Steps, zero.Moves, zero.Rejected, zero.Lost, zero.Retransmissions)
+			}
+		}
+	}
+}

@@ -103,44 +103,55 @@ func (m PerArc) Drop(step, from, to, k int) bool {
 // state false→true with probability p01, true→false with probability p10,
 // transitions driven by hashed (seed, step, id) draws. Trajectories are
 // memoized so arbitrary-step queries stay amortized O(1); two chains built
-// with the same parameters produce byte-identical trajectories.
+// with the same parameters produce byte-identical trajectories. The
+// identity queried last keeps its trajectory's position, so a run of
+// queries on one identity (the moves of one arc) hashes no map key, and a
+// trajectory grows in place.
 type chain struct {
 	seed     int64
 	p01, p10 float64
-	states   map[[2]int][]bool
+	// index maps an identity to its trajectory in trajs.
+	index map[[2]int]int
+	trajs [][]bool
+	// cur is the position in trajs of identity (a, b), the one queried
+	// last, or -1 before the first query.
+	a, b, cur int
 }
 
 func newChain(seed int64, p01, p10 float64) *chain {
-	return &chain{seed: seed, p01: p01, p10: p10, states: make(map[[2]int][]bool)}
+	return &chain{seed: seed, p01: p01, p10: p10, index: make(map[[2]int]int), cur: -1}
 }
 
 // state returns the chain state at step for identity (a, b). All chains
-// start in state false at step 0. The memo is written back only when the
-// trajectory grows: most queries hit an already-covered step.
+// start in state false at step 0.
 func (c *chain) state(step, a, b int) bool {
 	if step < 0 {
 		return false
 	}
-	key := [2]int{a, b}
-	s := c.states[key]
+	if c.cur < 0 || a != c.a || b != c.b {
+		i, ok := c.index[[2]int{a, b}]
+		if !ok {
+			i = len(c.trajs)
+			c.index[[2]int{a, b}] = i
+			c.trajs = append(c.trajs, append([]bool(nil), false))
+		}
+		c.a, c.b, c.cur = a, b, i
+	}
+	s := c.trajs[c.cur]
 	if step < len(s) {
 		return s[step]
 	}
-	if s == nil {
-		s = append(s, false)
-	}
 	for len(s) <= step {
 		t := len(s) - 1
-		cur := s[t]
 		var next bool
-		if cur {
+		if s[t] {
 			next = frac(mix(c.seed, t, a, b, 1)) >= c.p10
 		} else {
 			next = frac(mix(c.seed, t, a, b, 0)) < c.p01
 		}
 		s = append(s, next)
 	}
-	c.states[key] = s
+	c.trajs[c.cur] = s
 	return s[step]
 }
 

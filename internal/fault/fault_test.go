@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -226,6 +227,24 @@ func TestStateLossString(t *testing.T) {
 	} {
 		if got := fmt.Sprint(policy); got != want {
 			t.Errorf("StateLoss(%d) = %q, want %q", policy, got, want)
+		}
+	}
+}
+
+// TestChainMemoMatchesFresh interleaves state queries over several
+// identities, in runs on one identity and out of step order, and requires
+// every answer to equal a fresh chain's, which has memoized nothing.
+func TestChainMemoMatchesFresh(t *testing.T) {
+	c := newChain(5, 0.3, 0.4)
+	rng := rand.New(rand.NewSource(9))
+	ids := [][2]int{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {2, 1}, {7, 2}, {3, -1}}
+	for q := 0; q < 2000; q++ {
+		id := ids[rng.Intn(len(ids))]
+		for run := 1 + rng.Intn(4); run > 0; run-- {
+			step := rng.Intn(60) - 2
+			if got, want := c.state(step, id[0], id[1]), newChain(5, 0.3, 0.4).state(step, id[0], id[1]); got != want {
+				t.Fatalf("query %d: state(%d, %v) = %v, a fresh chain says %v", q, step, id, got, want)
+			}
 		}
 	}
 }

@@ -138,8 +138,11 @@ type replayCase struct {
 // engine table — six strategies under Bernoulli loss, cross traffic, the
 // possession-aware adversary, the chaos plan, a crash-stop source,
 // membership churn and, on a multi-sender instance, link failure — plus
-// one plan the table leaves out: random partitions with crash-recovery
-// that keeps state.
+// two plans the table leaves out: random partitions with crash-recovery
+// that keeps state, and cross traffic with a cut of the source's first
+// link that heals mid-run. The last one moves each arc's capacity every
+// step and lifts a severed verdict, so a replay that reused an arc's
+// verdict from an earlier step would reject its golden schedules.
 func goldenFaultRuns(t *testing.T) []replayCase {
 	t.Helper()
 	g, err := topology.TransitStubN(36, topology.DefaultCaps, 7)
@@ -168,6 +171,12 @@ func goldenFaultRuns(t *testing.T) []replayCase {
 		{inst, func() Plan {
 			return Plan{Partitions: NewRandomPartitions(2, 0.2, 3, 5), Crashes: NewRandomCrashes(0.02, 0.5, 6, 0)}
 		}, 40},
+		{inst, func() Plan {
+			return Plan{
+				Capacity:   dynamic.CrossTraffic{MaxShare: 0.8, Seed: 4},
+				Partitions: PartitionSchedule{Events: CutEdge(0, g.Out(0)[0].To, 1, 3)},
+			}
+		}, 30},
 	}
 	var out []replayCase
 	for _, factory := range append(heuristics.All(), heuristics.LocalDelayed(2)) {

@@ -168,14 +168,21 @@ func (g *Graph) ArcID(u, v int) int { return int(g.lookup(u, v)) }
 // when its (From, To) pair differs from the previous call's. Strategies
 // propose their moves in runs on one arc and schedules keep those runs, so
 // an admission or replay loop that holds one ArcRun as a local pays one
-// lookup per run instead of one per move. It has resolved no pair when made,
-// so its first call always looks up. The graph must not change while an
-// ArcRun of it is in use.
+// lookup per run instead of one per move. Runs from one tail mostly follow
+// its out-list (Round Robin and Random propose in the order of their step
+// graph's Out(u), which a View lists as a subsequence of the base's), so a
+// new head of the same tail is first looked for further along Out(u) and
+// only then in the ID index; a tail change always goes to the index. It
+// has resolved no pair when made, so its first call always looks up. The
+// graph must not change while an ArcRun of it is in use.
 type ArcRun struct {
 	g        *Graph
 	from, to int
 	id       int
 	resolved bool
+	// next is where in Out(from) the next head of the same tail is looked
+	// for: just past the arc a scan found last, or 0 after an index lookup.
+	next int
 }
 
 // ArcRun returns a run resolver over g that has resolved no pair yet.
@@ -190,10 +197,21 @@ func (r *ArcRun) ID(u, v int) int {
 	return r.resolve(u, v)
 }
 
-// resolve looks (u, v) up and remembers it; kept out of ID so that the
-// common case, a repeated pair, inlines into the caller's loop.
+// resolve answers a new pair: along the rest of the tail's out-list when
+// the tail is the one resolved last, else, or when that misses, from the
+// ID index. Kept out of ID so that the common case, a repeated pair,
+// inlines into the caller's loop.
 func (r *ArcRun) resolve(u, v int) int {
-	r.from, r.to, r.id, r.resolved = u, v, r.g.ArcID(u, v), true
+	if r.resolved && u == r.from && u >= 0 && u < r.g.n {
+		out := r.g.out[u]
+		for j := r.next; j < len(out); j++ {
+			if out[j].To == v {
+				r.to, r.id, r.next = v, int(r.g.outID[u][j]), j+1
+				return r.id
+			}
+		}
+	}
+	r.from, r.to, r.id, r.resolved, r.next = u, v, r.g.ArcID(u, v), true, 0
 	return r.id
 }
 

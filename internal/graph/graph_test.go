@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -262,4 +263,99 @@ func TestArcRun(t *testing.T) {
 			t.Errorf("ID%v = %d, want %d", p, got, want)
 		}
 	}
+
+	// Vertex 0's out-list is 0→2, 0→4, 0→1, 0→5, 0→3: insertion order, so
+	// a run in that order is found along the list.
+	g = New(6)
+	for _, head := range []int{2, 4, 1, 5, 3} {
+		mustAdd(t, g, 0, head, head)
+	}
+	mustAdd(t, g, 1, 0, 1)
+	mustAdd(t, g, 4, 5, 1)
+	mustAdd(t, g, 5, 0, 1)
+	// sorted lists vertex 0's heads in ascending order, as topology.Random
+	// does; its view masks 0→3, so a strategy planning on the view
+	// proposes 0→1, 0→2, 0→4, 0→5.
+	sorted := New(6)
+	for head := 1; head < 6; head++ {
+		mustAdd(t, sorted, 0, head, 1)
+	}
+	view := NewView(sorted)
+	caps := append([]int(nil), sorted.CapsByID()...)
+	caps[sorted.ArcID(0, 3)] = 0
+	view.Refresh(caps)
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		pairs [][2]int
+		// found[i] is where pairs[i] sits in its tail's out-list when the
+		// walk along that list answers it, or -1 when the index does.
+		found []int
+	}{
+		{"ordered run along the out-list", g, [][2]int{{0, 2}, {0, 4}, {0, 1}, {0, 5}, {0, 3}}, []int{-1, 1, 2, 3, 4}},
+		{"ordered run skipping heads", g, [][2]int{{0, 2}, {0, 5}, {0, 3}}, []int{-1, 3, 4}},
+		{"head behind the walk", g, [][2]int{{0, 2}, {0, 5}, {0, 4}, {0, 3}}, []int{-1, 3, -1, 4}},
+		{"view's run on the base", sorted, [][2]int{{0, 1}, {0, 2}, {0, 4}, {0, 5}}, []int{-1, 1, 3, 4}},
+		{"masked view arc mid-run", view.Graph(), [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}, []int{-1, 1, -1, 2, 3}},
+		{"missing arc mid-run", g, [][2]int{{0, 2}, {0, 0}, {0, 4}, {0, 9}, {0, 5}}, []int{-1, -1, 1, -1, 3}},
+		{"tail change", g, [][2]int{{0, 2}, {0, 4}, {4, 5}, {0, 1}, {1, 0}, {5, 0}, {0, 5}}, []int{-1, 1, -1, -1, -1, -1, -1}},
+		{"out-of-range vertices", g, [][2]int{{-1, 0}, {-1, 2}, {6, 0}, {6, 1}, {0, -1}, {0, 6}, {0, 2}, {0, 7}, {0, 4}}, []int{-1, -1, -1, -1, -1, -1, 0, -1, 1}},
+	} {
+		r := tc.g.ArcRun()
+		for i, p := range tc.pairs {
+			if got, want := r.ID(p[0], p[1]), tc.g.ArcID(p[0], p[1]); got != want {
+				t.Errorf("%s: ID%v = %d, want %d", tc.name, p, got, want)
+			}
+			if at := tc.found[i]; at >= 0 && r.next != at+1 {
+				t.Errorf("%s: ID%v was not found at out-list position %d (next = %d)", tc.name, p, at, r.next)
+			} else if at < 0 && r.next != 0 {
+				t.Errorf("%s: ID%v was found along the out-list (next = %d), want an index lookup", tc.name, p, r.next)
+			}
+		}
+	}
+}
+
+// FuzzArcRun replays fuzzed pair sequences through one ArcRun over a
+// seeded random graph and over a view of it with arcs masked, and
+// requires every answer to equal ArcID. data[0] seeds the graph and the
+// mask; every further byte pair (a, b) is a pair whose tail repeats the
+// previous one when a's top bit is set, out-of-range vertices included.
+func FuzzArcRun(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0x80, 2, 0x80, 3, 1, 0})
+	f.Add([]byte{7, 3, 4, 0x83, 0, 0x80, 9, 0x80, 1, 0x7f, 0xff})
+	f.Add([]byte{200, 0, 0, 0x80, 0, 0x80, 5, 2, 2, 0x80, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(data[0])))
+		n := 2 + rng.Intn(9)
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for _, v := range rng.Perm(n) {
+				if v != u && rng.Intn(2) == 0 {
+					mustAdd(t, g, u, v, 1+rng.Intn(3))
+				}
+			}
+		}
+		view := NewView(g)
+		caps := make([]int, g.NumArcs())
+		for id := range caps {
+			caps[id] = rng.Intn(3)
+		}
+		view.Refresh(caps)
+		for _, h := range []*Graph{g, view.Graph()} {
+			r := h.ArcRun()
+			u := 0
+			for b := data[1:]; len(b) >= 2; b = b[2:] {
+				if b[0]&0x80 == 0 {
+					u = int(b[0]&0x7f)%(n+2) - 1
+				}
+				v := int(b[1])%(n+2) - 1
+				if got, want := r.ID(u, v), h.ArcID(u, v); got != want {
+					t.Fatalf("view %v: ID(%d, %d) = %d, want %d", h.view, u, v, got, want)
+				}
+			}
+		}
+	})
 }

@@ -19,7 +19,9 @@ type roundRobin struct {
 	// persists across timesteps: every engine's step graph shares the base
 	// graph's arc IDs.
 	cursor []int
-	moves  []core.Move
+	//ocd:scratch
+	toks  []int
+	moves []core.Move
 }
 
 func newRoundRobin(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
@@ -28,6 +30,11 @@ func newRoundRobin(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
 
 func (r *roundRobin) Name() string { return "roundrobin" }
 
+// Plan sends, on each out-arc, the next tokens the sender has in cyclic
+// order from the arc's cursor, up to the arc's capacity, and moves the
+// cursor past the last one sent. The set's word walk skips the tokens the
+// sender lacks a word at a time, so an arc costs the tokens it sends, not
+// a test per token of the queue.
 func (r *roundRobin) Plan(st *sim.State) []core.Move {
 	m := st.Inst.NumTokens
 	moves := r.moves[:0]
@@ -39,17 +46,12 @@ func (r *roundRobin) Plan(st *sim.State) []core.Move {
 		ids := st.Inst.G.OutArcIDs(u)
 		for i, a := range st.Inst.G.Out(u) {
 			id := ids[i]
-			cur := r.cursor[id]
-			sent := 0
-			// One full cycle at most: skip tokens u does not have.
-			for scanned := 0; scanned < m && sent < a.Cap; scanned++ {
-				t := (cur + scanned) % m
-				if !have.Has(t) {
-					continue
-				}
+			r.toks = have.AppendCyclic(r.toks[:0], r.cursor[id], a.Cap)
+			for _, t := range r.toks {
 				moves = append(moves, core.Move{From: u, To: a.To, Token: t})
-				sent++
-				r.cursor[id] = (t + 1) % m
+			}
+			if len(r.toks) > 0 {
+				r.cursor[id] = (r.toks[len(r.toks)-1] + 1) % m
 			}
 		}
 	}

@@ -11,8 +11,10 @@ package sim
 // Per-move cost: admission looks an arc up once per run of proposals on
 // one (From, To) pair (graph.ArcRun), and a step touches two scratch
 // buffers — accepted moves and their arc IDs, grown to the proposal's
-// length in one step — from which lost moves are filtered in place. The
-// only per-step allocation is the exact-size copy the schedule keeps.
+// length in one step — from which lost moves are filtered in place. A
+// lossless step (no LossPolicy and no Observer) delivers every admitted
+// move, so it keeps no arc IDs and skips the loss pass. The only per-step
+// allocation is the exact-size copy the schedule keeps.
 //
 // Equivalence contract: the kernel reproduces each pre-consolidation engine
 // byte for byte (see golden_test.go). The ordering facts that contract
@@ -135,11 +137,13 @@ func (eng *Engine) run(inst *core.Instance, strat Strategy, st *State, res *Resu
 	used := make([]int, inst.G.NumArcs())
 	// accepted/acceptedIDs are scratch buffers reused across steps; the
 	// loss pass filters accepted in place, and the schedule only ever
-	// retains exact-size copies.
+	// retains exact-size copies. Only the loss pass and OnMove read the
+	// arc IDs, so a lossless step without an observer keeps none.
 	//ocd:scratch
 	var accepted core.Step
 	//ocd:scratch
 	var acceptedIDs []int
+	tracked := eng.Loss != nil || obs != nil
 	idle := 0
 
 	step := 0
@@ -165,7 +169,9 @@ func (eng *Engine) run(inst *core.Instance, strat Strategy, st *State, res *Resu
 
 		clear(used)
 		accepted = slices.Grow(accepted[:0], len(proposed))
-		acceptedIDs = slices.Grow(acceptedIDs[:0], len(proposed))
+		if tracked {
+			acceptedIDs = slices.Grow(acceptedIDs[:0], len(proposed))
+		}
 		for _, mv := range proposed {
 			id := -1
 			if mv.Token >= 0 && mv.Token < inst.NumTokens {
@@ -184,7 +190,9 @@ func (eng *Engine) run(inst *core.Instance, strat Strategy, st *State, res *Resu
 			}
 			used[id]++
 			accepted = append(accepted, mv)
-			acceptedIDs = append(acceptedIDs, id)
+			if tracked {
+				acceptedIDs = append(acceptedIDs, id)
+			}
 		}
 
 		if len(accepted) == 0 {
@@ -208,27 +216,25 @@ func (eng *Engine) run(inst *core.Instance, strat Strategy, st *State, res *Resu
 		// Lost moves are filtered out of accepted in place (the write index
 		// never passes the read index), leaving the delivered moves in
 		// admission order.
-		n := 0
-		for i, mv := range accepted {
-			lost := eng.Loss != nil && eng.Loss.Lost(step, mv, acceptedIDs[i])
-			if obs != nil {
-				obs.OnMove(step, mv, acceptedIDs[i], lost, st)
+		if tracked {
+			n := 0
+			for i, mv := range accepted {
+				lost := eng.Loss != nil && eng.Loss.Lost(step, mv, acceptedIDs[i])
+				if obs != nil {
+					obs.OnMove(step, mv, acceptedIDs[i], lost, st)
+				}
+				if lost {
+					res.Lost++
+					continue
+				}
+				accepted[n] = mv
+				n++
 			}
-			if lost {
-				res.Lost++
-				continue
-			}
-			accepted[n] = mv
-			n++
+			accepted = accepted[:n]
 		}
-		accepted = accepted[:n]
 		// The schedule keeps an exact-size copy — the scratch buffer's
 		// spare capacity never escapes, and a fully-lost step records nil.
-		var out core.Step
-		if len(accepted) > 0 {
-			out = make(core.Step, len(accepted))
-			copy(out, accepted)
-		}
+		out := slices.Clip(append(core.Step(nil), accepted...))
 		for _, mv := range out {
 			st.Deliver(mv)
 		}

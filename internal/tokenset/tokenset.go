@@ -302,6 +302,44 @@ func (s Set) AppendTo(buf []int) []int {
 	return buf
 }
 
+// AppendCyclic appends up to k tokens of the set to dst in cyclic order
+// from token from — first those at or after from, then those before it,
+// each part ascending — and returns the extended slice. It walks the set
+// a 64-bit word at a time, so absent tokens are skipped a word at a time,
+// not tested one by one: a circular queue's next k present tokens, as
+// §5.1's Round Robin sends them.
+func (s Set) AppendCyclic(dst []int, from, k int) []int {
+	from = min(max(from, 0), s.universe)
+	dst, k = s.appendRange(dst, from, s.universe, k)
+	dst, _ = s.appendRange(dst, 0, from, k)
+	return dst
+}
+
+// appendRange appends up to k tokens of the set in [lo, hi) to dst in
+// ascending order, and returns the extended slice and how many of the k
+// it did not use. It requires 0 ≤ lo and hi ≤ Universe.
+func (s Set) appendRange(dst []int, lo, hi, k int) ([]int, int) {
+	if lo >= hi || k <= 0 {
+		return dst, k
+	}
+	i, last := lo/wordBits, (hi-1)/wordBits
+	w := s.words[i] &^ (uint64(1)<<uint(lo%wordBits) - 1)
+	for {
+		if i == last && hi%wordBits != 0 {
+			w &= uint64(1)<<uint(hi%wordBits) - 1
+		}
+		for ; w != 0 && k > 0; k-- {
+			dst = append(dst, i*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+		if i == last || k == 0 {
+			return dst, k
+		}
+		i++
+		w = s.words[i]
+	}
+}
+
 // Clear removes every token from the set.
 func (s Set) Clear() {
 	for i := range s.words {

@@ -3,6 +3,7 @@ package tokenset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -318,6 +319,98 @@ func BenchmarkTokenSetOps(b *testing.B) {
 				}
 			}
 			_ = n
+		}
+	})
+}
+
+// naiveCyclic states AppendCyclic from its definition: up to k members at
+// or after from, ascending, then up to the rest of k members before it.
+func naiveCyclic(s Set, from, k int) []int {
+	var out []int
+	for _, before := range []bool{false, true} {
+		for t := 0; t < s.Universe(); t++ {
+			if s.Has(t) && (t < from) == before && len(out) < k {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// TestAppendCyclic checks the word walk against the definition and, for a
+// cursor inside the universe, against the per-token circular scan it
+// replaced in Round Robin, on universes around the word size with empty,
+// full and random sets; the appended tokens follow dst's prefix.
+func TestAppendCyclic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, universe := range []int{0, 1, 2, 63, 64, 65, 100, 127, 128, 129, 512} {
+		sets := []Set{New(universe), Full(universe)}
+		for i := 0; i < 6; i++ {
+			s, _ := randomSet(rng, max(universe, 1))
+			if universe == 0 {
+				s = New(0)
+			}
+			sets = append(sets, s)
+		}
+		sparse := New(universe)
+		if universe > 0 {
+			sparse.Add(universe - 1)
+		}
+		sets = append(sets, sparse)
+		for _, s := range sets {
+			froms := []int{-3, 0, universe / 2, universe - 1, universe, universe + 5}
+			for i := 0; i < 8 && universe > 0; i++ {
+				froms = append(froms, rng.Intn(universe))
+			}
+			for _, from := range froms {
+				for _, k := range []int{-1, 0, 1, 3, 64, universe, universe + 1} {
+					prefix := []int{-7}
+					got := s.AppendCyclic(prefix, from, k)
+					want := append([]int{-7}, naiveCyclic(s, from, k)...)
+					if !slices.Equal(got, want) {
+						t.Fatalf("universe %d set %v: AppendCyclic(from %d, k %d) = %v, want %v", universe, s, from, k, got, want)
+					}
+					if from < 0 || from >= universe {
+						continue
+					}
+					var scan []int
+					for scanned := 0; scanned < universe && len(scan) < k; scanned++ {
+						if tok := (from + scanned) % universe; s.Has(tok) {
+							scan = append(scan, tok)
+						}
+					}
+					if !slices.Equal(got[1:], scan) {
+						t.Fatalf("universe %d set %v: AppendCyclic(from %d, k %d) = %v, circular scan %v", universe, s, from, k, got[1:], scan)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzAppendCyclic decodes a universe, a cursor, a count and a set from
+// fuzzed bytes and checks AppendCyclic against its definition.
+//
+// data[0] and data[1] give the universe (up to 300), data[2] the cursor
+// (offset so that it can fall outside the universe), data[3] the count,
+// and every further byte pair a token to add.
+func FuzzAppendCyclic(f *testing.F) {
+	f.Add([]byte{64, 0, 10, 5, 3, 0, 63, 0, 9, 0})
+	f.Add([]byte{65, 0, 70, 65, 64, 0, 0, 0})
+	f.Add([]byte{44, 1, 255, 200, 1, 1, 2, 1, 200, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		universe := (int(data[0]) | int(data[1])<<8) % 301
+		from, k := int(data[2])-8, int(data[3])
+		s := New(universe)
+		for b := data[4:]; len(b) >= 2; b = b[2:] {
+			s.Add((int(b[0]) | int(b[1])<<8) % max(universe, 1))
+		}
+		got := s.AppendCyclic(nil, from, k)
+		if want := naiveCyclic(s, from, k); !slices.Equal(got, want) {
+			t.Fatalf("universe %d set %v: AppendCyclic(from %d, k %d) = %v, want %v", universe, s, from, k, got, want)
 		}
 	})
 }
