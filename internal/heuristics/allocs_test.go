@@ -17,7 +17,10 @@ import (
 // reintroduced per-step allocation (a map rebuilt per Plan, a sort closure,
 // a fresh token buffer per vertex) trips the guard. Raising a ceiling is a
 // deliberate act — it should accompany a change that knowingly adds
-// allocation, not silence a regression.
+// allocation, not silence a regression. Measured (go1.24.0): roundrobin
+// 241, random 234, local 239, bandwidth 252, global 474. Global's
+// per-run level arrays for its pick replaced one scratch set, two
+// allocations more than before; its ceiling stays at 1.48× the count.
 var allocCeilings = map[string]float64{
 	"roundrobin": 350,
 	"random":     350,
@@ -30,7 +33,8 @@ var allocCeilings = map[string]float64{
 // instance with several sources, where the strategies' per-run caches
 // (Bandwidth's per-token targets, Local's holder masks) are largest: they
 // must be built once per run, not once per step. Set ~50% above the
-// measured values.
+// measured values: roundrobin 237, random 233, local 240, bandwidth 243,
+// global 473.
 var multisenderAllocCeilings = map[string]float64{
 	"roundrobin": 350,
 	"random":     350,

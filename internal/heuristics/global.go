@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"ocd/internal/core"
@@ -23,15 +24,11 @@ import (
 var Global sim.Factory = newGlobal
 
 // globalStrategy owns the per-run scratch: the per-destination claim sets
-// and the per-token scores are cleared and refilled at the top of every
-// Plan call instead of being reallocated.
+// and the per-token rarity levels are cleared and refilled at the top of
+// every Plan call instead of being reallocated.
 type globalStrategy struct {
 	rem residual
-	// score[t] is counts[t] plus n for every copy of t scheduled this turn,
-	// the effective rarity pickDiverse minimizes: a token already scheduled
-	// counts as more common than any unscheduled one.
-	//ocd:scratch
-	score []int
+	div diversity
 	//ocd:scratch
 	scheduled []tokenset.Set
 	//ocd:scratch
@@ -42,14 +39,16 @@ type globalStrategy struct {
 	// possession of its in-neighbors with residual capacity, minus p(v)
 	// and scheduled[v]. Only v's claims consume v's in-arcs, so it is
 	// computed once per Plan, loses each token v claims, and is recomputed
-	// only when a claim saturates one of v's in-arcs; closed[v] records
-	// that none has capacity left.
+	// only when a claim saturates one of v's in-arcs.
 	//ocd:scratch
 	obtainable []tokenset.Set
+	// closed[v] records that v takes no further part in this Plan's
+	// rounds: none of its in-arcs has capacity left, or its last pick
+	// came back empty. Within a Plan obtainable[v], wantedLeft[v] and
+	// lackLeft[v] only shrink, so an empty pick stays empty, and an empty
+	// pick draws nothing from the run's PRNG.
 	//ocd:scratch
 	closed []bool
-	//ocd:scratch
-	pickable tokenset.Set
 	//ocd:scratch
 	perm  []int
 	moves []core.Move
@@ -58,13 +57,12 @@ type globalStrategy struct {
 func newGlobal(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
 	n, m := inst.N(), inst.NumTokens
 	g := &globalStrategy{
-		score:      make([]int, m),
+		div:        newDiversity(n, m),
 		scheduled:  make([]tokenset.Set, n),
 		wantedLeft: make([]tokenset.Set, n),
 		lackLeft:   make([]tokenset.Set, n),
 		obtainable: make([]tokenset.Set, n),
 		closed:     make([]bool, n),
-		pickable:   tokenset.New(m),
 	}
 	for v := 0; v < n; v++ {
 		g.scheduled[v] = tokenset.New(m)
@@ -81,7 +79,7 @@ func (g *globalStrategy) Plan(st *sim.State) []core.Move {
 	inst := st.Inst
 	n := inst.N()
 	g.rem.reset(inst.G)
-	copy(g.score, st.HaveCounts())
+	g.div.reset(st.HaveCounts())
 	g.moves = g.moves[:0]
 
 	// scheduled[v] tracks tokens already planned for delivery to v this
@@ -101,8 +99,9 @@ func (g *globalStrategy) Plan(st *sim.State) []core.Move {
 			if g.closed[v] {
 				continue
 			}
-			t := pickDiverse(g.pickable, g.obtainable[v], g.wantedLeft[v], g.lackLeft[v], g.score, st.Rand)
+			t := g.div.pick(g.obtainable[v], g.wantedLeft[v], g.lackLeft[v], st.Rand)
 			if t == -1 {
+				g.closed[v] = true
 				continue
 			}
 			// Claim t from the holder neighbor with the most spare capacity.
@@ -126,7 +125,7 @@ func (g *globalStrategy) Plan(st *sim.State) []core.Move {
 			g.wantedLeft[v].Remove(t)
 			g.lackLeft[v].Remove(t)
 			g.obtainable[v].Remove(t)
-			g.score[t] += n
+			g.div.claim(t)
 			if g.rem.leftID(bestID) == 0 {
 				g.collect(st, v)
 			}
@@ -140,8 +139,8 @@ func (g *globalStrategy) Plan(st *sim.State) []core.Move {
 	return g.moves
 }
 
-// collect recomputes obtainable[v] and closed[v] from the residual
-// capacity of v's in-arcs.
+// collect recomputes obtainable[v] from the residual capacity of v's
+// in-arcs, and closes v when none has any left.
 func (g *globalStrategy) collect(st *sim.State, v int) {
 	obt := g.obtainable[v]
 	obt.Clear()
@@ -158,32 +157,141 @@ func (g *globalStrategy) collect(st *sim.State, v int) {
 	g.closed[v] = closed
 }
 
-// pickDiverse selects the next token for a destination: among wanted tokens
-// if any are obtainable, otherwise among diversity tokens; within the class
-// it minimizes score[t], breaking ties by reservoir sampling. Returns -1
-// when nothing is obtainable. scratch is overwritten with class ∩
-// obtainable so the scoring loop only visits pickable tokens instead of
-// probing obtainable.Has per class member.
-func pickDiverse(scratch, obtainable, wanted, lack tokenset.Set, score []int, rng *rand.Rand) int {
-	for _, class := range []tokenset.Set{wanted, lack} {
-		scratch.SetIntersection(class, obtainable)
-		best, bestScore, seen := -1, 0, 0
-		scratch.ForEach(func(t int) bool {
-			switch {
-			case best == -1 || score[t] < bestScore:
-				best, bestScore, seen = t, score[t], 1
-			case score[t] == bestScore:
-				// Reservoir-sample ties for the rarest-*random* behaviour.
+// diversity answers Global's pick: for one destination, the token of
+// the lowest score among its obtainable wanted tokens, or if none among
+// its obtainable diversity tokens, with ties broken by reservoir sampling
+// on the run's PRNG. A token's score is count + n·k, where count is the
+// number of vertices holding it at the top of the Plan and k the number
+// of copies scheduled this turn, so a token already scheduled counts as
+// more common than any unscheduled one.
+//
+// A candidate is a token the destination lacks, so its count is below n,
+// and score ≤ r is lexicographic in (k, count). Two families of prefix
+// sets, one flat word array each, answer that test 64 tokens at a time:
+// word i of level l sits at l·words+i. upTo holds the sentinel empty
+// level 0 and then, at level k+1, the tokens scheduled at most k times
+// this turn; heldBy holds, at level c, the tokens held by at most c
+// vertices. The tokens scoring at most the record r = c + n·k are then
+// upTo level k | (upTo level k+1 & heldBy level c), and a pick visits
+// only them: its running-minimum records and the ties that draw.
+type diversity struct {
+	n, words int
+	// score[t] is t's score this turn, and copies[t] its k.
+	//ocd:scratch
+	score []int
+	//ocd:scratch
+	copies []int
+	//ocd:scratch
+	upTo []uint64
+	//ocd:scratch
+	heldBy []uint64
+}
+
+// newDiversity allocates the score and level arrays for n vertices and
+// m tokens: n+1 levels of upTo and n of heldBy, m/64 words each.
+func newDiversity(n, m int) diversity {
+	words := (m + 63) / 64
+	return diversity{
+		n:      n,
+		words:  words,
+		score:  make([]int, m),
+		copies: make([]int, m),
+		upTo:   make([]uint64, (n+1)*words),
+		heldBy: make([]uint64, n*words),
+	}
+}
+
+// reset starts a turn from the have-counts: nothing is scheduled, so
+// every token is in every upTo level past the sentinel, and heldBy is
+// rebuilt by setting each token's bit at its count and or-ing each level
+// into the next. Tokens every vertex holds are never candidates and sit
+// in no heldBy level.
+func (d *diversity) reset(counts []int) {
+	copy(d.score, counts)
+	clear(d.copies)
+	w := d.words
+	clear(d.upTo[:w])
+	for i := w; i < len(d.upTo); i++ {
+		d.upTo[i] = ^uint64(0)
+	}
+	clear(d.heldBy)
+	for t, c := range counts {
+		if c < d.n {
+			d.heldBy[c*w+t/64] |= 1 << (t % 64)
+		}
+	}
+	for i := w; i < len(d.heldBy); i++ {
+		d.heldBy[i] |= d.heldBy[i-w]
+	}
+}
+
+// claim schedules one more copy of candidate t: t leaves the upTo level
+// of its old copy count, the levels above it keep it, and its score rises
+// by n.
+func (d *diversity) claim(t int) {
+	d.upTo[(d.copies[t]+1)*d.words+t/64] &^= 1 << (t % 64)
+	d.copies[t]++
+	d.score[t] += d.n
+}
+
+// pick returns the lowest-score token of wanted ∩ obtainable, or of
+// lack ∩ obtainable when that is empty, or -1 when both are. It draws
+// from rng exactly as a scan of every candidate in ascending order does:
+// once per tie with the running minimum, as Intn(seen).
+func (d *diversity) pick(obtainable, wanted, lack tokenset.Set, rng *rand.Rand) int {
+	if t := d.pickIn(wanted, obtainable, rng); t != -1 {
+		return t
+	}
+	return d.pickIn(lack, obtainable, rng)
+}
+
+// pickIn is pick within one class. The first candidate is the first
+// record; from then on each word of class ∩ obtainable is masked with
+// the tokens scoring at most the record, so only records and ties are
+// visited, and a new record narrows the mask for the rest of its word.
+func (d *diversity) pickIn(class, obtainable tokenset.Set, rng *rand.Rand) int {
+	i, w := 0, uint64(0)
+	for ; i < d.words; i++ {
+		if w = class.Word(i) & obtainable.Word(i); w != 0 {
+			break
+		}
+	}
+	if w == 0 {
+		return -1
+	}
+	best := i*64 + bits.TrailingZeros64(w)
+	w &= w - 1
+	bestScore, seen := d.score[best], 1
+	lo, hi, held := d.levels(best)
+	for {
+		w &= d.upTo[lo+i] | d.upTo[hi+i]&d.heldBy[held+i]
+		for w != 0 {
+			t := i*64 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if s := d.score[t]; s < bestScore {
+				best, bestScore, seen = t, s, 1
+				lo, hi, held = d.levels(t)
+				w &= d.upTo[lo+i] | d.upTo[hi+i]&d.heldBy[held+i]
+			} else {
+				// A tie: reservoir-sample for the rarest-*random* behaviour.
 				seen++
 				if rng.Intn(seen) == 0 {
 					best = t
 				}
 			}
-			return true
-		})
-		if best != -1 {
+		}
+		if i++; i == d.words {
 			return best
 		}
+		w = class.Word(i) & obtainable.Word(i)
 	}
-	return -1
+}
+
+// levels returns, for a record t of score c + n·k, the word offsets of
+// upTo level k (tokens scheduled fewer than k times), upTo level k+1 (at
+// most k times) and heldBy level c.
+func (d *diversity) levels(t int) (lo, hi, held int) {
+	k := d.copies[t]
+	c := d.score[t] - d.n*k
+	return k * d.words, (k + 1) * d.words, c * d.words
 }

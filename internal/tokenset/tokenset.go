@@ -87,6 +87,11 @@ func (s Set) Has(t int) bool {
 	return s.words[t/wordBits]&(uint64(1)<<uint(t%wordBits)) != 0
 }
 
+// Word returns the set's i-th 64-bit word: bit b stands for token
+// i*64+b. Bits at or past Universe are zero. It lets a caller combine
+// sets with masks of its own a word at a time.
+func (s Set) Word(i int) uint64 { return s.words[i] }
+
 // Count returns the number of tokens in the set.
 func (s Set) Count() int {
 	n := 0

@@ -71,6 +71,30 @@ func TestFull(t *testing.T) {
 	}
 }
 
+// TestWord checks that Word exposes each token's bit at word t/64, bit
+// t%64, and that a full set's last partial word holds no bit past the
+// universe.
+func TestWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, universe := range []int{1, 63, 64, 65, 130} {
+		s := New(universe)
+		for tok := 0; tok < universe; tok++ {
+			if rng.Intn(3) == 0 {
+				s.Add(tok)
+			}
+		}
+		words := (universe + 63) / 64
+		for tok := 0; tok < words*64; tok++ {
+			if got := s.Word(tok/64)>>(tok%64)&1 == 1; got != s.Has(tok) {
+				t.Fatalf("universe %d: bit %d of Word(%d) is %v, Has(%d) is %v", universe, tok%64, tok/64, got, tok, s.Has(tok))
+			}
+		}
+		if got, want := Full(universe).Word(words-1), ^uint64(0)>>(words*64-universe); got != want {
+			t.Errorf("Full(%d).Word(%d) = %#x, want %#x", universe, words-1, got, want)
+		}
+	}
+}
+
 func TestSetAlgebra(t *testing.T) {
 	a := FromSlice(10, []int{1, 2, 3, 4})
 	b := FromSlice(10, []int{3, 4, 5, 6})
