@@ -205,24 +205,6 @@ func comparePicks(t *testing.T, name string, s pickState, seed int64) {
 	}
 }
 
-// randomClass returns an empty, full or sparse set over [0, m).
-func randomClass(rng *rand.Rand, m int) tokenset.Set {
-	s := tokenset.New(m)
-	switch rng.Intn(4) {
-	case 0:
-	case 1:
-		s.Fill()
-	default:
-		p := rng.Float64()
-		for tok := 0; tok < m; tok++ {
-			if rng.Float64() < p {
-				s.Add(tok)
-			}
-		}
-	}
-	return s
-}
-
 // TestGlobalPickMatchesReference holds diversity.pick to the full scan it
 // replaced on random states: counts and copy counts drawn from a few
 // values each so that scores tie heavily, copy counts up to n-1, empty,
@@ -240,7 +222,8 @@ func TestGlobalPickMatchesReference(t *testing.T) {
 					s.counts[tok] = countVals[rng.Intn(len(countVals))]
 					s.copies[tok] = copyVals[rng.Intn(len(copyVals))]
 				}
-				s.wanted, s.lack, s.obtainable = randomClass(rng, m), randomClass(rng, m), randomClass(rng, m)
+				sets := randomPossession(rng, 3, m)
+				s.wanted, s.lack, s.obtainable = sets[0], sets[1], sets[2]
 				comparePicks(t, fmt.Sprintf("trial %d (n %d)", trial, n), s, rng.Int63())
 			}
 		})
