@@ -117,30 +117,12 @@ func Run(inst *core.Instance, factory sim.Factory, plan Plan, opts sim.Options) 
 		fres.Liveness = classifyLiveness(inst, possess, fk.unsat)
 	}
 	fres.Unsatisfiable = receiverReports(inst, possess, fk.unsat)
-	fres.Retransmissions = retransmissions(inst, res.Schedule)
+	// The kernel saw every step but those after its last PreStep, such as
+	// the final step of a run cut off at its step limit.
+	for _, step := range res.Schedule.Steps[fk.folded:] {
+		fk.fold(step)
+	}
 	return fres, err
-}
-
-// retransmissions counts the schedule's deliveries of a token to a vertex
-// that had already taken delivery of it once (retry traffic and crash
-// re-downloads). Lost moves are not in the schedule, so only deliveries
-// count.
-func retransmissions(inst *core.Instance, sched *core.Schedule) int {
-	delivered := make([]tokenset.Set, inst.N())
-	for v := range delivered {
-		delivered[v] = tokenset.New(inst.NumTokens)
-	}
-	n := 0
-	for _, st := range sched.Steps {
-		for _, mv := range st {
-			if delivered[mv.To].Has(mv.Token) {
-				n++
-			} else {
-				delivered[mv.To].Add(mv.Token)
-			}
-		}
-	}
-	return n
 }
 
 // classifyLiveness folds the per-receiver undeliverable sets into the
@@ -169,9 +151,10 @@ func classifyLiveness(inst *core.Instance, possess []tokenset.Set, unsat []token
 // faultKernel is the fault plan's hook bundle: one value implements the
 // kernel's CapacityModel (crash- and plan-adjusted capacities),
 // StepInterceptor (crash transitions, reachability detection, graceful
-// settlement), and LossPolicy (the plan's deterministic per-arc draws).
-// It writes the crash counters of res while the run is live; res.Result
-// is filled in once the run is over.
+// settlement, and the retransmission count), and LossPolicy (the plan's
+// deterministic per-arc draws). It writes the crash counters and
+// Retransmissions of res while the run is live; res.Result is filled in
+// once the run is over.
 type faultKernel struct {
 	inst  *core.Instance
 	plan  Plan
@@ -202,6 +185,14 @@ type faultKernel struct {
 	// loss model.
 	lossK    []int
 	lossStep int
+
+	// delivered holds each vertex's tokens delivered in the schedule's
+	// first folded steps. A delivery of a token already in
+	// the receiver's set is a retransmission (retry traffic and crash
+	// re-downloads). Lost moves are not in the schedule, so only
+	// deliveries count.
+	delivered []tokenset.Set
+	folded    int
 }
 
 func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
@@ -231,11 +222,26 @@ func newFaultKernel(inst *core.Instance, plan Plan, res *Result) *faultKernel {
 		needDetect: true, // always vet reachability before the first step
 		lossK:      make([]int, inst.G.NumArcs()),
 		lossStep:   -1,
+		delivered:  make([]tokenset.Set, n),
 	}
 	for v := 0; v < n; v++ {
 		fk.unsat[v] = tokenset.New(inst.NumTokens)
+		fk.delivered[v] = tokenset.New(inst.NumTokens)
 	}
 	return fk
+}
+
+// fold counts the retransmissions of one schedule step into res and adds
+// its deliveries to the ever-delivered sets.
+func (f *faultKernel) fold(step core.Step) {
+	for _, mv := range step {
+		if f.delivered[mv.To].Has(mv.Token) {
+			f.res.Retransmissions++
+		} else {
+			f.delivered[mv.To].Add(mv.Token)
+		}
+	}
+	f.folded++
 }
 
 // permSevered is the arc-level analogue of the perm vertex flags, handed
@@ -251,12 +257,17 @@ func (f *faultKernel) detect(possess []tokenset.Set) {
 	f.reach.detect(f.inst, possess, f.perm, f.permSevered, f.unsat)
 }
 
-// PreStep implements sim.StepInterceptor: crash transitions first — a
-// vertex that is down this step cannot send, receive, or plan, and its
-// state-loss policy applies at the moment it goes down — then
-// reachability detection if any transition occurred.
+// PreStep implements sim.StepInterceptor. From step 1 on it first folds
+// the step the kernel executed last into the retransmission count:
+// st.Delivered is schedule step step−1 exactly as appended, nil after an
+// idle or fully lost step. Then come crash transitions — a vertex that is down this step cannot
+// send, receive, or plan, and its state-loss policy applies at the moment
+// it goes down — then reachability detection if any transition occurred.
 func (f *faultKernel) PreStep(step int, st *sim.State) {
 	f.step = step
+	if step > 0 {
+		f.fold(st.Delivered)
+	}
 	wiped := false
 	for v := range f.down {
 		f.down[v] = f.plan.Crashes.Down(step, v)

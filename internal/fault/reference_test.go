@@ -127,11 +127,13 @@ func TestValidateFailsClosed(t *testing.T) {
 }
 
 // replayCase is one schedule with the plan it ran under, rebuilt afresh
-// for every replay because models keep state.
+// for every replay because models keep state, and the retransmissions
+// the run counted.
 type replayCase struct {
-	inst  *core.Instance
-	plan  func() Plan
-	sched *core.Schedule
+	inst            *core.Instance
+	plan            func() Plan
+	sched           *core.Schedule
+	retransmissions int
 }
 
 // goldenFaultRuns runs the fault-engine rows of internal/sim's golden
@@ -185,7 +187,7 @@ func goldenFaultRuns(t *testing.T) []replayCase {
 			if res == nil {
 				t.Fatal(err)
 			}
-			out = append(out, replayCase{p.inst, p.plan, res.Schedule})
+			out = append(out, replayCase{p.inst, p.plan, res.Schedule, res.Retransmissions})
 		}
 	}
 	return out
@@ -350,4 +352,79 @@ func FuzzValidateMatchesReference(f *testing.F) {
 			t.Fatalf("Validate says %s (%v), reference %s (%v)", got, err, want, refErr)
 		}
 	})
+}
+
+// refRetransmissions is the retransmission count as Run took it before
+// the kernel folded each step while the run was live: a replay of the
+// whole schedule that counts the deliveries of a token to a vertex that
+// had already taken delivery of it once.
+func refRetransmissions(inst *core.Instance, sched *core.Schedule) int {
+	delivered := make([]tokenset.Set, inst.N())
+	for v := range delivered {
+		delivered[v] = tokenset.New(inst.NumTokens)
+	}
+	n := 0
+	for _, st := range sched.Steps {
+		for _, mv := range st {
+			if delivered[mv.To].Has(mv.Token) {
+				n++
+			} else {
+				delivered[mv.To].Add(mv.Token)
+			}
+		}
+	}
+	return n
+}
+
+// TestRetransmissionsMatchReference holds the Retransmissions that Run
+// counts while the run is live to refRetransmissions over its schedule:
+// on every goldenFaultRuns run, on crashes under each state-loss policy
+// cut off at every step limit from 1 to 30 (so the last step, which no
+// PreStep sees, is sometimes a re-download), and on a run that stalls.
+func TestRetransmissionsMatchReference(t *testing.T) {
+	check := func(name string, inst *core.Instance, res *Result) {
+		t.Helper()
+		if want := refRetransmissions(inst, res.Schedule); res.Retransmissions != want {
+			t.Fatalf("%s: %d retransmissions, reference %d", name, res.Retransmissions, want)
+		}
+	}
+	total := 0
+	for i, c := range goldenFaultRuns(t) {
+		if want := refRetransmissions(c.inst, c.sched); c.retransmissions != want {
+			t.Fatalf("golden run %d: %d retransmissions, reference %d", i, c.retransmissions, want)
+		}
+		total += c.retransmissions
+	}
+	if total == 0 {
+		t.Fatal("no golden run retransmits")
+	}
+
+	g, err := topology.TransitStubN(36, topology.DefaultCaps, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := workload.SingleFile(g, 24)
+	crashes := []CrashEvent{{V: 5, At: 2, RecoverAt: 4}, {V: 9, At: 3, RecoverAt: 5}, {V: 5, At: 7, RecoverAt: 8}}
+	for _, loss := range []StateLoss{KeepState, DropDownloads, DropAll} {
+		plan := Plan{Crashes: CrashSchedule{Events: crashes}, StateLoss: loss, Loss: Bernoulli{P: 0.1, Seed: 2}}
+		for limit := 1; limit <= 30; limit++ {
+			res, err := Run(inst, heuristics.Local, plan, sim.Options{Seed: 3, MaxSteps: limit, IdlePatience: 10})
+			if res == nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("state loss %d, step limit %d", loss, limit), inst, res)
+		}
+	}
+
+	// Vertex 5 loses its downloads at step 2, then goes down from step 6
+	// until long after every other want is met: the run idles out.
+	stall := Plan{Crashes: CrashSchedule{Events: []CrashEvent{{V: 5, At: 2, RecoverAt: 3}, {V: 5, At: 6, RecoverAt: 500}}}, StateLoss: DropAll}
+	res, err := Run(inst, heuristics.Local, stall, sim.Options{Seed: 3, IdlePatience: 3})
+	if !errors.Is(err, sim.ErrStalled) {
+		t.Fatalf("stall plan: err = %v, want ErrStalled", err)
+	}
+	if res.Retransmissions == 0 {
+		t.Fatal("stall plan: no retransmissions to count")
+	}
+	check("stalled run", inst, res)
 }

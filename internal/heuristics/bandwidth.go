@@ -25,24 +25,28 @@ import (
 // token's request targets depend only on its holders and the present arcs,
 // so they are cached per token, and a turn recomputes only the tokens the
 // previous turn delivered (all of them after a wipe or an arc-set change;
-// see sim.Changes). A turn therefore costs O(n + arcs) per delivered token
-// rather than per token, which keeps the heuristic cheap on the paper's
-// 1000-vertex sweeps.
+// see sim.Changes). A token's needers are kept the same way, as a set of
+// the wanters that lack it, so recomputing a token walks that set instead
+// of testing every wanter's possession. A turn therefore costs O(n +
+// arcs) per delivered token rather than per token, which keeps the
+// heuristic cheap on the paper's 1000-vertex sweeps.
 var Bandwidth sim.Factory = newBandwidth
 
 type bandwidthStrategy struct {
 	changes sim.Changes
 	rem     residual
 	// Vertex sets, words wide each: out holds every vertex's out-neighbors
-	// in the planning graph, held every token's holders, and oneHop every
+	// in the planning graph, held every token's holders, oneHop every
 	// token's one-hop-knowledge vertices (out-neighbors of a holder that do
-	// not hold it). Set u of out starts at word u·words, set t of held and
-	// oneHop at word t·words. Deliveries update held and oneHop; a rebuild
-	// recomputes all three.
-	words             int
-	out, held, oneHop []uint64
+	// not hold it), and lacking every token's needers (wanters that do not
+	// hold it). Set u of out starts at word u·words, set t of the others
+	// at word t·words. Deliveries update held, oneHop and lacking; a
+	// rebuild recomputes all four.
+	words                      int
+	out, held, oneHop, lacking []uint64
 	// wanters[t] lists the vertices that want t in ascending order; wants
-	// never change, so it is built once per run.
+	// never change, so it is built once per run and seeds lacking on every
+	// rebuild.
 	wanters [][]int32
 	// targets[t] caches token t's request targets in needer order. A token
 	// has at most one target per needer, so each is carved from one
@@ -81,6 +85,7 @@ func newBandwidth(inst *core.Instance, _ *rand.Rand) (sim.Strategy, error) {
 		out:        make([]uint64, n*words),
 		held:       make([]uint64, m*words),
 		oneHop:     make([]uint64, m*words),
+		lacking:    make([]uint64, m*words),
 		wanters:    make([][]int32, m),
 		targets:    make([][]int32, m),
 		retargeted: tokenset.New(m),
@@ -166,8 +171,9 @@ func (b *bandwidthStrategy) Plan(st *sim.State) []core.Move {
 	return b.moves
 }
 
-// gain records that u now holds t: u joins t's holders, and u's
-// out-neighbors that lack t become one-hop-knowledge vertices for it.
+// gain records that u now holds t: u joins t's holders and leaves its
+// needers, and u's out-neighbors that lack t become one-hop-knowledge
+// vertices for it.
 func (b *bandwidthStrategy) gain(u, t int) {
 	w := b.words
 	held, hop := b.held[t*w:(t+1)*w], b.oneHop[t*w:(t+1)*w]
@@ -175,21 +181,29 @@ func (b *bandwidthStrategy) gain(u, t int) {
 		return
 	}
 	held[u>>6] |= 1 << (u & 63)
+	b.lacking[t*w+u>>6] &^= 1 << (u & 63)
 	for k, out := range b.out[u*w : (u+1)*w] {
 		hop[k] = (hop[k] | out) &^ held[k]
 	}
 }
 
-// rebuild recomputes the out-neighbor, holder and one-hop sets from the
-// planning graph and the current possession.
+// rebuild recomputes the out-neighbor, holder, one-hop and needer sets
+// from the planning graph, the wants and the current possession.
 func (b *bandwidthStrategy) rebuild(st *sim.State) {
 	g := st.Inst.G
 	clear(b.out)
 	clear(b.held)
 	clear(b.oneHop)
+	clear(b.lacking)
 	for u := range st.Possess {
 		for _, a := range g.Out(u) {
 			b.out[u*b.words+a.To>>6] |= 1 << (a.To & 63)
+		}
+	}
+	// Every wanter needs its tokens until gain finds it holding them.
+	for t, wanters := range b.wanters {
+		for _, v := range wanters {
+			b.lacking[t*b.words+int(v)>>6] |= 1 << (v & 63)
 		}
 	}
 	for u := range st.Possess {
@@ -212,9 +226,11 @@ func (b *bandwidthStrategy) retarget(st *sim.State, t int) {
 		b.gen = 1
 	}
 	gen := b.gen
+	// The needers in ascending order, as the wanters are listed.
 	b.needers = b.needers[:0]
-	for _, v := range b.wanters[t] {
-		if !st.Possess[v].Has(t) {
+	for k, set := range b.lacking[t*b.words : (t+1)*b.words] {
+		for ; set != 0; set &= set - 1 {
+			v := int32(k<<6 | bits.TrailingZeros64(set))
 			b.needers = append(b.needers, v)
 			b.need[v] = gen
 		}

@@ -27,8 +27,6 @@ import (
 	"math/rand"
 
 	"ocd/internal/graph"
-	"ocd/internal/tokenset"
-
 	"ocd/internal/sim"
 )
 
@@ -88,10 +86,10 @@ func (r *residual) takeID(id int32) { r.rem[id]-- }
 func (r *residual) leftID(id int32) int { return r.rem[id] }
 
 // raritySorter holds the reusable scratch for the stable sort-by-count on
-// the per-vertex hot path: a counting-sort bucket array (have-counts are
-// bounded by the vertex count) and a staging buffer. One lives in the
-// rarest-random planner, which Local and its stale-view and gossip
-// variants share, so sorting allocates nothing in steady state.
+// the per-vertex hot path: a counting-sort bucket array spanning the
+// input's counts and a staging buffer. One lives in the rarest-random
+// planner, which Local and its stale-view and gossip variants share, so
+// sorting allocates nothing in steady state.
 type raritySorter struct {
 	//ocd:scratch
 	bucket []int
@@ -99,13 +97,17 @@ type raritySorter struct {
 	tmp []int
 }
 
-// sortByCount stably sorts tokens ascending by counts[t]. Counts are vertex
-// tallies, so they lie in [0, maxCount]; a two-pass counting sort is O(k +
-// maxCount) and — being stable — preserves the pre-shuffled order among
-// equal-rarity tokens exactly as the old insertion sort (and a
-// sort.SliceStable) would. Small inputs fall back to a stable insertion
-// sort to skip the bucket reset.
-func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
+// sortByCount stably sorts tokens ascending by counts[t], where every
+// count lies in [lo, hi]. A two-pass counting sort over buckets spanning
+// only that range is O(k + hi − lo) and — being stable — preserves the
+// pre-shuffled order among equal-rarity tokens exactly as a stable sort
+// over every possible count would. When lo == hi the order is already
+// sorted. Small inputs fall back to a stable insertion sort to skip the
+// bucket reset.
+func (r *raritySorter) sortByCount(tokens []int, counts []int, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	if len(tokens) < 16 {
 		for i := 1; i < len(tokens); i++ {
 			t := tokens[i]
@@ -118,13 +120,14 @@ func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
 		}
 		return
 	}
-	if cap(r.bucket) < maxCount+2 {
-		r.bucket = make([]int, maxCount+2)
+	span := hi - lo + 2
+	if cap(r.bucket) < span {
+		r.bucket = make([]int, span)
 	}
-	bucket := r.bucket[:maxCount+2]
+	bucket := r.bucket[:span]
 	clear(bucket)
 	for _, t := range tokens {
-		bucket[counts[t]+1]++
+		bucket[counts[t]-lo+1]++
 	}
 	for c := 1; c < len(bucket); c++ {
 		bucket[c] += bucket[c-1]
@@ -134,28 +137,11 @@ func (r *raritySorter) sortByCount(tokens []int, counts []int, maxCount int) {
 	}
 	tmp := r.tmp[:len(tokens)]
 	for _, t := range tokens {
-		tmp[bucket[counts[t]]] = t
-		bucket[counts[t]]++
+		c := counts[t] - lo
+		tmp[bucket[c]] = t
+		bucket[c]++
 	}
 	copy(tokens, tmp)
-}
-
-// appendTokensByRarity appends the tokens of set to buf ordered by ascending
-// have-count (rarest first), and returns the extended buffer. The tokens
-// are Fisher-Yates shuffled with rng before a single stable sort keyed by
-// count — stability preserves the shuffled order among equal-rarity tokens,
-// which is the tie-diversification the §5.1 rarest-random family relies on
-// (replacing the old shuffle + O(k²) insertion sort over the full set).
-func appendTokensByRarity(sorter *raritySorter, buf []int, set tokenset.Set, counts []int, maxCount int, rng *rand.Rand) []int {
-	start := len(buf)
-	buf = set.AppendTo(buf)
-	tokens := buf[start:]
-	for i := len(tokens) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		tokens[i], tokens[j] = tokens[j], tokens[i]
-	}
-	sorter.sortByCount(tokens, counts, maxCount)
-	return buf
 }
 
 // permInto writes a random permutation of [0, n) into buf, growing it as

@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -135,6 +136,9 @@ func newLocalStrategy(inst *core.Instance) *localStrategy {
 	}
 	words := (maxIn + 63) / 64
 	return &localStrategy{
+		// Counts lie in [0, n] and a vertex sorts at most m tokens, so the
+		// sorter's scratch never grows.
+		sorter:    raritySorter{bucket: make([]int, n+2), tmp: make([]int, m)},
 		holders:   make([]uint64, n*m*words),
 		words:     words,
 		numTokens: m,
@@ -257,6 +261,9 @@ func (l *localStrategy) stale(st *sim.State) []tokenset.Set {
 // appendRequests assigns vertex v's missing tokens to in-neighbor holders
 // with residual capacity, wanted tokens first, rarest first within each
 // class. The classes come from live possession: v always knows itself.
+// Only the kept subsequence of each class reaches requestClass: the
+// tokens some open in-arc's tail holds. The rest could never draw a
+// holder this turn.
 func (l *localStrategy) appendRequests(st *sim.State, counts []int, v int) {
 	inIDs := st.Inst.G.InArcIDs(v)
 	if len(inIDs) == 0 {
@@ -273,15 +280,53 @@ func (l *localStrategy) appendRequests(st *sim.State, counts []int, v int) {
 	l.other.DifferenceWith(l.wanted)
 	// Both classes are shuffled before any holder is drawn, matching the
 	// rand-stream order of the original two-slice formulation.
-	n := st.Inst.N()
-	l.tokens = appendTokensByRarity(&l.sorter, l.tokens[:0], l.wanted, counts, n, st.Rand)
+	l.tokens = l.appendMovable(l.tokens[:0], v, l.wanted, counts, st.Rand)
 	wantedEnd := len(l.tokens)
-	l.tokens = appendTokensByRarity(&l.sorter, l.tokens, l.other, counts, n, st.Rand)
+	l.tokens = l.appendMovable(l.tokens, v, l.other, counts, st.Rand)
 	// Wanted tokens before diversity tokens. Passing the two reslices as
 	// plain call arguments keeps the scratch buffer out of any composite
 	// literal, which scratchalias cannot prove transient.
 	l.requestClass(st, v, l.tokens[:wantedEnd])
 	l.requestClass(st, v, l.tokens[wantedEnd:])
+}
+
+// appendMovable appends to buf the tokens of set that v can request this
+// turn, ordered by ascending count (rarest first), and returns the
+// extended buffer. Every token of set is Fisher-Yates shuffled with rng,
+// then only those with a holder on an open in-arc of v are kept, in
+// shuffled order, and a stable sort keyed by count orders them; stability
+// preserves the shuffled order among equal-rarity tokens, which is the
+// tie-diversification the §5.1 rarest-random family relies on.
+//
+// The filter changes no request. Called at the start of v's turn, every
+// present in-arc of v is open (only v's requests draw on them), and
+// during the turn v's holder rows stay fixed while open only loses bits,
+// so a token dropped here would find no eligible holder in requestClass,
+// which skips it without a draw. Filtering a stably sorted list keeps the
+// same order as sorting the filtered one. The shuffle still covers the
+// whole set, so the PRNG draws are unchanged.
+func (l *localStrategy) appendMovable(buf []int, v int, set tokenset.Set, counts []int, rng *rand.Rand) []int {
+	start := len(buf)
+	buf = set.AppendTo(buf)
+	tokens := buf[start:]
+	for i := len(tokens) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		tokens[i], tokens[j] = tokens[j], tokens[i]
+	}
+	kept, lo, hi := 0, math.MaxInt, math.MinInt
+	for _, t := range tokens {
+		row := l.holders[(v*l.numTokens+t)*l.words:]
+		for k, open := range l.open {
+			if row[k]&open != 0 {
+				tokens[kept] = t
+				kept++
+				lo, hi = min(lo, counts[t]), max(hi, counts[t])
+				break
+			}
+		}
+	}
+	l.sorter.sortByCount(tokens[:kept], counts, lo, hi)
+	return buf[:start+kept]
 }
 
 // requestClass assigns each token in class to a random in-neighbor holder
