@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"math/bits"
-	"math/rand"
 	"testing"
 
 	"ocd/internal/core"
@@ -15,13 +14,9 @@ import (
 // whole-run reference for TestBandwidthRunsMatchReference.
 type refBandwidth struct{ *bandwidthStrategy }
 
-func newRefBandwidth(inst *core.Instance, rng *rand.Rand) (sim.Strategy, error) {
-	s, err := newBandwidth(inst, rng)
-	if err != nil {
-		return nil, err
-	}
+var newRefBandwidth = sim.WrapStrategy(Bandwidth, func(_ *core.Instance, s sim.Strategy) (sim.Strategy, error) {
 	return refBandwidth{s.(*bandwidthStrategy)}, nil
-}
+})
 
 func (r refBandwidth) Plan(st *sim.State) []core.Move {
 	b := r.bandwidthStrategy

@@ -75,13 +75,9 @@ type refLocal struct{ *localStrategy }
 
 // refLocalOf wraps the localStrategy that f builds in refLocal.
 func refLocalOf(f sim.Factory) sim.Factory {
-	return func(inst *core.Instance, rng *rand.Rand) (sim.Strategy, error) {
-		s, err := f(inst, rng)
-		if err != nil {
-			return nil, err
-		}
+	return sim.WrapStrategy(f, func(_ *core.Instance, s sim.Strategy) (sim.Strategy, error) {
 		return refLocal{s.(*localStrategy)}, nil
-	}
+	})
 }
 
 func (r refLocal) Plan(st *sim.State) []core.Move {
